@@ -2,14 +2,16 @@
 """Show the recursive metric lift at work on a single chart.
 
 For the flat metric the lifted fiber metric is the identity at every jet
-point; for exp(x1) the script prints the lift lagrangian, the prolonged
-connection coefficients and the lifted metric at a sample point.
+point; for exp(x1) the script prints the lift lagrangian, the closed forms
+of the prolonged connection coefficients and the lifted metric (whose
+coefficients are computed numerically) at a sample point.
 """
 
 import numpy as np
 
 from folijet.jets import TransverseJetPoint, restrict_to_zero_section
 from folijet.riemann import MetricField, lift_lagrangian, lift_metric
+from folijet.symbolic import prolongation_coefficients
 
 R = 3
 
@@ -27,7 +29,8 @@ def run():
     print(f"\nexp(x1) lift lagrangian (r={R}):")
     print(" ", L.program.to_text())
     lifted = lift_metric(expg, R)
-    for k, mat in enumerate(lifted.connections[""], start=1):
+    coefficients = prolongation_coefficients(expg.components, R, expg.qdim)
+    for k, mat in enumerate(coefficients, start=1):
         print(f"connection coefficient M_({k}):",
               [[prog.to_text() for prog in row] for row in mat])
     print("\nlifted metric at", point.to_dict())

@@ -40,12 +40,44 @@ ROUNDTRIP_TOLERANCE = 1e-9
 COCYCLE_TOLERANCE = 1e-8
 
 
+def _field(entry, key, what, kind=None):
+    """entry[key]; SchemaError when it is missing or not of type `kind`."""
+    if key not in entry:
+        raise SchemaError(f"{what}: missing key {key!r}")
+    value = entry[key]
+    if kind is not None and not isinstance(value, kind):
+        raise SchemaError(f"{what}: {key!r} must be a {kind.__name__}")
+    return value
+
+
+def _int_field(entry, key, what):
+    try:
+        return int(_field(entry, key, what))
+    except (TypeError, ValueError) as err:
+        raise SchemaError(f"{what}: {key!r} must be an integer") from err
+
+
+def _entries(document, key):
+    """The list of objects under `key`, empty when the key is absent."""
+    entries = document.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict)
+                                                for e in entries):
+        raise SchemaError(f"{key!r} must be a list of objects")
+    return entries
+
+
 def _check_box(box, what):
+    if not isinstance(box, list):
+        raise SchemaError(f"{what}: must be a list of [lo, hi] intervals")
     out = []
     for pair in box:
-        if len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError(f"{what}: interval must be [lo, hi]")
-        lo, hi = float(pair[0]), float(pair[1])
+        try:
+            lo, hi = float(pair[0]), float(pair[1])
+        except (TypeError, ValueError) as err:
+            raise SchemaError(f"{what}: interval bounds must be numbers") \
+                from err
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InvariantViolation(f"{what}: non-finite interval bound")
         if hi < lo:
@@ -120,6 +152,8 @@ def _transverse_vars(q):
 
 
 def _parse_exprs(texts, where):
+    if not isinstance(texts, list):
+        raise SchemaError(f"{where}: must be a list of expressions")
     out = []
     for i, text in enumerate(texts):
         try:
@@ -139,18 +173,16 @@ def load_atlas(document) -> "FoliatedAtlas":
     if not isinstance(document, dict):
         raise SchemaError("atlas document must be a single JSON object")
 
-    try:
-        p = int(document["leaf_dim"])
-        q = int(document["transverse_dim"])
-    except KeyError as err:
-        raise SchemaError(f"missing top-level key {err}") from err
+    p = _int_field(document, "leaf_dim", "atlas")
+    q = _int_field(document, "transverse_dim", "atlas")
     if p < 0 or q < 1:
         raise InvariantViolation("need leaf_dim >= 0 and transverse_dim >= 1")
 
     charts: dict[str, Chart] = {}
-    for entry in document.get("charts", []):
-        name = str(entry["name"])
-        domain = _check_box(entry["domain"], f"chart {name} domain")
+    for entry in _entries(document, "charts"):
+        name = str(_field(entry, "name", "chart"))
+        domain = _check_box(_field(entry, "domain", f"chart {name}"),
+                            f"chart {name} domain")
         if len(domain) != p + q:
             raise SchemaError(f"chart {name}: domain must have {p + q} intervals")
         if name in charts:
@@ -161,8 +193,9 @@ def load_atlas(document) -> "FoliatedAtlas":
 
     leafs, transverses = _leaf_vars(p), _transverse_vars(q)
     transitions: dict[str, Transition] = {}
-    for entry in document.get("transitions", []):
-        src, dst = str(entry["from"]), str(entry["to"])
+    for entry in _entries(document, "transitions"):
+        src = str(_field(entry, "from", "transition"))
+        dst = str(_field(entry, "to", "transition"))
         name = str(entry.get("name", f"{src}->{dst}"))
         if name in transitions:
             raise SchemaError(f"duplicate transition name {name!r}")
@@ -174,8 +207,9 @@ def load_atlas(document) -> "FoliatedAtlas":
             )
         leaf_exprs = _parse_exprs(entry.get("leaf_exprs", []),
                                   f"transition {name} leaf_exprs")
-        transverse_exprs = _parse_exprs(entry["transverse_exprs"],
-                                        f"transition {name} transverse_exprs")
+        transverse_exprs = _parse_exprs(
+            _field(entry, "transverse_exprs", f"transition {name}"),
+            f"transition {name} transverse_exprs")
         if len(leaf_exprs) != p or len(transverse_exprs) != q:
             raise SchemaError(
                 f"transition {name}: need {p} leaf and {q} transverse expressions"
@@ -193,7 +227,8 @@ def load_atlas(document) -> "FoliatedAtlas":
                 raise InvariantViolation(
                     f"transition {name}: leaf expression {i} uses {sorted(extra)}"
                 )
-        overlap = _check_box(entry["overlap"], f"transition {name} overlap")
+        overlap = _check_box(_field(entry, "overlap", f"transition {name}"),
+                             f"transition {name} overlap")
         if len(overlap) != p + q:
             raise SchemaError(f"transition {name}: overlap must have {p + q} intervals")
         if not _box_subset(overlap, charts[src].domain):
@@ -219,8 +254,8 @@ def load_atlas(document) -> "FoliatedAtlas":
                 )
 
     triples = []
-    for entry in document.get("triples", []):
-        via = entry["via"]
+    for entry in _entries(document, "triples"):
+        via = _field(entry, "via", "triple", list)
         if len(via) != 3:
             raise SchemaError("triple: 'via' must list three transition names")
         t1, t2, t3 = (str(v) for v in via)
@@ -232,7 +267,8 @@ def load_atlas(document) -> "FoliatedAtlas":
         if (transitions[t3].from_chart != transitions[t1].from_chart
                 or transitions[t3].to_chart != transitions[t2].to_chart):
             raise InvariantViolation(f"triple ({t1}, {t2}, {t3}): composite mismatch")
-        overlap = _check_box(entry["overlap"], "triple overlap")
+        overlap = _check_box(_field(entry, "overlap", "triple"),
+                             "triple overlap")
         triples.append(TripleOverlap(t1, t2, t3, overlap))
 
     # metrics and lagrangians are owned by the riemann/dynamics modules;
@@ -241,11 +277,15 @@ def load_atlas(document) -> "FoliatedAtlas":
     if document.get("metrics"):
         from .riemann import MetricField
 
-        for entry in document["metrics"]:
-            name, chart = str(entry["name"]), str(entry["chart"])
+        for entry in _entries(document, "metrics"):
+            name = str(_field(entry, "name", "metric"))
+            chart = str(_field(entry, "chart", f"metric {name}"))
             if chart not in charts:
                 raise SchemaError(f"metric {name}: unknown chart {chart!r}")
-            fld = MetricField.from_components(entry["components"], q, name=name,
+            components = _field(entry, "components", f"metric {name}", list)
+            if not all(isinstance(row, list) for row in components):
+                raise SchemaError(f"metric {name}: components must be rows")
+            fld = MetricField.from_components(components, q, name=name,
                                               chart=chart)
             fld.check_positive_definite(charts[chart].domain[p:], samples=25,
                                         seed=0)
@@ -255,12 +295,14 @@ def load_atlas(document) -> "FoliatedAtlas":
     if document.get("lagrangians"):
         from .dynamics import LagrangianField
 
-        for entry in document["lagrangians"]:
-            name, chart = str(entry["name"]), str(entry["chart"])
+        for entry in _entries(document, "lagrangians"):
+            name = str(_field(entry, "name", "lagrangian"))
+            chart = str(_field(entry, "chart", f"lagrangian {name}"))
             if chart not in charts:
                 raise SchemaError(f"lagrangian {name}: unknown chart {chart!r}")
-            order = int(entry["order"])
-            program = exprmod.parse(str(entry["expr"]))
+            order = _int_field(entry, "order", f"lagrangian {name}")
+            program = exprmod.parse(str(_field(entry, "expr",
+                                               f"lagrangian {name}")))
             excluded = entry.get("excluded")
             fld = LagrangianField.from_program(
                 program,

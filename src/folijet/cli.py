@@ -37,6 +37,7 @@ from .legendre import (
     pseudo_hamiltonian,
 )
 from .report import Report
+from .symbolic import prolongation_coefficients
 from .riemann import (
     holonomy_check,
     lift_lagrangian,
@@ -216,11 +217,11 @@ def cmd_semispray(args):
 def cmd_lift(args):
     atlas = load_atlas_file(args.atlas)
     family = _metric_family(atlas, args.metric)
-    lifted = lift_metric(family, args.order)
     charts = {}
     for chart, fld in family.items():
         L = lift_lagrangian(fld, args.order)
-        coeffs = lifted.connections[chart]
+        coeffs = prolongation_coefficients(fld.components, args.order,
+                                           fld.qdim)
         charts[chart] = {
             "lagrangian": L.program.to_text(),
             "connection": [[[prog.to_text() for prog in row] for row in mat]

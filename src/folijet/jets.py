@@ -128,18 +128,19 @@ def zero_section(r, leaf, base, chart=""):
                               tuple((0.0,) * q for _ in range(r)))
 
 
-def _taylor_env(point, q, seeds=None):
+def _taylor_env(base, jets, seeds=None):
     """TaylorScalar environment carrying the jet curve x(t).
 
-    With `seeds`, coefficient slots become first-order duals over the
-    (r+1)q fiber coordinates, ordered (x, y^(1), ..., y^(r)).
+    x(t) = base + sum_k jets[k-1] t^k.  With `seeds`, coefficient slot b
+    of coordinate i becomes seeds(b * q + i, value): the fiber coordinates
+    are ordered (x, y^(1), ..., y^(r)).
     """
-    r = point.order
+    q = len(base)
     env = {}
     for i in range(q):
-        coeffs = [point.base[i]] + [point.jets[k][i] for k in range(r)]
+        coeffs = [base[i]] + [row[i] for row in jets]
         if seeds is not None:
-            coeffs = [seeds(b * q + i, coeffs[b]) for b in range(r + 1)]
+            coeffs = [seeds(b * q + i, c) for b, c in enumerate(coeffs)]
         env[f"x{i+1}"] = TaylorScalar(coeffs)
     return env
 
@@ -166,7 +167,7 @@ def prolong_transition(atlas, transition, point):
     _check_in_overlap(transition, point)
     p, q = atlas.p, atlas.q
     r = point.order
-    env = _taylor_env(point, q)
+    env = _taylor_env(point.base, point.jets)
     new_base = []
     new_jets = [[0.0] * q for _ in range(r)]
     for i, e in enumerate(transition.transverse_exprs):
@@ -200,7 +201,7 @@ def prolong_jacobian(atlas, transition, point):
         grad[index] = 1.0
         return DualScalar(value, grad)
 
-    env = _taylor_env(point, q, seeds=seed)
+    env = _taylor_env(point.base, point.jets, seeds=seed)
     out = np.zeros((n, n))
     for i, e in enumerate(transition.transverse_exprs):
         series = e.eval(env)

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ShapeError, SingularHessian
 from .scalars import value_of
 
-__all__ = ["solve", "inverse", "determinant", "solve_with_det"]
+__all__ = ["solve", "solve_with_det"]
 
 
 def _as_object_matrix(a):
@@ -74,31 +74,3 @@ def solve_with_det(a, b, *, singular_tol=1e-9):
 
 def solve(a, b, *, singular_tol=1e-9):
     return solve_with_det(a, b, singular_tol=singular_tol)[0]
-
-
-def inverse(a, *, singular_tol=1e-9):
-    n = len(a)
-    eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    return solve(a, eye, singular_tol=singular_tol)
-
-
-def determinant(a):
-    A = _as_object_matrix(a)
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ShapeError(f"matrix is {A.shape}, expected square")
-    det = 1.0
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda i: abs(value_of(A[i, col])))
-        if value_of(A[pivot_row, col]) == 0.0:
-            return 0.0 * det
-        if pivot_row != col:
-            A[[col, pivot_row]] = A[[pivot_row, col]]
-            det = -det
-        pivot = A[col, col]
-        det = det * pivot
-        for i in range(col + 1, n):
-            factor = A[i, col] / pivot
-            for j in range(col + 1, n):
-                A[i, j] = A[i, j] - factor * A[col, j]
-    return det

@@ -2,10 +2,11 @@
 
 The central constructions: a transverse metric g lifts recursively to a
 lagrangian L^(r) with vertical Hessian 2g, and g's Levi-Civita data
-prolongs to a nonlinear connection on the order-r jet fiber; copying g
-onto each summand of the resulting horizontal/vertical splitting
-(summands declared orthogonal) yields a fiber metric G on the full jet
-fiber.  `holonomy_check` then verifies chart-invariance of G and
+prolongs to a nonlinear connection on the order-r jet fiber (its
+coefficients are the Taylor coefficients of parallel transport along the
+jet curve, computed numerically at each point); copying g onto each
+summand of the resulting horizontal/vertical splitting (summands declared
+orthogonal) yields a fiber metric G on the full jet fiber.  `holonomy_check` then verifies chart-invariance of G and
 `vertical_exactness_check` verifies G_top against the vertical Hessian.
 
 Convention: the top vertical block of G equals g, i.e. half the vertical
@@ -15,7 +16,7 @@ Hessian of L^(r).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -25,7 +26,7 @@ from . import symbolic
 from .dynamics import LagrangianField, semispray, vertical_hessian
 from .errors import InvariantViolation, ShapeError, SingularMetric
 from .expr import ExprProgram, parse
-from .jets import TransverseJetPoint
+from .jets import TransverseJetPoint, _taylor_env
 from .report import Report
 from .scalars import DualScalar, seed_gradient
 
@@ -92,22 +93,6 @@ class MetricField:
                 out[i, j] = float(self.components[i][j].eval(env))
         return (out + out.T) / 2.0
 
-    def evaluate_with_partials(self, base):
-        """(values, partials) with partials[a][i][j] = d g_ij / d x_a."""
-        q = self.qdim
-        env = {f"x{i+1}": seed_gradient(i, float(base[i]), q) for i in range(q)}
-        vals = np.empty((q, q))
-        partials = np.zeros((q, q, q))
-        for i in range(q):
-            for j in range(q):
-                out = self.components[i][j].eval(env)
-                if isinstance(out, DualScalar):
-                    vals[i, j] = out.value
-                    partials[:, i, j] = out.grad
-                else:
-                    vals[i, j] = float(out)
-        return (vals + vals.T) / 2.0, (partials + partials.transpose(0, 2, 1)) / 2.0
-
     def check_positive_definite(self, box, samples=25, seed=0, *,
                                 eig_tol=EIG_TOLERANCE):
         key = zlib.crc32(f"metric:{self.name}:{self.chart}".encode())
@@ -125,31 +110,55 @@ class MetricField:
                 )
 
 
-def christoffel(g, base):
-    """Levi-Civita symbols C[a][b][c] of g at a base point (duals inside)."""
-    vals, partials = g.evaluate_with_partials(base)
-    det = float(np.linalg.det(vals))
+def _christoffel_series(g, base, jets=()):
+    """Taylor coefficients of g and of its Levi-Civita symbols along a curve.
+
+    Along x(t) = base + sum_k jets[k-1] t^k, returns (G, Gamma): G[k] is the
+    k-th coefficient of g(x(t)) and Gamma[k][a, b, c] that of
+    Gamma^a_bc(x(t)).  A dual seed on the base coefficient makes one
+    evaluation of g carry the series of all its partials as well.
+    """
+    q = g.qdim
+    n = len(jets) + 1
+    env = _taylor_env(base, jets, seeds=lambda i, v:
+                      seed_gradient(i, v, q) if i < q else v)
+    G = np.zeros((n, q, q))
+    dG = np.zeros((n, q, q, q))  # [k, m, i, j]: d g_ij / d x_m
+    for i in range(q):
+        for j in range(i, q):
+            for k, c in enumerate(g.components[i][j].eval(env).coeffs):
+                if isinstance(c, DualScalar):
+                    G[k, i, j] = G[k, j, i] = c.value
+                    dG[k, :, i, j] = dG[k, :, j, i] = c.grad
+                else:
+                    G[k, i, j] = G[k, j, i] = c
+    det = float(np.linalg.det(G[0]))
     if abs(det) <= 1e-12:
         raise SingularMetric(f"metric determinant {det:.3e} at {list(base)}")
-    ginv = np.linalg.inv(vals)
-    q = g.qdim
-    out = np.zeros((q, q, q))
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                s = 0.0
-                for d in range(q):
-                    s += ginv[a, d] * (partials[b, d, c] + partials[c, b, d]
-                                       - partials[d, b, c])
-                out[a, b, c] = 0.5 * s
-    return out
+    ginv = np.linalg.inv(G[0])
+    # first kind, at [k, d, b, c]: (d_b g_dc + d_c g_bd - d_d g_bc) / 2
+    first = 0.5 * (dG.transpose(0, 2, 1, 3) + dG.transpose(0, 3, 2, 1) - dG)
+    first = first.reshape(n, q, q * q)
+    # series division of g Gamma = first:
+    # Gamma_k = g_0^-1 (first_k - sum_{1<=j<=k} g_j Gamma_(k-j))
+    gamma = []
+    for k in range(n):
+        rhs = first[k] - sum(G[j] @ gamma[k - j] for j in range(1, k + 1))
+        gamma.append(ginv @ rhs)
+    gamma = np.reshape(gamma, (n, q, q, q))
+    # the products need not round (b, c) and (c, b) alike
+    return G, (gamma + gamma.swapaxes(2, 3)) / 2.0
+
+
+def christoffel(g, base):
+    """Levi-Civita symbols C[a][b][c] of g at a base point."""
+    return _christoffel_series(g, base)[1][0]
 
 
 def _quadratic_lagrangian(g):
     """L^(1)(x, y) = g_x(y, y) as a LagrangianField."""
-    stages = _lift_cached(g, 1)
     return LagrangianField.from_program(
-        stages.lagrangians[0], order=1, qdim=g.qdim,
+        _lift_cached(g, 1)[0], order=1, qdim=g.qdim,
         name=f"lift({g.name or 'g'},1)",
     )
 
@@ -179,25 +188,41 @@ def lift_lagrangian(g, r) -> LagrangianField:
     """The recursive metric lift L^(r); smooth, vertical Hessian 2g."""
     if r < 1:
         raise ShapeError(f"need r >= 1, got {r}")
-    stages = _lift_cached(g, r)
     return LagrangianField.from_program(
-        stages.lagrangians[r - 1], order=r, qdim=g.qdim,
+        _lift_cached(g, r)[r - 1], order=r, qdim=g.qdim,
         name=f"lift({g.name or 'g'},{r})",
     )
+
+
+def _transport_coefficients(g, point, r):
+    """g at the base point and the prolonged connection coefficients M_(0..r).
+
+    M_(k) is the k-th Taylor coefficient of the parallel transport W(t)
+    along the jet curve x(t): W' = W A with W(0) = I = M_(0) and
+    A_ab = Gamma^a_bm(x(t)) x'^m(t), so
+    (k+1) M_(k+1) = sum_{j<=k} M_(j) A_(k-j).
+    """
+    G, gamma = _christoffel_series(g, point.base, point.jets[:r - 1])
+    velocity = [(k + 1) * np.asarray(point.jet(k + 1)) for k in range(r)]
+    A = [sum(gamma[j] @ velocity[k - j] for j in range(k + 1))
+         for k in range(r)]
+    W = [np.eye(g.qdim)]
+    for k in range(r):
+        W.append(sum(W[j] @ A[k - j] for j in range(k + 1)) / (k + 1))
+    return G[0], W
 
 
 @dataclass
 class LiftedMetric:
     """The fiber metric G on the order-r jet fiber, per source chart.
 
-    `connections` holds, per chart, the r prolonged connection-coefficient
-    matrices M_(1..r) (each q x q of expression programs over the jet
-    coordinates).
+    The coframe rows delta y^(k) = sum_j M_(j) dy^(k-j) carry orthogonal
+    copies of g; the connection coefficients M_(j) are computed at each
+    jet point by `_transport_coefficients`.
     """
 
     order: int
     sources: Mapping[str, MetricField]
-    connections: Mapping[str, tuple] = field(default_factory=dict)
 
     @property
     def qdim(self):
@@ -213,45 +238,23 @@ class LiftedMetric:
         )
 
     def evaluate(self, point) -> np.ndarray:
-        key = self._key(point.chart)
-        return _assemble_metric(self.sources[key], self.connections[key],
-                                self.order, point)
+        r = self.order
+        if point.order != r:
+            raise ShapeError(
+                f"jet of order {point.order} for a lift of order {r}")
+        g = self.sources[self._key(point.chart)]
+        gb, W = _transport_coefficients(g, point, r)
+        q = g.qdim
+        R = np.zeros(((r + 1) * q, (r + 1) * q))
+        for k in range(r + 1):
+            for i in range(k + 1):
+                R[k * q:(k + 1) * q, i * q:(i + 1) * q] = W[k - i]
+        # sum over coframe rows k of R_k^T g R_k
+        G = R.T @ (gb @ R.reshape(r + 1, q, -1)).reshape(R.shape)
+        return (G + G.T) / 2.0
 
     def __call__(self, point):
         return self.evaluate(point)
-
-
-def _coefficient_env(point, q):
-    env = {f"x{i+1}": point.base[i] for i in range(q)}
-    for k in range(1, point.order + 1):
-        row = point.jet(k)
-        env.update({f"y{k}_{i+1}": row[i] for i in range(q)})
-    return env
-
-
-def _assemble_metric(g, coefficients, r, point):
-    q = g.qdim
-    n = (r + 1) * q
-    env = _coefficient_env(point, q)
-    m = [np.array([[float(prog.eval(env)) for prog in row] for row in mat])
-         for mat in coefficients]
-    # coframe rows delta y^(k) = dy^(k) + sum_j M_(j) dy^(k-j); each row
-    # carries an orthogonal copy of g
-    R = np.eye(n)
-    for k in range(1, r + 1):
-        for j in range(1, k + 1):
-            R[k * q:(k + 1) * q, (k - j) * q:(k - j + 1) * q] = m[j - 1]
-    gb = g.evaluate(point.base)
-    G = np.zeros((n, n))
-    for k in range(r + 1):
-        row = R[k * q:(k + 1) * q, :]
-        G += row.T @ gb @ row
-    return (G + G.T) / 2.0
-
-
-@lru_cache(maxsize=64)
-def _connection_cached(g, r):
-    return tuple(symbolic.prolongation_coefficients(g.components, r, g.qdim))
 
 
 def lift_metric(g, r) -> LiftedMetric:
@@ -262,9 +265,7 @@ def lift_metric(g, r) -> LiftedMetric:
         fields = {g.chart: g}
     else:
         fields = dict(g)
-    connections = {chart: _connection_cached(fld, r)
-                   for chart, fld in fields.items()}
-    return LiftedMetric(r, fields, connections)
+    return LiftedMetric(r, fields)
 
 
 def sample_jets(rng, r, q, scale=1.0):

@@ -30,10 +30,7 @@ __all__ = [
     "TaylorScalar",
     "DualScalar",
     "DualQuadScalar",
-    "seed_variable",
     "seed_gradient",
-    "taylor_arith",
-    "dual_arith",
     "value_of",
     "constant_like",
     "exp",
@@ -786,17 +783,8 @@ def _div(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Seeds and the op-name front ends
+# Seeds
 # ---------------------------------------------------------------------------
-
-
-def seed_variable(index, value, nvars):
-    """Second-order dual seed for variable `index`: unit gradient, zero Hessian."""
-    if not 0 <= index < nvars:
-        raise IndexOutOfRange(f"index {index} not in [0, {nvars})")
-    grad = np.zeros(nvars)
-    grad[index] = 1.0
-    return DualQuadScalar(value, grad, np.zeros((nvars, nvars)))
 
 
 def seed_gradient(index, value, nvars):
@@ -806,39 +794,6 @@ def seed_gradient(index, value, nvars):
     grad = np.zeros(nvars)
     grad[index] = 1.0
     return DualScalar(value, grad)
-
-
-_BINARY_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": _div,
-    "pow": power,
-}
-
-
-def _arith(kind, kind_name, op, a, b):
-    if not isinstance(a, kind):
-        raise TypeError(f"first operand must be a {kind_name}")
-    if op in _BINARY_OPS:
-        if b is None:
-            raise TypeError(f"operation {op!r} needs a second operand")
-        return _BINARY_OPS[op](a, b)
-    if op in UNARY_FUNCTIONS:
-        if b is not None:
-            raise TypeError(f"operation {op!r} is unary")
-        return UNARY_FUNCTIONS[op](a)
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def taylor_arith(op, a, b=None):
-    """Apply a named operation to TaylorScalars (by-name front end)."""
-    return _arith(TaylorScalar, "TaylorScalar", op, a, b)
-
-
-def dual_arith(op, a, b=None):
-    """Apply a named operation to dual scalars (by-name front end)."""
-    return _arith((DualScalar, DualQuadScalar), "dual scalar", op, a, b)
 
 
 def constant_like(template, value):

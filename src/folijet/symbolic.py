@@ -18,7 +18,6 @@ __all__ = [
     "to_sympy",
     "from_sympy",
     "lift_stages",
-    "LiftStages",
     "prolongation_coefficients",
 ]
 
@@ -164,20 +163,6 @@ def _stage_spray(L, k, q, ginv):
     return [sol[i, 0] for i in range(q)]
 
 
-class LiftStages:
-    """All stages of the recursive lift of a metric to order r.
-
-    lagrangians[k-1] is L^(k) as an expression program; sprays[k-1] holds
-    the q semi-spray components of L^(k).
-    """
-
-    def __init__(self, lagrangians, sprays, lagrangians_sympy, sprays_sympy):
-        self.lagrangians = lagrangians
-        self.sprays = sprays
-        self.lagrangians_sympy = lagrangians_sympy
-        self.sprays_sympy = sprays_sympy
-
-
 def prolongation_coefficients(metric_programs, r, q):
     """Connection coefficients of the jet prolongation of a Levi-Civita metric.
 
@@ -191,6 +176,9 @@ def prolongation_coefficients(metric_programs, r, q):
     section and reduces to zero for a flat metric, and the coframe rows
     delta y^(k) = dy^(k) + sum_j M_(j) dy^(k-j) transform tensorially
     under prolonged coordinate changes.
+
+    These are the closed forms `folijet lift` prints; `LiftedMetric`
+    computes the same values numerically at each jet point.
     """
     g = sp.Matrix(q, q, lambda i, j: to_sympy(metric_programs[i][j]))
     ginv = g.inv()
@@ -219,8 +207,11 @@ def prolongation_coefficients(metric_programs, r, q):
     ]
 
 
-def lift_stages(metric_programs, r, q) -> LiftStages:
-    """Run the lift recursion L^(k) = L^(k-1) + g(y^(k)-S^(k-1), ...)."""
+def lift_stages(metric_programs, r, q):
+    """Run the lift recursion L^(k) = L^(k-1) + g(y^(k)-S^(k-1), ...).
+
+    Returns the stages L^(1..r) as a tuple of expression programs.
+    """
     g = sp.Matrix(q, q, lambda i, j: to_sympy(metric_programs[i][j]))
     ginv = g.inv().applyfunc(sp.cancel)
 
@@ -234,9 +225,4 @@ def lift_stages(metric_programs, r, q) -> LiftStages:
         shifted = [_y(k, i) - sprays[k - 2][i] for i in range(q)]
         stages.append(stages[-1] + quad(shifted))
         sprays.append(_stage_spray(stages[-1], k, q, ginv))
-    return LiftStages(
-        [from_sympy(L) for L in stages],
-        [tuple(from_sympy(s) for s in spray) for spray in sprays],
-        stages,
-        sprays,
-    )
+    return tuple(from_sympy(L) for L in stages)

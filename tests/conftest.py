@@ -43,6 +43,11 @@ def plane_atlas():
 
 
 @pytest.fixture(scope="session")
+def shear2_atlas():
+    return load_atlas_file(ATLAS_DIR / "shear2.json")
+
+
+@pytest.fixture(scope="session")
 def flat_metric():
     return MetricField.from_components([["1"]], 1, name="flat")
 

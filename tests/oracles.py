@@ -57,6 +57,24 @@ def sympy_prolong(transverse_texts, base, jets):
     return tuple(new_base), tuple(tuple(row) for row in new_jets)
 
 
+def coframe_metric(g_value, coefficients):
+    """Fiber metric with one orthogonal copy of g per coframe row.
+
+    The rows are dy^(k) + sum_j M_(j) dy^(k-j) for k = 0..r, with the
+    float matrices M_(1..r) given in `coefficients`; literal block loops.
+    """
+    q = len(g_value)
+    blocks = [np.eye(q)] + list(coefficients)
+    n = len(blocks) * q
+    G = np.zeros((n, n))
+    for k in range(len(blocks)):
+        row = np.zeros((q, n))
+        for j in range(k + 1):
+            row[:, (k - j) * q:(k - j + 1) * q] = blocks[j]
+        G += row.T @ g_value @ row
+    return G
+
+
 def central_difference(fn, x, h=1e-6):
     """Gradient of fn: R^n -> R by central differences."""
     x = np.asarray(x, dtype=float)

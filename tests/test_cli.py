@@ -1,14 +1,28 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from folijet.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def run_process(*argv):
+    """Run a Python script or module in a fresh interpreter."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
 
 
 def test_validate_passes(capsys, atlas_dir):
@@ -43,6 +57,41 @@ def test_validate_non_foliated_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert "foliated" in err
+
+
+SCHEMA_BREAKS = {
+    "chart_without_name": lambda doc: doc["charts"][0].pop("name"),
+    "transition_without_overlap":
+        lambda doc: doc["transitions"][0].pop("overlap"),
+    "metrics_as_dict": lambda doc: doc.update(metrics={"g": {"A": [["1"]]}}),
+    "leaf_dim_not_an_integer": lambda doc: doc.update(leaf_dim=[0]),
+    "interval_bound_not_a_number":
+        lambda doc: doc["charts"][0].update(domain=[[None, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_BREAKS))
+def test_schema_errors_exit_2_without_traceback(tmp_path, case):
+    doc = {
+        "leaf_dim": 0,
+        "transverse_dim": 1,
+        "charts": [
+            {"name": "A", "domain": [[0.5, 2.0]]},
+            {"name": "B", "domain": [[0.5, 2.0]]},
+        ],
+        "transitions": [{
+            "name": "A->B", "from": "A", "to": "B",
+            "leaf_exprs": [], "transverse_exprs": ["2*x1"],
+            "overlap": [[0.5, 1.0]],
+        }],
+    }
+    SCHEMA_BREAKS[case](doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    proc = run_process("-m", "folijet.cli", "validate", str(path))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
 
 
 def test_validate_near_singular_fails(capsys, tmp_path):
@@ -140,6 +189,19 @@ def test_certify_cubic_passes(capsys, atlas_dir):
             "zero_section_restriction", "vertical_exactness"} <= names
 
 
+def test_validate_shear2_passes(capsys, atlas_dir):
+    code, out, _ = run(capsys, "validate", str(atlas_dir / "shear2.json"))
+    assert code == 0
+    assert json.loads(out)["summary"]["failed"] == 0
+
+
+def test_certify_shear2_passes(capsys, atlas_dir):
+    code, out, _ = run(capsys, "certify", str(atlas_dir / "shear2.json"),
+                       "--metric", "g", "--order", "2", "--samples", "1")
+    assert code == 0
+    assert json.loads(out)["summary"]["failed"] == 0
+
+
 def test_certify_negative_control(capsys, atlas_dir):
     code, out, _ = run(capsys, "certify", str(atlas_dir / "cubic.json"),
                        "--metric", "g_bad", "--order", "2", "--samples", "10")
@@ -172,3 +234,8 @@ def test_unknown_metric(capsys, atlas_dir):
                        "--metric", "nope", "--order", "1")
     assert code == 2
     assert "nope" in err
+
+
+def test_lift_demo_runs():
+    proc = run_process(str(ROOT / "scripts" / "lift_demo.py"))
+    assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,8 @@ from folijet.riemann import (
     sample_jets,
     vertical_exactness_check,
 )
+from folijet.symbolic import prolongation_coefficients
+from oracles import coframe_metric
 
 
 def jet_point(base, jets, chart=""):
@@ -182,6 +184,40 @@ def test_lift_metric_top_block_is_metric(exp_metric):
         assert np.allclose(G[3:, 3:], exp_metric.evaluate(base), atol=1e-10)
 
 
+# metric entries and the box its base points are drawn from
+CLOSED_FORM_METRICS = {
+    "wavy": ([["1 + 0.1*sin(x1)"]], (-2.0, 2.0)),
+    "exp": ([["exp(x1)"]], (-0.5, 0.8)),
+    "cubic_B": ([["1/(9*x1^(4/3))"]], (0.5, 2.0)),
+    "poly2": ([["1 + x1^2", "0.2*x1*x2"], ["0.2*x1*x2", "2 + x2^2"]],
+              (0.2, 1.2)),
+    # the transport generators A_k at different orders do not commute
+    "warped2": ([["1", "0"], ["0", "exp(x1)"]], (-0.5, 0.8)),
+}
+
+
+@pytest.mark.parametrize("name,r", [
+    *((name, r) for name in ("wavy", "exp", "cubic_B") for r in (1, 2, 3)),
+    ("poly2", 1), ("poly2", 2), ("warped2", 3),
+])
+def test_lift_metric_matches_closed_form_coefficients(name, r):
+    entries, box = CLOSED_FORM_METRICS[name]
+    q = len(entries)
+    g = MetricField.from_components(entries, q, name=name)
+    closed = prolongation_coefficients(g.components, r, q)
+    lifted = lift_metric(g, r)
+    rng = np.random.default_rng(70 + r)
+    for _ in range(10):
+        pt = jet_point(rng.uniform(*box, q), sample_jets(rng, r, q))
+        env = {f"x{i+1}": v for i, v in enumerate(pt.base)}
+        env.update({f"y{k}_{i+1}": v for k, row in enumerate(pt.jets, 1)
+                    for i, v in enumerate(row)})
+        coefficients = [np.array([[float(prog.eval(env)) for prog in row]
+                                  for row in mat]) for mat in closed]
+        want = coframe_metric(g.evaluate(pt.base), coefficients)
+        assert np.max(np.abs(lifted.evaluate(pt) - want)) <= 1e-12
+
+
 def test_lift_metric_two_dimensional_positive_definite():
     lifted = lift_metric(TWO_DIM, 2)
     rng = np.random.default_rng(60)
@@ -200,6 +236,14 @@ def test_lift_metric_two_dimensional_positive_definite():
 def test_holonomy_cubic_atlas(cubic_atlas, r):
     lifted = lift_metric(cubic_atlas.metrics["g"], r)
     report = holonomy_check(cubic_atlas, lifted, samples=25, seed=0)
+    assert report.passed, report.to_json()
+    assert {c.context for c in report.checks} == {"A->B", "B->A"}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_holonomy_shear2_atlas(shear2_atlas, r):
+    lifted = lift_metric(shear2_atlas.metrics["g"], r)
+    report = holonomy_check(shear2_atlas, lifted, samples=25, seed=0)
     assert report.passed, report.to_json()
     assert {c.context for c in report.checks} == {"A->B", "B->A"}
 

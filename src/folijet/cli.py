@@ -321,6 +321,12 @@ def main(argv=None) -> int:
     except (FolijetError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the expression trees that still recurse (hashing, printing,
+        # sympy conversion) were too deep for the interpreter stack
+        print("error: expression too deeply nested to process",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

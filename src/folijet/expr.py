@@ -13,7 +13,12 @@ Functions are frozen to the scalar-kernel set; constants are ``pi`` and
 ``e``.  Variable names follow the coordinate grammar ``u<i>``, ``x<i>``,
 ``y<k>_<i>``, ``p_<i>`` with 1-based indices.
 
-Programs are immutable once parsed; evaluation is a pure function of the
+Parentheses, unary minus and ``^`` nest at most ``MAX_NESTING`` levels deep.
+
+Programs are immutable once parsed.  Each is compiled once, on first use,
+to a tape: a straight-line list of elemental operations in which every
+repeated subexpression is one shared slot, computed once per evaluation.
+Evaluation runs the tape in one loop; it is a pure function of the
 environment and works uniformly over plain floats, TaylorScalars and dual
 scalars.
 """
@@ -21,8 +26,11 @@ scalars.
 from __future__ import annotations
 
 import math
+import operator
 import re
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Mapping
 
 from . import scalars
@@ -47,6 +55,10 @@ VARIABLE_NAME = re.compile(
 )
 
 CONSTANTS = {"pi": math.pi, "e": math.e}
+
+# the parser recurses once per level, so deeper input is a syntax error
+# rather than a RecursionError
+MAX_NESTING = 100
 
 FUNCTIONS = frozenset(
     ["exp", "log", "sin", "cos", "tan", "sqrt", "atan", "neg"]
@@ -145,6 +157,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -164,6 +177,18 @@ class _Parser:
         if tok.kind == "op" and tok.text == op:
             return self.advance()
         self.fail(f"{op!r}")
+
+    def nested(self, parse_fn):
+        """Run `parse_fn` one level of parentheses, '-' or '^' deeper."""
+        if self.depth >= MAX_NESTING:
+            tok = self.peek()
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_NESTING} levels",
+                tok.line, tok.column)
+        self.depth += 1
+        node = parse_fn()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -189,13 +214,14 @@ class _Parser:
         node = self.unary()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
-            node = Binary("^", node, self.factor())  # right-associative
+            # right-associative
+            node = Binary("^", node, self.nested(self.factor))
         return node
 
     def unary(self):
         if self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
-            return Unary("-", self.unary())
+            return Unary("-", self.nested(self.unary))
         return self.atom()
 
     def atom(self):
@@ -212,7 +238,7 @@ class _Parser:
                         f"unknown function {tok.text!r}", tok.line, tok.column
                     )
                 self.advance()
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect_op(")")
                 return Call(tok.text, arg)
             if tok.text in CONSTANTS:
@@ -224,50 +250,142 @@ class _Parser:
             return Var(tok.text)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect_op(")")
             return node
         self.fail("a number, name or '('")
 
 
-# -- evaluation and printing -------------------------------------------------
+# -- compilation ------------------------------------------------------------
+#
+# A program compiles once into a tape (Griewank & Walther, *Evaluating
+# Derivatives*, ch. 2): a straight-line list of elemental operations in the
+# order a left-to-right post-order walk of the AST first meets them, with
+# each distinct (operation, operand slots) pair computed once.  Instruction
+# i is ``(op, out, a, b)`` and writes register ``out``:
+#
+#     (CONST, out, value, None)   a number or named constant
+#     (LOAD,  out, name,  None)   a variable read from the environment
+#     (fn,    out, a,     None)   fn(register a)
+#     (fn,    out, a,     b)      fn(register a, register b)
+#
+# A register is reused once the last reader of its value has run, so an
+# evaluation holds only the intermediates that are still to be read.
+
+CONST = "const"
+LOAD = "load"
 
 
-def _eval(node, env: Mapping[str, Any]):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundVariable(node.name) from None
-    if isinstance(node, Unary):
-        return -_eval(node.arg, env)
-    if isinstance(node, Call):
-        return scalars.UNARY_FUNCTIONS[node.fn](_eval(node.arg, env))
+def _int_power(left, n):
+    # integer literal exponents keep negative bases legal
+    if isinstance(left, (scalars.TaylorScalar, scalars.DualScalar,
+                         scalars.DualQuadScalar)):
+        return left ** n
+    return scalars.power(left, n)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": scalars._div, "^": scalars.power}
+
+
+def _integer_exponent(node):
+    if node.op == "^" and isinstance(node.right, Num) \
+            and float(node.right.value).is_integer():
+        return int(node.right.value)
+    return None
+
+
+def _operands(node):
+    """The children an instruction for `node` reads, left to right."""
+    if isinstance(node, (Num, Const, Var)):
+        return ()
+    if isinstance(node, (Unary, Call)):
+        return (node.arg,)
     if isinstance(node, Binary):
-        left = _eval(node.left, env)
-        if node.op == "^":
-            # integer literal exponents keep negative bases legal
-            if isinstance(node.right, Num) and float(node.right.value).is_integer():
-                n = int(node.right.value)
-                if isinstance(left, (scalars.TaylorScalar, scalars.DualScalar,
-                                     scalars.DualQuadScalar)):
-                    return left ** n
-                return scalars.power(left, n)
-            return scalars.power(left, _eval(node.right, env))
-        right = _eval(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return scalars._div(left, right)
+        if _integer_exponent(node) is not None:
+            return (node.left,)
+        return (node.left, node.right)
     raise TypeError(f"unknown AST node {node!r}")
+
+
+def _compile(root):
+    """Compile an AST into ``(tape, register count, result register)``.
+
+    One iterative post-order pass keys every node by (op, operand slots);
+    constants are keyed by their float bits, so 0.0 and -0.0 stay apart.
+    """
+    slot_of = {}  # id(node) -> slot
+    slot_by_key = {}
+    code = []  # slot -> (CONST, value), (LOAD, name) or (fn, operand slots)
+
+    def intern(key, entry=None):
+        slot = slot_by_key.setdefault(key, len(code))
+        if slot == len(code):
+            code.append(key if entry is None else entry)
+        return slot
+
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in slot_of:
+            stack.pop()
+            continue
+        pending = [c for c in _operands(node) if id(c) not in slot_of]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        if isinstance(node, Var):
+            slot = intern((LOAD, node.name))
+        elif isinstance(node, (Num, Const)):
+            value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+            slot = intern((CONST, type(value), struct.pack("<d", value)),
+                          (CONST, value))
+        else:
+            slots = tuple(slot_of[id(c)] for c in _operands(node))
+            n = _integer_exponent(node) if isinstance(node, Binary) else None
+            if n is not None:
+                # the exponent gets a slot of its own holding the int
+                op = _int_power
+                slots += (intern((CONST, n)),)
+            elif isinstance(node, Unary):
+                op = operator.neg
+            elif isinstance(node, Call):
+                op = scalars.UNARY_FUNCTIONS[node.fn]
+            else:
+                op = _BINARY[node.op]
+            slot = intern((op, slots))
+        slot_of[id(node)] = slot
+    return _allocate(code, slot_of[id(root)])
+
+
+def _allocate(code, result):
+    """Give each slot a register, reusing those whose last reader has run."""
+    last_read = {}
+    for i, (op, args) in enumerate(code):
+        if op is not CONST and op is not LOAD:
+            for a in args:
+                last_read[a] = i
+    last_read[result] = len(code)  # the result outlives the tape
+    register = []
+    free = []
+    count = 0
+    tape = []
+    for i, (op, args) in enumerate(code):
+        if op is CONST or op is LOAD:
+            operands = (args, None)
+        else:
+            operands = tuple(register[a] for a in args)
+            # x*x reads one slot twice but frees its register once
+            free.extend(register[a] for a in dict.fromkeys(args)
+                        if last_read[a] == i)
+        if free:
+            out = free.pop()
+        else:
+            out, count = count, count + 1
+        register.append(out)
+        tape.append((op, out) + operands + (None,) * (2 - len(operands)))
+    return tuple(tape), count, register[result]
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
@@ -300,39 +418,48 @@ def _print(node, parent_prec=0) -> str:
     raise TypeError(f"unknown AST node {node!r}")
 
 
-def _collect_vars(node, out: set):
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Unary):
-        _collect_vars(node.arg, out)
-    elif isinstance(node, Call):
-        _collect_vars(node.arg, out)
-    elif isinstance(node, Binary):
-        _collect_vars(node.left, out)
-        _collect_vars(node.right, out)
-
-
 @dataclass(frozen=True)
 class ExprProgram:
-    """A parsed, immutable expression."""
+    """A parsed, immutable expression, evaluated from its compiled tape."""
 
     ast: Any
     source: str
 
+    @cached_property
+    def _compiled(self):
+        return _compile(self.ast)
+
+    @property
+    def tape(self) -> tuple:
+        """The instructions ``(op, out, a, b)``, one per distinct slot."""
+        return self._compiled[0]
+
     def eval(self, env: Mapping[str, Any]):
-        result = _eval(self.ast, env)
-        if isinstance(result, (int, float)) and env:
+        tape, registers, result = self._compiled
+        regs = [None] * registers
+        for op, out, a, b in tape:
+            if b is not None:
+                regs[out] = op(regs[a], regs[b])
+            elif op is LOAD:
+                try:
+                    regs[out] = env[a]
+                except KeyError:
+                    raise UnboundVariable(a) from None
+            elif op is CONST:
+                regs[out] = a
+            else:
+                regs[out] = op(regs[a])
+        value = regs[result]
+        if isinstance(value, (int, float)) and env:
             # literal-only programs should still come back in the env's kind
             for sample in env.values():
                 if not isinstance(sample, (int, float)):
-                    return scalars.constant_like(sample, result)
+                    return scalars.constant_like(sample, value)
                 break
-        return result
+        return value
 
     def free_variables(self) -> frozenset:
-        out: set = set()
-        _collect_vars(self.ast, out)
-        return frozenset(out)
+        return frozenset(a for op, _, a, _ in self.tape if op is LOAD)
 
     def to_text(self) -> str:
         return _print(self.ast)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -157,9 +156,9 @@ def christoffel(g, base):
 
 def _quadratic_lagrangian(g):
     """L^(1)(x, y) = g_x(y, y) as a LagrangianField."""
+    program = symbolic.lift_stages(g.components, 1, g.qdim)[0]
     return LagrangianField.from_program(
-        _lift_cached(g, 1)[0], order=1, qdim=g.qdim,
-        name=f"lift({g.name or 'g'},1)",
+        program, order=1, qdim=g.qdim, name=f"lift({g.name or 'g'},1)",
     )
 
 
@@ -179,18 +178,13 @@ def geodesic_spray(g, point):
     return via_lagrangian
 
 
-@lru_cache(maxsize=64)
-def _lift_cached(g, r):
-    return symbolic.lift_stages(g.components, r, g.qdim)
-
-
 def lift_lagrangian(g, r) -> LagrangianField:
     """The recursive metric lift L^(r); smooth, vertical Hessian 2g."""
     if r < 1:
         raise ShapeError(f"need r >= 1, got {r}")
+    program = symbolic.lift_stages(g.components, r, g.qdim)[r - 1]
     return LagrangianField.from_program(
-        _lift_cached(g, r)[r - 1], order=r, qdim=g.qdim,
-        name=f"lift({g.name or 'g'},{r})",
+        program, order=r, qdim=g.qdim, name=f"lift({g.name or 'g'},{r})",
     )
 
 

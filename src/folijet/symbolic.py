@@ -9,6 +9,8 @@ of one nested layer per recursion step.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import sympy as sp
 
 from . import expr as exprmod
@@ -207,22 +209,51 @@ def prolongation_coefficients(metric_programs, r, q):
     ]
 
 
+class _LiftRecursion:
+    """The lift recursion of one metric, extended one stage at a time.
+
+    Stage k's spray is built only when stage k + 1 is asked for, and every
+    stage and spray is built once.
+    """
+
+    def __init__(self, metric_programs, q):
+        self.q = q
+        self.g = sp.Matrix(q, q, lambda i, j: to_sympy(metric_programs[i][j]))
+        self.ginv = None
+        self.top = None  # sympy form of the highest stage built
+        self.programs = []
+
+    def _quad(self, vec):
+        col = sp.Matrix(self.q, 1, lambda i, _: vec[i])
+        return (col.T * self.g * col)[0, 0]
+
+    def extend(self):
+        q = self.q
+        k = len(self.programs) + 1
+        if k == 1:
+            L = sp.expand(self._quad([_y(1, i) for i in range(q)]))
+        else:
+            if self.ginv is None:
+                self.ginv = self.g.inv().applyfunc(sp.cancel)
+            spray = _stage_spray(self.top, k - 1, q, self.ginv)
+            L = self.top + self._quad([_y(k, i) - spray[i] for i in range(q)])
+        self.top = L
+        self.programs.append(from_sympy(L))
+
+
+@lru_cache(maxsize=64)
+def _lift_recursion(metric_programs, q):
+    return _LiftRecursion(metric_programs, q)
+
+
 def lift_stages(metric_programs, r, q):
     """Run the lift recursion L^(k) = L^(k-1) + g(y^(k)-S^(k-1), ...).
 
-    Returns the stages L^(1..r) as a tuple of expression programs.
+    Returns the stages L^(1..r) as a tuple of expression programs.  The
+    recursion is kept per metric, so a later call for a higher order
+    continues from the stages already built.
     """
-    g = sp.Matrix(q, q, lambda i, j: to_sympy(metric_programs[i][j]))
-    ginv = g.inv().applyfunc(sp.cancel)
-
-    def quad(vec):
-        col = sp.Matrix(q, 1, lambda i, _: vec[i])
-        return (col.T * g * col)[0, 0]
-
-    stages = [sp.expand(quad([_y(1, i) for i in range(q)]))]
-    sprays = [_stage_spray(stages[0], 1, q, ginv)]
-    for k in range(2, r + 1):
-        shifted = [_y(k, i) - sprays[k - 2][i] for i in range(q)]
-        stages.append(stages[-1] + quad(shifted))
-        sprays.append(_stage_spray(stages[-1], k, q, ginv))
-    return tuple(from_sympy(L) for L in stages)
+    recursion = _lift_recursion(metric_programs, q)
+    while len(recursion.programs) < r:
+        recursion.extend()
+    return tuple(recursion.programs[:r])

@@ -1,13 +1,81 @@
 """Independent reference implementations used only by the tests.
 
-Everything here deliberately avoids the library's own Taylor/dual
-arithmetic: jet transport is recomputed with sympy power series, products
-with literal polynomial convolution, and derivatives with central finite
-differences.
+Everything here except `eval_ast` deliberately avoids the library's own
+Taylor/dual arithmetic: jet transport is recomputed with sympy power
+series, products with literal polynomial convolution, and derivatives with
+central finite differences.  `eval_ast` and `collect_variables` are the
+references for the compiled expression tape: they walk the AST
+recursively, recomputing every repeated subtree, and `eval_ast` makes the
+same elemental calls as the tape.
 """
 
 import numpy as np
 import sympy as sp
+
+from folijet import scalars
+from folijet.errors import UnboundVariable
+from folijet.expr import CONSTANTS, Binary, Call, Const, Num, Unary, Var
+
+
+def eval_ast(node, env):
+    """Evaluate an expression AST by recursive descent."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Const):
+        return CONSTANTS[node.name]
+    if isinstance(node, Var):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise UnboundVariable(node.name) from None
+    if isinstance(node, Unary):
+        return -eval_ast(node.arg, env)
+    if isinstance(node, Call):
+        return scalars.UNARY_FUNCTIONS[node.fn](eval_ast(node.arg, env))
+    if isinstance(node, Binary):
+        left = eval_ast(node.left, env)
+        if node.op == "^":
+            # integer literal exponents keep negative bases legal
+            if isinstance(node.right, Num) and float(node.right.value).is_integer():
+                n = int(node.right.value)
+                if isinstance(left, (scalars.TaylorScalar, scalars.DualScalar,
+                                     scalars.DualQuadScalar)):
+                    return left ** n
+                return scalars.power(left, n)
+            return scalars.power(left, eval_ast(node.right, env))
+        right = eval_ast(node.right, env)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            return scalars._div(left, right)
+    raise TypeError(f"unknown AST node {node!r}")
+
+
+def collect_variables(node):
+    """The variable names an expression AST reads, by recursive descent."""
+    if isinstance(node, Var):
+        return {node.name}
+    if isinstance(node, (Unary, Call)):
+        return collect_variables(node.arg)
+    if isinstance(node, Binary):
+        return collect_variables(node.left) | collect_variables(node.right)
+    return set()
+
+
+def eval_program(program, env):
+    """`ExprProgram.eval` as the recursive walk: literal-only programs
+    come back in the env's kind."""
+    result = eval_ast(program.ast, env)
+    if isinstance(result, (int, float)) and env:
+        for sample in env.values():
+            if not isinstance(sample, (int, float)):
+                return scalars.constant_like(sample, result)
+            break
+    return result
 
 
 def convolve_series(a, b):

@@ -239,3 +239,40 @@ def test_unknown_metric(capsys, atlas_dir):
 def test_lift_demo_runs():
     proc = run_process(str(ROOT / "scripts" / "lift_demo.py"))
     assert proc.returncode == 0, proc.stderr
+
+
+def _plane_with_metric(tmp_path, entry):
+    doc = json.loads((ROOT / "atlases" / "plane.json").read_text())
+    doc["metrics"] = [{"name": "deep", "chart": "O",
+                       "components": [[entry]]}]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+LONG_SUM = "1" + "+0*x1" * 1200
+
+
+def test_validate_long_sum_metric_passes(tmp_path):
+    proc = run_process("-m", "folijet.cli", "validate",
+                       _plane_with_metric(tmp_path, LONG_SUM))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_certify_long_sum_metric_exits_without_traceback(tmp_path):
+    proc = run_process("-m", "folijet.cli", "certify",
+                       _plane_with_metric(tmp_path, LONG_SUM),
+                       "--metric", "deep", "--order", "2", "--samples", "2")
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 2:
+        assert "error:" in proc.stderr
+
+
+def test_deeply_nested_parentheses_exit_2(tmp_path):
+    entry = "(" * 2000 + "1" + ")" * 2000
+    proc = run_process("-m", "folijet.cli", "validate",
+                       _plane_with_metric(tmp_path, entry))
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr

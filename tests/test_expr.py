@@ -1,16 +1,36 @@
+import copy
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folijet import scalars
 from folijet.errors import (
     DomainError,
     ExprSyntaxError,
     UnboundVariable,
     UnknownFunction,
 )
-from folijet.expr import Binary, Call, Num, Var, is_variable_name, parse
-from folijet.scalars import DualQuadScalar, TaylorScalar
+from folijet.expr import (
+    CONST,
+    FUNCTIONS,
+    LOAD,
+    Binary,
+    Call,
+    Const,
+    ExprProgram,
+    Num,
+    Unary,
+    Var,
+    is_variable_name,
+    parse,
+)
+from folijet.riemann import lift_lagrangian
+from folijet.scalars import DualQuadScalar, DualScalar, TaylorScalar
+from oracles import collect_variables, eval_ast, eval_program
 
 
 def test_parse_structure():
@@ -97,3 +117,163 @@ def test_non_integer_power_requires_positive_base():
     assert prog.eval({"x1": 8.0}) == pytest.approx(2.0)
     with pytest.raises(DomainError):
         prog.eval({"x1": -8.0})
+
+
+# -- the compiled tape against the recursive oracle ---------------------------
+
+_NUMBERS = [0.5, 2.0, -1.5, 0.0, -0.0]
+
+
+@st.composite
+def shared_asts(draw):
+    """Random ASTs built from a pool, so subtrees are reused on purpose:
+    by the same object, and by structurally equal copies."""
+    pool = [Var("x1"), Var("x2"), Num(draw(st.sampled_from(_NUMBERS))),
+            Const(draw(st.sampled_from(["pi", "e"])))]
+
+    def pick():
+        return pool[draw(st.integers(0, len(pool) - 1))]
+
+    def unary(arg):
+        fn = draw(st.sampled_from(["-"] + sorted(FUNCTIONS)))
+        return Unary("-", arg) if fn == "-" else Call(fn, arg)
+
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(
+            ["unary", "binary", "twin", "int_power", "power", "copy"]))
+        if kind == "unary":
+            node = unary(pick())
+        elif kind == "binary":
+            node = Binary(draw(st.sampled_from("+-*/")), pick(), pick())
+        elif kind == "twin":
+            # two operations on one operand must not share a slot
+            arg = pick()
+            node = Binary(draw(st.sampled_from("+-*/")), unary(arg),
+                          unary(arg))
+        elif kind == "int_power":
+            node = Binary("^", pick(), Num(float(draw(st.integers(-3, 4)))))
+        elif kind == "power":
+            exponent = draw(st.sampled_from(
+                [Num(0.5), Num(-1.5), Num(1.0 / 3.0), Var("x2")]))
+            node = Binary("^", pick(), exponent)
+        else:
+            node = copy.deepcopy(pick())
+        pool.append(node)
+    # sum every built node, so each one reaches the result
+    total = pool[4]
+    for node in pool[5:]:
+        total = Binary("+", total, node)
+    return total
+
+
+def _env(kind, a, b):
+    if kind == "float":
+        return {"x1": a, "x2": b}
+    if kind == "taylor":
+        return {"x1": TaylorScalar((a, 1.0, -0.5)),
+                "x2": TaylorScalar((b, 0.25, 0.0))}
+    if kind == "dual":
+        return {"x1": DualScalar(a, [1.0, 0.0]),
+                "x2": DualScalar(b, [0.0, 1.0])}
+    return {"x1": DualQuadScalar(a, [1.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
+            "x2": DualQuadScalar(b, [0.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])}
+
+
+def _parts(value):
+    if isinstance(value, TaylorScalar):
+        return [np.asarray(value.coeffs)]
+    if isinstance(value, DualScalar):
+        return [np.asarray(value.value), value.grad]
+    if isinstance(value, DualQuadScalar):
+        return [np.asarray(value.value), value.grad, value.hess]
+    return [np.asarray(value)]
+
+
+def _outcome(fn):
+    try:
+        with np.errstate(all="ignore"):
+            return fn(), None
+    except Exception as err:  # the type is what is compared
+        return None, type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_asts(), st.sampled_from(["float", "taylor", "dual", "quad"]),
+       st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_tape_matches_recursive_oracle(ast, kind, a, b):
+    env = _env(kind, a, b)
+    program = ExprProgram(ast, "")
+    want, want_err = _outcome(lambda: eval_program(program, env))
+    got, got_err = _outcome(lambda: program.eval(env))
+    assert got_err is want_err
+    if want_err is None:
+        assert type(got) is type(want)
+        # bit-identical; NaN only where the oracle has the same NaN
+        for x, y in zip(_parts(got), _parts(want), strict=True):
+            assert np.array_equal(x, y, equal_nan=True)
+
+
+def test_tape_fails_at_the_first_failing_operation():
+    # the walk fails at log before it looks up the unbound x2
+    program = parse("log(x1) + x2")
+    with pytest.raises(DomainError):
+        eval_ast(program.ast, {"x1": -1.0})
+    with pytest.raises(DomainError):
+        program.eval({"x1": -1.0})
+
+
+# -- tape shape ---------------------------------------------------------------
+
+
+def _ops(program, op):
+    return [ins for ins in program.tape if ins[0] is op]
+
+
+def test_repeated_subexpression_gets_one_slot():
+    program = parse("sin(x1)*sin(x1)")
+    assert len(_ops(program, scalars.sin)) == 1
+    assert len(_ops(program, LOAD)) == 1
+    assert program.eval({"x1": 0.3}) == math.sin(0.3) * math.sin(0.3)
+
+
+def test_signed_zeros_keep_separate_slots():
+    program = ExprProgram(Binary("-", Num(-0.0), Num(0.0)), "")
+    signs = sorted(math.copysign(1.0, ins[2]) for ins in _ops(program, CONST))
+    assert signs == [-1.0, 1.0]
+    assert math.copysign(1.0, program.eval({})) == -1.0
+
+
+def test_shear2_lift_tape_is_shared(shear2_atlas):
+    fld = shear2_atlas.metrics["g"]["B"]
+    assert len(lift_lagrangian(fld, 2).program.tape) <= 300
+
+
+def test_long_sum_compiles_without_recursion():
+    ast = Num(1.0)
+    for _ in range(20000):
+        ast = Binary("+", ast, Binary("*", Num(0.0), Var("x1")))
+    program = ExprProgram(ast, "")
+    assert program.eval({"x1": 2.0}) == 1.0
+    assert program.free_variables() == {"x1"}
+
+
+def test_free_variables_on_shipped_atlases(atlas_dir):
+    texts = []
+    for path in sorted(atlas_dir.glob("*.json")):
+        doc = json.loads(path.read_text())
+        for t in doc["transitions"]:
+            texts += t["leaf_exprs"] + t["transverse_exprs"]
+        for m in doc.get("metrics", []):
+            texts += [entry for row in m["components"] for entry in row]
+        texts += [lag["expr"] for lag in doc.get("lagrangians", [])]
+    assert texts
+    for text in texts:
+        program = parse(text)
+        assert program.free_variables() == collect_variables(program.ast)
+
+
+def test_deep_nesting_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError):
+        parse("(" * 2000 + "x1" + ")" * 2000)
+    with pytest.raises(ExprSyntaxError):
+        parse("-" * 2000 + "x1")

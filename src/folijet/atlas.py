@@ -19,7 +19,7 @@ import numpy as np
 from . import expr as exprmod
 from .errors import InvariantViolation, SchemaError
 from .report import Report
-from .scalars import DualScalar, seed_gradient, value_of
+from .scalars import space
 
 __all__ = [
     "Chart",
@@ -345,14 +345,10 @@ def apply_transition(atlas, transition, leaf, base):
 
 
 def transverse_jacobian(atlas, transition, base):
-    """q x q Jacobian of the transverse part, computed with dual seeds."""
-    q = atlas.q
-    env = {f"x{i+1}": seed_gradient(i, float(base[i]), q) for i in range(q)}
-    rows = []
-    for e in transition.transverse_exprs:
-        val = e.eval(env)
-        rows.append(val.grad if isinstance(val, DualScalar) else np.zeros(q))
-    return np.asarray(rows, dtype=float)
+    """q x q Jacobian of the transverse part, from seeds in ((q, 1),)."""
+    sp = space(((atlas.q, 1),))
+    env = {f"x{i+1}": sp.seed(float(base[i]), i) for i in range(atlas.q)}
+    return np.array([e.eval(env).coeffs[1:] for e in transition.transverse_exprs])
 
 
 def sample_overlap(transition, n, seed):
@@ -393,14 +389,14 @@ def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
             leaf, base = tuple(pt[:p]), tuple(pt[p:])
             jac = transverse_jacobian(atlas, t, base)
             min_det = min(min_det, abs(float(np.linalg.det(jac))))
-            # mixed block dx'/du via duals over all p+q source coordinates
-            env = {f"u{i+1}": seed_gradient(i, leaf[i], p + q) for i in range(p)}
-            env.update({f"x{i+1}": seed_gradient(p + i, base[i], p + q)
-                        for i in range(q)})
+            # mixed block dx'/du via seeds on all p+q source coordinates
+            sp = space(((p + q, 1),))
+            env = {f"u{i+1}": sp.seed(leaf[i], i) for i in range(p)}
+            env.update({f"x{i+1}": sp.seed(base[i], p + i) for i in range(q)})
             for e in t.transverse_exprs:
-                val = e.eval(env)
-                if isinstance(val, DualScalar) and p:
-                    mixed_max = max(mixed_max, float(np.max(np.abs(val.grad[:p]))))
+                if p:
+                    mixed = e.eval(env).coeffs[1:p + 1]
+                    mixed_max = max(mixed_max, float(np.max(np.abs(mixed))))
             if inverse is not None:
                 image = apply_transition(atlas, t, leaf, base)
                 back = apply_transition(atlas, inverse, *image)

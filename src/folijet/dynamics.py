@@ -28,7 +28,7 @@ from .errors import (
 )
 from .expr import ExprProgram
 from .jets import TransverseJetPoint, j_matrix
-from .scalars import DualQuadScalar, DualScalar, value_of
+from .scalars import Series, second_order, space, value_of
 
 __all__ = [
     "LagrangianField",
@@ -67,8 +67,8 @@ def coordinate_values(point):
 def point_env(point, seed=None):
     """Environment binding fiber coordinates, optionally through `seed`.
 
-    seed(index, value) may wrap each coordinate in a dual scalar; without
-    it the environment holds plain floats.
+    seed(index, value) may turn each coordinate into a series; without it
+    the environment holds plain floats.
     """
     names = coordinate_names(point.order, point.qdim)
     vals = coordinate_values(point)
@@ -77,10 +77,15 @@ def point_env(point, seed=None):
     return {name: seed(i, v) for i, (name, v) in enumerate(zip(names, vals))}
 
 
-def _grad_of(x, n):
-    if isinstance(x, DualScalar):
-        return x.grad
-    return np.zeros(n)
+def _gradient(x, n):
+    """First partials of a ((n, 1),) series; zero for a plain number."""
+    return x.coeffs[1:] if isinstance(x, Series) else np.zeros(n)
+
+
+def _seeded_env(point):
+    """Every fiber coordinate seeded in the space ((n, 1),)."""
+    sp = space((((point.order + 1) * point.qdim, 1),))
+    return point_env(point, lambda i, v: sp.seed(v, i))
 
 
 @dataclass(frozen=True)
@@ -156,15 +161,7 @@ class HessianInfo:
 def gamma_apply(f, point):
     """Apply the derivation Gamma to an expression at a jet point."""
     r, q = point.order, point.qdim
-    n = (r + 1) * q
-
-    def seed(i, v):
-        grad = np.zeros(n)
-        grad[i] = 1.0
-        return DualScalar(v, grad)
-
-    out = f.eval(point_env(point, seed))
-    grad = _grad_of(out, n)
+    grad = _gradient(f.eval(_seeded_env(point)), (r + 1) * q)
     total = 0.0
     for k in range(1, r + 1):
         yk = point.jets[k - 1]
@@ -178,17 +175,12 @@ def vertical_hessian(L, point, *, det_tol=HESSIAN_DET_TOLERANCE,
     """Second partials of L in its top-order jet variables."""
     L.check_point(point)
     r, q = L.order, L.qdim
-
-    def seed(i, v):
-        # only the top q coordinates carry derivative seeds
-        grad = np.zeros(q)
-        if i >= r * q:
-            grad[i - r * q] = 1.0
-        return DualQuadScalar(v, grad, np.zeros((q, q)))
-
-    out = L.program.eval(point_env(point, seed))
-    hess = out.hess.astype(float) if isinstance(out, DualQuadScalar) \
-        else np.zeros((q, q))
+    sp = space(((q, 2),))
+    # only the top q coordinates carry seeds
+    out = L.program.eval(point_env(
+        point, lambda i, v: sp.seed(v, i - r * q) if i >= r * q else v))
+    hess = np.array(second_order(out.coeffs, q)[2]) \
+        if isinstance(out, Series) else np.zeros((q, q))
     det = float(np.linalg.det(hess))
     eigs = np.linalg.eigvalsh(hess)
     return HessianInfo(hess, det, float(eigs.min()),
@@ -196,45 +188,39 @@ def vertical_hessian(L, point, *, det_tol=HESSIAN_DET_TOLERANCE,
                        positive_definite=float(eigs.min()) > eig_tol)
 
 
-def _semispray_scalars(L, point, lift=None):
-    """Semi-spray components with generic scalar entries.
+def _semispray_scalars(L, point, lifted=False):
+    """Semi-spray components as floats, or as series when `lifted`.
 
-    One second-order dual evaluation of L over all fiber coordinates gives
-    the vertical Hessian (top block), the Gamma term (mixed Hessian rows)
-    and the lower gradient.  `lift(index, value)` may wrap coordinate
-    values in a further dual layer; the returned components then carry
-    derivatives with respect to all fiber coordinates.
+    One evaluation of L on series over all fiber coordinates in the space
+    ((n, 2),) gives the vertical Hessian (top block), the Gamma term (mixed
+    Hessian rows) and the lower gradient.  With `lifted` the space is
+    ((n, 2), (n, 1)): every coordinate is seeded in both groups, and the
+    components come back as series carrying their first partials with
+    respect to all fiber coordinates in the second group.
     """
     L.check_point(point)
     r, q = L.order, L.qdim
     n = (r + 1) * q
+    sp = space(((n, 2), (n, 1)) if lifted else ((n, 2),))
+    out = L.program.eval(point_env(
+        point, lambda i, v: sp.seed(v, i, n + i) if lifted else sp.seed(v, i)))
+    if not isinstance(out, Series):
+        out = sp.constant(out)
+    _, grad, hess = second_order(out.split(0) if lifted else out.coeffs, n)
 
-    def seed(i, v):
-        grad = np.zeros(n)
-        grad[i] = 1.0
-        if lift is not None:
-            v = lift(i, v)
-        return DualQuadScalar(v, grad, np.zeros((n, n)))
-
-    out = L.program.eval(point_env(point, seed))
-    if not isinstance(out, DualQuadScalar):
-        out = DualQuadScalar.constant(out, n)
-    hess, grad = out.hess, out.grad
-
-    h = [[hess[r * q + i, r * q + j] for j in range(q)] for i in range(q)]
+    h = [row[r * q:] for row in hess[r * q:]]
     rhs = []
     for v in range(q):
         gamma_term = 0.0
         for k in range(1, r + 1):
             yk = point.jets[k - 1]
             for i in range(q):
-                y_val = yk[i] if lift is None else lift(k * q + i, yk[i])
-                gamma_term = gamma_term + k * y_val * hess[r * q + v, (k - 1) * q + i]
+                y_val = sp.seed(yk[i], n + k * q + i) if lifted else yk[i]
+                gamma_term = gamma_term + k * y_val * hess[r * q + v][(k - 1) * q + i]
         lower = grad[(r - 1) * q + v]
         rhs.append([gamma_term - lower])
     try:
-        sol, _ = linalg.solve_with_det(h, rhs,
-                                       singular_tol=HESSIAN_DET_TOLERANCE)
+        sol = linalg.solve(h, rhs, singular_tol=HESSIAN_DET_TOLERANCE)
     except SingularHessian as err:
         raise SingularHessian(
             f"vertical hessian of {L.name or L.program.to_text()!r} is "
@@ -297,37 +283,17 @@ class SemiSprayField:
             return np.array([float(p.eval(env)) for p in self.programs])
         return semispray(self.lagrangian, point)
 
-    def components_dual(self, point):
-        """Components as first-order duals over all fiber coordinates."""
+    def jacobian(self, point):
+        """d S^u / d(fiber coordinates) as a (q, (r+1)q) float matrix."""
         self._check(point)
-        r, q = self.order, self.qdim
-        n = (r + 1) * q
+        n = (self.order + 1) * self.qdim
         if self.programs is not None:
-            def seed(i, v):
-                grad = np.zeros(n)
-                grad[i] = 1.0
-                return DualScalar(v, grad)
-
-            env = point_env(point, seed)
-            out = []
-            for prog in self.programs:
-                val = prog.eval(env)
-                if not isinstance(val, DualScalar):
-                    val = DualScalar.constant(val, n)
-                out.append(val)
-            return out
-
-        def lift(i, v):
-            grad = np.zeros(n)
-            grad[i] = 1.0
-            return DualScalar(v, grad)
-
-        out = []
-        for s in _semispray_scalars(self.lagrangian, point, lift=lift):
-            if not isinstance(s, DualScalar):
-                s = DualScalar.constant(value_of(s), n)
-            out.append(s)
-        return out
+            env = _seeded_env(point)
+            return np.array([_gradient(p.eval(env), n) for p in self.programs])
+        return np.array([
+            s.coeffs[s.space.variables[n:]] if isinstance(s, Series)
+            else np.zeros(n)
+            for s in _semispray_scalars(self.lagrangian, point, lifted=True)])
 
     def _check(self, point):
         if point.order != self.order or point.qdim != self.qdim:
@@ -368,18 +334,14 @@ def _spray_jacobian(S, point):
     for b in range(r):
         for i in range(q):
             A[b * q + i, (b + 1) * q + i] = b + 1
-    duals = S.components_dual(point)
-    for u in range(q):
-        A[r * q + u, :] = (r + 1) * _grad_of(duals[u], n)
+    A[r * q:, :] = (r + 1) * S.jacobian(point)
     return A
 
 
 def dual_coefficients(S, point) -> ConnectionCoefficients:
     """Dual connection coefficients M_(k) = -dS/dy^(r+1-k)."""
     r, q = S.order, S.qdim
-    n = (r + 1) * q
-    duals = S.components_dual(point)
-    grads = np.array([_grad_of(d, n) for d in duals])
+    grads = S.jacobian(point)
     M = []
     for k in range(1, r + 1):
         j = r + 1 - k  # M_(k) differentiates against y^(j)

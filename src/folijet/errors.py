@@ -5,20 +5,12 @@ class FolijetError(Exception):
     """Base class for all package errors."""
 
 
-class OrderMismatch(FolijetError):
-    """Two truncated Taylor series of different orders were combined."""
-
-
-class VarCountMismatch(FolijetError):
-    """Two dual scalars with different variable counts were combined."""
+class SpaceMismatch(FolijetError):
+    """Two series over different spaces were combined."""
 
 
 class DomainError(FolijetError):
     """An operation was evaluated outside its real-analytic domain."""
-
-
-class IndexOutOfRange(FolijetError):
-    """A variable index does not fit the declared variable count."""
 
 
 class ExprSyntaxError(FolijetError):

@@ -19,8 +19,8 @@ Programs are immutable once parsed.  Each is compiled once, on first use,
 to a tape: a straight-line list of elemental operations in which every
 repeated subexpression is one shared slot, computed once per evaluation.
 Evaluation runs the tape in one loop; it is a pure function of the
-environment and works uniformly over plain floats, TaylorScalars and dual
-scalars.
+environment and works uniformly over plain floats and series
+(`scalars.Series`), which may be mixed.
 """
 
 from __future__ import annotations
@@ -278,8 +278,7 @@ LOAD = "load"
 
 def _int_power(left, n):
     # integer literal exponents keep negative bases legal
-    if isinstance(left, (scalars.TaylorScalar, scalars.DualScalar,
-                         scalars.DualQuadScalar)):
+    if isinstance(left, scalars.Series):
         return left ** n
     return scalars.power(left, n)
 

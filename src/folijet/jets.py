@@ -20,7 +20,7 @@ from .errors import (
     OutsideOverlap,
     ShapeError,
 )
-from .scalars import DualScalar, TaylorScalar, value_of
+from .scalars import Series, space
 
 __all__ = [
     "TransverseJetPoint",
@@ -128,20 +128,24 @@ def zero_section(r, leaf, base, chart=""):
                               tuple((0.0,) * q for _ in range(r)))
 
 
-def _taylor_env(base, jets, seeds=None):
-    """TaylorScalar environment carrying the jet curve x(t).
+def _taylor_env(base, jets, seeded=0):
+    """Environment carrying the jet curve x(t) as series in t.
 
-    x(t) = base + sum_k jets[k-1] t^k.  With `seeds`, coefficient slot b
-    of coordinate i becomes seeds(b * q + i, value): the fiber coordinates
-    are ordered (x, y^(1), ..., y^(r)).
+    x(t) = base + sum_k jets[k-1] t^k, over the space ((1, r),).  With
+    `seeded` = s > 0 the coefficients of t^0..t^(s-1) are also seeded, in a
+    group (s q, 1): the coefficient of t^b in coordinate i is variable
+    b * q + i, so the variables follow the fiber order (x, y^(1), ...).
     """
-    q = len(base)
+    q, r = len(base), len(jets)
+    groups = ((1, r), (seeded * q, 1)) if seeded else ((1, r),)
+    sp = space(groups)
     env = {}
     for i in range(q):
-        coeffs = [base[i]] + [row[i] for row in jets]
-        if seeds is not None:
-            coeffs = [seeds(b * q + i, c) for b, c in enumerate(coeffs)]
-        env[f"x{i+1}"] = TaylorScalar(coeffs)
+        coeffs = np.zeros((r + 1, sp.size // (r + 1)))
+        coeffs[:, 0] = [base[i]] + [row[i] for row in jets]
+        for b in range(seeded):
+            coeffs[b, 1 + b * q + i] = 1.0
+        env[f"x{i+1}"] = Series(sp, coeffs.ravel())
     return env
 
 
@@ -171,9 +175,7 @@ def prolong_transition(atlas, transition, point):
     new_base = []
     new_jets = [[0.0] * q for _ in range(r)]
     for i, e in enumerate(transition.transverse_exprs):
-        out = e.eval(env)
-        coeffs = out.coeffs if isinstance(out, TaylorScalar) else \
-            (float(out),) + (0.0,) * r
+        coeffs = e.eval(env).coeffs
         new_base.append(float(coeffs[0]))
         for k in range(r):
             new_jets[k][i] = float(coeffs[k + 1])
@@ -195,20 +197,10 @@ def prolong_jacobian(atlas, transition, point):
     q = atlas.q
     r = point.order
     n = (r + 1) * q
-
-    def seed(index, value):
-        grad = np.zeros(n)
-        grad[index] = 1.0
-        return DualScalar(value, grad)
-
-    env = _taylor_env(point.base, point.jets, seeds=seed)
+    env = _taylor_env(point.base, point.jets, seeded=r + 1)
     out = np.zeros((n, n))
     for i, e in enumerate(transition.transverse_exprs):
-        series = e.eval(env)
-        for g in range(r + 1):
-            c = series.coeffs[g]
-            if isinstance(c, DualScalar):
-                out[g * q + i, :] = c.grad
+        out[i::q, :] = e.eval(env).coeffs.reshape(r + 1, n + 1)[:, 1:]
     return out
 
 

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .jets import TransverseJetPoint
 from .report import Report
-from .scalars import DualQuadScalar, value_of
+from .scalars import Series, second_order, space, value_of
 
 __all__ = [
     "CotangentJetPoint",
@@ -118,38 +118,36 @@ def legendre_map(L, point) -> CotangentJetPoint:
     """(x, y^(1..r)) -> (x, y^(1..r-1), dL/dy^(r))."""
     L.check_point(point)
     r, q = L.order, L.qdim
-
-    def seed(i, v):
-        grad = np.zeros(q)
-        if i >= r * q:
-            grad[i - r * q] = 1.0
-        return DualQuadScalar(v, grad, np.zeros((q, q)))
-
-    out = L.program.eval(point_env(point, seed))
-    momentum = out.grad.astype(float) if isinstance(out, DualQuadScalar) \
-        else np.zeros(q)
+    sp = space(((q, 1),))
+    out = L.program.eval(point_env(
+        point, lambda i, v: sp.seed(v, i - r * q) if i >= r * q else v))
+    momentum = out.coeffs[1:] if isinstance(out, Series) else np.zeros(q)
     return CotangentJetPoint(point.chart, r, point.leaf, point.base,
                              point.jets[:-1], tuple(momentum))
 
 
+def _second_order_in(out, group, q):
+    """Value, gradient and Hessian of `out` in the q variables of a cap-2
+    `group`, as series in the other groups, or as floats for group 0."""
+    if not isinstance(out, Series):
+        return out, [0.0] * q, [[0.0] * q for _ in range(q)]
+    if group == 0:
+        parts = out.coeffs.reshape(out.space.shape[0], -1)[:, 0].tolist()
+    else:
+        parts = out.split(group)
+    return second_order(parts, q)
+
+
 def _top_gradient_quad(L, cpoint, top):
-    """L with dual seeds on a candidate top row; value/grad/hess out."""
+    """L with seeds on a candidate top row; value/grad/hess out."""
     q = L.qdim
-    env = {f"x{i+1}": DualQuadScalar.constant(cpoint.base[i], q)
-           for i in range(q)}
+    sp = space(((q, 2),))
+    env = {f"x{i+1}": cpoint.base[i] for i in range(q)}
     for k in range(1, L.order):
-        row = cpoint.jets[k - 1]
-        env.update({f"y{k}_{i+1}": DualQuadScalar.constant(row[i], q)
-                    for i in range(q)})
+        env.update({f"y{k}_{i+1}": v for i, v in enumerate(cpoint.jets[k - 1])})
     for i in range(q):
-        grad = np.zeros(q)
-        grad[i] = 1.0
-        env[f"y{L.order}_{i+1}"] = DualQuadScalar(top[i], grad,
-                                                  np.zeros((q, q)))
-    out = L.program.eval(env)
-    if not isinstance(out, DualQuadScalar):
-        out = DualQuadScalar.constant(out, q)
-    return out
+        env[f"y{L.order}_{i+1}"] = sp.seed(top[i], i)
+    return _second_order_in(L.program.eval(env), 0, q)
 
 
 def _newton_top_row(quad_at, target, guess, q, *, stage=None,
@@ -157,9 +155,10 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
                     condition_limit=CONDITION_LIMIT, polish=0):
     """Solve grad(quad_at(top)) = target for the top row by damped Newton.
 
-    `quad_at(top)` must return a second-order dual seeded on the top row.
-    Entries may be generic scalars; convergence and damping decisions use
-    the underlying float values.  Returns (top_row, stage_value, stats).
+    `quad_at(top)` returns the (value, gradient, Hessian) of the stage in
+    the top row.  Entries may be floats or series; convergence and damping
+    decisions use their float values.  Returns (top_row, stage_value,
+    stats).
     """
     where = f"stage {stage}: " if stage is not None else ""
     top = list(guess)
@@ -167,7 +166,7 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
         raise ShapeError(f"guess must have {q} entries")
 
     def residual(out):
-        return [out.grad[i] - target[i] for i in range(q)]
+        return [out[1][i] - target[i] for i in range(q)]
 
     out = quad_at(top)
     F = residual(out)
@@ -183,14 +182,13 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
             raise NoConvergence(
                 f"{where}residual {norm:.3e} after {iterations} iterations"
             )
-        hess_values = np.array([[value_of(out.hess[i, j]) for j in range(q)]
-                                for i in range(q)])
-        cond = float(np.linalg.cond(hess_values))
+        hess = out[2]
+        cond = float(np.linalg.cond([[value_of(h) for h in row]
+                                     for row in hess]))
         if not np.isfinite(cond) or cond > condition_limit:
             raise SingularHessian(
                 f"{where}vertical hessian condition estimate {cond:.3e}"
             )
-        hess = [[out.hess[i, j] for j in range(q)] for i in range(q)]
         step = linalg.solve(hess, [[-f] for f in F])
         scale = 1.0
         while True:
@@ -204,7 +202,7 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
         top, out, F, norm = trial, trial_out, trial_F, trial_norm
         iterations += 1
     stats = {"iterations": iterations, "residual": norm}
-    return top, out.value, stats
+    return top, out[0], stats
 
 
 def legendre_inverse(L, cpoint, guess=None, *, return_stats=False):
@@ -232,31 +230,27 @@ def pseudo_hamiltonian(L, cpoint, guess=None) -> HamiltonianValue:
     return HamiltonianValue(L.value(point), cpoint)
 
 
-def _stage_value(L, j, lower, momenta):
-    """Value of the j-th chain stage with generic scalar entries.
+def _stage_value(L, sp, j, lower, momenta):
+    """Value of the j-th chain stage, as a series in groups 0..j-1 of `sp`.
 
-    `lower` binds x and y^(1..j); `momenta[k]` is the momentum covector
-    traded for y^(k+1).  Stage r is L itself; lower stages solve the
-    top-variable Legendre map of the stage above by Newton, with one
-    polishing iteration so that any derivative payload the entries carry
-    converges along with the values.
+    `sp` is the chain's space ((q, 2),) * r; `lower` binds x and y^(1..j),
+    with y^(k) seeded in group k-1.  `momenta[k]` is the momentum covector
+    traded for y^(k+1).  Stage r is L itself; stage j < r seeds y^(j+1) in
+    group j and solves the top-variable Legendre map of stage j+1 by
+    Newton, reading the value, gradient and Hessian in group j as series
+    in the lower groups.  One polishing iteration makes the series
+    converge along with their values.
     """
     q = L.qdim
     if j == L.order:
         return L.program.eval(lower)
 
     def quad_at(top):
-        env = {name: DualQuadScalar.constant(v, q)
-               for name, v in lower.items()}
+        env = dict(lower)
         for i in range(q):
-            grad = np.zeros(q)
-            grad[i] = 1.0
-            env[f"y{j+1}_{i+1}"] = DualQuadScalar(top[i], grad,
-                                                  np.zeros((q, q)))
-        out = _stage_value(L, j + 1, env, momenta)
-        if not isinstance(out, DualQuadScalar):
-            out = DualQuadScalar.constant(out, q)
-        return out
+            env[f"y{j+1}_{i+1}"] = sp.seed(top[i], j * q + i)
+        return _second_order_in(_stage_value(L, sp, j + 1, env, momenta),
+                                j, q)
 
     _, value, _ = _newton_top_row(quad_at, list(momenta[j]), [0.0] * q, q,
                                   stage=j + 1, polish=1)
@@ -276,6 +270,7 @@ def legendre_chain(L):
         raise InvariantViolation(
             "the chain evaluator needs a lagrangian smooth on the whole fiber"
         )
+    sp = space(((q, 2),) * r)
 
     def evaluate(base, momentum):
         base = _finite_tuple(base, "base")
@@ -284,7 +279,7 @@ def legendre_chain(L):
             raise ShapeError(f"base and momentum must have {q} entries")
         lower = {f"x{i+1}": base[i] for i in range(q)}
         momenta = [momentum] * r
-        return float(value_of(_stage_value(L, 0, lower, momenta))) / r
+        return float(_stage_value(L, sp, 0, lower, momenta)) / r
 
     return evaluate
 

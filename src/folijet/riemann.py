@@ -27,7 +27,6 @@ from .errors import InvariantViolation, ShapeError, SingularMetric
 from .expr import ExprProgram, parse
 from .jets import TransverseJetPoint, _taylor_env
 from .report import Report
-from .scalars import DualScalar, seed_gradient
 
 __all__ = [
     "MetricField",
@@ -114,23 +113,20 @@ def _christoffel_series(g, base, jets=()):
 
     Along x(t) = base + sum_k jets[k-1] t^k, returns (G, Gamma): G[k] is the
     k-th coefficient of g(x(t)) and Gamma[k][a, b, c] that of
-    Gamma^a_bc(x(t)).  A dual seed on the base coefficient makes one
-    evaluation of g carry the series of all its partials as well.
+    Gamma^a_bc(x(t)).  Seeding the base coefficient as well (the space
+    ((1, n - 1), (q, 1))) makes one evaluation of g carry the series of all
+    its partials.
     """
     q = g.qdim
     n = len(jets) + 1
-    env = _taylor_env(base, jets, seeds=lambda i, v:
-                      seed_gradient(i, v, q) if i < q else v)
+    env = _taylor_env(base, jets, seeded=1)
     G = np.zeros((n, q, q))
     dG = np.zeros((n, q, q, q))  # [k, m, i, j]: d g_ij / d x_m
     for i in range(q):
         for j in range(i, q):
-            for k, c in enumerate(g.components[i][j].eval(env).coeffs):
-                if isinstance(c, DualScalar):
-                    G[k, i, j] = G[k, j, i] = c.value
-                    dG[k, :, i, j] = dG[k, :, j, i] = c.grad
-                else:
-                    G[k, i, j] = G[k, j, i] = c
+            c = g.components[i][j].eval(env).coeffs.reshape(n, q + 1)
+            G[:, i, j] = G[:, j, i] = c[:, 0]
+            dG[:, :, i, j] = dG[:, :, j, i] = c[:, 1:]
     det = float(np.linalg.det(G[0]))
     if abs(det) <= 1e-12:
         raise SingularMetric(f"metric determinant {det:.3e} at {list(base)}")

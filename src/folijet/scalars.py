@@ -1,773 +1,378 @@
-"""Scalar arithmetic kernels: truncated Taylor series and forward-mode duals.
+"""Scalar arithmetic kernel: one truncated multivariate Taylor series.
 
-Three scalar kinds live here:
+A ``Series`` holds the float Taylor coefficients of a quantity with respect
+to a few seeded variables, truncated to a ``Space``.  A space is a tuple of
+variable groups ``(count, cap)``; its monomials are the products of one
+monomial of total degree <= cap from each group.  Every derivative the
+package takes is a seed and a read of this one type:
 
-* ``TaylorScalar`` -- a truncated univariate Taylor polynomial; carries jets
-  of curves through maps by plain function evaluation.
-* ``DualScalar`` -- value plus gradient with respect to a declared variable
-  set (first-order forward mode).
-* ``DualQuadScalar`` -- value, gradient and symmetric Hessian (forward over
-  forward).
+* ``((1, r),)`` -- a univariate Taylor series of order r, carrying the jet
+  of a curve through a map;
+* ``((n, 1),)`` and ``((n, 2),)`` -- a value with its gradient, or with its
+  gradient and Hessian, in n variables;
+* ``((1, r), (n, 1))`` -- Taylor coefficients with their gradients, for the
+  Jacobian of jet transport;
+* ``((n, 2), (n, 1))`` -- a gradient and Hessian that carry their own
+  gradient, for the spray Jacobian;
+* ``((q, 2),) * r`` -- the Legendre chain, one group per stage.
 
-Coefficient and derivative slots may themselves hold scalar objects, e.g. a
-TaylorScalar whose coefficients are DualScalars.  That nesting is what powers
-Jacobians of jet transport and derivatives of fields that are themselves
-defined through derivatives.
-
-All values are immutable after construction and every operation is pure.
+A product is one gather-multiply-``bincount`` over index tables cached per
+space.  An elementary function f is composed as
+``f(a0 + h) = sum_k f_k(a0) h^k`` by Horner, where ``f_k`` are its
+univariate Taylor coefficients at the value a0 (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  Plain floats stay
+plain floats.  Series are treated as immutable, every operation is pure,
+and a non-finite coefficient anywhere raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import DomainError, IndexOutOfRange, OrderMismatch, VarCountMismatch
+from .errors import DomainError, SpaceMismatch
 
-__all__ = [
-    "TaylorScalar",
-    "DualScalar",
-    "DualQuadScalar",
-    "seed_gradient",
-    "value_of",
-    "constant_like",
-    "exp",
-    "log",
-    "sin",
-    "cos",
-    "tan",
-    "sqrt",
-    "atan",
-    "power",
-    "UNARY_FUNCTIONS",
-]
+__all__ = ["Space", "Series", "space", "second_order", "value_of",
+           "constant_like", "exp", "log", "sin", "cos", "tan", "sqrt", "atan",
+           "power", "UNARY_FUNCTIONS"]
 
 
-def value_of(x):
-    """Extract the underlying float of a (possibly nested) scalar."""
-    while True:
-        if isinstance(x, TaylorScalar):
-            x = x.coeffs[0]
-        elif isinstance(x, (DualScalar, DualQuadScalar)):
-            x = x.value
-        else:
-            return float(x)
+def _group_monomials(count, cap):
+    """Exponent rows of total degree <= cap in graded order: 1, each
+    variable, then each product of two variables (i <= k), and so on."""
+    rows = [np.bincount(np.asarray(combo, dtype=np.intp), minlength=count)
+            for degree in range(cap + 1)
+            for combo in combinations_with_replacement(range(count), degree)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), count)
 
 
-def _is_plain(x):
-    return isinstance(x, numbers.Real)
+def _group_table(exponents, cap):
+    """(i, j, k) with monomial i times monomial j equal to monomial k."""
+    count = exponents.shape[1]
+    total = exponents[:, None, :] + exponents[None, :, :]
+    i, j = np.nonzero(total.sum(axis=-1) <= cap)
+    radix = (cap + 1) ** np.arange(count, dtype=np.int64)
+    keys = exponents @ radix
+    order = np.argsort(keys)
+    k = order[np.searchsorted(keys, total[i, j] @ radix, sorter=order)]
+    return i, j, k
 
 
-def _check_finite(values):
-    for v in values:
-        if isinstance(v, numbers.Real) and not math.isfinite(v):
-            raise DomainError(f"non-finite entry {v!r}")
+class Space:
+    """The monomials of a tuple of variable groups ``(count, cap)``.
 
-
-# ---------------------------------------------------------------------------
-# Truncated Taylor series
-# ---------------------------------------------------------------------------
-
-
-class TaylorScalar:
-    """Truncated Taylor series sum_j coeffs[j] * t**j.
-
-    coeffs[j] is the j-th Taylor coefficient, i.e. (1/j!) d^j/dt^j at t=0.
+    ``exponents[m]`` holds monomial m's powers of every variable, numbered
+    across the groups in order.  Monomial 0 is the constant, and the first
+    group varies slowest, so a coefficient array reshapes to ``shape``,
+    one axis per group.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise OrderMismatch("a TaylorScalar needs at least one coefficient")
-        _check_finite(coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TaylorScalar is immutable")
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def constant(cls, value, order):
-        return cls((value,) + (0.0,) * order)
-
-    @classmethod
-    def variable(cls, value, order):
-        """The series value + t (the curve parameter itself)."""
-        if order < 1:
-            return cls.constant(value, order)
-        return cls((value, 1.0) + (0.0,) * (order - 1))
+    def __init__(self, groups):
+        self.groups = groups
+        exponents = np.zeros((1, 0), dtype=np.int64)
+        i = j = k = np.zeros(1, dtype=np.int64)
+        shape = []
+        for count, cap in groups:
+            group = _group_monomials(count, cap)
+            gi, gj, gk = _group_table(group, cap)
+            s = len(group)
+            i, j, k = ((a[:, None] * s + b[None, :]).ravel()
+                       for a, b in ((i, gi), (j, gj), (k, gk)))
+            exponents = np.hstack([np.repeat(exponents, s, axis=0),
+                                   np.tile(group, (len(exponents), 1))])
+            shape.append(s)
+        self.table = (i, j, k)
+        self.exponents = exponents
+        self.shape = tuple(shape)
+        self.size = len(exponents)
+        self.zeros = np.zeros(self.size)
+        # (s - value)^k vanishes for every series s once k exceeds this
+        self.degree = sum(cap for _, cap in groups)
+        # the monomial of each variable (out of range for a cap-0 group)
+        unit = exponents.sum(axis=1) == 1
+        self.variables = np.array(
+            [np.append(np.flatnonzero(unit & (exponents[:, v] == 1)),
+                       self.size)[0] for v in range(exponents.shape[1])],
+            dtype=np.intp)
 
     def __repr__(self):
-        return f"TaylorScalar({list(self.coeffs)!r})"
+        return f"Space({self.groups!r})"
 
-    # -- coercion ---------------------------------------------------------
+    def constant(self, value):
+        coeffs = np.zeros(self.size)
+        coeffs[0] = value
+        return _series(self, coeffs)
 
-    def _coerce(self, other):
-        if isinstance(other, TaylorScalar):
-            if other.order != self.order:
-                raise OrderMismatch(
-                    f"orders differ: {self.order} vs {other.order}"
-                )
-            return other
-        if isinstance(other, np.ndarray):
-            return None
-        return TaylorScalar.constant(other, self.order)
+    def seed(self, value, *variables):
+        """``value`` plus each listed variable; value is a float or series."""
+        if isinstance(value, Series):
+            coeffs = value._coerce(self).copy()
+        else:
+            coeffs = np.zeros(self.size)
+            coeffs[0] = value
+        for v in variables:
+            coeffs[self.variables[v]] += 1.0
+        return _series(self, coeffs)
 
-    # -- ring operations --------------------------------------------------
+
+@lru_cache(maxsize=64)
+def space(groups):
+    """The shared Space of a tuple of groups ``(count, cap)``."""
+    return Space(tuple((int(count), int(cap)) for count, cap in groups))
+
+
+def _plain(x):
+    return type(x) is float or type(x) is int or isinstance(x, numbers.Real)
+
+
+def _series(sp, coeffs):
+    """A series on a trusted coefficient array; rejects non-finite entries
+    (0 * x is NaN exactly when x is not finite)."""
+    if math.isnan(sp.zeros.dot(coeffs)):
+        raise DomainError("non-finite series coefficient")
+    out = object.__new__(Series)
+    out.space = sp
+    out.coeffs = coeffs
+    return out
+
+
+class Series:
+    """A truncated multivariate Taylor series: float coefficients over a space.
+
+    ``coeffs[m]`` is the coefficient of monomial m, i.e. the partial
+    derivative of that multi-index divided by its factorial.
+    """
+
+    __slots__ = ("space", "coeffs")
+    __array_ufunc__ = None  # numpy operands defer to the series
+
+    def __init__(self, space, coeffs):
+        coeffs = np.array(coeffs, dtype=float)
+        if coeffs.shape != (space.size,):
+            raise SpaceMismatch(
+                f"{coeffs.shape} coefficients for {space.size} monomials")
+        if not np.isfinite(coeffs).all():
+            raise DomainError("non-finite series coefficient")
+        self.space, self.coeffs = space, coeffs
+
+    @property
+    def value(self):
+        return float(self.coeffs[0])
+
+    def __repr__(self):
+        return f"Series({self.space.groups!r}, {self.coeffs.tolist()!r})"
+
+    def _coerce(self, other_space):
+        if self.space is not other_space:
+            raise SpaceMismatch(
+                f"spaces differ: {self.space.groups} vs {other_space.groups}")
+        return self.coeffs
+
+    def _new(self, coeffs):
+        return _series(self.space, coeffs)
+
+    def split(self, group):
+        """The coefficient of each monomial of ``group``, in its order, as a
+        series in the other groups (zero degree in ``group``)."""
+        sp = self.space
+        g = sp.shape[group]
+        block = self.coeffs.reshape(math.prod(sp.shape[:group]), g, -1)
+        out = np.zeros((g,) + block.shape)
+        out[:, :, 0, :] = block.transpose(1, 0, 2)
+        return [self._new(row.ravel()) for row in out]
+
+    # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is Series:
+            return self._new(self.coeffs + other._coerce(self.space))
+        if not _plain(other):
             return NotImplemented
-        return TaylorScalar(a + b for a, b in zip(self.coeffs, other.coeffs))
+        coeffs = self.coeffs.copy()
+        coeffs[0] += other
+        return self._new(coeffs)
 
     __radd__ = __add__
 
+    def __neg__(self):
+        return self._new(-self.coeffs)
+
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return TaylorScalar(a - b for a, b in zip(self.coeffs, other.coeffs))
+        if type(other) is Series:
+            return self._new(self.coeffs - other._coerce(self.space))
+        return self + (-other) if _plain(other) else NotImplemented
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return TaylorScalar(-a for a in self.coeffs)
+        return (-self) + other if _plain(other) else NotImplemented
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is Series:
+            sp = self.space
+            b = other._coerce(sp)
+            i, j, k = sp.table
+            return _series(sp, np.bincount(k, self.coeffs[i] * b[j], sp.size))
+        if not _plain(other):
             return NotImplemented
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            s = a[0] * b[k]
-            for j in range(1, k + 1):
-                s = s + a[j] * b[k - j]
-            out.append(s)
-        return TaylorScalar(out)
+        return self._new(self.coeffs * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if type(other) is Series:
+            return self * other._reciprocal()
+        if not _plain(other):
             return NotImplemented
-        b = other.coeffs
-        if value_of(b[0]) == 0.0:
-            raise DomainError("division by series with zero constant term")
-        a = self.coeffs
-        q = []
-        for k in range(self.order + 1):
-            s = a[k]
-            for j in range(k):
-                s = s - q[j] * b[k - j]
-            q.append(s / b[0])
-        return TaylorScalar(q)
+        if other == 0.0:
+            raise DomainError("division of a series by zero")
+        return self._new(self.coeffs / other)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        return self._reciprocal() * other if _plain(other) else NotImplemented
+
+    def _reciprocal(self):
+        a0 = self.value
+        if a0 == 0.0:
+            raise DomainError("division by series with zero value")
+        return self._compose(_power_coefficients(a0, -1.0, 1.0 / a0,
+                                                 self.space.degree))
 
     def __pow__(self, e):
-        if isinstance(e, np.ndarray):
+        if isinstance(e, Series):
+            return exp(log(self) * e)
+        if not _plain(e):
             return NotImplemented
-        if _is_plain(e) and float(e).is_integer():
-            n = int(e)
-            if n < 0:
-                return TaylorScalar.constant(1.0, self.order) / self.__pow__(-n)
-            result = TaylorScalar.constant(1.0, self.order)
-            base = self
+        e = float(e)
+        if e.is_integer():
+            n = abs(int(e))
+            result, base = None, self
             while n:
                 if n & 1:
-                    result = result * base
-                base = base * base
+                    result = base if result is None else result * base
                 n >>= 1
-            return result
-        # non-integer exponent: real-analytic only for positive constant term
-        if _is_plain(e):
-            if value_of(self.coeffs[0]) <= 0.0:
-                raise DomainError(
-                    "non-integer power of series with nonpositive constant term"
-                )
-            return exp(log(self) * float(e))
-        return exp(log(self) * e)
-
-    def __rpow__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other ** self
-
-    # -- elementary functions (standard truncated-series recurrences) ------
-
-    def _exp(self):
-        a = self.coeffs
-        out = [exp(a[0])]
-        for k in range(1, self.order + 1):
-            s = 1.0 * a[1] * out[k - 1]
-            for j in range(2, k + 1):
-                s = s + j * a[j] * out[k - j]
-            out.append(s / k)
-        return TaylorScalar(out)
-
-    def _log(self):
-        a = self.coeffs
-        if value_of(a[0]) <= 0.0:
-            raise DomainError("log of series with nonpositive constant term")
-        out = [log(a[0])]
-        for k in range(1, self.order + 1):
-            s = k * a[k]
-            for j in range(1, k):
-                s = s - j * out[j] * a[k - j]
-            out.append(s / (k * a[0]))
-        return TaylorScalar(out)
-
-    def _sqrt(self):
-        a = self.coeffs
-        if value_of(a[0]) <= 0.0:
-            raise DomainError("sqrt of series with nonpositive constant term")
-        out = [sqrt(a[0])]
-        for k in range(1, self.order + 1):
-            s = a[k]
-            for j in range(1, k):
-                s = s - out[j] * out[k - j]
-            out.append(s / (2.0 * out[0]))
-        return TaylorScalar(out)
-
-    def _sincos(self):
-        a = self.coeffs
-        s = [sin(a[0])]
-        c = [cos(a[0])]
-        for k in range(1, self.order + 1):
-            ts = 1.0 * a[1] * c[k - 1]
-            tc = 1.0 * a[1] * s[k - 1]
-            for j in range(2, k + 1):
-                ts = ts + j * a[j] * c[k - j]
-                tc = tc + j * a[j] * s[k - j]
-            s.append(ts / k)
-            c.append(-tc / k)
-        return TaylorScalar(s), TaylorScalar(c)
-
-    def _sin(self):
-        return self._sincos()[0]
-
-    def _cos(self):
-        return self._sincos()[1]
-
-    def _tan(self):
-        s, c = self._sincos()
-        return s / c
-
-    def _atan(self):
-        a = self.coeffs
-        b = (self * self + 1.0).coeffs  # 1 + a^2
-        out = [atan(a[0])]
-        for k in range(1, self.order + 1):
-            s = k * a[k]
-            for j in range(1, k):
-                s = s - j * out[j] * b[k - j]
-            out.append(s / (k * b[0]))
-        return TaylorScalar(out)
-
-
-# ---------------------------------------------------------------------------
-# Forward-mode duals
-# ---------------------------------------------------------------------------
-
-
-def _asarray(values):
-    arr = np.asarray(values)
-    if arr.dtype.kind not in ("f", "O"):
-        arr = arr.astype(float)
-    return arr
-
-
-class DualScalar:
-    """Value plus gradient with respect to nvars variables."""
-
-    __slots__ = ("value", "grad")
-
-    def __init__(self, value, grad):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "grad", _asarray(grad))
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
-            raise DomainError(f"non-finite dual value {value!r}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualScalar is immutable")
-
-    @classmethod
-    def _make(cls, value, grad):
-        # trusted internal path: grad is already a well-formed array
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"non-finite dual value {value!r}")
-        out = object.__new__(cls)
-        object.__setattr__(out, "value", value)
-        object.__setattr__(out, "grad", grad)
-        return out
-
-    @property
-    def nvars(self):
-        return self.grad.shape[0]
-
-    @classmethod
-    def constant(cls, value, nvars):
-        return cls(value, np.zeros(nvars))
-
-    def __repr__(self):
-        return f"DualScalar({self.value!r}, grad={self.grad!r})"
-
-    def _coerce(self, other):
-        if isinstance(other, DualScalar):
-            if other.nvars != self.nvars:
-                raise VarCountMismatch(
-                    f"variable counts differ: {self.nvars} vs {other.nvars}"
-                )
-            return other
-        if isinstance(other, np.ndarray):
-            return None
-        return DualScalar.constant(other, self.nvars)
-
-    def __add__(self, other):
-        if _is_plain(other):
-            return DualScalar._make(self.value + other, self.grad)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return DualScalar._make(self.value + other.value,
-                                self.grad + other.grad)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if _is_plain(other):
-            return DualScalar._make(self.value - other, self.grad)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return DualScalar._make(self.value - other.value,
-                                self.grad - other.grad)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return DualScalar._make(-self.value, -self.grad)
-
-    def __mul__(self, other):
-        if _is_plain(other):
-            return DualScalar._make(self.value * other, self.grad * other)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return DualScalar._make(
-            self.value * other.value,
-            self.value * other.grad + other.value * self.grad,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other._recip()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self._recip()
-
-    def _recip(self):
-        if value_of(self.value) == 0.0:
-            raise DomainError("division by dual with zero value")
-        inv = 1.0 / self.value if _is_plain(self.value) else _recip_scalar(self.value)
-        return DualScalar._make(inv, -(inv * inv) * self.grad)
-
-    def _apply(self, f0, d1):
-        return DualScalar._make(f0, d1 * self.grad)
-
-    def __pow__(self, e):
-        return _pow_dual(self, e)
-
-    def __rpow__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other ** self
-
-    def _exp(self):
-        f = exp(self.value)
-        return self._apply(f, f)
-
-    def _log(self):
-        if value_of(self.value) <= 0.0:
-            raise DomainError("log of nonpositive dual value")
-        return self._apply(log(self.value), _recip_scalar(self.value))
-
-    def _sqrt(self):
-        if value_of(self.value) <= 0.0:
-            raise DomainError("sqrt of nonpositive dual value")
-        s = sqrt(self.value)
-        return self._apply(s, 0.5 * _recip_scalar(s))
-
-    def _sin(self):
-        return self._apply(sin(self.value), cos(self.value))
-
-    def _cos(self):
-        return self._apply(cos(self.value), -sin(self.value))
-
-    def _tan(self):
-        t = tan(self.value)
-        return self._apply(t, 1.0 + t * t)
-
-    def _atan(self):
-        w = 1.0 + self.value * self.value
-        return self._apply(atan(self.value), _recip_scalar(w))
-
-
-class DualQuadScalar:
-    """Value, gradient and symmetric Hessian with respect to nvars variables."""
-
-    __slots__ = ("value", "grad", "hess")
-
-    def __init__(self, value, grad, hess):
-        grad = _asarray(grad)
-        hess = _asarray(hess)
-        if hess.shape != (grad.shape[0], grad.shape[0]):
-            raise VarCountMismatch(
-                f"hessian shape {hess.shape} does not match {grad.shape[0]} vars"
-            )
-        # stored symmetric: (H + H.T)/2 is exactly symmetric in floats
-        hess = (hess + hess.T) / 2.0
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "grad", grad)
-        object.__setattr__(self, "hess", hess)
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
-            raise DomainError(f"non-finite dual value {value!r}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualQuadScalar is immutable")
-
-    @classmethod
-    def _make(cls, value, grad, hess):
-        # trusted internal path: arrays well-formed, hess already symmetric
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainError(f"non-finite dual value {value!r}")
-        out = object.__new__(cls)
-        object.__setattr__(out, "value", value)
-        object.__setattr__(out, "grad", grad)
-        object.__setattr__(out, "hess", hess)
-        return out
-
-    @property
-    def nvars(self):
-        return self.grad.shape[0]
-
-    @classmethod
-    def constant(cls, value, nvars):
-        return cls(value, np.zeros(nvars), np.zeros((nvars, nvars)))
-
-    def __repr__(self):
-        return f"DualQuadScalar({self.value!r}, grad={self.grad!r})"
-
-    def _coerce(self, other):
-        if isinstance(other, DualQuadScalar):
-            if other.nvars != self.nvars:
-                raise VarCountMismatch(
-                    f"variable counts differ: {self.nvars} vs {other.nvars}"
-                )
-            return other
-        if isinstance(other, np.ndarray):
-            return None
-        return DualQuadScalar.constant(other, self.nvars)
-
-    def __add__(self, other):
-        if _is_plain(other):
-            return DualQuadScalar._make(self.value + other, self.grad,
-                                        self.hess)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return DualQuadScalar._make(
-            self.value + other.value,
-            self.grad + other.grad,
-            self.hess + other.hess,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if _is_plain(other):
-            return DualQuadScalar._make(self.value - other, self.grad,
-                                        self.hess)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return DualQuadScalar._make(
-            self.value - other.value,
-            self.grad - other.grad,
-            self.hess - other.hess,
-        )
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return DualQuadScalar._make(-self.value, -self.grad, -self.hess)
-
-    def __mul__(self, other):
-        if _is_plain(other):
-            return DualQuadScalar._make(self.value * other, self.grad * other,
-                                        self.hess * other)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        cross = self.grad[:, None] * other.grad[None, :]
-        return DualQuadScalar._make(
-            self.value * other.value,
-            self.value * other.grad + other.value * self.grad,
-            self.value * other.hess + other.value * self.hess
-            + cross + cross.T,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other._recip()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self._recip()
-
-    def _recip(self):
-        if value_of(self.value) == 0.0:
-            raise DomainError("division by dual with zero value")
-        inv = _recip_scalar(self.value)
-        return self._apply(inv, -(inv * inv), 2.0 * inv * inv * inv)
-
-    def _apply(self, f0, d1, d2):
-        outer = self.grad[:, None] * self.grad[None, :]
-        return DualQuadScalar._make(f0, d1 * self.grad,
-                                    d1 * self.hess + d2 * outer)
-
-    def __pow__(self, e):
-        return _pow_dual(self, e)
-
-    def __rpow__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other ** self
-
-    def _exp(self):
-        f = exp(self.value)
-        return self._apply(f, f, f)
-
-    def _log(self):
-        if value_of(self.value) <= 0.0:
-            raise DomainError("log of nonpositive dual value")
-        inv = _recip_scalar(self.value)
-        return self._apply(log(self.value), inv, -(inv * inv))
-
-    def _sqrt(self):
-        if value_of(self.value) <= 0.0:
-            raise DomainError("sqrt of nonpositive dual value")
-        s = sqrt(self.value)
-        inv_s = _recip_scalar(s)
-        return self._apply(s, 0.5 * inv_s, -0.25 * inv_s * inv_s * inv_s)
-
-    def _sin(self):
-        sv, cv = sin(self.value), cos(self.value)
-        return self._apply(sv, cv, -sv)
-
-    def _cos(self):
-        sv, cv = sin(self.value), cos(self.value)
-        return self._apply(cv, -sv, -cv)
-
-    def _tan(self):
-        t = tan(self.value)
-        sec2 = 1.0 + t * t
-        return self._apply(t, sec2, 2.0 * t * sec2)
-
-    def _atan(self):
-        w = 1.0 + self.value * self.value
-        inv_w = _recip_scalar(w)
-        return self._apply(
-            atan(self.value), inv_w, -2.0 * self.value * inv_w * inv_w
-        )
-
-
-def _recip_scalar(x):
-    if _is_plain(x):
-        if x == 0.0:
-            raise DomainError("division by zero")
-        return 1.0 / float(x)
-    return 1.0 / x
-
-
-def _ipow_scalar(x, n):
-    """x**n for integer n on any scalar kind."""
-    if n == 0:
-        return 1.0
-    if n < 0:
-        return _recip_scalar(_ipow_scalar(x, -n))
-    result = None
-    base = x
-    while n:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
-
-
-def _pow_dual(a, e):
-    if isinstance(e, np.ndarray):
-        return NotImplemented
-    if _is_plain(e) and float(e).is_integer():
-        n = int(e)
-        v = a.value
-        if n == 0:
-            return type(a).constant(1.0, a.nvars)
-        if value_of(v) == 0.0 and n < 0:
-            raise DomainError("negative power of zero")
-        f0 = _ipow_scalar(v, n)
-        d1 = float(n) * _ipow_scalar(v, n - 1)
-        if isinstance(a, DualScalar):
-            return a._apply(f0, d1)
-        d2 = float(n * (n - 1)) * _ipow_scalar(v, n - 2) if n not in (0, 1) else 0.0
-        return a._apply(f0, d1, d2)
-    if _is_plain(e):
-        if value_of(a.value) <= 0.0:
+                if n:
+                    base = base * base
+            if result is None:
+                return self.space.constant(1.0)
+            return result._reciprocal() if e < 0 else result
+        a0 = self.value
+        if a0 <= 0.0:
             raise DomainError("non-integer power of nonpositive base")
-        e = float(e)
-        v = a.value
-        f0 = exp(log(v) * e) if not _is_plain(v) else math.pow(v, e)
-        d1 = e * f0 * _recip_scalar(v)
-        if isinstance(a, DualScalar):
-            return a._apply(f0, d1)
-        d2 = e * (e - 1.0) * f0 * _recip_scalar(v * v)
-        return a._apply(f0, d1, d2)
-    if isinstance(e, type(a)):
-        return exp(e * log(a))
-    return NotImplemented
+        return self._compose(_power_coefficients(a0, e, math.pow(a0, e),
+                                                 self.space.degree))
+
+    def __rpow__(self, other):
+        return power(other, self) if _plain(other) else NotImplemented
+
+    # -- composition with univariate functions -------------------------------
+
+    def _compose(self, f):
+        """sum_k f[k] (self - value)^k by Horner."""
+        if not all(map(math.isfinite, f)):
+            raise DomainError("non-finite derivative of an elementary function")
+        sp = self.space
+        i, j, k = sp.table
+        h = self.coeffs.copy()
+        h[0] = 0.0
+        hj = h[j]
+        out = np.zeros(sp.size)
+        out[0] = f[-1]
+        for fk in f[-2::-1]:
+            out = np.bincount(k, out[i] * hj, sp.size)
+            out[0] += fk
+        return self._new(out)
 
 
-# ---------------------------------------------------------------------------
-# Generic elementary functions (dispatch on scalar kind)
-# ---------------------------------------------------------------------------
+# Univariate Taylor coefficients f_0..f_D of the elementary functions at a0
 
 
-def _float_checked(fn, x, name, require_positive=False):
-    x = float(x)
-    if require_positive and x <= 0.0:
-        raise DomainError(f"{name} of nonpositive value {x}")
-    try:
-        return fn(x)
-    except ValueError as err:
-        raise DomainError(f"{name}({x}): {err}") from err
+def _exp_coefficients(a0, D):
+    f0 = math.exp(a0)
+    return [f0 / math.factorial(k) for k in range(D + 1)]
 
 
-def exp(x):
-    if isinstance(x, (TaylorScalar, DualScalar, DualQuadScalar)):
-        return x._exp()
-    return math.exp(float(x))
+def _log_coefficients(a0, D):
+    if a0 <= 0.0:
+        raise DomainError(f"log of nonpositive value {a0}")
+    return [math.log(a0)] + [-(-1.0 / a0) ** k / k for k in range(1, D + 1)]
 
 
-def log(x):
-    if isinstance(x, (TaylorScalar, DualScalar, DualQuadScalar)):
-        return x._log()
-    return _float_checked(math.log, x, "log", require_positive=True)
+def _power_coefficients(a0, e, f0, D):
+    """(a0 + h)^e: f_k = f_(k-1) (e - k + 1) / (k a0)."""
+    f = [f0]
+    for k in range(1, D + 1):
+        f.append(f[-1] * (e - k + 1) / (k * a0))
+    return f
 
 
-def sqrt(x):
-    if isinstance(x, (TaylorScalar, DualScalar, DualQuadScalar)):
-        return x._sqrt()
-    return _float_checked(math.sqrt, x, "sqrt", require_positive=True)
+def _sqrt_coefficients(a0, D):
+    if a0 <= 0.0:
+        raise DomainError(f"sqrt of nonpositive value {a0}")
+    return _power_coefficients(a0, 0.5, math.sqrt(a0), D)
 
 
-def sin(x):
-    if isinstance(x, (TaylorScalar, DualScalar, DualQuadScalar)):
-        return x._sin()
-    return math.sin(float(x))
+def _sin_coefficients(a0, D, shift=0):
+    """sin at a0, or cos with shift=1: derivatives cycle s, c, -s, -c."""
+    s, c = math.sin(a0), math.cos(a0)
+    cycle = (s, c, -s, -c)
+    return [cycle[(k + shift) % 4] / math.factorial(k) for k in range(D + 1)]
 
 
-def cos(x):
-    if isinstance(x, (TaylorScalar, DualScalar, DualQuadScalar)):
-        return x._cos()
-    return math.cos(float(x))
+def _tan_coefficients(a0, D):
+    # tan' = 1 + tan^2
+    t = [math.tan(a0)]
+    for k in range(D):
+        t.append(((k == 0) + sum(t[j] * t[k - j] for j in range(k + 1)))
+                 / (k + 1))
+    return t
 
 
-def tan(x):
-    if isinstance(x, (TaylorScalar, DualScalar, DualQuadScalar)):
-        return x._tan()
-    return math.tan(float(x))
+def _atan_coefficients(a0, D):
+    # atan' = 1/w with w = 1 + (a0 + h)^2 = w0 + 2 a0 h + h^2
+    w0 = 1.0 + a0 * a0
+    b = [0.0, 0.0]  # b_(k-2), b_(k-1), then the series of 1/w
+    for k in range(D):
+        b.append(((k == 0) - 2.0 * a0 * b[-1] - b[-2]) / w0)
+    return [math.atan(a0)] + [b[k + 1] / k for k in range(1, D + 1)]
 
 
-def atan(x):
-    if isinstance(x, (TaylorScalar, DualScalar, DualQuadScalar)):
-        return x._atan()
-    return math.atan(float(x))
+def _elementary(name, coefficients):
+    def fn(x):
+        if isinstance(x, Series):
+            return x._compose(coefficients(x.value, x.space.degree))
+        return coefficients(float(x), 0)[0]
+    fn.__name__ = fn.__qualname__ = name
+    return fn
 
 
-def _neg(x):
-    return -x
+exp = _elementary("exp", _exp_coefficients)
+log = _elementary("log", _log_coefficients)
+sqrt = _elementary("sqrt", _sqrt_coefficients)
+sin = _elementary("sin", _sin_coefficients)
+cos = _elementary("cos", lambda a0, D: _sin_coefficients(a0, D, shift=1))
+tan = _elementary("tan", _tan_coefficients)
+atan = _elementary("atan", _atan_coefficients)
 
-
-UNARY_FUNCTIONS = {
-    "exp": exp,
-    "log": log,
-    "sin": sin,
-    "cos": cos,
-    "tan": tan,
-    "sqrt": sqrt,
-    "atan": atan,
-    "neg": _neg,
-}
+UNARY_FUNCTIONS = {"exp": exp, "log": log, "sin": sin, "cos": cos, "tan": tan,
+                   "sqrt": sqrt, "atan": atan, "neg": operator.neg}
 
 
 def power(a, b):
     """General power a**b with domain checks on the plain-float path."""
-    if _is_plain(a) and _is_plain(b):
+    if _plain(a) and _plain(b):
         a, b = float(a), float(b)
         if b.is_integer():
             if a == 0.0 and b < 0:
                 raise DomainError("negative power of zero")
-            return math.pow(a, b)
-        if a <= 0.0:
+        elif a <= 0.0:
             raise DomainError("non-integer power of nonpositive base")
         return math.pow(a, b)
-    if _is_plain(a):
-        # scalar exponent: a**b = exp(b*log(a))
+    if _plain(a):
+        # scalar base: a**b = exp(b*log(a))
         if float(a) <= 0.0:
             raise DomainError("non-integer power of nonpositive base")
         return exp(b * math.log(float(a)))
@@ -775,33 +380,41 @@ def power(a, b):
 
 
 def _div(a, b):
-    if _is_plain(a) and _is_plain(b):
+    if _plain(a) and _plain(b):
         if float(b) == 0.0:
             raise DomainError("division by zero")
         return float(a) / float(b)
     return a / b
 
 
-# ---------------------------------------------------------------------------
-# Seeds
-# ---------------------------------------------------------------------------
+# Reads
 
 
-def seed_gradient(index, value, nvars):
-    """First-order dual seed for variable `index`."""
-    if not 0 <= index < nvars:
-        raise IndexOutOfRange(f"index {index} not in [0, {nvars})")
-    grad = np.zeros(nvars)
-    grad[index] = 1.0
-    return DualScalar(value, grad)
+def value_of(x):
+    """The float value of a series or a plain number."""
+    return x.value if isinstance(x, Series) else float(x)
 
 
 def constant_like(template, value):
-    """A constant of the same scalar kind/shape as `template`."""
-    if isinstance(template, TaylorScalar):
-        return TaylorScalar.constant(value, template.order)
-    if isinstance(template, DualScalar):
-        return DualScalar.constant(value, template.nvars)
-    if isinstance(template, DualQuadScalar):
-        return DualQuadScalar.constant(value, template.nvars)
+    """A constant in the space of `template`, or a float."""
+    if isinstance(template, Series):
+        return template.space.constant(value)
     return float(value)
+
+
+def second_order(parts, count):
+    """(value, gradient, Hessian) from the coefficients of a cap-2 group.
+
+    `parts` lists the coefficients of the group's monomials in order: 1,
+    each variable, then each product of two (i <= k).  Entries may be
+    floats or series; the Hessian is a nested list.
+    """
+    grad = list(parts[1:count + 1])
+    hess = [[None] * count for _ in range(count)]
+    pos = count + 1
+    for i in range(count):
+        for k in range(i, count):
+            c = parts[pos]
+            pos += 1
+            hess[i][k] = hess[k][i] = 2.0 * c if i == k else c
+    return parts[0], grad, hess

@@ -3,12 +3,13 @@
 The recursive lift L^(k) = L^(k-1) + g(y^(k) - S^(k-1), y^(k) - S^(k-1))
 stays in closed form whenever the metric components do, so the recursion
 is run once in sympy and the results are converted back into expression
-programs.  Downstream numerics then need only a single dual layer instead
-of one nested layer per recursion step.
+programs.  Downstream numerics then differentiate one closed form instead
+of one recursion step at a time.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 import sympy as sp
@@ -43,38 +44,57 @@ _INVERSE_FUNCTIONS = {
 }
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+
+
+def _children(node):
+    if isinstance(node, exprmod.Binary):
+        return (node.left, node.right)
+    if isinstance(node, (exprmod.Unary, exprmod.Call)):
+        return (node.arg,)
+    return ()
+
+
+def _convert(node, args):
+    """One AST node as sympy, given its children already converted."""
+    if isinstance(node, exprmod.Num):
+        v = node.value
+        return sp.Integer(int(v)) if float(v).is_integer() else sp.Float(v)
+    if isinstance(node, exprmod.Const):
+        return sp.pi if node.name == "pi" else sp.E
+    if isinstance(node, exprmod.Var):
+        return sp.Symbol(node.name, real=True)
+    if isinstance(node, exprmod.Unary) or (
+            isinstance(node, exprmod.Call) and node.fn == "neg"):
+        return -args[0]
+    if isinstance(node, exprmod.Call):
+        return _FUNCTIONS[node.fn](args[0])
+    if isinstance(node, exprmod.Binary):
+        return _BINARY[node.op](*args)
+    raise TypeError(f"unknown AST node {node!r}")
+
+
 def to_sympy(program):
-    """Convert an expression program into a sympy expression."""
+    """Convert an expression program into a sympy expression.
 
-    def conv(node):
-        if isinstance(node, exprmod.Num):
-            v = node.value
-            return sp.Integer(int(v)) if float(v).is_integer() else sp.Float(v)
-        if isinstance(node, exprmod.Const):
-            return sp.pi if node.name == "pi" else sp.E
-        if isinstance(node, exprmod.Var):
-            return sp.Symbol(node.name, real=True)
-        if isinstance(node, exprmod.Unary):
-            return -conv(node.arg)
-        if isinstance(node, exprmod.Call):
-            if node.fn == "neg":
-                return -conv(node.arg)
-            return _FUNCTIONS[node.fn](conv(node.arg))
-        if isinstance(node, exprmod.Binary):
-            left, right = conv(node.left), conv(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            if node.op == "^":
-                return left ** right
-        raise TypeError(f"unknown AST node {node!r}")
-
-    return conv(program.ast)
+    The walk is an iterative post-order pass, so a long sum converts
+    without recursion.
+    """
+    done = {}  # id(node) -> sympy expression
+    stack = [program.ast]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        pending = [c for c in _children(node) if id(c) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        done[id(node)] = _convert(node, [done[id(c)] for c in _children(node)])
+    return done[id(program.ast)]
 
 
 def from_sympy(expression):
@@ -242,18 +262,22 @@ class _LiftRecursion:
 
 
 @lru_cache(maxsize=64)
-def _lift_recursion(metric_programs, q):
-    return _LiftRecursion(metric_programs, q)
+def _lift_recursion(sources, q):
+    """The recursion of the metric with these entry texts."""
+    return _LiftRecursion([[exprmod.parse(text) for text in row]
+                           for row in sources], q)
 
 
 def lift_stages(metric_programs, r, q):
     """Run the lift recursion L^(k) = L^(k-1) + g(y^(k)-S^(k-1), ...).
 
     Returns the stages L^(1..r) as a tuple of expression programs.  The
-    recursion is kept per metric, so a later call for a higher order
-    continues from the stages already built.
+    recursion is kept per metric, keyed on the entries' source text, so a
+    later call for a higher order continues from the stages already built.
     """
-    recursion = _lift_recursion(metric_programs, q)
+    sources = tuple(tuple(p.source or p.to_text() for p in row)
+                    for row in metric_programs)
+    recursion = _lift_recursion(sources, q)
     while len(recursion.programs) < r:
         recursion.extend()
     return tuple(recursion.programs[:r])

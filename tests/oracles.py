@@ -1,14 +1,16 @@
 """Independent reference implementations used only by the tests.
 
 Everything here except `eval_ast` deliberately avoids the library's own
-Taylor/dual arithmetic: jet transport is recomputed with sympy power
-series, products with literal polynomial convolution, and derivatives with
-central finite differences.  `eval_ast` and `collect_variables` are the
+series arithmetic: jet transport is recomputed with sympy power series,
+products with literal polynomial convolution, the Legendre chain with
+sympy derivatives and mpmath root finding, and derivatives with central
+finite differences.  `eval_ast` and `collect_variables` are the
 references for the compiled expression tape: they walk the AST
 recursively, recomputing every repeated subtree, and `eval_ast` makes the
 same elemental calls as the tape.
 """
 
+import mpmath
 import numpy as np
 import sympy as sp
 
@@ -38,8 +40,7 @@ def eval_ast(node, env):
             # integer literal exponents keep negative bases legal
             if isinstance(node.right, Num) and float(node.right.value).is_integer():
                 n = int(node.right.value)
-                if isinstance(left, (scalars.TaylorScalar, scalars.DualScalar,
-                                     scalars.DualQuadScalar)):
+                if isinstance(left, scalars.Series):
                     return left ** n
                 return scalars.power(left, n)
             return scalars.power(left, eval_ast(node.right, env))
@@ -141,6 +142,52 @@ def coframe_metric(g_value, coefficients):
             row[:, (k - j) * q:(k - j + 1) * q] = blocks[j]
         G += row.T @ g_value @ row
     return G
+
+
+def chain_hamiltonian_r2(text, q, base, momentum, dps=30):
+    """The r = 2 diagonal hamiltonian of a lagrangian, stage by stage.
+
+    With p = `momentum` at both stages: stage 1 solves dL/dy2 = p for
+    y2(y1); stage 0 solves dL/dy1 - d2L/dy1dy2 (d2L/dy2dy2)^-1 p = p for
+    y1, the derivative of L(y1, y2(y1)).  Both use sympy derivatives and
+    mpmath `findroot` at `dps` digits from zero starts.  Returns L / 2 at
+    the solution, as a float.
+    """
+    x = [sp.Symbol(f"x{i+1}") for i in range(q)]
+    y1 = [sp.Symbol(f"y1_{i+1}") for i in range(q)]
+    y2 = [sp.Symbol(f"y2_{i+1}") for i in range(q)]
+    L = sp.sympify(text.replace("^", "**"), locals={"e": sp.E, "pi": sp.pi})
+
+    def compile_(e):
+        return sp.lambdify(x + y1 + y2, e, "mpmath")
+
+    lag = compile_(L)
+    grad1 = [compile_(sp.diff(L, a)) for a in y1]
+    grad2 = [compile_(sp.diff(L, a)) for a in y2]
+    h12 = [[compile_(sp.diff(L, a, b)) for b in y2] for a in y1]
+    h22 = [[compile_(sp.diff(L, a, b)) for b in y2] for a in y2]
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpf(v) for v in base]
+        p = mpmath.matrix([mpmath.mpf(v) for v in momentum])
+
+        def top(lower):
+            def residual(*top_row):
+                args = xs + lower + list(top_row)
+                return [f(*args) - p[i] for i, f in enumerate(grad2)]
+            found = mpmath.findroot(residual, [mpmath.mpf(0)] * q)
+            return [found[i] for i in range(q)]
+
+        def stage0(*lower):
+            lower = list(lower)
+            args = xs + lower + top(lower)
+            m12 = mpmath.matrix([[f(*args) for f in row] for row in h12])
+            m22 = mpmath.matrix([[f(*args) for f in row] for row in h22])
+            rhs = m12 * mpmath.lu_solve(m22, p)
+            return [grad1[a](*args) - rhs[a] - p[a] for a in range(q)]
+
+        found = mpmath.findroot(stage0, [mpmath.mpf(0)] * q)
+        lower = [found[i] for i in range(q)]
+        return float(lag(*(xs + lower + top(lower))) / 2)
 
 
 def central_difference(fn, x, h=1e-6):

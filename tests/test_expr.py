@@ -29,7 +29,7 @@ from folijet.expr import (
     parse,
 )
 from folijet.riemann import lift_lagrangian
-from folijet.scalars import DualQuadScalar, DualScalar, TaylorScalar
+from folijet.scalars import Series, space
 from oracles import collect_variables, eval_ast, eval_program
 
 
@@ -73,7 +73,7 @@ def test_eval_reals():
 
 
 def test_eval_taylor_cubic():
-    out = parse("x1^3").eval({"x1": TaylorScalar((1.0, 1.0, 0.0, 0.0))})
+    out = parse("x1^3").eval({"x1": space(((1, 3),)).seed(1.0, 0)})
     assert np.allclose(out.coeffs, (1.0, 3.0, 3.0, 1.0))
 
 
@@ -103,11 +103,10 @@ def test_eval_kinds_agree(a, b):
     prog = parse("x1^2 * sin(x2) + exp(x1/x2) - log(x1)")
     env_f = {"x1": a, "x2": b}
     plain = prog.eval(env_f)
-    taylor = prog.eval({k: TaylorScalar((v,)) for k, v in env_f.items()})
-    quad = prog.eval({
-        "x1": DualQuadScalar(a, np.zeros(2), np.zeros((2, 2))),
-        "x2": DualQuadScalar(b, np.zeros(2), np.zeros((2, 2))),
-    })
+    taylor = prog.eval({k: space(((1, 0),)).constant(v)
+                        for k, v in env_f.items()})
+    quad = prog.eval({k: space(((2, 2),)).constant(v)
+                      for k, v in env_f.items()})
     assert taylor.coeffs[0] == pytest.approx(plain, rel=1e-14)
     assert quad.value == pytest.approx(plain, rel=1e-14)
 
@@ -166,26 +165,37 @@ def shared_asts(draw):
     return total
 
 
+# the series spaces the package seeds: Taylor, gradient, Hessian,
+# Taylor over gradient, Hessian over gradient, and a two-stage chain
+SERIES_KINDS = {
+    "taylor": ((1, 2),),
+    "dual": ((2, 1),),
+    "quad": ((2, 2),),
+    "taylor_dual": ((1, 2), (2, 1)),
+    "quad_dual": ((2, 2), (2, 1)),
+    "chain": ((2, 2), (2, 2)),
+}
+
+
 def _env(kind, a, b):
     if kind == "float":
         return {"x1": a, "x2": b}
     if kind == "taylor":
-        return {"x1": TaylorScalar((a, 1.0, -0.5)),
-                "x2": TaylorScalar((b, 0.25, 0.0))}
-    if kind == "dual":
-        return {"x1": DualScalar(a, [1.0, 0.0]),
-                "x2": DualScalar(b, [0.0, 1.0])}
-    return {"x1": DualQuadScalar(a, [1.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
-            "x2": DualQuadScalar(b, [0.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])}
+        sp_ = space(SERIES_KINDS[kind])
+        return {"x1": Series(sp_, [a, 1.0, -0.5]),
+                "x2": Series(sp_, [b, 0.25, 0.0])}
+    # x1 and x2 are the first and the second variable of every group
+    # (both the first in a one-variable group)
+    sp_ = space(SERIES_KINDS[kind])
+    firsts = np.cumsum([0] + [count for count, _ in sp_.groups[:-1]])
+    seconds = [f + min(1, count - 1)
+               for f, (count, _) in zip(firsts, sp_.groups)]
+    return {"x1": sp_.seed(a, *firsts), "x2": sp_.seed(b, *seconds)}
 
 
 def _parts(value):
-    if isinstance(value, TaylorScalar):
-        return [np.asarray(value.coeffs)]
-    if isinstance(value, DualScalar):
-        return [np.asarray(value.value), value.grad]
-    if isinstance(value, DualQuadScalar):
-        return [np.asarray(value.value), value.grad, value.hess]
+    if isinstance(value, Series):
+        return [value.coeffs]
     return [np.asarray(value)]
 
 
@@ -198,7 +208,7 @@ def _outcome(fn):
 
 
 @settings(max_examples=300, deadline=None)
-@given(shared_asts(), st.sampled_from(["float", "taylor", "dual", "quad"]),
+@given(shared_asts(), st.sampled_from(["float"] + sorted(SERIES_KINDS)),
        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 def test_tape_matches_recursive_oracle(ast, kind, a, b):
     env = _env(kind, a, b)

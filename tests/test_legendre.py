@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from folijet.atlas import load_atlas_file
 from folijet.dynamics import LagrangianField
 from folijet.errors import (
     InvariantViolation,
@@ -18,6 +19,7 @@ from folijet.legendre import (
     admissibility_check,
 )
 from folijet.riemann import lift_lagrangian
+from oracles import chain_hamiltonian_r2
 
 
 def jet_point(base, jets, chart=""):
@@ -165,6 +167,33 @@ def test_chain_reduces_to_first_stage_hamiltonian(exp_metric, wavy_metric,
         want = pseudo_hamiltonian(
             L1, CotangentJetPoint("", 1, (), (x,), (), (p,))).value
         assert H((x,), (p,)) == pytest.approx(want, abs=1e-8)
+
+
+NON_METRIC_Q1 = ("y2_1^2 + 0.1*y2_1^4 + y1_1^2 + 0.05*y1_1^4"
+                 " + 0.3*sin(x1)*y1_1*y2_1 + x1^2*y1_1^2")
+NON_METRIC_Q2 = ("y2_1^2 + y2_2^2 + 0.1*(y2_1^2 + y2_2^2)^2 + y1_1^2"
+                 " + 2*y1_2^2 + 0.2*x1*y1_1*y2_2 + 0.1*cos(x2)*y1_2*y2_1"
+                 " + 0.05*y1_1^4 + exp(0.1*x2)*y1_2^2")
+
+
+@pytest.mark.parametrize("case", ["non_metric_q1", "cubic_lift_B",
+                                  "non_metric_q2"])
+def test_chain_matches_stagewise_oracle(case, atlas_dir):
+    # the oracle solves each stage with sympy derivatives and mpmath
+    # findroot at 30 digits; none of these lagrangians needs a metric
+    if case == "non_metric_q1":
+        text, q, base = NON_METRIC_Q1, 1, (0.7,)
+    elif case == "non_metric_q2":
+        text, q, base = NON_METRIC_Q2, 2, (0.3, -0.4)
+    else:
+        g = load_atlas_file(atlas_dir / "cubic.json").metrics["g"]["B"]
+        text, q, base = lift_lagrangian(g, 2).program.source, 1, (1.2,)
+    H = legendre_chain(lagrangian(text, 2, qdim=q))
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        p = tuple(rng.uniform(-1.5, 1.5, q))
+        want = chain_hamiltonian_r2(text, q, base, p)
+        assert H(base, p) == pytest.approx(want, rel=1e-12)
 
 
 def test_chain_rejects_slashed():

@@ -1,21 +1,24 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy as sp
+from hypothesis import given
 from hypothesis import strategies as st
 
-from folijet.errors import DomainError, OrderMismatch
+from folijet.errors import DomainError, SpaceMismatch
+from folijet.expr import FUNCTIONS, parse
 from folijet.scalars import (
-    DualQuadScalar,
-    DualScalar,
-    TaylorScalar,
+    UNARY_FUNCTIONS,
+    Series,
     cos,
     exp,
     log,
     power,
-    seed_gradient,
+    second_order,
     sin,
+    space,
     sqrt,
     tan,
 )
@@ -29,20 +32,28 @@ from oracles import (
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False,
                   allow_infinity=False)
 
+# every space the package seeds, at small sizes
+SPACES = [((1, 4),), ((3, 1),), ((3, 2),), ((1, 2), (3, 1)),
+          ((3, 2), (3, 1)), ((2, 2),) * 3]
+
+
+def taylor(coeffs):
+    return Series(space(((1, len(coeffs) - 1),)), coeffs)
+
 
 @given(st.lists(coeff, min_size=1, max_size=6),
        st.lists(coeff, min_size=1, max_size=6))
 def test_taylor_product_matches_convolution(a, b):
     n = min(len(a), len(b))
-    got = (TaylorScalar(a[:n]) * TaylorScalar(b[:n])).coeffs
+    got = (taylor(a[:n]) * taylor(b[:n])).coeffs
     want = convolve_series(a[:n], b[:n])
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @given(st.lists(coeff, min_size=1, max_size=5))
 def test_taylor_add_sub_roundtrip(a):
-    x = TaylorScalar(a)
-    y = TaylorScalar([c + 1 for c in a])
+    x = taylor(a)
+    y = taylor([c + 1 for c in a])
     back = (x + y) - y
     assert np.allclose(back.coeffs, x.coeffs, atol=1e-12)
 
@@ -52,7 +63,7 @@ def test_taylor_add_sub_roundtrip(a):
 ])
 def test_taylor_functions_match_sympy_series(fn_name, fn):
     coeffs = (0.3, 1.2, -0.7, 0.4, 0.05)
-    got = fn(TaylorScalar(coeffs)).coeffs
+    got = fn(taylor(coeffs)).coeffs
     want = sympy_series_coeffs(fn_name, coeffs)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -60,23 +71,25 @@ def test_taylor_functions_match_sympy_series(fn_name, fn):
 @pytest.mark.parametrize("fn_name,fn", [("log", log), ("sqrt", sqrt)])
 def test_taylor_positive_base_functions(fn_name, fn):
     coeffs = (1.7, 0.9, -0.4, 0.2)
-    got = fn(TaylorScalar(coeffs)).coeffs
+    got = fn(taylor(coeffs)).coeffs
     want = sympy_series_coeffs(fn_name, coeffs)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_taylor_order_mismatch():
-    with pytest.raises(OrderMismatch):
-        TaylorScalar((1.0, 2.0)) * TaylorScalar((1.0, 2.0, 3.0))
+    with pytest.raises(SpaceMismatch):
+        taylor((1.0, 2.0)) * taylor((1.0, 2.0, 3.0))
+    with pytest.raises(SpaceMismatch):
+        Series(space(((2, 1),)), [1.0, 2.0])
 
 
 def test_log_negative_raises():
     with pytest.raises(DomainError):
-        log(TaylorScalar((-1.0, 1.0)))
+        log(taylor((-1.0, 1.0)))
 
 
 def test_taylor_variable_derivative_of_composite():
-    x = TaylorScalar((2.0, 1.0, 0.0, 0.0, 0.0))
+    x = space(((1, 4),)).seed(2.0, 0)
     out = exp(sin(x) * x)
     f = lambda v: math.exp(math.sin(v) * v)  # noqa: E731
     h = 1e-5
@@ -90,11 +103,11 @@ def test_dual_gradient_matches_finite_differences():
         return math.sin(v[0]) * v[1] ** 2 + math.exp(v[0] * v[1])
 
     x0 = np.array([0.4, 1.3])
-    a = seed_gradient(0, x0[0], 2)
-    b = seed_gradient(1, x0[1], 2)
+    sp2 = space(((2, 1),))
+    a, b = sp2.seed(x0[0], 0), sp2.seed(x0[1], 1)
     out = sin(a) * b * b + exp(a * b)
     want = central_difference(lambda v: f(v), x0)
-    assert np.allclose(out.grad, want, rtol=1e-7)
+    assert np.allclose(out.coeffs[1:], want, rtol=1e-7)
 
 
 def test_dual_quad_hessian_matches_finite_differences():
@@ -102,27 +115,93 @@ def test_dual_quad_hessian_matches_finite_differences():
         return math.log(v[0] + 2.0) * v[1] ** 3 + v[0] * v[1]
 
     x0 = np.array([0.5, 0.8])
-
-    def seed(i, v):
-        g = np.zeros(2)
-        g[i] = 1.0
-        return DualQuadScalar(v, g, np.zeros((2, 2)))
-
-    a, b = seed(0, x0[0]), seed(1, x0[1])
+    sp2 = space(((2, 2),))
+    a, b = sp2.seed(x0[0], 0), sp2.seed(x0[1], 1)
     out = log(a + 2.0) * b * b * b + a * b
     want = central_hessian(f, x0)
-    assert np.allclose(out.hess.astype(float), want, atol=1e-5)
+    assert np.allclose(np.array(second_order(out.coeffs, 2)[2]), want,
+                       atol=1e-5)
 
 
 def test_power_non_integer_requires_positive_base():
     with pytest.raises(DomainError):
-        power(TaylorScalar((-2.0, 1.0)), 0.5)
+        power(taylor((-2.0, 1.0)), 0.5)
 
 
 def test_nested_dual_in_taylor_coefficients():
-    # Taylor coefficients carrying first-order duals: d/dy of (x + y t)^2
-    y = DualScalar(3.0, np.array([1.0]))
-    series = TaylorScalar([2.0, y]) * TaylorScalar([2.0, y])
+    # Taylor coefficients carrying first partials: d/dy of (x + y t)^2
+    sp2 = space(((1, 1), (1, 1)))
+    x = Series(sp2, [2.0, 0.0, 0.0, 0.0])
+    y = sp2.seed(3.0, 1)  # the t coefficient, seeded
+    t = sp2.seed(0.0, 0)
+    series = (x + y * t) * (x + y * t)
+    # monomials (t^a d^b) in order 1, d, t, t d
     assert series.coeffs[0] == pytest.approx(4.0)
-    assert series.coeffs[1].value == pytest.approx(12.0)
-    assert series.coeffs[1].grad[0] == pytest.approx(4.0)
+    assert series.coeffs[2] == pytest.approx(12.0)
+    assert series.coeffs[3] == pytest.approx(4.0)
+
+
+def test_non_finite_derivative_raises():
+    # the value is finite, but the derivative of x^-3 overflows at 1e-80
+    x = space(((1, 1),)).seed(1e-80, 0)
+    with pytest.raises(DomainError):
+        parse("x1^(-3) - x1^(-3)").eval({"x1": x})
+    with pytest.raises(DomainError):
+        Series(space(((2, 1),)), [1.0, np.inf, 0.0])
+    with pytest.raises(DomainError):
+        Series(space(((2, 1),)), [1.0, 0.0, np.nan]) * 2.0
+
+
+@pytest.mark.parametrize("groups", SPACES)
+def test_product_table_matches_monomial_loop(groups):
+    sp_ = space(groups)
+    exponents = [tuple(row) for row in sp_.exponents.tolist()]
+    caps = [cap for count, cap in groups for _ in range(count)]
+    bounds = [(sum(c for c, _ in groups[:g]), count, cap)
+              for g, (count, cap) in enumerate(groups)]
+
+    def fits(e):
+        return all(sum(e[s:s + c]) <= cap for s, c, cap in bounds)
+
+    assert len(caps) == len(exponents[0])
+    assert exponents[0] == (0,) * len(caps)
+    assert len(set(exponents)) == sp_.size == math.prod(
+        math.comb(count + cap, cap) for count, cap in groups)
+    assert all(fits(e) for e in exponents)
+    # the reference: a literal double loop over monomial pairs
+    index_of = {e: m for m, e in enumerate(exponents)}
+    want = set()
+    for a, b in product(range(sp_.size), repeat=2):
+        joined = tuple(x + y for x, y in zip(exponents[a], exponents[b]))
+        if fits(joined):
+            want.add((a, b, index_of[joined]))
+    i, j, k = sp_.table
+    assert set(zip(i.tolist(), j.tolist(), k.tolist())) == want
+    assert len(i) == len(want)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS) + [
+    "^3", "^-2", "^0.7", "^-1.5"])
+def test_coefficients_are_scaled_partials(name):
+    # u = a + w . z over ((2, 2), (1, 1)): the coefficient of z^m is
+    # d^m f(a + w . z) / m! at z = 0
+    sp_ = space(((2, 2), (1, 1)))
+    a, w = 0.6, (1.0, -0.5, 0.25)
+    u = sp_.constant(a)
+    for v, wv in enumerate(w):
+        u = u + wv * sp_.seed(0.0, v)
+    z = sp.symbols("z0:3")
+    arg = sp.Float(a, 30) + sum(sp.Float(wv, 30) * zv for wv, zv in zip(w, z))
+    if name.startswith("^"):
+        e = float(name[1:])
+        got = u ** e
+        f = arg ** (int(e) if e.is_integer() else sp.Float(e, 30))
+    else:
+        got = UNARY_FUNCTIONS[name](u)
+        f = -arg if name == "neg" else getattr(sp, name)(arg)
+    for index, powers in enumerate(sp_.exponents.tolist()):
+        d = sp.diff(f, *[(zv, k) for zv, k in zip(z, powers) if k]) \
+            if any(powers) else f
+        scale = math.prod(math.factorial(k) for k in powers)
+        want = float(d.subs({zv: 0 for zv in z}).evalf(30)) / scale
+        assert got.coeffs[index] == pytest.approx(want, rel=1e-12, abs=1e-15)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -143,14 +143,6 @@ class FoliatedAtlas:
         return self.transverse_dim
 
 
-def _leaf_vars(p):
-    return {f"u{i+1}" for i in range(p)}
-
-
-def _transverse_vars(q):
-    return {f"x{i+1}" for i in range(q)}
-
-
 def _parse_exprs(texts, where):
     if not isinstance(texts, list):
         raise SchemaError(f"{where}: must be a list of expressions")
@@ -191,7 +183,8 @@ def load_atlas(document) -> "FoliatedAtlas":
     if not charts:
         raise SchemaError("atlas needs at least one chart")
 
-    leafs, transverses = _leaf_vars(p), _transverse_vars(q)
+    transverses = set(exprmod.coordinate_names(q))
+    coordinates = set(exprmod.coordinate_names(q, p=p))
     transitions: dict[str, Transition] = {}
     for entry in _entries(document, "transitions"):
         src = str(_field(entry, "from", "transition"))
@@ -222,7 +215,7 @@ def load_atlas(document) -> "FoliatedAtlas":
                     f"foliated (uses {sorted(extra)})"
                 )
         for i, e in enumerate(leaf_exprs):
-            extra = e.free_variables() - leafs - transverses
+            extra = e.free_variables() - coordinates
             if extra:
                 raise InvariantViolation(
                     f"transition {name}: leaf expression {i} uses {sorted(extra)}"
@@ -330,15 +323,10 @@ def load_atlas_file(path) -> "FoliatedAtlas":
 # ---------------------------------------------------------------------------
 
 
-def point_env(p, q, leaf, base):
-    env = {f"u{i+1}": leaf[i] for i in range(p)}
-    env.update({f"x{i+1}": base[i] for i in range(q)})
-    return env
-
-
 def apply_transition(atlas, transition, leaf, base):
     """Map a (leaf, transverse) point through a transition; plain floats."""
-    env = point_env(atlas.p, atlas.q, leaf, base)
+    env = dict(zip(exprmod.coordinate_names(atlas.q, p=atlas.p),
+                   (*leaf, *base)))
     new_leaf = tuple(float(e.eval(env)) for e in transition.leaf_exprs)
     new_base = tuple(float(e.eval(env)) for e in transition.transverse_exprs)
     return new_leaf, new_base
@@ -347,7 +335,8 @@ def apply_transition(atlas, transition, leaf, base):
 def transverse_jacobian(atlas, transition, base):
     """q x q Jacobian of the transverse part, from seeds in ((q, 1),)."""
     sp = space(((atlas.q, 1),))
-    env = {f"x{i+1}": sp.seed(float(base[i]), i) for i in range(atlas.q)}
+    env = {name: sp.seed(float(v), i) for i, (name, v)
+           in enumerate(zip(exprmod.coordinate_names(atlas.q), base))}
     return np.array([e.eval(env).coeffs[1:] for e in transition.transverse_exprs])
 
 
@@ -378,6 +367,8 @@ def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
         raise ValueError("need samples >= 1")
     report = Report(seed=int(seed))
     p, q = atlas.p, atlas.q
+    names = exprmod.coordinate_names(q, p=p)
+    sp = space(((p + q, 1),))
 
     for t in atlas.transitions.values():
         pts = sample_overlap(t, samples, seed)
@@ -387,16 +378,15 @@ def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
         inverse = atlas.transitions.get(t.inverse_of) if t.inverse_of else None
         for pt in pts:
             leaf, base = tuple(pt[:p]), tuple(pt[p:])
-            jac = transverse_jacobian(atlas, t, base)
-            min_det = min(min_det, abs(float(np.linalg.det(jac))))
-            # mixed block dx'/du via seeds on all p+q source coordinates
-            sp = space(((p + q, 1),))
-            env = {f"u{i+1}": sp.seed(leaf[i], i) for i in range(p)}
-            env.update({f"x{i+1}": sp.seed(base[i], p + i) for i in range(q)})
-            for e in t.transverse_exprs:
-                if p:
-                    mixed = e.eval(env).coeffs[1:p + 1]
-                    mixed_max = max(mixed_max, float(np.max(np.abs(mixed))))
+            # one evaluation seeded on all p+q source coordinates gives the
+            # mixed block dx'/du and the transverse Jacobian dx'/dx
+            env = {name: sp.seed(v, i)
+                   for i, (name, v) in enumerate(zip(names, pt))}
+            grads = np.array([e.eval(env).coeffs[1:]
+                              for e in t.transverse_exprs])
+            min_det = min(min_det, abs(float(np.linalg.det(grads[:, p:]))))
+            if p:
+                mixed_max = max(mixed_max, float(np.max(np.abs(grads[:, :p]))))
             if inverse is not None:
                 image = apply_transition(atlas, t, leaf, base)
                 back = apply_transition(atlas, inverse, *image)

@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
     SingularHessian,
 )
-from .expr import ExprProgram
+from .expr import ExprProgram, coordinate_names
 from .jets import TransverseJetPoint, j_matrix
 from .scalars import Series, second_order, space, value_of
 
@@ -49,43 +49,32 @@ HESSIAN_DET_TOLERANCE = 1e-9
 HESSIAN_EIG_TOLERANCE = 1e-9
 
 
-def coordinate_names(r, q):
-    """Fiber coordinate names in slot order (x, y^(1), ..., y^(r))."""
-    names = [f"x{i+1}" for i in range(q)]
-    for k in range(1, r + 1):
-        names.extend(f"y{k}_{i+1}" for i in range(q))
-    return names
-
-
-def coordinate_values(point):
-    vals = list(point.base)
-    for row in point.jets:
-        vals.extend(row)
-    return vals
-
-
 def point_env(point, seed=None):
     """Environment binding fiber coordinates, optionally through `seed`.
 
     seed(index, value) may turn each coordinate into a series; without it
     the environment holds plain floats.
     """
-    names = coordinate_names(point.order, point.qdim)
-    vals = coordinate_values(point)
-    if seed is None:
-        return dict(zip(names, vals))
-    return {name: seed(i, v) for i, (name, v) in enumerate(zip(names, vals))}
+    values = [*point.base, *(v for row in point.jets for v in row)]
+    if seed is not None:
+        values = [seed(i, v) for i, v in enumerate(values)]
+    return dict(zip(coordinate_names(point.qdim, point.order), values))
 
 
-def _gradient(x, n):
-    """First partials of a ((n, 1),) series; zero for a plain number."""
-    return x.coeffs[1:] if isinstance(x, Series) else np.zeros(n)
+def top_row_derivatives(L, base, lower, top):
+    """Value, gradient and Hessian of L in its top row y^(r), as floats.
 
-
-def _seeded_env(point):
-    """Every fiber coordinate seeded in the space ((n, 1),)."""
-    sp = space((((point.order + 1) * point.qdim, 1),))
-    return point_env(point, lambda i, v: sp.seed(v, i))
+    `lower` holds the rows y^(1..r-1).  Only the top row is seeded, in the
+    space ((q, 2),); the Hessian is a nested list.
+    """
+    q = L.qdim
+    sp = space(((q, 2),))
+    values = [*base, *(v for row in lower for v in row),
+              *(sp.seed(v, i) for i, v in enumerate(top))]
+    out = L.program.eval(dict(zip(coordinate_names(q, L.order), values)))
+    if not isinstance(out, Series):
+        return float(out), [0.0] * q, [[0.0] * q for _ in range(q)]
+    return second_order(out.coeffs.tolist(), q)
 
 
 @dataclass(frozen=True)
@@ -108,7 +97,7 @@ class LagrangianField:
                      excluded=None, name=""):
         if order < 1:
             raise OrderError(f"lagrangian order must be >= 1, got {order}")
-        allowed = set(coordinate_names(order, qdim))
+        allowed = set(coordinate_names(qdim, order))
         extra = program.free_variables() - allowed
         if extra:
             raise InvariantViolation(
@@ -161,7 +150,9 @@ class HessianInfo:
 def gamma_apply(f, point):
     """Apply the derivation Gamma to an expression at a jet point."""
     r, q = point.order, point.qdim
-    grad = _gradient(f.eval(_seeded_env(point)), (r + 1) * q)
+    sp = space((((r + 1) * q, 1),))
+    # every coordinate is seeded, so the value is a series
+    grad = f.eval(point_env(point, lambda i, v: sp.seed(v, i))).coeffs[1:]
     total = 0.0
     for k in range(1, r + 1):
         yk = point.jets[k - 1]
@@ -174,13 +165,8 @@ def vertical_hessian(L, point, *, det_tol=HESSIAN_DET_TOLERANCE,
                      eig_tol=HESSIAN_EIG_TOLERANCE) -> HessianInfo:
     """Second partials of L in its top-order jet variables."""
     L.check_point(point)
-    r, q = L.order, L.qdim
-    sp = space(((q, 2),))
-    # only the top q coordinates carry seeds
-    out = L.program.eval(point_env(
-        point, lambda i, v: sp.seed(v, i - r * q) if i >= r * q else v))
-    hess = np.array(second_order(out.coeffs, q)[2]) \
-        if isinstance(out, Series) else np.zeros((q, q))
+    hess = np.array(top_row_derivatives(L, point.base, point.jets[:-1],
+                                        point.jets[-1])[2])
     det = float(np.linalg.det(hess))
     eigs = np.linalg.eigvalsh(hess)
     return HessianInfo(hess, det, float(eigs.min()),
@@ -247,49 +233,34 @@ def semispray_section(L, point) -> TransverseJetPoint:
 
 @dataclass(frozen=True)
 class SemiSprayField:
-    """Semi-spray components as a reusable field.
+    """The semi-spray of a lagrangian as a reusable field.
 
-    Backed either by closed-form expressions in the fiber coordinates or
-    by a lagrangian (components derived on demand).
+    Its components and their Jacobian are derived from the lagrangian on
+    demand at each point.
     """
 
-    order: int
-    qdim: int
-    programs: tuple | None = None
-    lagrangian: LagrangianField | None = None
-
-    @classmethod
-    def from_programs(cls, programs, *, order, qdim):
-        programs = tuple(programs)
-        if len(programs) != qdim:
-            raise ShapeError(f"need {qdim} components, got {len(programs)}")
-        allowed = set(coordinate_names(order, qdim))
-        for prog in programs:
-            extra = prog.free_variables() - allowed
-            if extra:
-                raise InvariantViolation(
-                    f"spray component uses {sorted(extra)}"
-                )
-        return cls(order, qdim, programs=programs)
+    lagrangian: LagrangianField
 
     @classmethod
     def from_lagrangian(cls, L):
-        return cls(L.order, L.qdim, lagrangian=L)
+        return cls(L)
+
+    @property
+    def order(self):
+        return self.lagrangian.order
+
+    @property
+    def qdim(self):
+        return self.lagrangian.qdim
 
     def components(self, point):
         self._check(point)
-        if self.programs is not None:
-            env = point_env(point)
-            return np.array([float(p.eval(env)) for p in self.programs])
         return semispray(self.lagrangian, point)
 
     def jacobian(self, point):
         """d S^u / d(fiber coordinates) as a (q, (r+1)q) float matrix."""
         self._check(point)
         n = (self.order + 1) * self.qdim
-        if self.programs is not None:
-            env = _seeded_env(point)
-            return np.array([_gradient(p.eval(env), n) for p in self.programs])
         return np.array([
             s.coeffs[s.space.variables[n:]] if isinstance(s, Series)
             else np.zeros(n)

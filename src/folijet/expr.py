@@ -11,7 +11,10 @@ Grammar (whitespace insignificant, no implicit multiplication):
 Unary minus binds tighter than '^', so ``-x1^2`` parses as ``(-x1)^2``.
 Functions are frozen to the scalar-kernel set; constants are ``pi`` and
 ``e``.  Variable names follow the coordinate grammar ``u<i>``, ``x<i>``,
-``y<k>_<i>``, ``p_<i>`` with 1-based indices.
+``y<k>_<i>``, ``p_<i>`` with 1-based indices.  `coordinate_names` owns the
+layout of the jet coordinates: leaf ``u``, transverse ``x``, then the jet
+rows ``y^(1..r)``, in that slot order; every environment in the package
+pairs its names with values.
 
 Parentheses, unary minus and ``^`` nest at most ``MAX_NESTING`` levels deep.
 
@@ -48,6 +51,7 @@ __all__ = [
     "Call",
     "VARIABLE_NAME",
     "is_variable_name",
+    "coordinate_names",
 ]
 
 VARIABLE_NAME = re.compile(
@@ -67,6 +71,16 @@ FUNCTIONS = frozenset(
 
 def is_variable_name(name: str) -> bool:
     return VARIABLE_NAME.match(name) is not None
+
+
+def coordinate_names(q, r=0, p=0) -> list:
+    """Names of u1..up, x1..xq, y1_1..yr_q, in slot order.
+
+    Row y^(k) occupies the names ``[p + k*q, p + (k+1)*q)``, with y^(0) = x.
+    """
+    return ([f"u{i}" for i in range(1, p + 1)]
+            + [f"x{i}" for i in range(1, q + 1)]
+            + [f"y{k}_{i}" for k in range(1, r + 1) for i in range(1, q + 1)])
 
 
 # -- AST --------------------------------------------------------------------

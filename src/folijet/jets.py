@@ -20,6 +20,7 @@ from .errors import (
     OutsideOverlap,
     ShapeError,
 )
+from .expr import coordinate_names
 from .scalars import Series, space
 
 __all__ = [
@@ -140,12 +141,12 @@ def _taylor_env(base, jets, seeded=0):
     groups = ((1, r), (seeded * q, 1)) if seeded else ((1, r),)
     sp = space(groups)
     env = {}
-    for i in range(q):
+    for i, name in enumerate(coordinate_names(q)):
         coeffs = np.zeros((r + 1, sp.size // (r + 1)))
         coeffs[:, 0] = [base[i]] + [row[i] for row in jets]
         for b in range(seeded):
             coeffs[b, 1 + b * q + i] = 1.0
-        env[f"x{i+1}"] = Series(sp, coeffs.ravel())
+        env[name] = Series(sp, coeffs.ravel())
     return env
 
 
@@ -179,8 +180,7 @@ def prolong_transition(atlas, transition, point):
         new_base.append(float(coeffs[0]))
         for k in range(r):
             new_jets[k][i] = float(coeffs[k + 1])
-    flat_env = {f"u{i+1}": point.leaf[i] for i in range(p)}
-    flat_env.update({f"x{i+1}": point.base[i] for i in range(q)})
+    flat_env = dict(zip(coordinate_names(q, p=p), point.leaf + point.base))
     new_leaf = tuple(float(e.eval(flat_env)) for e in transition.leaf_exprs)
     return TransverseJetPoint(transition.to_chart, r, new_leaf,
                               tuple(new_base), tuple(tuple(row) for row in new_jets))

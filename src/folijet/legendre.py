@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import point_env, vertical_hessian
+from .dynamics import top_row_derivatives, vertical_hessian
 from .errors import (
     InvariantViolation,
     NoConvergence,
     ShapeError,
     SingularHessian,
 )
+from .expr import coordinate_names
 from .jets import TransverseJetPoint
 from .report import Report
 from .scalars import Series, second_order, space, value_of
@@ -117,12 +118,9 @@ class HamiltonianValue:
 def legendre_map(L, point) -> CotangentJetPoint:
     """(x, y^(1..r)) -> (x, y^(1..r-1), dL/dy^(r))."""
     L.check_point(point)
-    r, q = L.order, L.qdim
-    sp = space(((q, 1),))
-    out = L.program.eval(point_env(
-        point, lambda i, v: sp.seed(v, i - r * q) if i >= r * q else v))
-    momentum = out.coeffs[1:] if isinstance(out, Series) else np.zeros(q)
-    return CotangentJetPoint(point.chart, r, point.leaf, point.base,
+    _, momentum, _ = top_row_derivatives(L, point.base, point.jets[:-1],
+                                         point.jets[-1])
+    return CotangentJetPoint(point.chart, L.order, point.leaf, point.base,
                              point.jets[:-1], tuple(momentum))
 
 
@@ -136,18 +134,6 @@ def _second_order_in(out, group, q):
     else:
         parts = out.split(group)
     return second_order(parts, q)
-
-
-def _top_gradient_quad(L, cpoint, top):
-    """L with seeds on a candidate top row; value/grad/hess out."""
-    q = L.qdim
-    sp = space(((q, 2),))
-    env = {f"x{i+1}": cpoint.base[i] for i in range(q)}
-    for k in range(1, L.order):
-        env.update({f"y{k}_{i+1}": v for i, v in enumerate(cpoint.jets[k - 1])})
-    for i in range(q):
-        env[f"y{L.order}_{i+1}"] = sp.seed(top[i], i)
-    return _second_order_in(L.program.eval(env), 0, q)
 
 
 def _newton_top_row(quad_at, target, guess, q, *, stage=None,
@@ -213,7 +199,7 @@ def legendre_inverse(L, cpoint, guess=None, *, return_stats=False):
     if guess is None:
         guess = (0.0,) * q
     top, _, stats = _newton_top_row(
-        lambda t: _top_gradient_quad(L, cpoint, t),
+        lambda t: top_row_derivatives(L, cpoint.base, cpoint.jets, t),
         list(cpoint.momentum), guess, q,
     )
     point = TransverseJetPoint(cpoint.chart, L.order, cpoint.leaf,
@@ -244,11 +230,12 @@ def _stage_value(L, sp, j, lower, momenta):
     q = L.qdim
     if j == L.order:
         return L.program.eval(lower)
+    names = coordinate_names(q, j + 1)[(j + 1) * q:]
 
     def quad_at(top):
         env = dict(lower)
-        for i in range(q):
-            env[f"y{j+1}_{i+1}"] = sp.seed(top[i], j * q + i)
+        for i, name in enumerate(names):
+            env[name] = sp.seed(top[i], j * q + i)
         return _second_order_in(_stage_value(L, sp, j + 1, env, momenta),
                                 j, q)
 
@@ -271,30 +258,22 @@ def legendre_chain(L):
             "the chain evaluator needs a lagrangian smooth on the whole fiber"
         )
     sp = space(((q, 2),) * r)
+    names = coordinate_names(q)
 
     def evaluate(base, momentum):
         base = _finite_tuple(base, "base")
         momentum = _finite_tuple(momentum, "momentum")
         if len(base) != q or len(momentum) != q:
             raise ShapeError(f"base and momentum must have {q} entries")
-        lower = {f"x{i+1}": base[i] for i in range(q)}
+        lower = dict(zip(names, base))
         momenta = [momentum] * r
         return float(_stage_value(L, sp, 0, lower, momenta)) / r
 
     return evaluate
 
 
-def _ray_level(L, env_base, direction, phi_value, r, q, *,
-               tol=RAY_TOLERANCE):
-    """Bisection along t -> L(x, t*direction jets) for the level phi."""
-
-    def value_at(t):
-        env = dict(env_base)
-        for k in range(1, r + 1):
-            for i in range(q):
-                env[f"y{k}_{i+1}"] = t * direction[(k - 1) * q + i]
-        return float(L.program.eval(env))
-
+def _ray_level(value_at, phi_value, *, tol=RAY_TOLERANCE):
+    """Bisection along a fiber ray t -> value_at(t) for the level phi."""
     hi = 1.0
     for _ in range(60):
         if value_at(hi) >= phi_value:
@@ -335,12 +314,11 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
     projectable = not leaf_vars
     report.add("projectable", L.name or "L", float(len(leaf_vars)), 0.0)
 
+    names = coordinate_names(q, r)
+
     def env_at(base, jets):
-        env = {v: 0.0 for v in leaf_vars}
-        env.update({f"x{i+1}": base[i] for i in range(q)})
-        for k in range(1, r + 1):
-            env.update({f"y{k}_{i+1}": jets[(k - 1) * q + i]
-                        for i in range(q)})
+        env = dict.fromkeys(leaf_vars, 0.0)
+        env.update(zip(names, (*base, *jets)))
         return env
 
     min_eig = np.inf
@@ -372,9 +350,9 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
         direction /= np.linalg.norm(direction)
         phi_value = float(phi.eval(env_at(base, [0.0] * (r * q)))) \
             if phi is not None else 1.0
-        dev = _ray_level(L, {k: v for k, v in env_at(base, [0.0] * (r * q)).items()
-                             if not k.startswith("y")},
-                         direction, phi_value, r, q)
+        dev = _ray_level(
+            lambda t: float(L.program.eval(env_at(base, t * direction))),
+            phi_value)
         if dev is None:
             ray_failures += 1
         else:

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import symbolic
 from .dynamics import LagrangianField, semispray, vertical_hessian
-from .errors import InvariantViolation, ShapeError, SingularMetric
-from .expr import ExprProgram, parse
+from .errors import DomainError, InvariantViolation, ShapeError, SingularMetric
+from .expr import ExprProgram, coordinate_names, parse
 from .jets import TransverseJetPoint, _taylor_env
 from .report import Report
 
@@ -59,7 +59,7 @@ class MetricField:
         if len(entries) != q or any(len(row) != q for row in entries):
             raise ShapeError(f"metric {name!r}: need a {q} x {q} matrix")
         parsed = [[None] * q for _ in range(q)]
-        allowed = {f"x{i+1}" for i in range(q)}
+        allowed = set(coordinate_names(q))
         for i in range(q):
             for j in range(i, q):
                 prog = entries[i][j]
@@ -79,17 +79,18 @@ class MetricField:
     def qdim(self):
         return len(self.components)
 
-    def _env(self, base):
-        return {f"x{i+1}": base[i] for i in range(self.qdim)}
-
     def evaluate(self, base):
-        env = self._env(base)
         q = self.qdim
+        env = dict(zip(coordinate_names(q), base))
         out = np.empty((q, q))
         for i in range(q):
-            for j in range(q):
-                out[i, j] = float(self.components[i][j].eval(env))
-        return (out + out.T) / 2.0
+            for j in range(i, q):
+                # the lower triangle is the same program as the upper one
+                out[i, j] = out[j, i] = float(self.components[i][j].eval(env))
+        if not np.all(np.isfinite(out)):
+            raise DomainError(f"metric {self.name!r} is not finite at "
+                              f"{[float(v) for v in base]}")
+        return out
 
     def check_positive_definite(self, box, samples=25, seed=0, *,
                                 eig_tol=EIG_TOLERANCE):

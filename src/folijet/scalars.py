@@ -291,7 +291,10 @@ class Series:
 
 
 def _exp_coefficients(a0, D):
-    f0 = math.exp(a0)
+    try:
+        f0 = math.exp(a0)
+    except OverflowError:
+        raise DomainError(f"exp({a0}) overflows") from None
     return [f0 / math.factorial(k) for k in range(D + 1)]
 
 
@@ -370,7 +373,10 @@ def power(a, b):
                 raise DomainError("negative power of zero")
         elif a <= 0.0:
             raise DomainError("non-integer power of nonpositive base")
-        return math.pow(a, b)
+        try:
+            return math.pow(a, b)
+        except OverflowError:
+            raise DomainError(f"{a}^{b} overflows") from None
     if _plain(a):
         # scalar base: a**b = exp(b*log(a))
         if float(a) <= 0.0:

@@ -147,22 +147,18 @@ def from_sympy(expression):
     return exprmod.ExprProgram(ast, exprmod._print(ast))
 
 
-def _x(i):
-    return sp.Symbol(f"x{i+1}", real=True)
-
-
-def _y(k, i):
-    return sp.Symbol(f"y{k}_{i+1}", real=True)
+def _row(k, q):
+    """The symbols of the jet row y^(k), with y^(0) = x."""
+    return [sp.Symbol(name, real=True)
+            for name in exprmod.coordinate_names(q, k)[k * q:]]
 
 
 def _gamma(f, k, q):
     """The derivation Gamma at order k, symbolically."""
     out = sp.Integer(0)
-    for i in range(q):
-        out += _y(1, i) * sp.diff(f, _x(i))
-    for j in range(2, k + 1):
-        for i in range(q):
-            out += j * _y(j, i) * sp.diff(f, _y(j - 1, i))
+    for j in range(1, k + 1):
+        for y, lower in zip(_row(j, q), _row(j - 1, q)):
+            out += j * y * sp.diff(f, lower)
     return out
 
 
@@ -173,8 +169,7 @@ def _stage_spray(L, k, q, ginv):
     adds g(y^(k) - S^(k-1), ...) in the top variable only), so the Hessian
     solve reduces to one multiplication by the precomputed inverse metric.
     """
-    top = [_y(k, i) for i in range(q)]
-    lower = [_x(i) for i in range(q)] if k == 1 else [_y(k - 1, i) for i in range(q)]
+    top, lower = _row(k, q), _row(k - 1, q)
     rhs = sp.Matrix(q, 1, lambda v, _:
                     _gamma(sp.diff(L, top[v]), k, q) - sp.diff(L, lower[v]))
     sol = (ginv * rhs) / (4 * (k + 1))
@@ -204,19 +199,20 @@ def prolongation_coefficients(metric_programs, r, q):
     """
     g = sp.Matrix(q, q, lambda i, j: to_sympy(metric_programs[i][j]))
     ginv = g.inv()
+    x, y1 = _row(0, q), _row(1, q)
     gamma = [[[sp.S(0)] * q for _ in range(q)] for _ in range(q)]
     for a in range(q):
         for b in range(q):
             for c in range(q):
                 s = sp.S(0)
                 for d in range(q):
-                    s += ginv[a, d] * (sp.diff(g[d, c], _x(b))
-                                       + sp.diff(g[b, d], _x(c))
-                                       - sp.diff(g[b, c], _x(d)))
+                    s += ginv[a, d] * (sp.diff(g[d, c], x[b])
+                                       + sp.diff(g[b, d], x[c])
+                                       - sp.diff(g[b, c], x[d]))
                 gamma[a][b][c] = sp.cancel(s / 2)
 
     m1 = sp.Matrix(q, q, lambda a, b:
-                   sum(gamma[a][b][m] * _y(1, m) for m in range(q)))
+                   sum(gamma[a][b][m] * y1[m] for m in range(q)))
     matrices = [m1]
     for k in range(1, r):
         prev = matrices[-1]
@@ -251,12 +247,13 @@ class _LiftRecursion:
         q = self.q
         k = len(self.programs) + 1
         if k == 1:
-            L = sp.expand(self._quad([_y(1, i) for i in range(q)]))
+            L = sp.expand(self._quad(_row(1, q)))
         else:
             if self.ginv is None:
                 self.ginv = self.g.inv().applyfunc(sp.cancel)
             spray = _stage_spray(self.top, k - 1, q, self.ginv)
-            L = self.top + self._quad([_y(k, i) - spray[i] for i in range(q)])
+            L = self.top + self._quad([y - s for y, s in zip(_row(k, q),
+                                                               spray)])
         self.top = L
         self.programs.append(from_sympy(L))
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import pathlib
@@ -5,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folijet.cli import main
 
@@ -59,6 +62,21 @@ def test_validate_non_foliated_is_input_error(capsys, tmp_path):
     assert "foliated" in err
 
 
+def with_metric(entry):
+    """A metric `entry` on chart A, whose domain widens to [0.5, 8]."""
+    def change(doc):
+        doc["charts"][0]["domain"] = [[0.5, 8.0]]
+        doc["metrics"] = [{"name": "g", "chart": "A",
+                           "components": [[entry]]}]
+    return change
+
+
+NUMERIC_BREAKS = {
+    "metric_exp_overflows": with_metric("exp(1000*x1)"),
+    "metric_power_overflows": with_metric("x1^400"),
+    "metric_not_finite": with_metric("1e200*1e200*x1 + 1"),
+}
+
 SCHEMA_BREAKS = {
     "chart_without_name": lambda doc: doc["charts"][0].pop("name"),
     "transition_without_overlap":
@@ -67,12 +85,12 @@ SCHEMA_BREAKS = {
     "leaf_dim_not_an_integer": lambda doc: doc.update(leaf_dim=[0]),
     "interval_bound_not_a_number":
         lambda doc: doc["charts"][0].update(domain=[[None, 2.0]]),
+    **NUMERIC_BREAKS,
 }
 
 
-@pytest.mark.parametrize("case", sorted(SCHEMA_BREAKS))
-def test_schema_errors_exit_2_without_traceback(tmp_path, case):
-    doc = {
+def two_chart_doc():
+    return {
         "leaf_dim": 0,
         "transverse_dim": 1,
         "charts": [
@@ -85,6 +103,11 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, case):
             "overlap": [[0.5, 1.0]],
         }],
     }
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_BREAKS))
+def test_schema_errors_exit_2_without_traceback(tmp_path, case):
+    doc = two_chart_doc()
     SCHEMA_BREAKS[case](doc)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -92,6 +115,18 @@ def test_schema_errors_exit_2_without_traceback(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_BREAKS))
+def test_overflowing_metric_certify_exits_2(tmp_path, capsys, case):
+    doc = two_chart_doc()
+    NUMERIC_BREAKS[case](doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "certify", str(path), "--metric", "g",
+                       "--order", "1")
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_validate_near_singular_fails(capsys, tmp_path):
@@ -287,3 +322,57 @@ def test_deeply_nested_parentheses_exit_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+# -- the exit contract under mutated atlas documents ----------------------
+
+SHIPPED_ATLASES = [json.loads(path.read_text())
+                   for path in sorted((ROOT / "atlases").glob("*.json"))]
+
+OTHER_JSON_VALUES = [None, True, 0, -3, 2.5, 1e308, "x1", "", [], [[]],
+                     [[0.5, 2.0]], [["1"]], {}, {"name": "A"}]
+
+EXPRESSION_POOL = [
+    "exp(1000*x1)", "x1^400", "1e200*1e200*x1 + 1", "1/(x1 - x1)",
+    "1/(x1 - 1)", "log(-1 - x1^2)", "sqrt(-1 - x1^2)", "x1^(-400)",
+    "(" * 150 + "x1" + ")" * 150, "u1 + x1", "x9", "y1_1", "p_1", "z",
+    "x1 +", "sin(", "foo(x1)", "", "2**3", "0",
+]
+
+
+def _slots(node):
+    """Every (container, key) inside a JSON document."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def mutated_atlases(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(SHIPPED_ATLASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        kind = draw(st.sampled_from(["delete", "retype", "expression"]))
+        if kind == "delete":
+            del node[key]
+        elif kind == "retype":
+            kept = type(node[key])
+            node[key] = copy.deepcopy(draw(st.sampled_from(
+                [v for v in OTHER_JSON_VALUES if type(v) is not kept])))
+        else:
+            node[key] = draw(st.sampled_from(EXPRESSION_POOL))
+    return doc
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(mutated_atlases())
+def test_validate_exit_contract_under_mutation(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "atlas.json"
+    path.write_text(json.dumps(doc))
+    # any exception escaping main fails the test
+    assert main(["validate", str(path), "--samples", "3"]) in (0, 1, 2)

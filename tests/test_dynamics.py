@@ -164,7 +164,7 @@ def test_dual_coefficients_hand_value():
 
 
 def test_dual_coefficients_zero_spray():
-    S = SemiSprayField.from_programs([parse("0")], order=2, qdim=1)
+    S = SemiSprayField.from_lagrangian(lagrangian("y2_1^2", 2))
     coeffs = dual_coefficients(S, jet_point([0.5], [[0.3], [0.1]]))
     assert all(np.allclose(m, 0.0) for m in coeffs.M)
 
@@ -201,7 +201,7 @@ def test_dual_coefficients_match_finite_differences(text, r, q):
 
 
 def test_projectors_flat_first_order():
-    S = SemiSprayField.from_programs([parse("0")], order=1, qdim=1)
+    S = SemiSprayField.from_lagrangian(lagrangian("y1_1^2", 1))
     h, v = projectors(S, jet_point([0.5], [[0.3]]))
     assert np.allclose(h, np.diag([1.0, 0.0]), atol=1e-12)
     assert np.allclose(v, np.diag([0.0, 1.0]), atol=1e-12)
@@ -228,7 +228,7 @@ def test_projector_laws(text, r, q):
 
 
 def test_horizontal_coefficients_read_off():
-    S = SemiSprayField.from_programs([parse("0")], order=1, qdim=1)
+    S = SemiSprayField.from_lagrangian(lagrangian("y1_1^2", 1))
     pt = jet_point([0.5], [[0.3]])
     h, _ = projectors(S, pt)
     N = horizontal_coefficients(h, 1, 1).N
@@ -253,6 +253,6 @@ def test_spray_vector_components():
 
 
 def test_spray_order_mismatch():
-    S = SemiSprayField.from_programs([parse("0")], order=1, qdim=1)
+    S = SemiSprayField.from_lagrangian(lagrangian("y1_1^2", 1))
     with pytest.raises(OrderError):
         S.components(jet_point([0.5], [[0.3], [0.1]]))

@@ -1,12 +1,15 @@
 import copy
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import folijet
 from folijet import scalars
 from folijet.errors import (
     DomainError,
@@ -18,6 +21,7 @@ from folijet.expr import (
     CONST,
     FUNCTIONS,
     LOAD,
+    VARIABLE_NAME,
     Binary,
     Call,
     Const,
@@ -25,6 +29,7 @@ from folijet.expr import (
     Num,
     Unary,
     Var,
+    coordinate_names,
     is_variable_name,
     parse,
 )
@@ -62,6 +67,18 @@ def test_variable_name_grammar():
         assert is_variable_name(good)
     for bad in ("x0", "y0_1", "y1_0", "p1", "xy", "foo"):
         assert not is_variable_name(bad)
+
+
+def test_coordinate_names_have_one_owner():
+    names = coordinate_names(2, 2, 1)
+    assert names == ["u1", "x1", "x2", "y1_1", "y1_2", "y2_1", "y2_2"]
+    assert all(VARIABLE_NAME.match(name) for name in names)
+    # no other module formats a coordinate name
+    spelled = re.compile(r'f"[ux]\{|f"y\{[^}]*\}_')
+    package = pathlib.Path(folijet.__file__).parent
+    owners = {path.name for path in package.glob("*.py")
+              if spelled.search(path.read_text(encoding="utf-8"))}
+    assert owners <= {"expr.py"}
 
 
 def test_eval_reals():

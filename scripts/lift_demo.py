@@ -10,8 +10,12 @@ coefficients are computed numerically) at a sample point.
 import numpy as np
 
 from folijet.jets import TransverseJetPoint, restrict_to_zero_section
-from folijet.riemann import MetricField, lift_lagrangian, lift_metric
-from folijet.symbolic import prolongation_coefficients
+from folijet.riemann import (
+    MetricField,
+    lift_lagrangian,
+    lift_metric,
+    prolongation_coefficients,
+)
 
 R = 3
 
@@ -29,7 +33,7 @@ def run():
     print(f"\nexp(x1) lift lagrangian (r={R}):")
     print(" ", L.program.to_text())
     lifted = lift_metric(expg, R)
-    coefficients = prolongation_coefficients(expg.components, R, expg.qdim)
+    coefficients = prolongation_coefficients(expg, R)
     for k, mat in enumerate(coefficients, start=1):
         print(f"connection coefficient M_({k}):",
               [[prog.to_text() for prog in row] for row in mat])

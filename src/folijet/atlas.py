@@ -356,6 +356,11 @@ def sample_overlap(transition, n, seed):
 # ---------------------------------------------------------------------------
 
 
+def _gap(a, b):
+    """Largest entry gap between two (leaf, base) points."""
+    return max(abs(x - y) for x, y in zip(a[0] + a[1], b[0] + b[1]))
+
+
 def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
                       roundtrip_tol=ROUNDTRIP_TOLERANCE,
                       cocycle_tol=COCYCLE_TOLERANCE) -> Report:
@@ -390,11 +395,8 @@ def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
             if inverse is not None:
                 image = apply_transition(atlas, t, leaf, base)
                 back = apply_transition(atlas, inverse, *image)
-                dev = max(
-                    max((abs(a - b) for a, b in zip(back[0], leaf)), default=0.0),
-                    max(abs(a - b) for a, b in zip(back[1], base)),
-                )
-                roundtrip_max = max(roundtrip_max, dev)
+                roundtrip_max = max(roundtrip_max,
+                                    _gap(back, (leaf, base)))
         report.add("transverse_jacobian_invertible", t.name, min_det, det_tol,
                    direction=">")
         report.add("mixed_block_zero", t.name, mixed_max, 0.0)
@@ -414,11 +416,7 @@ def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
             leaf, base = tuple(pt[:p]), tuple(pt[p:])
             via = apply_transition(atlas, t2, *apply_transition(atlas, t1, leaf, base))
             direct = apply_transition(atlas, t3, leaf, base)
-            dev = max(
-                max((abs(a - b) for a, b in zip(via[0], direct[0])), default=0.0),
-                max(abs(a - b) for a, b in zip(via[1], direct[1])),
-            )
-            dev_max = max(dev_max, dev)
+            dev_max = max(dev_max, _gap(via, direct))
         report.add("cocycle", f"{t2.name} o {t1.name} == {t3.name}", dev_max,
                    cocycle_tol)
 

@@ -37,11 +37,11 @@ from .legendre import (
     pseudo_hamiltonian,
 )
 from .report import Report
-from .symbolic import prolongation_coefficients
 from .riemann import (
     holonomy_check,
     lift_lagrangian,
     lift_metric,
+    prolongation_coefficients,
     sample_jets,
     vertical_exactness_check,
 )
@@ -220,8 +220,7 @@ def cmd_lift(args):
     charts = {}
     for chart, fld in family.items():
         L = lift_lagrangian(fld, args.order)
-        coeffs = prolongation_coefficients(fld.components, args.order,
-                                           fld.qdim)
+        coeffs = prolongation_coefficients(fld, args.order)
         charts[chart] = {
             "lagrangian": L.program.to_text(),
             "connection": [[[prog.to_text() for prog in row] for row in mat]
@@ -232,20 +231,20 @@ def cmd_lift(args):
     return 0
 
 
+def _sample_bases(atlas, chart, samples, seed, salt):
+    """(rng, base point) pairs; the caller draws the rest from the rng."""
+    box = np.asarray(atlas.charts[chart].domain[atlas.p:], dtype=float)
+    rng = np.random.default_rng([int(seed), zlib.crc32(chart.encode()), salt])
+    for _ in range(samples):
+        yield rng, box[:, 0] + rng.random(len(box)) * (box[:, 1] - box[:, 0])
+
+
 def _projector_checks(report, atlas, family, order, samples, seed, tol):
     for chart, fld in family.items():
-        L = lift_lagrangian(fld, order)
-        S = SemiSprayField.from_lagrangian(L)
-        domain = np.asarray(atlas.charts[chart].domain[atlas.p:], dtype=float)
-        rng = np.random.default_rng(
-            [int(seed), zlib.crc32(chart.encode()), 11]
-        )
-        n = (order + 1) * fld.qdim
-        eye = np.eye(n)
+        S = SemiSprayField.from_lagrangian(lift_lagrangian(fld, order))
+        eye = np.eye((order + 1) * fld.qdim)
         dev_sum = dev_idem = 0.0
-        for _ in range(samples):
-            base = domain[:, 0] + rng.random(fld.qdim) * (domain[:, 1]
-                                                          - domain[:, 0])
+        for rng, base in _sample_bases(atlas, chart, samples, seed, 11):
             point = TransverseJetPoint(chart, order, (), tuple(base),
                                        sample_jets(rng, order, fld.qdim))
             h, v = projectors(S, point)
@@ -262,22 +261,17 @@ def _hamiltonian_checks(report, atlas, family, order, samples, seed, tol):
         L = lift_lagrangian(fld, order)
         L1 = lift_lagrangian(fld, 1)
         chain = legendre_chain(L)
-        domain = np.asarray(atlas.charts[chart].domain[atlas.p:], dtype=float)
-        rng = np.random.default_rng(
-            [int(seed), zlib.crc32(chart.encode()), 13]
-        )
         dev = 0.0
-        for _ in range(samples):
-            base = domain[:, 0] + rng.random(fld.qdim) * (domain[:, 1]
-                                                          - domain[:, 0])
+        for rng, base in _sample_bases(atlas, chart, samples, seed, 13):
             momentum = rng.uniform(-2.0, 2.0, fld.qdim)
             cpoint = CotangentJetPoint(chart, 1, (), tuple(base), (),
                                        tuple(momentum))
             want = pseudo_hamiltonian(L1, cpoint).value
             dev = max(dev, abs(chain(base, momentum) - want))
         report.add("diagonal_hamiltonian", chart, dev, tol)
-        report.extend(admissibility_check(L, samples=samples, seed=seed,
-                                          base_box=domain))
+        report.extend(admissibility_check(
+            L, samples=samples, seed=seed,
+            base_box=atlas.charts[chart].domain[atlas.p:]))
 
 
 def cmd_certify(args):
@@ -322,8 +316,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the expression trees that still recurse (hashing, printing,
-        # sympy conversion) were too deep for the interpreter stack
+        # printing an expression recurses; a tree too deep for the
+        # interpreter stack ends here
         print("error: expression too deeply nested to process",
               file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .expr import ExprProgram, coordinate_names
 from .jets import TransverseJetPoint, j_matrix
-from .scalars import Series, second_order, space, value_of
+from .scalars import second_order, space, value_of
 
 __all__ = [
     "LagrangianField",
@@ -72,8 +72,6 @@ def top_row_derivatives(L, base, lower, top):
     values = [*base, *(v for row in lower for v in row),
               *(sp.seed(v, i) for i, v in enumerate(top))]
     out = L.program.eval(dict(zip(coordinate_names(q, L.order), values)))
-    if not isinstance(out, Series):
-        return float(out), [0.0] * q, [[0.0] * q for _ in range(q)]
     return second_order(out.coeffs.tolist(), q)
 
 
@@ -190,8 +188,6 @@ def _semispray_scalars(L, point, lifted=False):
     sp = space(((n, 2), (n, 1)) if lifted else ((n, 2),))
     out = L.program.eval(point_env(
         point, lambda i, v: sp.seed(v, i, n + i) if lifted else sp.seed(v, i)))
-    if not isinstance(out, Series):
-        out = sp.constant(out)
     _, grad, hess = second_order(out.split(0) if lifted else out.coeffs, n)
 
     h = [row[r * q:] for row in hess[r * q:]]
@@ -262,8 +258,7 @@ class SemiSprayField:
         self._check(point)
         n = (self.order + 1) * self.qdim
         return np.array([
-            s.coeffs[s.space.variables[n:]] if isinstance(s, Series)
-            else np.zeros(n)
+            s.coeffs[s.space.variables[n:]]
             for s in _semispray_scalars(self.lagrangian, point, lifted=True)])
 
     def _check(self, point):

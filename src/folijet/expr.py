@@ -18,31 +18,31 @@ pairs its names with values.
 
 Parentheses, unary minus and ``^`` nest at most ``MAX_NESTING`` levels deep.
 
-Programs are immutable once parsed.  Each is compiled once, on first use,
-to a tape: a straight-line list of elemental operations in which every
-repeated subexpression is one shared slot, computed once per evaluation.
-Evaluation runs the tape in one loop; it is a pure function of the
-environment and works uniformly over plain floats and series
-(`scalars.Series`), which may be mixed.
+Programs are immutable.  Each is compiled once, on first use, to a tape
+in which every repeated subexpression is one shared slot, and evaluation
+runs the tape in one loop over plain floats and series (`scalars.Series`),
+mixed; a float result comes back as a series if any env value is one.  A
+`Graph` builds programs with shared nodes and their symbolic derivatives.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import re
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Any, Mapping
 
 from . import scalars
-from .errors import ExprSyntaxError, UnboundVariable, UnknownFunction
+from .errors import (DomainError, ExprSyntaxError, UnboundVariable,
+                     UnknownFunction)
 
 __all__ = [
     "ExprProgram",
     "parse",
-    "free_variables",
     "Num",
     "Var",
     "Const",
@@ -52,6 +52,7 @@ __all__ = [
     "VARIABLE_NAME",
     "is_variable_name",
     "coordinate_names",
+    "Graph",
 ]
 
 VARIABLE_NAME = re.compile(
@@ -308,17 +309,17 @@ def _integer_exponent(node):
     return None
 
 
+def _children(node):
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    return (node.arg,) if isinstance(node, (Unary, Call)) else ()
+
+
 def _operands(node):
     """The children an instruction for `node` reads, left to right."""
-    if isinstance(node, (Num, Const, Var)):
-        return ()
-    if isinstance(node, (Unary, Call)):
-        return (node.arg,)
-    if isinstance(node, Binary):
-        if _integer_exponent(node) is not None:
-            return (node.left,)
-        return (node.left, node.right)
-    raise TypeError(f"unknown AST node {node!r}")
+    if isinstance(node, Binary) and _integer_exponent(node) is not None:
+        return (node.left,)
+    return _children(node)
 
 
 def _compile(root):
@@ -431,12 +432,22 @@ def _print(node, parent_prec=0) -> str:
     raise TypeError(f"unknown AST node {node!r}")
 
 
-@dataclass(frozen=True)
 class ExprProgram:
-    """A parsed, immutable expression, evaluated from its compiled tape."""
+    """An immutable expression, evaluated from its compiled tape.
 
-    ast: Any
-    source: str
+    `source` is the text the program was parsed from; a program built on
+    a `Graph` prints its source the first time it is read.  Programs
+    compare and hash by identity, so no graph is ever walked as a tree.
+    """
+
+    def __init__(self, ast, source=None):
+        self.ast = ast
+        if source is not None:
+            self.__dict__["source"] = source
+
+    @cached_property
+    def source(self) -> str:
+        return _print(self.ast)
 
     @cached_property
     def _compiled(self):
@@ -463,12 +474,11 @@ class ExprProgram:
             else:
                 regs[out] = op(regs[a])
         value = regs[result]
-        if isinstance(value, (int, float)) and env:
-            # literal-only programs should still come back in the env's kind
+        if isinstance(value, (int, float)):
+            # a value that read no series still comes back in the env's kind
             for sample in env.values():
-                if not isinstance(sample, (int, float)):
-                    return scalars.constant_like(sample, value)
-                break
+                if isinstance(sample, scalars.Series):
+                    return sample.space.constant(value)
         return value
 
     def free_variables(self) -> frozenset:
@@ -477,14 +487,219 @@ class ExprProgram:
     def to_text(self) -> str:
         return _print(self.ast)
 
-    def __str__(self):
-        return self.to_text()
-
 
 def parse(text: str) -> ExprProgram:
     """Parse expression text into an immutable program."""
     return ExprProgram(_Parser(text).parse(), text)
 
 
-def free_variables(program: ExprProgram) -> frozenset:
-    return program.free_variables()
+# -- expression graphs ------------------------------------------------------
+#
+# Every repeated subexpression of a graph is one node (Griewank & Walther,
+# ch. 6; Guenter, SIGGRAPH 2007), interned on its operation and the ids of
+# its operands, never on its value: hashing, comparing or printing a
+# shared graph walks it as a tree, in time exponential in its depth.
+
+
+_METHODS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
+
+# f'(u) for f(u) = node, in terms of u, the node and the graph
+_DERIVATIVES = {
+    "exp": lambda G, u, f: f,
+    "log": lambda G, u, f: G.div(G.one, u),
+    "sin": lambda G, u, f: G.call("cos", u),
+    "cos": lambda G, u, f: G.mul(G.num(-1.0), G.call("sin", u)),
+    "tan": lambda G, u, f: G.add(G.one, G.mul(f, f)),
+    "sqrt": lambda G, u, f: G.div(G.num(0.5), f),
+    "atan": lambda G, u, f: G.div(G.one, G.add(G.one, G.mul(u, u))),
+}
+
+
+class Graph:
+    """Builds shared AST nodes and their symbolic derivatives.
+
+    Operations on numbers fold when the result is finite.  Products keep
+    one normal form (see `_product`), so like factors merge, x*0, x*1 and
+    1/(1/x) fold away, and like multiples of one product sum to one.
+    ``diff`` is memoised per (node, variable) and skips every node free
+    of the variable.
+    """
+
+    def __init__(self):
+        self._nodes = {}  # (op, operand ids) or ("num", bits) -> node
+        self._free = {}  # id(node) -> frozenset of the variables it reads
+        self._rank = {}  # id(node) -> the order the graph made it in
+        self._derivatives = {}  # variable -> {id(node): derivative}
+        self.zero, self.one = self.num(0.0), self.num(1.0)
+
+    def _add_node(self, key, node, free):
+        self._nodes[key] = node
+        self._free[id(node)], self._rank[id(node)] = free, len(self._rank)
+        return node
+
+    def _make(self, op, *args):
+        """The node of `op` on `args`, folded to a number if they are."""
+        if all(type(a) is Num for a in args):
+            with contextlib.suppress(DomainError, ArithmeticError, ValueError):
+                value = (_BINARY.get(op) or scalars.UNARY_FUNCTIONS[op])(
+                    *(a.value for a in args))
+                if math.isfinite(value):
+                    return self.num(value)
+        key = (op, *map(id, args))
+        return self._nodes.get(key) or self._add_node(
+            key, Binary(op, *args) if len(args) == 2 else Call(op, *args),
+            frozenset().union(*(self._free[id(a)] for a in args)))
+
+    def num(self, value):
+        key = ("num", struct.pack("<d", value))
+        return self._nodes.get(key) or self._add_node(key, Num(float(value)),
+                                                      frozenset())
+
+    def var(self, name):
+        return self._nodes.get(("var", name)) or self._add_node(
+            ("var", name), Var(name), frozenset((name,)))
+
+    def _factors(self, node, c, powers):
+        """Multiply `c` and `powers` (id(base) -> [base, exponent]) by the
+        factors of `node`; the new coefficient."""
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            if type(n) is Num:
+                c *= n.value
+            elif type(n) is Binary and n.op == "*":
+                stack += [n.right, n.left]
+            elif type(n) is Binary and n.op == "^" and type(n.right) is Num:
+                powers.setdefault(id(n.left), [n.left, 0.0])[1] += \
+                    n.right.value
+            else:
+                powers.setdefault(id(n), [n, 0.0])[1] += 1.0
+        return c
+
+    def _product(self, c, powers):
+        """c times the powers [base, exponent] in the normal form: the
+        factors in the order the graph made them, the number scaling the
+        first, so products that share their first factors share a chain."""
+        out = None
+        for base, e in sorted(powers, key=lambda p: self._rank[id(p[0])]):
+            e = round(e) if abs(e - round(e)) < 1e-12 else e  # x^a x^-a = 1
+            if e != 0.0:
+                f = base if e == 1.0 else self._make("^", base, self.num(e))
+                out = (f if c == 1.0 else self._make("*", self.num(c), f)) \
+                    if out is None else self._make("*", out, f)
+        return self.num(c) if out is None or c == 0.0 else out
+
+    def mul(self, a, b):
+        powers = {}
+        c = self._factors(b, self._factors(a, 1.0, powers), powers)
+        return self._product(c, powers.values())
+
+    def div(self, a, b):
+        if a is b:
+            return self.one
+        if type(a) is Num or type(b) is Num or (type(b) is Binary
+                                                and b.op in "*^"):
+            # a times the reciprocal of the product b
+            powers = {}
+            c = self._factors(b, 1.0, powers)
+            if c != 0.0:
+                return self.mul(a, self._product(
+                    1.0 / c, [(base, -e) for base, e in powers.values()]))
+        return self._make("/", a, b)
+
+    def add(self, a, b, sign=1.0):
+        """a + sign b; like multiples of one product fold to one."""
+        pa, pb = {}, {}
+        ca, cb = self._factors(a, 1.0, pa), self._factors(b, 1.0, pb)
+        if {k: e for k, (_, e) in pa.items() if e} == \
+                {k: e for k, (_, e) in pb.items() if e}:
+            return self._product(ca + sign * cb, pa.values())
+        if ca == 0.0:
+            return self.mul(self.num(sign), b)
+        return a if cb == 0.0 else self._make("+" if sign > 0 else "-", a, b)
+
+    def sub(self, a, b):
+        return self.add(a, b, -1.0)
+
+    def pow(self, a, b):
+        return self._product(1.0, [(a, b.value)]) if type(b) is Num \
+            else self._make("^", a, b)
+
+    def call(self, fn, a):
+        return self.mul(self.num(-1.0), a) if fn == "neg" else \
+            self._make(fn, a)
+
+    def sum(self, terms):
+        return reduce(self.add, terms, self.zero)
+
+    def _post_order(self, root, done, build, leaf=lambda node: None):
+        """done[id(node)] = build(node, results of its children) for every
+        node under `root` not yet done, without recursion; a node for which
+        `leaf` gives a result is not descended into."""
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if id(node) in done:
+                continue
+            out = leaf(node)
+            if out is None:
+                pending = [c for c in _children(node) if id(c) not in done]
+                if pending:
+                    stack += [node, *pending]
+                    continue
+                out = build(node, [done[id(c)] for c in _children(node)])
+            done[id(node)] = out
+        return done[id(root)]
+
+    def load(self, ast):
+        """The graph's node for a parsed AST."""
+        def build(node, args):
+            if isinstance(node, (Num, Const)):
+                return self.num(node.value if isinstance(node, Num)
+                                else CONSTANTS[node.name])
+            if isinstance(node, Var):
+                return self.var(node.name)
+            if isinstance(node, Binary):
+                return getattr(self, _METHODS[node.op])(*args)
+            return self.call(getattr(node, "fn", "neg"), *args)
+        return self._post_order(ast, {}, build)
+
+    def diff(self, root, name):
+        """d root / d name."""
+        return self._post_order(
+            root, self._derivatives.setdefault(name, {}), self._chain_rule,
+            lambda node: None if name in self._free[id(node)] else self.zero)
+
+    def _chain_rule(self, node, d):
+        """The derivative of `node`, given those of its children."""
+        if isinstance(node, Var):
+            return self.one
+        if isinstance(node, Call):
+            return self.mul(_DERIVATIVES[node.fn](self, node.arg, node), d[0])
+        a, b, (da, db) = node.left, node.right, d
+        if node.op in "+-":
+            return getattr(self, _METHODS[node.op])(da, db)
+        if node.op == "*":
+            return self.add(self.mul(da, b), self.mul(a, db))
+        if node.op == "/":  # (a/b)' = (a' - (a/b) b') / b
+            return self.div(self.sub(da, self.mul(node, db)), b)
+        if type(b) is Num:
+            return self.mul(self.mul(b, self.pow(a, self.num(b.value - 1))),
+                            da)
+        # (a^b)' = a^b (b' log(a) + b a' / a)
+        return self.mul(node, self.add(self.mul(db, self.call("log", a)),
+                                       self.div(self.mul(b, da), a)))
+
+    def inverse(self, matrix):
+        """The inverse of a square matrix of nodes by Gauss-Jordan
+        elimination; no pivoting, as for a positive-definite matrix."""
+        n = len(matrix)
+        rows = [[*row, *(self.one if i == j else self.zero for j in range(n))]
+                for i, row in enumerate(matrix)]
+        for col in range(n):
+            pivot = rows[col][col]
+            rows[col] = [self.div(a, pivot) for a in rows[col]]
+            for i in set(range(n)) - {col}:
+                rows[i] = [self.sub(a, self.mul(rows[i][col], b))
+                           for a, b in zip(rows[i], rows[col])]
+        return [row[n:] for row in rows]

@@ -44,6 +44,19 @@ def _finite_tuple(values, what):
     return out
 
 
+def _check_rows(point, rows):
+    """Store a point's leaf, base and `rows` jet rows as finite floats."""
+    object.__setattr__(point, "leaf", _finite_tuple(point.leaf, "leaf"))
+    base = _finite_tuple(point.base, "base")
+    object.__setattr__(point, "base", base)
+    jets = tuple(_finite_tuple(row, "jets") for row in point.jets)
+    if len(jets) != rows:
+        raise ShapeError(f"expected {rows} jet rows, got {len(jets)}")
+    if any(len(row) != len(base) for row in jets):
+        raise ShapeError("jet rows must match the transverse dimension")
+    object.__setattr__(point, "jets", jets)
+
+
 @dataclass(frozen=True)
 class TransverseJetPoint:
     """A point of the order-r transverse bundle in one chart.
@@ -60,17 +73,7 @@ class TransverseJetPoint:
     def __post_init__(self):
         if self.order < 1:
             raise OrderError(f"jet order must be >= 1, got {self.order}")
-        object.__setattr__(self, "leaf", _finite_tuple(self.leaf, "leaf"))
-        base = _finite_tuple(self.base, "base")
-        object.__setattr__(self, "base", base)
-        jets = tuple(_finite_tuple(row, "jets") for row in self.jets)
-        if len(jets) != self.order:
-            raise ShapeError(
-                f"expected {self.order} jet rows, got {len(jets)}"
-            )
-        if any(len(row) != len(base) for row in jets):
-            raise ShapeError("jet rows must match the transverse dimension")
-        object.__setattr__(self, "jets", jets)
+        _check_rows(self, self.order)
 
     @property
     def qdim(self):

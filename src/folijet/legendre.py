@@ -28,9 +28,9 @@ from .errors import (
     SingularHessian,
 )
 from .expr import coordinate_names
-from .jets import TransverseJetPoint
+from .jets import TransverseJetPoint, _check_rows, _finite_tuple
 from .report import Report
-from .scalars import Series, second_order, space, value_of
+from .scalars import second_order, space, value_of
 
 __all__ = [
     "CotangentJetPoint",
@@ -48,13 +48,6 @@ CONDITION_LIMIT = 1e12
 RAY_TOLERANCE = 1e-8
 ZERO_SECTION_TOLERANCE = 1e-12
 EIG_TOLERANCE = 1e-9
-
-
-def _finite_tuple(values, what):
-    out = tuple(float(v) for v in values)
-    if not all(math.isfinite(v) for v in out):
-        raise InvariantViolation(f"non-finite entry in {what}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -75,19 +68,9 @@ class CotangentJetPoint:
     def __post_init__(self):
         if self.order < 1:
             raise ShapeError(f"order must be >= 1, got {self.order}")
-        object.__setattr__(self, "leaf", _finite_tuple(self.leaf, "leaf"))
-        base = _finite_tuple(self.base, "base")
-        object.__setattr__(self, "base", base)
-        jets = tuple(_finite_tuple(row, "jets") for row in self.jets)
-        if len(jets) != self.order - 1:
-            raise ShapeError(
-                f"expected {self.order - 1} jet rows, got {len(jets)}"
-            )
-        if any(len(row) != len(base) for row in jets):
-            raise ShapeError("jet rows must match the transverse dimension")
-        object.__setattr__(self, "jets", jets)
+        _check_rows(self, self.order - 1)
         momentum = _finite_tuple(self.momentum, "momentum")
-        if len(momentum) != len(base):
+        if len(momentum) != len(self.base):
             raise ShapeError("momentum must match the transverse dimension")
         object.__setattr__(self, "momentum", momentum)
 
@@ -127,13 +110,23 @@ def legendre_map(L, point) -> CotangentJetPoint:
 def _second_order_in(out, group, q):
     """Value, gradient and Hessian of `out` in the q variables of a cap-2
     `group`, as series in the other groups, or as floats for group 0."""
-    if not isinstance(out, Series):
-        return out, [0.0] * q, [[0.0] * q for _ in range(q)]
-    if group == 0:
-        parts = out.coeffs.reshape(out.space.shape[0], -1)[:, 0].tolist()
+    return second_order(out.split(group) if group else out.coeffs.reshape(
+        out.space.shape[0], -1)[:, 0].tolist(), q)
+
+
+def _condition_number(h):
+    """2-norm condition number of a symmetric float matrix, inf when it is
+    singular or not finite: closed form for q <= 2, eigvalsh beyond."""
+    if not all(math.isfinite(v) for row in h for v in row):
+        return math.inf
+    if len(h) == 2:
+        (a, b), (_, d) = h
+        big = abs(0.5 * (a + d)) + math.hypot(0.5 * (a - d), b)
+        small = abs(a * d - b * b) / big if big else 0.0
     else:
-        parts = out.split(group)
-    return second_order(parts, q)
+        eig = np.abs(np.linalg.eigvalsh(h)) if len(h) > 2 else [abs(h[0][0])]
+        big, small = max(eig), min(eig)
+    return big / small if small > 0.0 else math.inf
 
 
 def _newton_top_row(quad_at, target, guess, q, *, stage=None,
@@ -169,9 +162,8 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
                 f"{where}residual {norm:.3e} after {iterations} iterations"
             )
         hess = out[2]
-        cond = float(np.linalg.cond([[value_of(h) for h in row]
-                                     for row in hess]))
-        if not np.isfinite(cond) or cond > condition_limit:
+        cond = _condition_number([[value_of(h) for h in row] for row in hess])
+        if not math.isfinite(cond) or cond > condition_limit:
             raise SingularHessian(
                 f"{where}vertical hessian condition estimate {cond:.3e}"
             )

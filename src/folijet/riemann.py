@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from . import symbolic
 from .dynamics import LagrangianField, semispray, vertical_hessian
 from .errors import DomainError, InvariantViolation, ShapeError, SingularMetric
-from .expr import ExprProgram, coordinate_names, parse
+from .expr import ExprProgram, Graph, coordinate_names, parse
 from .jets import TransverseJetPoint, _taylor_env
 from .report import Report
 
@@ -35,6 +35,7 @@ __all__ = [
     "geodesic_spray",
     "lift_lagrangian",
     "lift_metric",
+    "prolongation_coefficients",
     "holonomy_check",
     "vertical_exactness_check",
     "sample_jets",
@@ -151,12 +152,86 @@ def christoffel(g, base):
     return _christoffel_series(g, base)[1][0]
 
 
-def _quadratic_lagrangian(g):
-    """L^(1)(x, y) = g_x(y, y) as a LagrangianField."""
-    program = symbolic.lift_stages(g.components, 1, g.qdim)[0]
-    return LagrangianField.from_program(
-        program, order=1, qdim=g.qdim, name=f"lift({g.name or 'g'},1)",
-    )
+class _Lift:
+    """The lift recursion of one metric on one expression graph.
+
+    L^(1) = g(y^(1), y^(1)) and L^(k+1) = L^(k) + g(y^(k+1) - S^(k), ...),
+    with S^(k) the spray of L^(k).  Every stage has vertical Hessian 2g,
+    so each spray needs only g^-1, built once by symbolic Gauss-Jordan.
+    Stages and the coefficients M_(k) are built once, when asked for.
+    """
+
+    def __init__(self, texts, q):
+        self.q, self.graph = q, Graph()
+        self.g = [[self.graph.load(parse(text).ast) for text in row]
+                  for row in texts]
+        self.ginv = self.graph.inverse(self.g)
+        self.stages, self.sprays, self.connection = [], [], []
+
+    def row(self, k):
+        """The nodes of the jet row y^(k), with y^(0) = x."""
+        names = coordinate_names(self.q, k)[k * self.q:]
+        return list(map(self.graph.var, names))
+
+    def _derivation(self, f, k):
+        """Gamma f = sum_(j<=k) j y^(j) . df/dy^(j-1)."""
+        G = self.graph
+        return G.sum(G.mul(G.mul(G.num(j), y), G.diff(f, lower.name))
+                     for j in range(1, k + 1)
+                     for y, lower in zip(self.row(j), self.row(j - 1)))
+
+    def lagrangian(self, r):
+        G, q = self.graph, self.q
+        while len(self.stages) < r:
+            k = len(self.stages)
+            if k == 0:
+                L, v = G.zero, self.row(1)
+            else:
+                # S^(k) = g^-1 (Gamma dL/dy^(k) - dL/dy^(k-1)) / (4(k+1))
+                L = self.stages[-1].ast
+                rhs = [G.sub(self._derivation(G.diff(L, top.name), k),
+                             G.diff(L, lower.name))
+                       for top, lower in zip(self.row(k), self.row(k - 1))]
+                self.sprays.append([G.div(G.sum(map(G.mul, row, rhs)),
+                                          G.num(4 * (k + 1)))
+                                    for row in self.ginv])
+                v = list(map(G.sub, self.row(k + 1), self.sprays[-1]))
+            # g(v, v) = sum_i g_ii v_i^2 + sum_(i<j) 2 g_ij v_i v_j
+            self.stages.append(ExprProgram(G.add(L, G.sum(
+                G.mul(G.num(2 - (i == j)), G.mul(self.g[i][j],
+                                                 G.mul(v[i], v[j])))
+                for i in range(q) for j in range(i, q)))))
+        return self.stages[r - 1]
+
+    def coefficients(self, r):
+        """M_(1..r): M_(1) = Gamma(x) y^(1) = 2 dS^(1)/dy^(1), as the
+        stage-1 spray is S^(1) = Gamma(x)(y^(1), y^(1)) / 4; then
+        M_(k+1) = (Gamma M_(k) + M_(1) M_(k)) / (k + 1)."""
+        G, q = self.graph, self.q
+        if not self.connection:
+            self.lagrangian(2)
+            self.connection.append([[G.mul(G.num(2.0), G.diff(s, y.name))
+                                     for y in self.row(1)]
+                                    for s in self.sprays[0]])
+        m1 = self.connection[0]
+        while len(self.connection) < r:
+            k, prev = len(self.connection), self.connection[-1]
+            self.connection.append([[G.div(G.add(
+                self._derivation(prev[a][b], k + 1),
+                G.sum(G.mul(m1[a][c], prev[c][b]) for c in range(q))),
+                G.num(k + 1)) for b in range(q)] for a in range(q)])
+        return [tuple(tuple(map(ExprProgram, row)) for row in mat)
+                for mat in self.connection[:r]]
+
+
+_lift_of = lru_cache(maxsize=64)(_Lift)  # one recursion per metric
+
+
+def _lift(g):
+    """The lift recursion of g, kept per metric and keyed on the entries'
+    source text, so a higher order continues from the stages built."""
+    return _lift_of(tuple(tuple(p.source or p.to_text() for p in row)
+                          for row in g.components), g.qdim)
 
 
 def geodesic_spray(g, point):
@@ -166,7 +241,7 @@ def geodesic_spray(g, point):
     gamma = christoffel(g, point.base)
     y = np.asarray(point.jets[0])
     via_christoffel = 0.25 * np.einsum("abc,b,c->a", gamma, y, y)
-    via_lagrangian = semispray(_quadratic_lagrangian(g), point)
+    via_lagrangian = semispray(lift_lagrangian(g, 1), point)
     dev = float(np.max(np.abs(via_christoffel - via_lagrangian)))
     if dev > SPRAY_CROSSCHECK_TOLERANCE:
         raise InvariantViolation(
@@ -179,10 +254,22 @@ def lift_lagrangian(g, r) -> LagrangianField:
     """The recursive metric lift L^(r); smooth, vertical Hessian 2g."""
     if r < 1:
         raise ShapeError(f"need r >= 1, got {r}")
-    program = symbolic.lift_stages(g.components, r, g.qdim)[r - 1]
     return LagrangianField.from_program(
-        program, order=r, qdim=g.qdim, name=f"lift({g.name or 'g'},{r})",
+        _lift(g).lagrangian(r), order=r, qdim=g.qdim,
+        name=f"lift({g.name or 'g'},{r})",
     )
+
+
+def prolongation_coefficients(g, r):
+    """The prolonged connection coefficients M_(1..r) in closed form.
+
+    Each is a q x q tuple of programs over (x, y^(1..r)): the forms
+    `folijet lift` prints, whose values `LiftedMetric` computes
+    numerically at each jet point.
+    """
+    if r < 1:
+        raise ShapeError(f"need r >= 1, got {r}")
+    return _lift(g).coefficients(r)
 
 
 def _transport_coefficients(g, point, r):

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError, SpaceMismatch
 
 __all__ = ["Space", "Series", "space", "second_order", "value_of",
-           "constant_like", "exp", "log", "sin", "cos", "tan", "sqrt", "atan",
+           "exp", "log", "sin", "cos", "tan", "sqrt", "atan",
            "power", "UNARY_FUNCTIONS"]
 
 
@@ -399,13 +399,6 @@ def _div(a, b):
 def value_of(x):
     """The float value of a series or a plain number."""
     return x.value if isinstance(x, Series) else float(x)
-
-
-def constant_like(template, value):
-    """A constant in the space of `template`, or a float."""
-    if isinstance(template, Series):
-        return template.space.constant(value)
-    return float(value)
 
 
 def second_order(parts, count):

@@ -3,12 +3,16 @@
 Everything here except `eval_ast` deliberately avoids the library's own
 series arithmetic: jet transport is recomputed with sympy power series,
 products with literal polynomial convolution, the Legendre chain with
-sympy derivatives and mpmath root finding, and derivatives with central
-finite differences.  `eval_ast` and `collect_variables` are the
+sympy derivatives and mpmath root finding, the metric lift and its
+connection coefficients in sympy, and derivatives with central finite
+differences.  `eval_ast` and `collect_variables` are the
 references for the compiled expression tape: they walk the AST
 recursively, recomputing every repeated subtree, and `eval_ast` makes the
 same elemental calls as the tape.
 """
+
+import math
+import operator
 
 import mpmath
 import numpy as np
@@ -16,7 +20,8 @@ import sympy as sp
 
 from folijet import scalars
 from folijet.errors import UnboundVariable
-from folijet.expr import CONSTANTS, Binary, Call, Const, Num, Unary, Var
+from folijet.expr import (CONSTANTS, Binary, Call, Const, Num, Unary, Var,
+                          coordinate_names)
 
 
 def eval_ast(node, env):
@@ -68,14 +73,13 @@ def collect_variables(node):
 
 
 def eval_program(program, env):
-    """`ExprProgram.eval` as the recursive walk: literal-only programs
-    come back in the env's kind."""
+    """`ExprProgram.eval` as the recursive walk: a float result comes back
+    as a series whenever any env value is one."""
     result = eval_ast(program.ast, env)
-    if isinstance(result, (int, float)) and env:
+    if isinstance(result, (int, float)):
         for sample in env.values():
-            if not isinstance(sample, (int, float)):
-                return scalars.constant_like(sample, result)
-            break
+            if isinstance(sample, scalars.Series):
+                return sample.space.constant(result)
     return result
 
 
@@ -230,3 +234,128 @@ def central_hessian(fn, x, h=1e-4):
                 - fn(x - ei + ej) + fn(x - ei - ej)
             ) / (4 * h**2)
     return out
+
+
+# -- the metric lift in sympy ----------------------------------------------
+
+_SYMPY_FUNCTIONS = {"exp": sp.exp, "log": sp.log, "sin": sp.sin,
+                    "cos": sp.cos, "tan": sp.tan, "sqrt": sp.sqrt,
+                    "atan": sp.atan, "neg": operator.neg}
+_SYMPY_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                 "/": operator.truediv, "^": operator.pow}
+
+
+def to_sympy(program):
+    """An expression program as a sympy expression, by recursive descent;
+    integral literals become exact integers."""
+    def conv(node):
+        if isinstance(node, Num):
+            v = node.value
+            return sp.Integer(int(v)) if float(v).is_integer() else sp.Float(v)
+        if isinstance(node, Const):
+            return sp.pi if node.name == "pi" else sp.E
+        if isinstance(node, Var):
+            return sp.Symbol(node.name, real=True)
+        if isinstance(node, Unary):
+            return -conv(node.arg)
+        if isinstance(node, Call):
+            return _SYMPY_FUNCTIONS[node.fn](conv(node.arg))
+        return _SYMPY_BINARY[node.op](conv(node.left), conv(node.right))
+    return conv(program.ast)
+
+
+def _row(k, q):
+    """The symbols of the jet row y^(k), with y^(0) = x."""
+    return [sp.Symbol(name, real=True)
+            for name in coordinate_names(q, k)[k * q:]]
+
+
+def _gamma(f, k, q):
+    """The derivation Gamma at order k, symbolically."""
+    out = sp.Integer(0)
+    for j in range(1, k + 1):
+        for y, lower in zip(_row(j, q), _row(j - 1, q)):
+            out += j * y * sp.diff(f, lower)
+    return out
+
+
+def sympy_lift_stages(metric_programs, r, q):
+    """L^(1..r) of L^(k) = L^(k-1) + g(y^(k) - S^(k-1), ...) in sympy.
+
+    The spray of each stage solves its vertical Hessian 2g with the
+    inverse metric; stage 1 is brought to a normal form, later stages are
+    kept as built.
+    """
+    g = sp.Matrix(q, q, lambda i, j: to_sympy(metric_programs[i][j]))
+    ginv = g.inv().applyfunc(sp.cancel)
+
+    def quad(vec):
+        col = sp.Matrix(q, 1, lambda i, _: vec[i])
+        return (col.T * g * col)[0, 0]
+
+    stages = [sp.expand(quad(_row(1, q)))]
+    for k in range(1, r):
+        L, top, lower = stages[-1], _row(k, q), _row(k - 1, q)
+        rhs = sp.Matrix(q, 1, lambda v, _: _gamma(sp.diff(L, top[v]), k, q)
+                        - sp.diff(L, lower[v]))
+        sol = (ginv * rhs) / (4 * (k + 1))
+        spray = [sp.cancel(sp.expand(sol[i, 0])) if k == 1 else sol[i, 0]
+                 for i in range(q)]
+        stages.append(L + quad([y - s for y, s in zip(_row(k + 1, q),
+                                                      spray)]))
+    return stages
+
+
+def sympy_prolongation_coefficients(metric_programs, r, q):
+    """M_(1..r) as sympy matrices over (x, y^(1..r)).
+
+    M_(1) is the Christoffel form Gamma(x) y^(1), and
+    M_(k+1) = (Gamma M_(k) + M_(1) M_(k)) / (k + 1) with Gamma the jet
+    derivation.  Only the Christoffel symbols are simplified.
+    """
+    g = sp.Matrix(q, q, lambda i, j: to_sympy(metric_programs[i][j]))
+    ginv = g.inv()
+    x, y1 = _row(0, q), _row(1, q)
+    gamma = [[[sp.cancel(sum(ginv[a, d] * (sp.diff(g[d, c], x[b])
+                                           + sp.diff(g[b, d], x[c])
+                                           - sp.diff(g[b, c], x[d]))
+                             for d in range(q)) / 2)
+               for c in range(q)] for b in range(q)] for a in range(q)]
+    m1 = sp.Matrix(q, q, lambda a, b:
+                   sum(gamma[a][b][m] * y1[m] for m in range(q)))
+    matrices = [m1]
+    for k in range(1, r):
+        prev = matrices[-1]
+        step = prev.applyfunc(lambda f: _gamma(f, k + 1, q)) + m1 * prev
+        matrices.append(step / (k + 1))
+    return matrices
+
+
+_FLOAT_FUNCTIONS = {sp.exp: math.exp, sp.log: math.log, sp.sin: math.sin,
+                    sp.cos: math.cos, sp.tan: math.tan, sp.atan: math.atan}
+
+
+def sympy_value(expression, env):
+    """The float value of a sympy expression for an environment of floats.
+
+    Every distinct subexpression is evaluated once, so a tree that repeats
+    subtrees costs its distinct nodes, not its printed size.  Sums are
+    rounded once, by `math.fsum`.
+    """
+    memo = {sp.Symbol(name, real=True): value for name, value in env.items()}
+
+    def value(e):
+        if e not in memo:
+            if e.is_Number or e in (sp.pi, sp.E):
+                memo[e] = float(e)
+            elif e.is_Add:
+                memo[e] = math.fsum(value(a) for a in e.args)
+            elif e.is_Mul:
+                memo[e] = math.prod(value(a) for a in e.args)
+            elif e.is_Pow:
+                memo[e] = value(e.args[0]) ** value(e.args[1])
+            else:
+                memo[e] = _FLOAT_FUNCTIONS[e.func](value(e.args[0]))
+        return memo[e]
+
+    return value(expression)

@@ -203,6 +203,12 @@ def test_semispray_metric_lift(capsys, atlas_dir):
     assert payload["components"][0] == pytest.approx(0.8 ** 2 / 8.0)
 
 
+def test_cli_import_leaves_sympy_out():
+    proc = run_process("-c", "import sys, folijet.cli; "
+                       "assert 'sympy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lift_emits_programs(capsys, atlas_dir):
     code, out, _ = run(capsys, "lift", str(atlas_dir / "plane.json"),
                        "--metric", "flat", "--order", "2")

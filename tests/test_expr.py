@@ -26,6 +26,7 @@ from folijet.expr import (
     Call,
     Const,
     ExprProgram,
+    Graph,
     Num,
     Unary,
     Var,
@@ -304,3 +305,120 @@ def test_deep_nesting_is_a_syntax_error():
         parse("(" * 2000 + "x1" + ")" * 2000)
     with pytest.raises(ExprSyntaxError):
         parse("-" * 2000 + "x1")
+
+
+# -- env kind ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("series_first", [True, False])
+def test_literal_program_keeps_the_env_kind(series_first):
+    seeded = space(((1, 2),)).seed(0.5, 0)
+    items = [("y1_1", seeded), ("x1", 0.3)]
+    env = dict(items if series_first else items[::-1])
+    for text in ("2", "x1^2"):  # reads no series either way
+        out = parse(text).eval(env)
+        assert isinstance(out, Series)
+        assert out.value == parse(text).eval({"x1": 0.3})
+        assert out.space is seeded.space
+    assert parse("2").eval({"x1": 0.3}) == 2.0
+
+
+# -- expression graphs ------------------------------------------------------
+
+
+def test_graph_interns_by_operand_identity():
+    G = Graph()
+    x, y = G.var("x1"), G.var("y1_1")
+    assert G.add(x, y) is G.add(G.var("x1"), G.var("y1_1"))
+    assert G.add(x, y) is not G.add(y, x)
+    assert G.load(parse("sin(x1)+y1_1").ast) is G.add(G.call("sin", x), y)
+
+
+def test_graph_folds_constants_and_identities():
+    G = Graph()
+    x = G.var("x1")
+    assert G.add(G.num(2.0), G.num(3.0)) is G.num(5.0)
+    assert G.load(parse("x1^(4/3)").ast).right is G.num(4.0 / 3.0)
+    assert G.mul(G.one, x) is x and G.mul(x, G.zero) is G.zero
+    assert G.add(G.zero, x) is x and G.sub(x, G.zero) is x
+    assert G.sub(x, x) is G.zero and G.div(x, x) is G.one
+    assert G.pow(x, G.one) is x and G.pow(x, G.zero) is G.one
+    assert G.call("neg", G.call("neg", x)) is x
+    assert G.div(G.one, G.div(G.one, x)) is x
+    # a failing or overflowing fold is left to evaluation
+    assert isinstance(G.pow(G.zero, G.num(-1.0)), Binary)
+    assert isinstance(G.call("exp", G.num(1000.0)), Call)
+    assert isinstance(G.call("log", G.num(-1.0)), Call)
+
+
+def test_graph_products_have_one_normal_form():
+    G = Graph()
+    x, y = G.var("x1"), G.var("y1_1")
+    two = G.num(2.0)
+    # factor order, numeric factors and like powers do not matter
+    xy2 = G.mul(G.mul(two, x), G.pow(y, two))
+    assert G.mul(y, G.mul(G.mul(x, y), two)) is xy2
+    assert G.mul(G.pow(x, G.num(4 / 3)), G.pow(x, G.num(-1 / 3))) is x
+    assert G.div(G.mul(G.num(6.0), x), G.mul(G.num(3.0), x)) is two
+    # like multiples of one product sum to one multiple
+    assert G.sub(G.mul(G.num(3.0), xy2), xy2) is G.mul(two, xy2)
+    assert G.add(x, x) is G.mul(two, x)
+
+
+DIFF_TEXTS = ["x1^3 * y1_1 - x1/y1_1", "exp(x1*y1_1) + log(x1)",
+              "sin(x1)*cos(y1_1) + tan(x1)", "sqrt(x1 + y1_1^2)",
+              "atan(x1*y1_1) - -x1", "x1^y1_1 + x1^(1/3)",
+              "1/(9*x1^(4/3))", "2/(3*x1) - 1/(1/x1)"]
+
+
+@pytest.mark.parametrize("text", DIFF_TEXTS)
+def test_graph_derivatives_match_series(text):
+    G = Graph()
+    node = G.load(parse(text).ast)
+    at = {"x1": 0.7, "y1_1": 0.4}
+    sp = space(((2, 2),))
+    seeded = {name: sp.seed(v, i) for i, (name, v) in enumerate(at.items())}
+    want = parse(text).eval(seeded).coeffs
+    assert ExprProgram(node).eval(at) == pytest.approx(want[0], rel=1e-13)
+    for i, name in enumerate(at):
+        d = G.diff(node, name)
+        assert G.diff(node, name) is d  # memoised
+        assert ExprProgram(d).eval(at) == pytest.approx(want[1 + i],
+                                                        rel=1e-12)
+        # the mixed and pure second partials
+        for k, other in enumerate(at):
+            got = ExprProgram(G.diff(d, other)).eval(at)
+            lo, hi = sorted((i, k))
+            c = want[3 + {(0, 0): 0, (0, 1): 1, (1, 1): 2}[lo, hi]]
+            assert got == pytest.approx(c * (2.0 if i == k else 1.0),
+                                        rel=1e-12)
+    assert G.diff(node, "x2") is G.zero
+
+
+def test_graph_inverse_is_gauss_jordan():
+    G = Graph()
+    texts = [["2 + x1^2", "x1*x2/5"], ["x1*x2/5", "1 + x2^2"]]
+    m = [[G.load(parse(t).ast) for t in row] for row in texts]
+    inv = G.inverse(m)
+    at = {"x1": 0.8, "x2": -0.3}
+    got = np.array([[ExprProgram(e).eval(at) for e in row] for row in inv])
+    g = np.array([[parse(t).eval(at) for t in row] for row in texts])
+    assert np.allclose(got @ g, np.eye(2), atol=1e-14)
+
+
+def test_graph_builds_deep_sums_without_recursion():
+    G = Graph()
+    ast = Num(1.0)
+    for _ in range(5000):
+        ast = Binary("+", ast, Binary("*", Num(0.5), Var("x1")))
+    node = G.load(ast)
+    d = G.diff(node, "x1")
+    assert ExprProgram(d).eval({"x1": 3.0}) == pytest.approx(2500.0)
+
+
+def test_graph_program_prints_its_source_when_read():
+    G = Graph()
+    program = ExprProgram(G.mul(G.var("x1"), G.var("x1")))
+    assert "source" not in vars(program)
+    assert program.source == "x1^2"
+    assert parse("x1 +1").source == "x1 +1"

@@ -12,6 +12,8 @@ from folijet.expr import parse
 from folijet.jets import TransverseJetPoint
 from folijet.legendre import (
     CotangentJetPoint,
+    _condition_number,
+    _newton_top_row,
     legendre_chain,
     legendre_inverse,
     legendre_map,
@@ -99,11 +101,66 @@ def test_legendre_inverse_singular_guard():
         legendre_inverse(L, cp)
 
 
+def test_cotangent_point_checks_keep_their_messages():
+    with pytest.raises(ShapeError, match="order must be >= 1, got 0"):
+        CotangentJetPoint("", 0, (), (0.5,), (), (1.0,))
+    with pytest.raises(ShapeError, match="expected 1 jet rows, got 0"):
+        CotangentJetPoint("", 2, (), (0.5,), (), (1.0,))
+    with pytest.raises(ShapeError, match="jet rows must match"):
+        CotangentJetPoint("", 2, (), (0.5,), ((1.0, 2.0),), (1.0,))
+    with pytest.raises(ShapeError, match="momentum must match"):
+        CotangentJetPoint("", 1, (), (0.5,), (), (1.0, 2.0))
+    for field in ("leaf", "base", "jets", "momentum"):
+        args = {"leaf": (), "base": (0.5,), "jets": ((0.1,),),
+                "momentum": (1.0,)}
+        args[field] = ((float("nan"),),) if field == "jets" \
+            else (float("nan"),)
+        with pytest.raises(InvariantViolation,
+                           match=f"non-finite entry in {field}"):
+            CotangentJetPoint("", 2, **args)
+    cp = CotangentJetPoint("", 2, [0.0], [0.5], [[1]], [2])
+    assert (cp.leaf, cp.base, cp.jets, cp.momentum) == (
+        (0.0,), (0.5,), ((1.0,),), (2.0,))
+
+
 def test_legendre_inverse_shape_mismatch(flat_metric):
     L = lift_lagrangian(flat_metric, 2)
     cp = CotangentJetPoint("", 1, (), (0.2,), (), (1.0,))
     with pytest.raises(ShapeError):
         legendre_inverse(L, cp)
+
+
+# ------------------------------------------------ newton condition guard
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_condition_number_matches_numpy(q):
+    rng = np.random.default_rng(40 + q)
+    for _ in range(200):
+        a = rng.uniform(-1.0, 1.0, (q, q))
+        h = a + a.T + rng.uniform(-3.0, 3.0) * np.eye(q)
+        want = np.linalg.cond(h)
+        if want > 1e4:  # both lose digits as the matrix nears singular
+            continue
+        assert _condition_number(h.tolist()) == pytest.approx(want,
+                                                              rel=1e-12)
+
+
+@pytest.mark.parametrize("hess", [
+    [[0.0]], [[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+    [[float("nan")]], [[1.0, float("inf")], [float("inf"), 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]],
+])
+def test_newton_rejects_singular_or_non_finite_hessian(hess):
+    q = len(hess)
+    assert _condition_number(hess) == np.inf
+
+    def quad_at(top):
+        return 0.0, list(top), hess
+
+    with pytest.raises(SingularHessian, match="condition estimate inf"):
+        _newton_top_row(quad_at, [1.0] * q, [0.0] * q, q)
 
 
 # ------------------------------------------------------ pseudo-hamiltonian

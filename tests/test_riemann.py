@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from folijet import expr, riemann
+from folijet.atlas import load_atlas_file
+from folijet.cli import main
 from folijet.dynamics import vertical_hessian
 from folijet.errors import ShapeError
-from folijet.expr import parse
+from folijet.expr import coordinate_names, parse
 from folijet.jets import TransverseJetPoint, restrict_to_zero_section
 from folijet.riemann import (
     MetricField,
@@ -13,11 +18,17 @@ from folijet.riemann import (
     holonomy_check,
     lift_lagrangian,
     lift_metric,
+    prolongation_coefficients,
     sample_jets,
     vertical_exactness_check,
 )
-from folijet.symbolic import prolongation_coefficients
-from oracles import coframe_metric
+from conftest import ATLAS_DIR
+from oracles import (
+    coframe_metric,
+    sympy_lift_stages,
+    sympy_prolongation_coefficients,
+    sympy_value,
+)
 
 
 def jet_point(base, jets, chart=""):
@@ -204,16 +215,14 @@ def test_lift_metric_matches_closed_form_coefficients(name, r):
     entries, box = CLOSED_FORM_METRICS[name]
     q = len(entries)
     g = MetricField.from_components(entries, q, name=name)
-    closed = prolongation_coefficients(g.components, r, q)
+    closed = sympy_prolongation_coefficients(g.components, r, q)
     lifted = lift_metric(g, r)
     rng = np.random.default_rng(70 + r)
     for _ in range(10):
         pt = jet_point(rng.uniform(*box, q), sample_jets(rng, r, q))
-        env = {f"x{i+1}": v for i, v in enumerate(pt.base)}
-        env.update({f"y{k}_{i+1}": v for k, row in enumerate(pt.jets, 1)
-                    for i, v in enumerate(row)})
-        coefficients = [np.array([[float(prog.eval(env)) for prog in row]
-                                  for row in mat]) for mat in closed]
+        env = _env(pt)
+        coefficients = [np.array(mat.applyfunc(
+            lambda e: sympy_value(e, env)), dtype=float) for mat in closed]
         want = coframe_metric(g.evaluate(pt.base), coefficients)
         assert np.max(np.abs(lifted.evaluate(pt) - want)) <= 1e-12
 
@@ -227,6 +236,95 @@ def test_lift_metric_two_dimensional_positive_definite():
         G = lifted.evaluate(pt)
         assert np.allclose(G, G.T, atol=0)
         assert np.linalg.eigvalsh(G).min() > 1e-9
+
+
+# ------------------------------------------- the graph lift and its oracle
+
+
+def _env(point):
+    values = [*point.base, *(v for row in point.jets for v in row)]
+    return dict(zip(coordinate_names(point.qdim, point.order), values))
+
+
+def _atlas_metrics():
+    for path in sorted(ATLAS_DIR.glob("*.json")):
+        atlas = load_atlas_file(path)
+        for name, family in sorted(atlas.metrics.items()):
+            for chart, fld in family.items():
+                box = atlas.charts[chart].domain[atlas.p:]
+                yield pytest.param(fld, box, 3,
+                                   id=f"{path.stem}-{name}-{chart}")
+
+
+# a q = 3 metric with an off-diagonal entry
+METRIC_Q3 = MetricField.from_components(
+    [["1 + x2^2", "0.1", "0"], [None, "2 + x3^2", "0"],
+     [None, None, "1 + x1^2"]], 3, name="q3")
+SHEAR2_A = load_atlas_file(ATLAS_DIR / "shear2.json").metrics["g"]["A"]
+
+
+def _sample_points(fld, box, r, seed, count=20):
+    rng = np.random.default_rng(seed)
+    box = np.asarray(box, dtype=float)
+    for _ in range(count):
+        base = box[:, 0] + rng.random(fld.qdim) * (box[:, 1] - box[:, 0])
+        yield jet_point(base, sample_jets(rng, r, fld.qdim))
+
+
+@pytest.mark.parametrize("fld,box,r", [
+    *_atlas_metrics(),
+    pytest.param(METRIC_Q3, [[0.2, 1.2]] * 3, 3, id="q3"),
+    pytest.param(SHEAR2_A, [[0.5, 1.5]] * 2, 4, id="shear2-g-A-r4"),
+])
+def test_graph_lift_matches_sympy_oracle(fld, box, r):
+    oracle = sympy_lift_stages(fld.components, r, fld.qdim)
+    for k in range(1, r + 1):
+        L = lift_lagrangian(fld, k)
+        for pt in _sample_points(fld, box, k, seed=80 + k):
+            want = sympy_value(oracle[k - 1], _env(pt))
+            assert abs(L.value(pt) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("atlas_name,metric", [
+    ("plane", "expo"), ("cubic", "g"), ("shear2", "g")])
+def test_lift_connection_matches_sympy_oracle(capsys, atlas_name, metric):
+    r = 3
+    path = ATLAS_DIR / f"{atlas_name}.json"
+    assert main(["lift", str(path), "--metric", metric,
+                 "--order", str(r)]) == 0
+    printed = json.loads(capsys.readouterr().out)["charts"]
+    atlas = load_atlas_file(path)
+    for chart, fld in atlas.metrics[metric].items():
+        q = fld.qdim
+        built = prolongation_coefficients(fld, r)
+        # `folijet lift` prints exactly these programs
+        assert printed[chart]["connection"] == [
+            [[prog.to_text() for prog in row] for row in mat]
+            for mat in built]
+        oracle = sympy_prolongation_coefficients(fld.components, r, q)
+        box = atlas.charts[chart].domain[atlas.p:]
+        for pt in _sample_points(fld, box, r, seed=90, count=5):
+            env = _env(pt)
+            for k, i, j in np.ndindex(r, q, q):
+                want = sympy_value(oracle[k][i, j], env)
+                assert built[k][i][j].eval(env) == pytest.approx(
+                    want, rel=1e-12, abs=1e-12)
+
+
+def test_lift_graph_stays_shared_at_order_5(monkeypatch):
+    # shear2 chart B, on a fresh recursion: built and compiled without
+    # hashing, comparing or printing a node
+    fld = load_atlas_file(ATLAS_DIR / "shear2.json").metrics["g"]["B"]
+    texts = tuple(tuple(p.source for p in row) for row in fld.components)
+
+    def refuse(*_):
+        raise AssertionError("a graph node was walked as a tree")
+
+    for cls in (expr.Num, expr.Var, expr.Unary, expr.Binary, expr.Call):
+        monkeypatch.setattr(cls, "__hash__", refuse)
+        monkeypatch.setattr(cls, "__eq__", refuse)
+    monkeypatch.setattr(expr, "_print", refuse)
+    assert len(riemann._Lift(texts, 2).lagrangian(5).tape) <= 8000
 
 
 # ----------------------------------------------------------------- checks

@@ -14,6 +14,7 @@ flat lift gives H(x, p) = |p|^2 / 4 at every order.
 from __future__ import annotations
 
 import math
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from .errors import (
 from .expr import coordinate_names
 from .jets import TransverseJetPoint, _check_rows, _finite_tuple
 from .report import Report
-from .scalars import second_order, space, value_of
+from .scalars import Series, second_order, space, value_of
 
 __all__ = [
     "CotangentJetPoint",
@@ -44,8 +45,10 @@ __all__ = [
 
 NEWTON_TOLERANCE = 1e-10
 NEWTON_MAX_ITERATIONS = 50
+SETTLED_TOLERANCE = 1e-14
 CONDITION_LIMIT = 1e12
 RAY_TOLERANCE = 1e-8
+RAY_REACH = 2.0 ** 59
 ZERO_SECTION_TOLERANCE = 1e-12
 EIG_TOLERANCE = 1e-9
 
@@ -129,15 +132,24 @@ def _condition_number(h):
     return big / small if small > 0.0 else math.inf
 
 
+def _largest_coefficient(entries):
+    """Largest magnitude over the coefficients of floats or series."""
+    return float(np.abs(np.concatenate(
+        [e.coeffs if isinstance(e, Series) else [e] for e in entries])).max())
+
+
 def _newton_top_row(quad_at, target, guess, q, *, stage=None,
                     tol=NEWTON_TOLERANCE, max_iterations=NEWTON_MAX_ITERATIONS,
                     condition_limit=CONDITION_LIMIT, polish=0):
     """Solve grad(quad_at(top)) = target for the top row by damped Newton.
 
     `quad_at(top)` returns the (value, gradient, Hessian) of the stage in
-    the top row.  Entries may be floats or series; convergence and damping
-    decisions use their float values.  Returns (top_row, stage_value,
-    stats).
+    the top row; entries may be floats or series.  The solve is settled,
+    and stops, once every coefficient of the residual is at roundoff
+    relative to those of the value, gradient and Hessian; otherwise it
+    stops `polish` steps after its largest coefficient falls to `tol`.
+    Damping and the condition guard use float values.  Returns (top_row,
+    stage_value, stats).
     """
     where = f"stage {stage}: " if stage is not None else ""
     top = list(guess)
@@ -145,21 +157,25 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
         raise ShapeError(f"guess must have {q} entries")
 
     def residual(out):
-        return [out[1][i] - target[i] for i in range(q)]
+        value, grad, hess = out
+        F = [grad[i] - target[i] for i in range(q)]
+        size = _largest_coefficient(F)
+        terms = _largest_coefficient([1.0, value, *grad, *sum(hess, [])])
+        settled = math.isfinite(terms) and size <= SETTLED_TOLERANCE * terms
+        return F, max(abs(value_of(f)) for f in F), size, settled
 
     out = quad_at(top)
-    F = residual(out)
-    norm = max(abs(value_of(f)) for f in F)
+    F, norm, size, settled = residual(out)
     iterations = 0
     extra = polish
-    while True:
-        if norm <= tol:
+    while not settled:
+        if size <= tol:
             if extra <= 0:
                 break
             extra -= 1
         elif iterations >= max_iterations:
             raise NoConvergence(
-                f"{where}residual {norm:.3e} after {iterations} iterations"
+                f"{where}residual {size:.3e} after {iterations} iterations"
             )
         hess = out[2]
         cond = _condition_number([[value_of(h) for h in row] for row in hess])
@@ -172,14 +188,15 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
         while True:
             trial = [top[i] + scale * step[i][0] for i in range(q)]
             trial_out = quad_at(trial)
-            trial_F = residual(trial_out)
-            trial_norm = max(abs(value_of(f)) for f in trial_F)
+            trial_F, trial_norm, trial_size, trial_settled = residual(
+                trial_out)
             if trial_norm < norm or scale < 1e-8 or norm <= tol:
                 break
             scale *= 0.5
         top, out, F, norm = trial, trial_out, trial_F, trial_norm
+        size, settled = trial_size, trial_settled
         iterations += 1
-    stats = {"iterations": iterations, "residual": norm}
+    stats = {"iterations": iterations, "residual": size}
     return top, out[0], stats
 
 
@@ -208,32 +225,67 @@ def pseudo_hamiltonian(L, cpoint, guess=None) -> HamiltonianValue:
     return HamiltonianValue(L.value(point), cpoint)
 
 
-def _stage_value(L, sp, j, lower, momenta):
-    """Value of the j-th chain stage, as a series in groups 0..j-1 of `sp`.
+def _shifted(y, group, delta, q):
+    """`y` with the variables e of the cap-2 `group` replaced by delta + e:
+    the Taylor shift of a series in that group to a moved centre, as
+    c_0 + sum_i m_i (c_i + sum_(k >= i) c_ik m_k) with m = delta + e."""
+    if not isinstance(y, Series):
+        return y
+    parts = y.split(group)
+    moved = [y.space.seed(d, group * q + i) for i, d in enumerate(delta)]
+    out = parts[0]
+    pos = q + 1
+    for i in range(q):
+        inner = parts[1 + i]
+        for k in range(i, q):
+            inner = inner + parts[pos] * moved[k]
+            pos += 1
+        out = out + moved[i] * inner
+    return out
+
+
+def _stage_value(L, sp, j, lower, momenta, guess=()):
+    """Value of the j-th chain stage, as a series in groups 0..j-1 of `sp`,
+    with the solution tree it found.
 
     `sp` is the chain's space ((q, 2),) * r; `lower` binds x and y^(1..j),
     with y^(k) seeded in group k-1.  `momenta[k]` is the momentum covector
-    traded for y^(k+1).  Stage r is L itself; stage j < r seeds y^(j+1) in
-    group j and solves the top-variable Legendre map of stage j+1 by
-    Newton, reading the value, gradient and Hessian in group j as series
-    in the lower groups.  One polishing iteration makes the series
-    converge along with their values.
+    traded for y^(k+1).  Stage r is L itself; stage j < r seeds
+    y^(j+1) = top + e in group j and solves the top-variable Legendre map
+    of stage j+1 by Newton, reading the value, gradient and Hessian in
+    group j as series in the lower groups.  Newton runs until the whole
+    residual series is settled, so the top row is the implicit function
+    y^(j+1)(y^(1..j)) to the space's order, not only its value.
+
+    The solution tree lists the top rows of stages j..r-1, each a series
+    in the groups below it.  `guess` is such a tree to start from.  Each
+    time stage j moves its top row by delta, the tree the inner stages
+    found at the last top row is shifted by delta in group j and handed
+    down as their guess, so an inner stage whose prediction already
+    settles costs one evaluation of L.
     """
     q = L.qdim
     if j == L.order:
-        return L.program.eval(lower)
+        return L.program.eval(lower), []
     names = coordinate_names(q, j + 1)[(j + 1) * q:]
+    start, inner = (guess[0], guess[1:]) if guess else ([0.0] * q, [])
+    last = start
 
     def quad_at(top):
+        nonlocal last, inner
+        if any(t is not t0 for t, t0 in zip(top, last)):
+            delta = [t - t0 for t, t0 in zip(top, last)]
+            inner = [[_shifted(y, j, delta, q) for y in row] for row in inner]
         env = dict(lower)
         for i, name in enumerate(names):
             env[name] = sp.seed(top[i], j * q + i)
-        return _second_order_in(_stage_value(L, sp, j + 1, env, momenta),
-                                j, q)
+        value, inner = _stage_value(L, sp, j + 1, env, momenta, inner)
+        last = top
+        return _second_order_in(value, j, q)
 
-    _, value, _ = _newton_top_row(quad_at, list(momenta[j]), [0.0] * q, q,
-                                  stage=j + 1, polish=1)
-    return value
+    top, value, _ = _newton_top_row(quad_at, list(momenta[j]), start, q,
+                                    stage=j + 1, polish=1)
+    return value, [top, *inner]
 
 
 def legendre_chain(L):
@@ -259,31 +311,44 @@ def legendre_chain(L):
             raise ShapeError(f"base and momentum must have {q} entries")
         lower = dict(zip(names, base))
         momenta = [momentum] * r
-        return float(_stage_value(L, sp, 0, lower, momenta)) / r
+        return float(_stage_value(L, sp, 0, lower, momenta)[0]) / r
 
     return evaluate
 
 
-def _ray_level(value_at, phi_value, *, tol=RAY_TOLERANCE):
-    """Bisection along a fiber ray t -> value_at(t) for the level phi."""
-    hi = 1.0
-    for _ in range(60):
-        if value_at(hi) >= phi_value:
+def _ray_level(value_at, phi_value):
+    """Deviation from the level phi where the fiber ray t -> value_at(t)
+    crosses it, or None when no t <= 2^59 reaches phi.
+
+    `value_at(t)` returns the value and the slope at t.  From t = 1 the
+    bracket [lo, hi] grows by at least doubling t, or by a longer Newton
+    step up to 16 t, until the value reaches phi; then Newton steps
+    narrow it, bisecting whenever a step leaves it, until the deviation is
+    at roundoff or the bracket cannot shrink.
+    """
+    lo, hi, t = 0.0, math.inf, 1.0
+    roundoff = 4.0 * sys.float_info.epsilon * max(1.0, abs(phi_value))
+    for _ in range(300):
+        v, slope = value_at(t)
+        dev = v - phi_value
+        if abs(dev) <= roundoff:
             break
-        hi *= 2.0
-    else:
-        return None
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v = value_at(mid)
-        if abs(v - phi_value) <= tol:
-            return abs(v - phi_value)
-        if v < phi_value:
-            lo = mid
+        if dev < 0.0:
+            lo = t
         else:
-            hi = mid
-    return abs(value_at(0.5 * (lo + hi)) - phi_value)
+            hi = t
+        step = t - dev / slope if slope > 0.0 else math.nan
+        if hi == math.inf:
+            if t >= RAY_REACH:
+                return None
+            t_next = min(step if step > 2.0 * t else 2.0 * t, 16.0 * t,
+                         RAY_REACH)
+        else:
+            t_next = step if lo < step < hi else 0.5 * (lo + hi)
+            if not lo < t_next < hi or t_next == t:
+                break
+        t = t_next
+    return abs(dev)
 
 
 def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
@@ -307,6 +372,7 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
     report.add("projectable", L.name or "L", float(len(leaf_vars)), 0.0)
 
     names = coordinate_names(q, r)
+    ray = space(((1, 1),))
 
     def env_at(base, jets):
         env = dict.fromkeys(leaf_vars, 0.0)
@@ -342,9 +408,13 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
         direction /= np.linalg.norm(direction)
         phi_value = float(phi.eval(env_at(base, [0.0] * (r * q)))) \
             if phi is not None else 1.0
-        dev = _ray_level(
-            lambda t: float(L.program.eval(env_at(base, t * direction))),
-            phi_value)
+
+        def along(t):
+            s = ray.seed(t, 0)
+            out = L.program.eval(env_at(base, [s * d for d in direction]))
+            return out.value, float(out.coeffs[1])
+
+        dev = _ray_level(along, phi_value)
         if dev is None:
             ray_failures += 1
         else:

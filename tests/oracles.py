@@ -3,7 +3,8 @@
 Everything here except `eval_ast` deliberately avoids the library's own
 series arithmetic: jet transport is recomputed with sympy power series,
 products with literal polynomial convolution, the Legendre chain with
-sympy derivatives and mpmath root finding, the metric lift and its
+sympy derivatives (at r = 2) or high-precision mpmath differences of
+nested solves (at any r) and mpmath root finding, the metric lift and its
 connection coefficients in sympy, and derivatives with central finite
 differences.  `eval_ast` and `collect_variables` are the
 references for the compiled expression tape: they walk the AST
@@ -192,6 +193,54 @@ def chain_hamiltonian_r2(text, q, base, momentum, dps=30):
         found = mpmath.findroot(stage0, [mpmath.mpf(0)] * q)
         lower = [found[i] for i in range(q)]
         return float(lag(*(xs + lower + top(lower))) / 2)
+
+
+def chain_hamiltonian_nested(text, q, r, base, momentum, dps=40):
+    """The order-r diagonal hamiltonian of a lagrangian by nested solves.
+
+    With p = `momentum` at every stage: stage r is L; stage k < r solves
+    d(stage k+1)/dy^(k+1) = p for y^(k+1) with mpmath `findroot` from a
+    zero start and is stage k+1 at that root.  The innermost derivative is
+    sympy's; every outer one is `mpmath.diff` of the nested solve itself,
+    a central difference at twice the working precision, so the solves
+    below it run at 2, 4, ... times `dps` digits.  Returns stage 0 / r, as
+    a float.
+    """
+    symbols = [sp.Symbol(name) for name in coordinate_names(q, r)]
+    L = sp.sympify(text.replace("^", "**"), locals={"e": sp.E, "pi": sp.pi})
+    lag = sp.lambdify(symbols, L, "mpmath")
+    top_grad = [sp.lambdify(symbols, sp.diff(L, v), "mpmath")
+                for v in symbols[-q:]]
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpf(v) for v in base]
+        p = [mpmath.mpf(v) for v in momentum]
+
+        def root(residual):
+            if q == 1:
+                return [mpmath.findroot(lambda t: residual([t])[0],
+                                        mpmath.mpf(0))]
+            found = mpmath.findroot(lambda *t: residual(list(t)),
+                                    [mpmath.mpf(0)] * q)
+            return [found[i] for i in range(q)]
+
+        def stage(k, rows):
+            if k == r:
+                return lag(*xs, *rows)
+            if k == r - 1:
+                top = root(lambda t: [g(*xs, *rows, *t) - p[i]
+                                      for i, g in enumerate(top_grad)])
+                return lag(*xs, *rows, *top)
+
+            def residual(top):
+                def along(i):
+                    return lambda t: stage(
+                        k + 1, [*rows, *top[:i], t, *top[i + 1:]])
+                return [mpmath.diff(along(i), top[i]) - p[i]
+                        for i in range(q)]
+
+            return stage(k + 1, [*rows, *root(residual)])
+
+        return float(stage(0, []) / r)
 
 
 def central_difference(fn, x, h=1e-6):

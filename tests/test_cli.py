@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -255,6 +256,19 @@ def test_certify_shear2_order_3_passes(atlas_dir):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_certify_shear2_order_4_within_ten_seconds(atlas_dir):
+    # q = 2 at r = 4 end to end: the chain's warm-started stages keep it
+    # inside the 10 s bound, which 3^r evaluations of L per call overrun
+    start = time.perf_counter()
+    proc = run_process("-m", "folijet.cli", "certify",
+                       str(atlas_dir / "shear2.json"), "--metric", "g",
+                       "--order", "4", "--samples", "3")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert all(c["pass"] for c in json.loads(proc.stdout)["checks"])
+    assert elapsed <= 10.0
+
+
 def test_certify_negative_control(capsys, atlas_dir):
     code, out, _ = run(capsys, "certify", str(atlas_dir / "cubic.json"),
                        "--metric", "g_bad", "--order", "2", "--samples", "10")
@@ -382,3 +396,53 @@ def test_validate_exit_contract_under_mutation(tmp_path_factory, doc):
     path.write_text(json.dumps(doc))
     # any exception escaping main fails the test
     assert main(["validate", str(path), "--samples", "3"]) in (0, 1, 2)
+
+
+# metric entries that parse and bind but are tiny, huge, steep, wavy,
+# singular or indefinite somewhere, so certify reaches the lift and chain
+METRIC_ENTRIES = [
+    "1e-12", "1e12*x1^2 + 1", "exp(x1)", "exp(-30*x1)", "1 + x1^2",
+    "sin(40*x1) + 1.5", "x1^(-3)", "1/(x1 - 0.7)", "1 + 1e8*x1^4",
+    "cos(x1)", "0.999", "-0.999", "x1", "0",
+]
+
+
+@st.composite
+def mutated_metrics(draw):
+    """A shipped atlas with one or two metric entries replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(
+        [atlas for atlas in SHIPPED_ATLASES if "metrics" in atlas])))
+    entries = [(row, k) for metric in doc["metrics"]
+               for row in metric["components"] for k in range(len(row))]
+    for _ in range(draw(st.integers(1, 2))):
+        row, k = draw(st.sampled_from(entries))
+        row[k] = draw(st.sampled_from(METRIC_ENTRIES))
+    return doc
+
+
+def _certify_exit_codes(tmp_path_factory, doc, order):
+    path = tmp_path_factory.mktemp("fuzz") / "atlas.json"
+    path.write_text(json.dumps(doc))
+    metrics = doc.get("metrics") if isinstance(doc, dict) else None
+    names = dict.fromkeys(
+        m["name"] for m in metrics
+        if isinstance(m, dict) and isinstance(m.get("name"), str)) \
+        if isinstance(metrics, list) else {}
+    # any exception escaping main fails the test
+    return {main(["certify", str(path), "--metric", name,
+                  "--order", str(order), "--samples", "2",
+                  "--out", str(path.with_suffix(".report.json"))])
+            for name in names or ["g"]}
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(mutated_atlases())
+def test_certify_exit_contract_under_mutation(tmp_path_factory, doc):
+    assert _certify_exit_codes(tmp_path_factory, doc, 1) <= {0, 1, 2}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(mutated_metrics())
+def test_certify_exit_contract_under_metric_mutation(tmp_path_factory, doc):
+    # order 2, so the chain hands a shifted guess to its inner stage
+    assert _certify_exit_codes(tmp_path_factory, doc, 2) <= {0, 1, 2}

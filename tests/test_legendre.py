@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from folijet.errors import (
     ShapeError,
     SingularHessian,
 )
-from folijet.expr import parse
+from folijet.expr import ExprProgram, parse
 from folijet.jets import TransverseJetPoint
 from folijet.legendre import (
     CotangentJetPoint,
@@ -21,7 +23,7 @@ from folijet.legendre import (
     admissibility_check,
 )
 from folijet.riemann import lift_lagrangian
-from oracles import chain_hamiltonian_r2
+from oracles import chain_hamiltonian_nested, chain_hamiltonian_r2
 
 
 def jet_point(base, jets, chart=""):
@@ -251,6 +253,67 @@ def test_chain_matches_stagewise_oracle(case, atlas_dir):
         p = tuple(rng.uniform(-1.5, 1.5, q))
         want = chain_hamiltonian_r2(text, q, base, p)
         assert H(base, p) == pytest.approx(want, rel=1e-12)
+
+
+# order 3, q = 1: quartic in every row and coupled across all three, so
+# the inner solutions are not polynomials of degree <= 2 in the rows below
+# and the Taylor-shifted guesses handed down are not exact
+NON_METRIC_R3 = ("y3_1^2 + 0.1*y3_1^4 + 0.2*cos(x1)*y2_1*y3_1"
+                 " + 0.1*y1_1*y3_1 + " + NON_METRIC_Q1)
+
+
+def test_nested_oracle_matches_r2_oracle():
+    for p in ((0.5,), (-1.2,)):
+        assert chain_hamiltonian_nested(NON_METRIC_Q1, 1, 2, (0.7,), p) \
+            == pytest.approx(chain_hamiltonian_r2(NON_METRIC_Q1, 1, (0.7,), p),
+                             rel=1e-14)
+
+
+def test_chain_matches_nested_oracle_at_order_3():
+    H = legendre_chain(lagrangian(NON_METRIC_R3, 3))
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        p = tuple(rng.uniform(-1.5, 1.5, 1))
+        want = chain_hamiltonian_nested(NON_METRIC_R3, 1, 3, (0.7,), p)
+        assert H((0.7,), p) == pytest.approx(want, rel=1e-12)
+
+
+# L evaluations per chain call at r = 1..4.  On cubic chart A every lifted
+# inner solution is at most quadratic in each lower row, so every
+# Taylor-shifted guess settles at once and a call costs r + 1.  On the
+# curved charts the guesses two or more stages down are truncated shifts
+# and take one Newton step each: 2r - 1.  Exact counts, so that a stage
+# that stops settling, or a return to 3^r, fails here.
+CHAIN_EVALUATIONS = {
+    ("cubic", "A"): [2, 3, 4, 5],
+    ("cubic", "B"): [2, 3, 5, 7],
+    ("shear2", "A"): [2, 3, 5, 7],
+    ("shear2", "B"): [2, 3, 5, 7],
+}
+
+
+@pytest.mark.parametrize("atlas_name,chart", list(CHAIN_EVALUATIONS))
+def test_chain_evaluation_count(atlas_name, chart, atlas_dir, monkeypatch):
+    atlas = load_atlas_file(atlas_dir / f"{atlas_name}.json")
+    fld = atlas.metrics["g"][chart]
+    base = tuple(np.mean(atlas.charts[chart].domain[atlas.p:], axis=1))
+    momentum = (0.9, -0.6)[:fld.qdim]
+    lifts = [lift_lagrangian(fld, r) for r in range(1, 5)]
+    calls = Counter()
+    original = ExprProgram.eval
+
+    def counting(program, env):
+        calls[program] += 1
+        return original(program, env)
+
+    monkeypatch.setattr(ExprProgram, "eval", counting)
+    counts = []
+    for L in lifts:
+        H = legendre_chain(L)
+        calls.clear()
+        H(base, momentum)
+        counts.append(calls[L.program])
+    assert counts == CHAIN_EVALUATIONS[(atlas_name, chart)]
 
 
 def test_chain_rejects_slashed():

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import expr as exprmod
 from .errors import InvariantViolation, SchemaError
-from .report import Report
-from .scalars import space
+from .report import Report, worst
+from .scalars import columns, space, stack_samples
 
 __all__ = [
     "Chart",
@@ -325,11 +325,16 @@ def load_atlas_file(path) -> "FoliatedAtlas":
 
 def apply_transition(atlas, transition, leaf, base):
     """Map a (leaf, transverse) point through a transition; plain floats."""
+    image = _apply(atlas, transition, np.array([*leaf, *base], dtype=float))
+    return tuple(image[:atlas.p].tolist()), tuple(image[atlas.p:].tolist())
+
+
+def _apply(atlas, transition, points):
+    """Points (p + q,), or a batch (B, p + q), mapped through a transition."""
     env = dict(zip(exprmod.coordinate_names(atlas.q, p=atlas.p),
-                   (*leaf, *base)))
-    new_leaf = tuple(float(e.eval(env)) for e in transition.leaf_exprs)
-    new_base = tuple(float(e.eval(env)) for e in transition.transverse_exprs)
-    return new_leaf, new_base
+                   columns(points)))
+    return np.stack([e.eval(env) for e in transition.leaf_exprs
+                     + transition.transverse_exprs], axis=-1)
 
 
 def transverse_jacobian(atlas, transition, base):
@@ -356,15 +361,18 @@ def sample_overlap(transition, n, seed):
 # ---------------------------------------------------------------------------
 
 
-def _gap(a, b):
-    """Largest entry gap between two (leaf, base) points."""
-    return max(abs(x - y) for x, y in zip(a[0] + a[1], b[0] + b[1]))
+def _gaps(a, b):
+    """Largest entry gap between points, per sample: `max` over the
+    entries in order."""
+    gaps = np.abs(np.subtract(a, b)).reshape(-1, np.shape(a)[-1])
+    return [max(row) for row in gaps.tolist()]
 
 
 def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
                       roundtrip_tol=ROUNDTRIP_TOLERANCE,
                       cocycle_tol=COCYCLE_TOLERANCE) -> Report:
-    """Numerically check pseudogroup structure at sampled overlap points.
+    """Numerically check pseudogroup structure at sampled overlap points,
+    each check over all of its samples at once.
 
     Failures are report entries, never exceptions.
     """
@@ -376,32 +384,24 @@ def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
     sp = space(((p + q, 1),))
 
     for t in atlas.transitions.values():
-        pts = sample_overlap(t, samples, seed)
-        min_det = np.inf
-        mixed_max = 0.0
-        roundtrip_max = 0.0
+        pts = stack_samples(sample_overlap(t, samples, seed))
         inverse = atlas.transitions.get(t.inverse_of) if t.inverse_of else None
-        for pt in pts:
-            leaf, base = tuple(pt[:p]), tuple(pt[p:])
-            # one evaluation seeded on all p+q source coordinates gives the
-            # mixed block dx'/du and the transverse Jacobian dx'/dx
-            env = {name: sp.seed(v, i)
-                   for i, (name, v) in enumerate(zip(names, pt))}
-            grads = np.array([e.eval(env).coeffs[1:]
-                              for e in t.transverse_exprs])
-            min_det = min(min_det, abs(float(np.linalg.det(grads[:, p:]))))
-            if p:
-                mixed_max = max(mixed_max, float(np.max(np.abs(grads[:, :p]))))
-            if inverse is not None:
-                image = apply_transition(atlas, t, leaf, base)
-                back = apply_transition(atlas, inverse, *image)
-                roundtrip_max = max(roundtrip_max,
-                                    _gap(back, (leaf, base)))
+        # one evaluation seeded on all p+q source coordinates gives the
+        # mixed block dx'/du and the transverse Jacobian dx'/dx
+        env = {name: sp.seed(v, i)
+               for i, (name, v) in enumerate(zip(names, columns(pts)))}
+        grads = np.stack([e.eval(env).coeffs[..., 1:]
+                          for e in t.transverse_exprs], axis=-2)
+        min_det = worst(np.inf, np.abs(np.linalg.det(grads[..., p:])), min)
+        mixed_max = worst(0.0, np.abs(grads[..., :p]).max(axis=(-2, -1))) \
+            if p else 0.0
         report.add("transverse_jacobian_invertible", t.name, min_det, det_tol,
                    direction=">")
         report.add("mixed_block_zero", t.name, mixed_max, 0.0)
         if inverse is not None:
-            report.add("inverse_round_trip", t.name, roundtrip_max, roundtrip_tol)
+            back = _apply(atlas, inverse, _apply(atlas, t, pts))
+            report.add("inverse_round_trip", t.name,
+                       worst(0.0, _gaps(back, pts)), roundtrip_tol)
 
     for triple in atlas.triples:
         t1 = atlas.transitions[triple.first]
@@ -410,14 +410,9 @@ def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
         probe = Transition(f"triple:{t1.name}|{t2.name}|{t3.name}",
                            t1.from_chart, t2.to_chart, t1.leaf_exprs,
                            t1.transverse_exprs, triple.overlap)
-        pts = sample_overlap(probe, samples, seed)
-        dev_max = 0.0
-        for pt in pts:
-            leaf, base = tuple(pt[:p]), tuple(pt[p:])
-            via = apply_transition(atlas, t2, *apply_transition(atlas, t1, leaf, base))
-            direct = apply_transition(atlas, t3, leaf, base)
-            dev_max = max(dev_max, _gap(via, direct))
-        report.add("cocycle", f"{t2.name} o {t1.name} == {t3.name}", dev_max,
-                   cocycle_tol)
+        pts = stack_samples(sample_overlap(probe, samples, seed))
+        via = _apply(atlas, t2, _apply(atlas, t1, pts))
+        report.add("cocycle", f"{t2.name} o {t1.name} == {t3.name}",
+                   worst(0.0, _gaps(via, _apply(atlas, t3, pts))), cocycle_tol)
 
     return report

@@ -27,16 +27,11 @@ import numpy as np
 
 from . import __version__
 from .atlas import load_atlas_file, validate_foliated
-from .dynamics import SemiSprayField, projectors, semispray
+from .dynamics import SemiSprayField, projector_pair, semispray
 from .errors import FolijetError
 from .jets import TransverseJetPoint, prolong_transition, zero_section
-from .legendre import (
-    CotangentJetPoint,
-    admissibility_check,
-    legendre_chain,
-    pseudo_hamiltonian,
-)
-from .report import Report
+from .legendre import admissibility_check, hamiltonian_at, legendre_chain
+from .report import Report, worst
 from .riemann import (
     holonomy_check,
     lift_lagrangian,
@@ -45,6 +40,7 @@ from .riemann import (
     sample_jets,
     vertical_exactness_check,
 )
+from .scalars import stack_samples
 
 __all__ = ["main", "build_parser"]
 
@@ -243,15 +239,18 @@ def _projector_checks(report, atlas, family, order, samples, seed, tol):
     for chart, fld in family.items():
         S = SemiSprayField.from_lagrangian(lift_lagrangian(fld, order))
         eye = np.eye((order + 1) * fld.qdim)
-        dev_sum = dev_idem = 0.0
+        bases, jets = [], []
         for rng, base in _sample_bases(atlas, chart, samples, seed, 11):
-            point = TransverseJetPoint(chart, order, (), tuple(base),
-                                       sample_jets(rng, order, fld.qdim))
-            h, v = projectors(S, point)
-            dev_sum = max(dev_sum, float(np.max(np.abs(h + v - eye))))
-            dev_idem = max(dev_idem, float(np.max(np.abs(h @ h - h))),
-                           float(np.max(np.abs(v @ v - v))),
-                           float(np.max(np.abs(h @ v))))
+            bases.append(base)
+            jets.append(sample_jets(rng, order, fld.qdim))
+        h, v = projector_pair(S, stack_samples(bases), stack_samples(jets))
+        most = (-2, -1)
+        dev_sum = worst(0.0, np.abs(h + v - eye).max(axis=most))
+        # per sample: h h - h, then v v - v, then h v
+        dev_idem = worst(0.0, np.stack([np.abs(h @ h - h).max(axis=most),
+                                        np.abs(v @ v - v).max(axis=most),
+                                        np.abs(h @ v).max(axis=most)],
+                                       axis=-1))
         report.add("projector_sum", chart, dev_sum, PROJECTOR_SUM_TOLERANCE)
         report.add("projector_idempotence", chart, dev_idem, tol)
 
@@ -261,13 +260,15 @@ def _hamiltonian_checks(report, atlas, family, order, samples, seed, tol):
         L = lift_lagrangian(fld, order)
         L1 = lift_lagrangian(fld, 1)
         chain = legendre_chain(L)
-        dev = 0.0
+        bases, momenta = [], []
         for rng, base in _sample_bases(atlas, chart, samples, seed, 13):
-            momentum = rng.uniform(-2.0, 2.0, fld.qdim)
-            cpoint = CotangentJetPoint(chart, 1, (), tuple(base), (),
-                                       tuple(momentum))
-            want = pseudo_hamiltonian(L1, cpoint).value
-            dev = max(dev, abs(chain(base, momentum) - want))
+            bases.append(base)
+            momenta.append(rng.uniform(-2.0, 2.0, fld.qdim))
+        base, momentum = stack_samples(bases), stack_samples(momenta)
+        want = hamiltonian_at(L1, base,
+                              np.zeros(base.shape[:-1] + (0, fld.qdim)),
+                              momentum)
+        dev = worst(0.0, np.abs(chain(base, momentum) - want))
         report.add("diagonal_hamiltonian", chart, dev, tol)
         report.extend(admissibility_check(
             L, samples=samples, seed=seed,

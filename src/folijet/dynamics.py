@@ -27,8 +27,9 @@ from .errors import (
     SingularHessian,
 )
 from .expr import ExprProgram, coordinate_names
-from .jets import TransverseJetPoint, j_matrix
-from .scalars import second_order, space, value_of
+from .jets import (TransverseJetPoint, j_matrix, jet_columns, jet_env,
+                   point_arrays)
+from .scalars import columns, raise_where, second_order, space, value_of
 
 __all__ = [
     "LagrangianField",
@@ -55,24 +56,28 @@ def point_env(point, seed=None):
     seed(index, value) may turn each coordinate into a series; without it
     the environment holds plain floats.
     """
-    values = [*point.base, *(v for row in point.jets for v in row)]
-    if seed is not None:
-        values = [seed(i, v) for i, v in enumerate(values)]
-    return dict(zip(coordinate_names(point.qdim, point.order), values))
+    return jet_env(point.base, point.jets, seed)
 
 
 def top_row_derivatives(L, base, lower, top):
     """Value, gradient and Hessian of L in its top row y^(r), as floats.
 
     `lower` holds the rows y^(1..r-1).  Only the top row is seeded, in the
-    space ((q, 2),); the Hessian is a nested list.
+    space ((q, 2),); the Hessian is a nested list.  Entries may be batches
+    of floats, and then so are the results.
     """
     q = L.qdim
     sp = space(((q, 2),))
     values = [*base, *(v for row in lower for v in row),
               *(sp.seed(v, i) for i, v in enumerate(top))]
     out = L.program.eval(dict(zip(coordinate_names(q, L.order), values)))
-    return second_order(out.coeffs.tolist(), q)
+    return second_order(columns(out.coeffs), q)
+
+
+def float_matrix(rows):
+    """A nested list of floats, or of batches, as (q, q) or (B, q, q)."""
+    m = np.array(rows, dtype=float)
+    return m if m.ndim == 2 else np.moveaxis(m, -1, 0)
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,10 @@ class LagrangianField:
         return cls(order, qdim, program, slashed, excluded, name)
 
     def check_point(self, point):
+        self._check_shape(point)
+        self._check_smooth(point.base, point.jets)
+
+    def _check_shape(self, point):
         if point.order != self.order:
             raise OrderError(
                 f"point order {point.order} != lagrangian order {self.order}"
@@ -125,11 +134,15 @@ class LagrangianField:
                 f"point dimension {point.qdim} != lagrangian dimension "
                 f"{self.qdim}"
             )
+
+    def _check_smooth(self, base, jets):
+        """Points base (..., q), jets (..., r, q) must avoid the excluded
+        set."""
         if self.excluded is not None:
-            if float(self.excluded.eval(point_env(point))) <= 0.0:
-                raise ExcludedPoint(
-                    f"point excluded from the smooth locus of {self.name!r}"
-                )
+            raise_where(value_of(self.excluded.eval(jet_env(base, jets)))
+                        <= 0.0, ExcludedPoint,
+                        "point excluded from the smooth locus of {!r}",
+                        self.name)
 
     def value(self, point) -> float:
         self.check_point(point)
@@ -159,12 +172,20 @@ def gamma_apply(f, point):
     return float(total)
 
 
+def top_hessian(L, base, jets):
+    """The vertical Hessian of L at base (q,) and jets (r, q), or at a batch
+    of points as (B, q, q)."""
+    L._check_smooth(base, jets)
+    x, *rows = jet_columns(base, jets)
+    return float_matrix(top_row_derivatives(L, x, rows[:-1], rows[-1])[2])
+
+
 def vertical_hessian(L, point, *, det_tol=HESSIAN_DET_TOLERANCE,
                      eig_tol=HESSIAN_EIG_TOLERANCE) -> HessianInfo:
     """Second partials of L in its top-order jet variables."""
-    L.check_point(point)
-    hess = np.array(top_row_derivatives(L, point.base, point.jets[:-1],
-                                        point.jets[-1])[2])
+    L._check_shape(point)
+    _, base, jets = point_arrays(point)
+    hess = top_hessian(L, base, jets)
     det = float(np.linalg.det(hess))
     eigs = np.linalg.eigvalsh(hess)
     return HessianInfo(hess, det, float(eigs.min()),
@@ -172,7 +193,7 @@ def vertical_hessian(L, point, *, det_tol=HESSIAN_DET_TOLERANCE,
                        positive_definite=float(eigs.min()) > eig_tol)
 
 
-def _semispray_scalars(L, point, lifted=False):
+def _semispray_scalars(L, base, jets, lifted=False):
     """Semi-spray components as floats, or as series when `lifted`.
 
     One evaluation of L on series over all fiber coordinates in the space
@@ -180,22 +201,26 @@ def _semispray_scalars(L, point, lifted=False):
     Hessian rows) and the lower gradient.  With `lifted` the space is
     ((n, 2), (n, 1)): every coordinate is seeded in both groups, and the
     components come back as series carrying their first partials with
-    respect to all fiber coordinates in the second group.
+    respect to all fiber coordinates in the second group.  At a batch of
+    points, base (B, q) and jets (B, r, q), every component is a batch.
     """
-    L.check_point(point)
+    L._check_smooth(base, jets)
     r, q = L.order, L.qdim
     n = (r + 1) * q
     sp = space(((n, 2), (n, 1)) if lifted else ((n, 2),))
-    out = L.program.eval(point_env(
-        point, lambda i, v: sp.seed(v, i, n + i) if lifted else sp.seed(v, i)))
-    _, grad, hess = second_order(out.split(0) if lifted else out.coeffs, n)
+    out = L.program.eval(jet_env(
+        base, jets,
+        lambda i, v: sp.seed(v, i, n + i) if lifted else sp.seed(v, i)))
+    _, grad, hess = second_order(out.split(0) if lifted
+                                 else columns(out.coeffs), n)
 
     h = [row[r * q:] for row in hess[r * q:]]
+    _, *rows = jet_columns(base, jets)
     rhs = []
     for v in range(q):
         gamma_term = 0.0
         for k in range(1, r + 1):
-            yk = point.jets[k - 1]
+            yk = rows[k - 1]
             for i in range(q):
                 y_val = sp.seed(yk[i], n + k * q + i) if lifted else yk[i]
                 gamma_term = gamma_term + k * y_val * hess[r * q + v][(k - 1) * q + i]
@@ -214,7 +239,9 @@ def _semispray_scalars(L, point, lifted=False):
 
 def semispray(L, point):
     """Semi-spray components S^u at a jet point (plain floats)."""
-    return np.array([value_of(s) for s in _semispray_scalars(L, point)])
+    L._check_shape(point)
+    _, base, jets = point_arrays(point)
+    return np.array([value_of(s) for s in _semispray_scalars(L, base, jets)])
 
 
 def semispray_section(L, point) -> TransverseJetPoint:
@@ -256,10 +283,17 @@ class SemiSprayField:
     def jacobian(self, point):
         """d S^u / d(fiber coordinates) as a (q, (r+1)q) float matrix."""
         self._check(point)
+        _, base, jets = point_arrays(point)
+        return self.jacobian_at(base, jets)
+
+    def jacobian_at(self, base, jets):
+        """The Jacobian at base (q,) and jets (r, q), or at a batch of
+        points as (B, q, (r+1)q)."""
         n = (self.order + 1) * self.qdim
-        return np.array([
-            s.coeffs[s.space.variables[n:]]
-            for s in _semispray_scalars(self.lagrangian, point, lifted=True)])
+        return np.stack([
+            s.coeffs[..., s.space.variables[n:]]
+            for s in _semispray_scalars(self.lagrangian, base, jets,
+                                        lifted=True)], axis=-2)
 
     def _check(self, point):
         if point.order != self.order or point.qdim != self.qdim:
@@ -291,16 +325,17 @@ class ConnectionCoefficients:
     N: tuple | None = None
 
 
-def _spray_jacobian(S, point):
-    """d Gamma_S / d(fiber coordinates) as a dense (r+1)q square matrix."""
+def _spray_jacobian(S, base, jets):
+    """d Gamma_S / d(fiber coordinates) as a dense (r+1)q square matrix, or
+    a batch of them."""
     r, q = S.order, S.qdim
     n = (r + 1) * q
-    A = np.zeros((n, n))
+    A = np.zeros(np.shape(base)[:-1] + (n, n))
     # shift rows are analytic: block b of Gamma_S is (b+1) y^(b+1)
     for b in range(r):
         for i in range(q):
-            A[b * q + i, (b + 1) * q + i] = b + 1
-    A[r * q:, :] = (r + 1) * S.jacobian(point)
+            A[..., b * q + i, (b + 1) * q + i] = b + 1
+    A[..., r * q:, :] = (r + 1) * S.jacobian_at(base, jets)
     return A
 
 
@@ -322,9 +357,17 @@ def projectors(S, point):
     spray vector field: with A = d Gamma_S / d(coords) and constant J,
     L_S J = J A - A J, then h = (r I - L_S J)/(r+1), v = (I + L_S J)/(r+1).
     """
+    S._check(point)
+    _, base, jets = point_arrays(point)
+    return projector_pair(S, base, jets)
+
+
+def projector_pair(S, base, jets):
+    """`projectors` at base (q,) and jets (r, q), or at a batch of points,
+    base (B, q) and jets (B, r, q), as two (B, n, n) arrays."""
     r, q = S.order, S.qdim
     n = (r + 1) * q
-    A = _spray_jacobian(S, point)
+    A = _spray_jacobian(S, base, jets)
     J = j_matrix(r, q)
     lie = J @ A - A @ J
     h = (r * np.eye(n) - lie) / (r + 1)

@@ -21,8 +21,10 @@ Parentheses, unary minus and ``^`` nest at most ``MAX_NESTING`` levels deep.
 Programs are immutable.  Each is compiled once, on first use, to a tape
 in which every repeated subexpression is one shared slot, and evaluation
 runs the tape in one loop over plain floats and series (`scalars.Series`),
-mixed; a float result comes back as a series if any env value is one.  A
-`Graph` builds programs with shared nodes and their symbolic derivatives.
+mixed; a float result comes back as a series if any env value is one.  Env
+values may be batches (a float ndarray, or a series with a batch axis):
+one pass of the tape then evaluates every sample.  A `Graph` builds
+programs with shared nodes and their symbolic derivatives.
 """
 
 from __future__ import annotations
@@ -474,12 +476,18 @@ class ExprProgram:
             else:
                 regs[out] = op(regs[a])
         value = regs[result]
-        if isinstance(value, (int, float)):
-            # a value that read no series still comes back in the env's kind
-            for sample in env.values():
-                if isinstance(sample, scalars.Series):
-                    return sample.space.constant(value)
-        return value
+        if type(value) is scalars.Series:
+            return value
+        # a value that read no series still comes back in the env's kind,
+        # and one that read no batch in the env's batch
+        sp = batch = None
+        for sample in env.values():
+            if type(sample) is scalars.Series:
+                sp = sample.space
+            batch = scalars.batch_of(sample) or batch
+        if sp is not None:
+            value = sp.constant(value)
+        return value if batch is None else scalars.broadcast(value, batch)
 
     def free_variables(self) -> frozenset:
         return frozenset(a for op, _, a, _ in self.tape if op is LOAD)

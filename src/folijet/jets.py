@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atlas import box_contains
 from .errors import (
     InvariantViolation,
     OrderError,
@@ -21,7 +20,7 @@ from .errors import (
     ShapeError,
 )
 from .expr import coordinate_names
-from .scalars import Series, space
+from .scalars import Series, columns, sample_error, space
 
 __all__ = [
     "TransverseJetPoint",
@@ -132,38 +131,91 @@ def zero_section(r, leaf, base, chart=""):
                               tuple((0.0,) * q for _ in range(r)))
 
 
+def jet_columns(base, jets):
+    """The rows x = y^(0), y^(1..r) of base (..., q) and jets (..., r, q),
+    each as a list of q floats or batches."""
+    base = np.asarray(base, dtype=float)
+    jets = np.reshape(jets, base.shape[:-1] + (-1, base.shape[-1]))
+    return [columns(base)] + [columns(jets[..., k, :])
+                              for k in range(jets.shape[-2])]
+
+
+def point_arrays(point):
+    """A jet point's leaf (p,), base (q,) and jet rows (r, q) as arrays."""
+    q = len(point.base)
+    return (np.array(point.leaf, dtype=float).reshape(-1),
+            np.array(point.base, dtype=float),
+            np.array(point.jets, dtype=float).reshape(len(point.jets), q))
+
+
+def jet_env(base, jets, seed=None):
+    """Environment binding x and y^(1..r) to base (..., q) and jets
+    (..., r, q), floats or batches of floats; `seed(index, value)` may turn
+    each coordinate into a series."""
+    rows = jet_columns(base, jets)
+    values = [v for row in rows for v in row]
+    if seed is not None:
+        values = [seed(i, v) for i, v in enumerate(values)]
+    return dict(zip(coordinate_names(len(rows[0]), len(rows) - 1), values))
+
+
 def _taylor_env(base, jets, seeded=0):
     """Environment carrying the jet curve x(t) as series in t.
 
-    x(t) = base + sum_k jets[k-1] t^k, over the space ((1, r),).  With
-    `seeded` = s > 0 the coefficients of t^0..t^(s-1) are also seeded, in a
-    group (s q, 1): the coefficient of t^b in coordinate i is variable
-    b * q + i, so the variables follow the fiber order (x, y^(1), ...).
+    x(t) = base + sum_k jets[k-1] t^k, over the space ((1, r),), for base
+    (..., q) and jets (..., r, q).  With `seeded` = s > 0 the coefficients
+    of t^0..t^(s-1) are also seeded, in a group (s q, 1): the coefficient
+    of t^b in coordinate i is variable b * q + i, so the variables follow
+    the fiber order (x, y^(1), ...).
     """
-    q, r = len(base), len(jets)
+    base = np.asarray(base, dtype=float)
+    lead, q = base.shape[:-1], base.shape[-1]
+    rows = np.concatenate(
+        [base[..., None, :], np.reshape(jets, lead + (-1, q))], axis=-2)
+    r = rows.shape[-2] - 1
     groups = ((1, r), (seeded * q, 1)) if seeded else ((1, r),)
     sp = space(groups)
     env = {}
     for i, name in enumerate(coordinate_names(q)):
-        coeffs = np.zeros((r + 1, sp.size // (r + 1)))
-        coeffs[:, 0] = [base[i]] + [row[i] for row in jets]
+        coeffs = np.zeros(lead + (r + 1, sp.size // (r + 1)))
+        coeffs[..., 0] = rows[..., i]
         for b in range(seeded):
-            coeffs[b, 1 + b * q + i] = 1.0
-        env[name] = Series(sp, coeffs.ravel())
+            coeffs[..., b, 1 + b * q + i] = 1.0
+        env[name] = Series(sp, coeffs.reshape(lead + (-1,)))
     return env
 
 
-def _check_in_overlap(transition, point):
-    if point.chart != transition.from_chart:
+def _check_in_overlap(transition, chart, leaf, base):
+    """Points (leaf, base), or a batch of them, must lie in the overlap."""
+    if chart != transition.from_chart:
         raise InvariantViolation(
-            f"point lives in chart {point.chart!r}, transition starts at "
+            f"point lives in chart {chart!r}, transition starts at "
             f"{transition.from_chart!r}"
         )
-    if not box_contains(transition.overlap, point.leaf + point.base):
-        raise OutsideOverlap(
-            f"point {point.leaf + point.base} outside overlap of "
-            f"{transition.name}"
-        )
+    points = np.concatenate([leaf, base], axis=-1)
+    box = np.asarray(transition.overlap, dtype=float).reshape(-1, 2)
+    inside = ((box[:, 0] <= points) & (points <= box[:, 1])).all(axis=-1)
+    if not inside.all():
+        s = int(np.argmin(inside))
+        at = points if inside.ndim == 0 else points[s]
+        detail = f"point {tuple(at.tolist())} outside overlap of " \
+                 f"{transition.name}"
+        raise OutsideOverlap(detail) if inside.ndim == 0 else \
+            sample_error(OutsideOverlap, detail, s)
+
+
+def _prolong(atlas, transition, leaf, base, jets):
+    """Leaf, base and jet rows carried across a transition; arrays (p,),
+    (q,), (r, q), or batches of them."""
+    lead = np.shape(base)[:-1]
+    env = _taylor_env(base, jets)
+    coeffs = np.stack([e.eval(env).coeffs for e in transition.transverse_exprs],
+                      axis=-1)
+    flat_env = dict(zip(coordinate_names(atlas.q, p=atlas.p),
+                        columns(np.concatenate([leaf, base], axis=-1))))
+    new_leaf = [e.eval(flat_env) for e in transition.leaf_exprs]
+    new_leaf = np.stack(new_leaf, axis=-1) if new_leaf else np.zeros(lead + (0,))
+    return new_leaf, coeffs[..., 0, :], coeffs[..., 1:, :]
 
 
 def prolong_transition(atlas, transition, point):
@@ -172,21 +224,25 @@ def prolong_transition(atlas, transition, point):
     The transverse transition maps are evaluated on the truncated Taylor
     curve through the point; the image coefficients are the new jets.
     """
-    _check_in_overlap(transition, point)
-    p, q = atlas.p, atlas.q
-    r = point.order
-    env = _taylor_env(point.base, point.jets)
-    new_base = []
-    new_jets = [[0.0] * q for _ in range(r)]
+    leaf, base, jets = point_arrays(point)
+    _check_in_overlap(transition, point.chart, leaf, base)
+    leaf, base, jets = _prolong(atlas, transition, leaf, base, jets)
+    return TransverseJetPoint(transition.to_chart, point.order,
+                              tuple(leaf.tolist()), tuple(base.tolist()),
+                              tuple(map(tuple, jets.tolist())))
+
+
+def _prolong_jacobian(transition, base, jets):
+    """`prolong_jacobian` at base (q,) and jets (r, q), or at a batch."""
+    lead, q = np.shape(base)[:-1], np.shape(base)[-1]
+    r = np.shape(jets)[-2]
+    n = (r + 1) * q
+    env = _taylor_env(base, jets, seeded=r + 1)
+    out = np.zeros(lead + (n, n))
     for i, e in enumerate(transition.transverse_exprs):
-        coeffs = e.eval(env).coeffs
-        new_base.append(float(coeffs[0]))
-        for k in range(r):
-            new_jets[k][i] = float(coeffs[k + 1])
-    flat_env = dict(zip(coordinate_names(q, p=p), point.leaf + point.base))
-    new_leaf = tuple(float(e.eval(flat_env)) for e in transition.leaf_exprs)
-    return TransverseJetPoint(transition.to_chart, r, new_leaf,
-                              tuple(new_base), tuple(tuple(row) for row in new_jets))
+        out[..., i::q, :] = e.eval(env).coeffs.reshape(
+            lead + (r + 1, n + 1))[..., 1:]
+    return out
 
 
 def prolong_jacobian(atlas, transition, point):
@@ -196,15 +252,9 @@ def prolong_jacobian(atlas, transition, point):
     Strictly upper blocks (b > g) vanish identically; diagonal blocks all
     equal the base transverse Jacobian.
     """
-    _check_in_overlap(transition, point)
-    q = atlas.q
-    r = point.order
-    n = (r + 1) * q
-    env = _taylor_env(point.base, point.jets, seeded=r + 1)
-    out = np.zeros((n, n))
-    for i, e in enumerate(transition.transverse_exprs):
-        out[i::q, :] = e.eval(env).coeffs.reshape(r + 1, n + 1)[:, 1:]
-    return out
+    leaf, base, jets = point_arrays(point)
+    _check_in_overlap(transition, point.chart, leaf, base)
+    return _prolong_jacobian(transition, base, jets)
 
 
 def include_jet(r_low, r_high, point):

@@ -17,11 +17,12 @@ import math
 import sys
 import zlib
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import linalg
-from .dynamics import top_row_derivatives, vertical_hessian
+from .dynamics import float_matrix, top_hessian, top_row_derivatives
 from .errors import (
     InvariantViolation,
     NoConvergence,
@@ -29,9 +30,12 @@ from .errors import (
     SingularHessian,
 )
 from .expr import coordinate_names
-from .jets import TransverseJetPoint, _check_rows, _finite_tuple
-from .report import Report
-from .scalars import Series, second_order, space, value_of
+from .jets import (TransverseJetPoint, _check_rows, _finite_tuple,
+                   jet_columns, jet_env)
+from .report import Report, worst
+from .scalars import (Series, batch_of, broadcast, columns, merge,
+                      raise_where, samples_of, second_order, space,
+                      stack_samples, take, value_of)
 
 __all__ = [
     "CotangentJetPoint",
@@ -112,30 +116,62 @@ def legendre_map(L, point) -> CotangentJetPoint:
 
 def _second_order_in(out, group, q):
     """Value, gradient and Hessian of `out` in the q variables of a cap-2
-    `group`, as series in the other groups, or as floats for group 0."""
-    return second_order(out.split(group) if group else out.coeffs.reshape(
-        out.space.shape[0], -1)[:, 0].tolist(), q)
+    `group`, as series in the other groups, or as floats (or batches of
+    floats) for group 0."""
+    if group:
+        return second_order(out.split(group), q)
+    c = out.coeffs
+    return second_order(columns(c.reshape(c.shape[:-1] + (out.space.shape[0],
+                                                          -1))[..., 0]), q)
 
 
 def _condition_number(h):
-    """2-norm condition number of a symmetric float matrix, inf when it is
-    singular or not finite: closed form for q <= 2, eigvalsh beyond."""
-    if not all(math.isfinite(v) for row in h for v in row):
-        return math.inf
-    if len(h) == 2:
-        (a, b), (_, d) = h
-        big = abs(0.5 * (a + d)) + math.hypot(0.5 * (a - d), b)
-        small = abs(a * d - b * b) / big if big else 0.0
-    else:
-        eig = np.abs(np.linalg.eigvalsh(h)) if len(h) > 2 else [abs(h[0][0])]
-        big, small = max(eig), min(eig)
-    return big / small if small > 0.0 else math.inf
+    """2-norm condition number of symmetric float matrices (..., q, q), inf
+    where one is singular or not finite: closed form for q <= 2, eigvalsh
+    beyond."""
+    h = np.asarray(h, dtype=float)
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    with np.errstate(all="ignore"):
+        if h.shape[-1] == 1:
+            big = small = np.abs(h[..., 0, 0])
+        elif h.shape[-1] == 2:
+            a, b, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
+            big = np.abs(0.5 * (a + d)) + np.hypot(0.5 * (a - d), b)
+            small = np.abs(a * d - b * b) / big
+        else:
+            eig = np.abs(np.linalg.eigvalsh(
+                np.where(finite[..., None, None], h, 0.0)))
+            big, small = eig.max(axis=-1), eig.min(axis=-1)
+        return np.where(finite & (small > 0.0), big / small, np.inf)
 
 
-def _largest_coefficient(entries):
-    """Largest magnitude over the coefficients of floats or series."""
-    return float(np.abs(np.concatenate(
-        [e.coeffs if isinstance(e, Series) else [e] for e in entries])).max())
+def _largest_coefficient(entries, batch):
+    """Largest magnitude over the coefficients of floats or series, per
+    sample of a batch of `batch` (None: unbatched)."""
+    if not batch:
+        return np.abs(np.concatenate([e.coeffs if isinstance(e, Series)
+                                      else [e] for e in entries])).max()
+    return reduce(np.maximum, [np.abs(e.coeffs).max(axis=-1)
+                               if isinstance(e, Series) else np.abs(e)
+                               for e in entries])
+
+
+def _take_tree(x, idx):
+    """`take` on every entry of nested lists or tuples."""
+    if idx is None:
+        return x
+    if isinstance(x, (list, tuple)):
+        return type(x)(_take_tree(v, idx) for v in x)
+    return take(x, idx)
+
+
+def _merge_tree(x, idx, y):
+    """`merge` on every entry of nested lists or tuples."""
+    if idx is None:
+        return y
+    if isinstance(x, (list, tuple)):
+        return type(x)(_merge_tree(u, idx, v) for u, v in zip(x, y))
+    return merge(x, idx, y)
 
 
 def _newton_top_row(quad_at, target, guess, q, *, stage=None,
@@ -143,74 +179,134 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
                     condition_limit=CONDITION_LIMIT, polish=0):
     """Solve grad(quad_at(top)) = target for the top row by damped Newton.
 
-    `quad_at(top)` returns the (value, gradient, Hessian) of the stage in
-    the top row; entries may be floats or series.  The solve is settled,
-    and stops, once every coefficient of the residual is at roundoff
-    relative to those of the value, gradient and Hessian; otherwise it
-    stops `polish` steps after its largest coefficient falls to `tol`.
-    Damping and the condition guard use float values.  Returns (top_row,
-    stage_value, stats).
+    `quad_at(top, idx)` returns the (value, gradient, Hessian) of the stage
+    in the top row, for the samples `idx` of the batch (None: all of them);
+    entries may be floats or series.  The solve is settled, and stops, once
+    every coefficient of the residual is at roundoff relative to those of
+    the value, gradient and Hessian; otherwise it stops `polish` steps
+    after its largest coefficient falls to `tol`.  Damping and the
+    condition guard use float values.  Returns (top_row, stage_value,
+    stats).
+
+    When the target is a batch, every sample iterates as it would alone,
+    with its own damping, condition guard and pivots, and stops, frozen,
+    where it would stop alone: each step evaluates only the samples still
+    running.  Stats then hold per-sample lists.
     """
     where = f"stage {stage}: " if stage is not None else ""
-    top = list(guess)
-    if len(top) != q:
+    if len(guess) != q:
         raise ShapeError(f"guess must have {q} entries")
+    batch = next((n for n in map(batch_of, target) if n), None)
+    count = batch or 1
 
-    def residual(out):
+    def pick(idx):
+        """The index set quad_at and take see: None for all samples."""
+        return None if batch is None or len(idx) == count else idx
+
+    def per_sample(values):
+        """Per-sample flags or values as a batch, or as one unbatched."""
+        return values if batch else values[0]
+
+    def residual(out, idx, n):
         value, grad, hess = out
-        F = [grad[i] - target[i] for i in range(q)]
-        size = _largest_coefficient(F)
-        terms = _largest_coefficient([1.0, value, *grad, *sum(hess, [])])
-        settled = math.isfinite(terms) and size <= SETTLED_TOLERANCE * terms
-        return F, max(abs(value_of(f)) for f in F), size, settled
+        F = [grad[i] - take(target[i], idx) for i in range(q)]
+        size = _largest_coefficient(F, batch and n)
+        terms = _largest_coefficient([1.0, value, *grad, *sum(hess, [])],
+                                     batch and n)
+        settled = np.isfinite(terms) & (size <= SETTLED_TOLERANCE * terms)
+        norm = np.abs([value_of(f) for f in F]).max(axis=0)
+        return F, *map(np.atleast_1d, (norm, size, settled))
 
-    out = quad_at(top)
-    F, norm, size, settled = residual(out)
-    iterations = 0
-    extra = polish
-    while not settled:
-        if size <= tol:
-            if extra <= 0:
+    top = [broadcast(t, batch) for t in guess] if batch else list(guess)
+    out = quad_at(top, None)
+    F, norm, size, settled = residual(out, None, count)
+    iterations = np.zeros(count, dtype=int)
+    extra = np.full(count, polish)
+    active = np.flatnonzero(~settled)
+    # the samples still running have all taken the same number of steps,
+    # and those still damping one step have all halved it as often
+    steps = 0
+    while len(active):
+        small = size[active] <= tol
+        if small.any():
+            stop = small & (extra[active] <= 0)
+            extra[active[small & ~stop]] -= 1
+            active, small = active[~stop], small[~stop]
+            if not len(active):
                 break
-            extra -= 1
-        elif iterations >= max_iterations:
-            raise NoConvergence(
-                f"{where}residual {size:.3e} after {iterations} iterations"
-            )
-        hess = out[2]
-        cond = _condition_number([[value_of(h) for h in row] for row in hess])
-        if not math.isfinite(cond) or cond > condition_limit:
-            raise SingularHessian(
-                f"{where}vertical hessian condition estimate {cond:.3e}"
-            )
-        step = linalg.solve(hess, [[-f] for f in F])
-        scale = 1.0
+        if steps >= max_iterations and not small.all():
+            stuck = np.zeros(count, dtype=bool)
+            stuck[active[~small]] = True
+            raise_where(per_sample(stuck), NoConvergence,
+                        where + "residual {:.3e} after {} iterations",
+                        per_sample(size), steps)
+        sel = pick(active)
+        with samples_of(sel):
+            hess = _take_tree(out[2], sel)
+            cond = _condition_number(float_matrix(
+                [[value_of(h) for h in row] for row in hess]))
+            raise_where(~np.isfinite(cond) | (cond > condition_limit),
+                        SingularHessian,
+                        where + "vertical hessian condition estimate {:.3e}",
+                        cond)
+            step = linalg.solve(hess, [[-f] for f in _take_tree(F, sel)])
+        pending, rows, scale = active, None, 1.0
         while True:
-            trial = [top[i] + scale * step[i][0] for i in range(q)]
-            trial_out = quad_at(trial)
+            part = pick(pending)
+            trial = [take(top[i], part) + scale * take(step[i][0], rows)
+                     for i in range(q)]
+            with samples_of(part):
+                trial_out = quad_at(trial, part)
             trial_F, trial_norm, trial_size, trial_settled = residual(
-                trial_out)
-            if trial_norm < norm or scale < 1e-8 or norm <= tol:
+                trial_out, part, len(pending))
+            old = norm if part is None else norm[pending]
+            accept = (trial_norm < old) | (old <= tol) | (scale < 1e-8)
+            kept = None if accept.all() else np.flatnonzero(accept)
+            if kept is None and part is None:
+                top, out, F = trial, trial_out, trial_F
+                norm, size, settled = trial_norm, trial_size, trial_settled
                 break
+            if kept is None or len(kept):
+                into = pending if kept is None else pending[kept]
+                top = _merge_tree(top, into, _take_tree(trial, kept))
+                out = _merge_tree(out, into, _take_tree(trial_out, kept))
+                F = _merge_tree(F, into, _take_tree(trial_F, kept))
+                got = slice(None) if kept is None else kept
+                norm[into] = trial_norm[got]
+                size[into] = trial_size[got]
+                settled[into] = trial_settled[got]
+            if kept is None:
+                break
+            pending = pending[~accept]
+            rows = np.flatnonzero(~accept) if rows is None else rows[~accept]
             scale *= 0.5
-        top, out, F, norm = trial, trial_out, trial_F, trial_norm
-        size, settled = trial_size, trial_settled
-        iterations += 1
-    stats = {"iterations": iterations, "residual": size}
+        steps += 1
+        iterations[active] = steps
+        active = active[~settled[active]]
+    stats = {"iterations": per_sample(iterations.tolist()),
+             "residual": per_sample(size.tolist())}
     return top, out[0], stats
+
+
+def _inverse_top(L, base, lower, momentum, guess=None):
+    """The top row y^(r) with dL/dy^(r) = momentum, by Newton, with its
+    stats; base, rows and momentum hold floats or batches of floats."""
+    q = L.qdim
+    if guess is None:
+        guess = (0.0,) * q
+    return _newton_top_row(
+        lambda t, idx: top_row_derivatives(L, _take_tree(base, idx),
+                                           _take_tree(lower, idx), t),
+        list(momentum), guess, q,
+    )
 
 
 def legendre_inverse(L, cpoint, guess=None, *, return_stats=False):
     """Recover the jet point with momentum `cpoint.momentum` under L."""
     if cpoint.order != L.order or cpoint.qdim != L.qdim:
         raise ShapeError("cotangent point does not match the lagrangian")
-    q = L.qdim
-    if guess is None:
-        guess = (0.0,) * q
-    top, _, stats = _newton_top_row(
-        lambda t: top_row_derivatives(L, cpoint.base, cpoint.jets, t),
-        list(cpoint.momentum), guess, q,
-    )
+    top, _, stats = _inverse_top(L, cpoint.base, cpoint.jets,
+                                 cpoint.momentum, guess)
     point = TransverseJetPoint(cpoint.chart, L.order, cpoint.leaf,
                                cpoint.base, cpoint.jets + (tuple(top),))
     L.check_point(point)
@@ -221,8 +317,28 @@ def legendre_inverse(L, cpoint, guess=None, *, return_stats=False):
 
 def pseudo_hamiltonian(L, cpoint, guess=None) -> HamiltonianValue:
     """H = L composed with the inverse Legendre map."""
-    point = legendre_inverse(L, cpoint, guess)
-    return HamiltonianValue(L.value(point), cpoint)
+    if cpoint.order != L.order or cpoint.qdim != L.qdim:
+        raise ShapeError("cotangent point does not match the lagrangian")
+    return HamiltonianValue(hamiltonian_at(L, cpoint.base, cpoint.jets,
+                                           cpoint.momentum, guess), cpoint)
+
+
+def hamiltonian_at(L, base, jets, momentum, guess=None, *,
+                   return_stats=False):
+    """`pseudo_hamiltonian`'s value at base (q,), lower rows (r-1, q) and
+    momentum (q,), or at a batch of them (B, ...) as a batch of values."""
+    x, *rows = jet_columns(base, jets)
+    top, _, stats = _inverse_top(L, x, rows, columns(momentum), guess)
+    top = np.array(top).T
+    raise_where(~np.isfinite(top).all(axis=-1), InvariantViolation,
+                "non-finite entry in jets")
+    full = np.concatenate([np.reshape(jets, top.shape[:-1] + (-1, L.qdim)),
+                           top[..., None, :]], axis=-2)
+    L._check_smooth(base, full)
+    value = value_of(L.program.eval(jet_env(base, full)))
+    raise_where(~np.isfinite(value), InvariantViolation,
+                "non-finite hamiltonian value")
+    return (value, stats) if return_stats else value
 
 
 def _shifted(y, group, delta, q):
@@ -263,24 +379,31 @@ def _stage_value(L, sp, j, lower, momenta, guess=()):
     found at the last top row is shifted by delta in group j and handed
     down as their guess, so an inner stage whose prediction already
     settles costs one evaluation of L.
+
+    Values may be batches: every sample runs its own Newton at every
+    stage, and a stage's step evaluates the stages below it only for the
+    samples that step moves.
     """
     q = L.qdim
     if j == L.order:
         return L.program.eval(lower), []
     names = coordinate_names(q, j + 1)[(j + 1) * q:]
     start, inner = (guess[0], guess[1:]) if guess else ([0.0] * q, [])
-    last = start
+    last = None  # the top row of each sample's last evaluation
 
-    def quad_at(top):
+    def quad_at(top, idx):
         nonlocal last, inner
-        if any(t is not t0 for t, t0 in zip(top, last)):
-            delta = [t - t0 for t, t0 in zip(top, last)]
-            inner = [[_shifted(y, j, delta, q) for y in row] for row in inner]
-        env = dict(lower)
+        here = _take_tree(inner, idx)
+        if last is not None:
+            delta = [t - t0 for t, t0 in zip(top, _take_tree(last, idx))]
+            here = [[_shifted(y, j, delta, q) for y in row] for row in here]
+        env = {name: take(v, idx) for name, v in lower.items()}
         for i, name in enumerate(names):
             env[name] = sp.seed(top[i], j * q + i)
-        value, inner = _stage_value(L, sp, j + 1, env, momenta, inner)
-        last = top
+        value, here = _stage_value(L, sp, j + 1, env,
+                                   _take_tree(momenta, idx), here)
+        last = _merge_tree(last, idx, top)
+        inner = _merge_tree(inner, idx, here)
         return _second_order_in(value, j, q)
 
     top, value, _ = _newton_top_row(quad_at, list(momenta[j]), start, q,
@@ -293,8 +416,9 @@ def legendre_chain(L):
 
     Returns H(base, momentum) -> float, where every stage momentum is set
     to the same covector and the order-zero stage value is divided by r.
-    Stage failures raise SingularHessian / NoConvergence tagged with the
-    stage index.
+    A batch of bases and momenta (B, q) gives a batch of values.  Stage
+    failures raise SingularHessian / NoConvergence tagged with the stage
+    index.
     """
     r, q = L.order, L.qdim
     if L.slashed:
@@ -305,31 +429,35 @@ def legendre_chain(L):
     names = coordinate_names(q)
 
     def evaluate(base, momentum):
-        base = _finite_tuple(base, "base")
-        momentum = _finite_tuple(momentum, "momentum")
-        if len(base) != q or len(momentum) != q:
+        base = np.asarray(base, dtype=float)
+        momentum = np.asarray(momentum, dtype=float)
+        if base.shape[-1:] != (q,) or momentum.shape != base.shape \
+                or base.ndim > 2:
             raise ShapeError(f"base and momentum must have {q} entries")
-        lower = dict(zip(names, base))
-        momenta = [momentum] * r
-        return float(_stage_value(L, sp, 0, lower, momenta)[0]) / r
+        for values, what in ((base, "base"), (momentum, "momentum")):
+            raise_where(~np.isfinite(values).all(axis=-1), InvariantViolation,
+                        f"non-finite entry in {what}")
+        lower = dict(zip(names, columns(base)))
+        momenta = [columns(momentum)] * r
+        return _stage_value(L, sp, 0, lower, momenta)[0] / r
 
     return evaluate
 
 
-def _ray_level(value_at, phi_value):
-    """Deviation from the level phi where the fiber ray t -> value_at(t)
-    crosses it, or None when no t <= 2^59 reaches phi.
+def _ray_search(phi_value):
+    """Deviation from the level phi where a fiber ray crosses it, or None
+    when no t <= 2^59 reaches phi, as a coroutine: it yields each t to
+    evaluate and is sent back the value and the slope of the ray there.
 
-    `value_at(t)` returns the value and the slope at t.  From t = 1 the
-    bracket [lo, hi] grows by at least doubling t, or by a longer Newton
-    step up to 16 t, until the value reaches phi; then Newton steps
-    narrow it, bisecting whenever a step leaves it, until the deviation is
-    at roundoff or the bracket cannot shrink.
+    From t = 1 the bracket [lo, hi] grows by at least doubling t, or by a
+    longer Newton step up to 16 t, until the value reaches phi; then Newton
+    steps narrow it, bisecting whenever a step leaves it, until the
+    deviation is at roundoff or the bracket cannot shrink.
     """
     lo, hi, t = 0.0, math.inf, 1.0
     roundoff = 4.0 * sys.float_info.epsilon * max(1.0, abs(phi_value))
     for _ in range(300):
-        v, slope = value_at(t)
+        v, slope = yield t
         dev = v - phi_value
         if abs(dev) <= roundoff:
             break
@@ -351,6 +479,30 @@ def _ray_level(value_at, phi_value):
     return abs(dev)
 
 
+def _ray_level(value_at, phi_value, batch):
+    """`_ray_search` for each sample of a batch of `batch` (None:
+    unbatched), with the levels phi_value; each round evaluates the rays of
+    all samples still searching at once, by `value_at(t, idx)` for the
+    samples idx (None: all).  The deviations, None for unbracketed rays."""
+    phis = np.broadcast_to(phi_value, (batch or 1,)).tolist()
+    searches = [_ray_search(phi) for phi in phis]
+    pending = {s: search.send(None) for s, search in enumerate(searches)}
+    levels = [None] * len(searches)
+    while pending:
+        samples = list(pending)
+        sel = None if len(samples) == len(searches) else np.array(samples)
+        t = np.array(list(pending.values())) if batch else pending[0]
+        with samples_of(sel):
+            v, slope = (np.atleast_1d(x).tolist() for x in value_at(t, sel))
+        for s, point in zip(samples, zip(v, slope)):
+            try:
+                pending[s] = searches[s].send(point)
+            except StopIteration as done:
+                levels[s] = done.value
+                del pending[s]
+    return levels
+
+
 def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
                         jet_scale=1.0) -> Report:
     """The four admissible-lagrangian conditions as a report.
@@ -358,7 +510,8 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
     (a) positive-definite vertical Hessian, (b) nonnegativity with zero on
     the zero section, (c) projectability (no leaf-coordinate dependence),
     (d) a prescribed basic level phi (default 1) attained along random
-    fiber rays.
+    fiber rays.  The samples are drawn one by one, then each condition is
+    evaluated over all of them at once.
     """
     r, q = L.order, L.qdim
     report = Report(seed=int(seed))
@@ -376,14 +529,10 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
 
     def env_at(base, jets):
         env = dict.fromkeys(leaf_vars, 0.0)
-        env.update(zip(names, (*base, *jets)))
+        env.update(zip(names, columns(np.concatenate([base, jets], axis=-1))))
         return env
 
-    min_eig = np.inf
-    min_value = np.inf
-    zero_dev = 0.0
-    ray_dev = 0.0
-    ray_failures = 0
+    drawn = []
     for _ in range(samples):
         base = box[:, 0] + rng.random(q) * (box[:, 1] - box[:, 0])
         jets = rng.uniform(-jet_scale, jet_scale, r * q)
@@ -392,33 +541,45 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
                 if float(L.excluded.eval(env_at(base, jets))) > 0.0:
                     break
                 jets = rng.uniform(-jet_scale, jet_scale, r * q)
-        if projectable:
-            point = TransverseJetPoint(L.name, r, (), tuple(base),
-                                       tuple(tuple(jets[k * q:(k + 1) * q])
-                                             for k in range(r)))
-            min_eig = min(min_eig, vertical_hessian(L, point).min_eigenvalue)
-        else:
-            min_eig = min(min_eig, -np.inf)
-        min_value = min(min_value, float(L.program.eval(env_at(base, jets))))
-        if not L.slashed:
-            zero_dev = max(zero_dev,
-                           abs(float(L.program.eval(env_at(base,
-                                                           [0.0] * (r * q))))))
         direction = rng.standard_normal(r * q)
         direction /= np.linalg.norm(direction)
-        phi_value = float(phi.eval(env_at(base, [0.0] * (r * q)))) \
+        drawn.append((base, jets, direction))
+
+    min_eig = np.inf
+    min_value = np.inf
+    zero_dev = 0.0
+    ray_dev = 0.0
+    ray_failures = 0
+    if samples:
+        base, jets, direction = map(stack_samples, zip(*drawn))
+        batch = len(base) if base.ndim == 2 else None
+        zero = np.zeros_like(jets)
+        if projectable:
+            hess = top_hessian(L, base, jets.reshape(base.shape[:-1] + (r, q)))
+            min_eig = worst(min_eig, np.linalg.eigvalsh(hess).min(axis=-1),
+                            min)
+        else:
+            min_eig = -np.inf
+        min_value = worst(min_value, value_of(L.program.eval(
+            env_at(base, jets))), min)
+        if not L.slashed:
+            zero_dev = worst(zero_dev, np.abs(value_of(L.program.eval(
+                env_at(base, zero)))))
+        phi_value = value_of(phi.eval(env_at(base, zero))) \
             if phi is not None else 1.0
 
-        def along(t):
+        def along(t, idx):
             s = ray.seed(t, 0)
-            out = L.program.eval(env_at(base, [s * d for d in direction]))
-            return out.value, float(out.coeffs[1])
+            env = dict.fromkeys(leaf_vars, 0.0)
+            env.update(zip(names, [*columns(take(base, idx)),
+                                   *(s * d for d in columns(take(direction,
+                                                                 idx)))]))
+            out = L.program.eval(env)
+            return out.value, out.coeffs[..., 1]
 
-        dev = _ray_level(along, phi_value)
-        if dev is None:
-            ray_failures += 1
-        else:
-            ray_dev = max(ray_dev, dev)
+        levels = _ray_level(along, phi_value, batch)
+        ray_failures = levels.count(None)
+        ray_dev = worst(ray_dev, [dev for dev in levels if dev is not None])
 
     report.add("hessian_positive_definite", L.name or "L",
                float(min_eig), EIG_TOLERANCE, direction=">")

@@ -10,9 +10,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 
-__all__ = ["Check", "Report"]
+__all__ = ["Check", "Report", "worst"]
+
+
+def worst(start, values, pick=max):
+    """`pick` folded over `start` and then `values` in sample order, as a
+    loop of ``start = pick(start, value)`` would: a NaN after the first
+    entry is passed over.  `values` may be one float or a batch."""
+    return pick([start, *np.ravel(values).tolist()])
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import LagrangianField, semispray, vertical_hessian
+from .dynamics import LagrangianField, semispray, top_hessian
 from .errors import DomainError, InvariantViolation, ShapeError, SingularMetric
 from .expr import ExprProgram, Graph, coordinate_names, parse
-from .jets import TransverseJetPoint, _taylor_env
-from .report import Report
+from .jets import (_check_in_overlap, _prolong, _prolong_jacobian,
+                   _taylor_env, point_arrays)
+from .report import Report, worst
+from .scalars import columns, raise_where, stack_samples
 
 __all__ = [
     "MetricField",
@@ -81,16 +83,19 @@ class MetricField:
         return len(self.components)
 
     def evaluate(self, base):
+        """The q x q matrix at a base point (q,), or matrices (B, q, q) at a
+        batch of them (B, q)."""
         q = self.qdim
-        env = dict(zip(coordinate_names(q), base))
-        out = np.empty((q, q))
+        base = np.asarray(base, dtype=float)
+        env = dict(zip(coordinate_names(q), columns(base)))
+        out = np.empty(base.shape[:-1] + (q, q))
         for i in range(q):
             for j in range(i, q):
                 # the lower triangle is the same program as the upper one
-                out[i, j] = out[j, i] = float(self.components[i][j].eval(env))
-        if not np.all(np.isfinite(out)):
-            raise DomainError(f"metric {self.name!r} is not finite at "
-                              f"{[float(v) for v in base]}")
+                out[..., i, j] = out[..., j, i] = \
+                    self.components[i][j].eval(env)
+        raise_where(~np.isfinite(out).all(axis=(-2, -1)), DomainError,
+                    "metric {!r} is not finite at {}", self.name, base)
         return out
 
     def check_positive_definite(self, box, samples=25, seed=0, *,
@@ -101,13 +106,10 @@ class MetricField:
         if box.shape != (self.qdim, 2):
             raise ShapeError("domain box must have one interval per coordinate")
         pts = box[:, 0] + rng.random((samples, self.qdim)) * (box[:, 1] - box[:, 0])
-        for pt in pts:
-            eig = float(np.linalg.eigvalsh(self.evaluate(pt)).min())
-            if eig <= eig_tol:
-                raise SingularMetric(
-                    f"metric {self.name!r} has eigenvalue {eig:.3e} at "
-                    f"{pt.tolist()}"
-                )
+        eig = np.linalg.eigvalsh(self.evaluate(pts)).min(axis=-1)
+        raise_where(eig <= eig_tol, SingularMetric,
+                    "metric {!r} has eigenvalue {:.3e} at {}", self.name,
+                    eig, pts)
 
 
 def _christoffel_series(g, base, jets=()):
@@ -117,39 +119,44 @@ def _christoffel_series(g, base, jets=()):
     k-th coefficient of g(x(t)) and Gamma[k][a, b, c] that of
     Gamma^a_bc(x(t)).  Seeding the base coefficient as well (the space
     ((1, n - 1), (q, 1))) makes one evaluation of g carry the series of all
-    its partials.
+    its partials.  With base (B, q) and jets (B, n - 1, q) every array gains
+    a leading batch axis.
     """
     q = g.qdim
-    n = len(jets) + 1
+    base = np.asarray(base, dtype=float)
+    lead = base.shape[:-1]
+    jets = np.reshape(jets, lead + (-1, q))
+    n = jets.shape[-2] + 1
     env = _taylor_env(base, jets, seeded=1)
-    G = np.zeros((n, q, q))
-    dG = np.zeros((n, q, q, q))  # [k, m, i, j]: d g_ij / d x_m
+    G = np.zeros(lead + (n, q, q))
+    dG = np.zeros(lead + (n, q, q, q))  # [k, m, i, j]: d g_ij / d x_m
     for i in range(q):
         for j in range(i, q):
-            c = g.components[i][j].eval(env).coeffs.reshape(n, q + 1)
-            G[:, i, j] = G[:, j, i] = c[:, 0]
-            dG[:, :, i, j] = dG[:, :, j, i] = c[:, 1:]
-    det = float(np.linalg.det(G[0]))
-    if abs(det) <= 1e-12:
-        raise SingularMetric(f"metric determinant {det:.3e} at {list(base)}")
-    ginv = np.linalg.inv(G[0])
+            c = g.components[i][j].eval(env).coeffs.reshape(lead + (n, q + 1))
+            G[..., i, j] = G[..., j, i] = c[..., 0]
+            dG[..., i, j] = dG[..., j, i] = c[..., 1:]
+    det = np.linalg.det(G[..., 0, :, :])
+    raise_where(np.abs(det) <= 1e-12, SingularMetric,
+                "metric determinant {:.3e} at {}", det, base)
+    ginv = np.linalg.inv(G[..., 0, :, :])
     # first kind, at [k, d, b, c]: (d_b g_dc + d_c g_bd - d_d g_bc) / 2
-    first = 0.5 * (dG.transpose(0, 2, 1, 3) + dG.transpose(0, 3, 2, 1) - dG)
-    first = first.reshape(n, q, q * q)
+    first = 0.5 * (dG.swapaxes(-3, -2) + dG.swapaxes(-3, -1) - dG)
+    first = first.reshape(lead + (n, q, q * q))
     # series division of g Gamma = first:
     # Gamma_k = g_0^-1 (first_k - sum_{1<=j<=k} g_j Gamma_(k-j))
     gamma = []
     for k in range(n):
-        rhs = first[k] - sum(G[j] @ gamma[k - j] for j in range(1, k + 1))
+        rhs = first[..., k, :, :] - sum(G[..., j, :, :] @ gamma[k - j]
+                                        for j in range(1, k + 1))
         gamma.append(ginv @ rhs)
-    gamma = np.reshape(gamma, (n, q, q, q))
+    gamma = np.stack(gamma, axis=-3).reshape(lead + (n, q, q, q))
     # the products need not round (b, c) and (c, b) alike
-    return G, (gamma + gamma.swapaxes(2, 3)) / 2.0
+    return G, (gamma + gamma.swapaxes(-2, -1)) / 2.0
 
 
 def christoffel(g, base):
     """Levi-Civita symbols C[a][b][c] of g at a base point."""
-    return _christoffel_series(g, base)[1][0]
+    return _christoffel_series(g, base)[1][..., 0, :, :, :]
 
 
 class _Lift:
@@ -272,22 +279,24 @@ def prolongation_coefficients(g, r):
     return _lift(g).coefficients(r)
 
 
-def _transport_coefficients(g, point, r):
+def _transport_coefficients(g, base, jets):
     """g at the base point and the prolonged connection coefficients M_(0..r).
 
     M_(k) is the k-th Taylor coefficient of the parallel transport W(t)
-    along the jet curve x(t): W' = W A with W(0) = I = M_(0) and
-    A_ab = Gamma^a_bm(x(t)) x'^m(t), so
-    (k+1) M_(k+1) = sum_{j<=k} M_(j) A_(k-j).
+    along the jet curve x(t) through base (q,) and jets (r, q): W' = W A
+    with W(0) = I = M_(0) and A_ab = Gamma^a_bm(x(t)) x'^m(t), so
+    (k+1) M_(k+1) = sum_{j<=k} M_(j) A_(k-j).  A batch of points gives a
+    batch of each.
     """
-    G, gamma = _christoffel_series(g, point.base, point.jets[:r - 1])
-    velocity = [(k + 1) * np.asarray(point.jet(k + 1)) for k in range(r)]
-    A = [sum(gamma[j] @ velocity[k - j] for j in range(k + 1))
-         for k in range(r)]
+    r = np.shape(jets)[-2]
+    G, gamma = _christoffel_series(g, base, jets[..., :r - 1, :])
+    velocity = [(k + 1) * jets[..., k, :, None] for k in range(r)]
+    A = [sum((gamma[..., j, :, :, :] @ velocity[k - j][..., None, :, :])
+             [..., 0] for j in range(k + 1)) for k in range(r)]
     W = [np.eye(g.qdim)]
     for k in range(r):
         W.append(sum(W[j] @ A[k - j] for j in range(k + 1)) / (k + 1))
-    return G[0], W
+    return G[..., 0, :, :], W
 
 
 @dataclass
@@ -320,16 +329,25 @@ class LiftedMetric:
         if point.order != r:
             raise ShapeError(
                 f"jet of order {point.order} for a lift of order {r}")
-        g = self.sources[self._key(point.chart)]
-        gb, W = _transport_coefficients(g, point, r)
+        _, base, jets = point_arrays(point)
+        return self.evaluate_at(point.chart, base, jets)
+
+    def evaluate_at(self, chart, base, jets):
+        """G at base (q,) and jets (r, q) in `chart`, or at a batch of
+        points, base (B, q) and jets (B, r, q), as (B, n, n)."""
+        r = self.order
+        g = self.sources[self._key(chart)]
+        gb, W = _transport_coefficients(g, base, np.asarray(jets, dtype=float))
         q = g.qdim
-        R = np.zeros(((r + 1) * q, (r + 1) * q))
+        lead = gb.shape[:-2]
+        R = np.zeros(lead + ((r + 1) * q, (r + 1) * q))
         for k in range(r + 1):
             for i in range(k + 1):
-                R[k * q:(k + 1) * q, i * q:(i + 1) * q] = W[k - i]
+                R[..., k * q:(k + 1) * q, i * q:(i + 1) * q] = W[k - i]
         # sum over coframe rows k of R_k^T g R_k
-        G = R.T @ (gb @ R.reshape(r + 1, q, -1)).reshape(R.shape)
-        return (G + G.T) / 2.0
+        G = R.swapaxes(-2, -1) @ (gb[..., None, :, :] @ R.reshape(
+            lead + (r + 1, q, -1))).reshape(R.shape)
+        return (G + G.swapaxes(-2, -1)) / 2.0
 
     def __call__(self, point):
         return self.evaluate(point)
@@ -347,14 +365,15 @@ def lift_metric(g, r) -> LiftedMetric:
 
 
 def sample_jets(rng, r, q, scale=1.0):
-    return tuple(tuple(rng.uniform(-scale, scale, q)) for _ in range(r))
+    # one draw of r rows takes the same values as r draws of one row
+    return tuple(map(tuple, rng.uniform(-scale, scale, (r, q)).tolist()))
 
 
 def holonomy_check(atlas, lifted, samples=25, seed=0, *,
                    tol=HOLONOMY_TOLERANCE) -> Report:
-    """Transition-invariance of the lifted metric: DPhi^T G' DPhi == G."""
+    """Transition-invariance of the lifted metric: DPhi^T G' DPhi == G,
+    over all of a transition's samples at once."""
     from .atlas import sample_overlap
-    from .jets import prolong_jacobian, prolong_transition
 
     report = Report(seed=int(seed))
     r, p = lifted.order, atlas.p
@@ -367,16 +386,17 @@ def holonomy_check(atlas, lifted, samples=25, seed=0, *,
         rng = np.random.default_rng(
             [int(seed), zlib.crc32(t.name.encode()), 7]
         )
-        dev_max = 0.0
-        for pt in pts:
-            point = TransverseJetPoint(t.from_chart, r, tuple(pt[:p]),
-                                       tuple(pt[p:]), sample_jets(rng, r, q))
-            image = prolong_transition(atlas, t, point)
-            dphi = prolong_jacobian(atlas, t, point)
-            left = dphi.T @ lifted.evaluate(image) @ dphi
-            dev_max = max(dev_max,
-                          float(np.max(np.abs(left - lifted.evaluate(point)))))
-        report.add("holonomy", t.name, dev_max, tol)
+        jets = stack_samples([sample_jets(rng, r, q) for _ in pts])
+        pts = stack_samples(pts)
+        leaf, base = pts[..., :p], pts[..., p:]
+        _check_in_overlap(t, t.from_chart, leaf, base)
+        _, image_base, image_jets = _prolong(atlas, t, leaf, base, jets)
+        dphi = _prolong_jacobian(t, base, jets)
+        left = dphi.swapaxes(-2, -1) @ lifted.evaluate_at(
+            t.to_chart, image_base, image_jets) @ dphi
+        dev = np.abs(left - lifted.evaluate_at(t.from_chart, base, jets))
+        report.add("holonomy", t.name, worst(0.0, dev.max(axis=(-2, -1))),
+                   tol)
     return report
 
 
@@ -393,13 +413,15 @@ def vertical_exactness_check(lifted, L, samples=25, seed=0, *, base_box,
         chart = next(iter(lifted.sources))
     rng = np.random.default_rng([int(seed), zlib.crc32(b"vexact"), 3])
     box = np.asarray(base_box, dtype=float)
-    dev_max = 0.0
+    bases, jets = [], []
     for _ in range(samples):
-        base = box[:, 0] + rng.random(q) * (box[:, 1] - box[:, 0])
-        point = TransverseJetPoint(chart, r, (), tuple(base),
-                                   sample_jets(rng, r, q, jet_scale))
-        g_top = lifted.evaluate(point)[r * q:, r * q:]
-        half_hess = 0.5 * vertical_hessian(L, point).matrix
-        dev_max = max(dev_max, float(np.max(np.abs(g_top - half_hess))))
+        bases.append(box[:, 0] + rng.random(q) * (box[:, 1] - box[:, 0]))
+        jets.append(sample_jets(rng, r, q, jet_scale))
+    dev_max = 0.0
+    if samples:
+        base, jets = stack_samples(bases), stack_samples(jets)
+        g_top = lifted.evaluate_at(chart, base, jets)[..., r * q:, r * q:]
+        half_hess = 0.5 * top_hessian(L, base, jets)
+        dev_max = worst(dev_max, np.abs(g_top - half_hess).max(axis=(-2, -1)))
     report.add("vertical_exactness", L.name or "L", dev_max, tol)
     return report

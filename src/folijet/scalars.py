@@ -23,6 +23,17 @@ univariate Taylor coefficients at the value a0 (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  Plain floats stay
 plain floats.  Series are treated as immutable, every operation is pure,
 and a non-finite coefficient anywhere raises DomainError.
+
+Batches.  A series may carry a leading batch axis, ``coeffs`` of shape
+(B, size), and a batch of plain floats is a 1-D float ndarray; every
+operation acts on each sample as it would on that sample alone (vector
+forward mode, Griewank & Walther ch. 3).  The product of a batch is the
+same ``bincount`` over the table's keys offset by ``sample * size``, so it
+sums each output coefficient in the same order and is bit-identical to
+the product of each sample.  Elementary functions of a batch go through
+numpy ufuncs, which may differ from ``math`` in the last bit; a domain
+error or a non-finite coefficient in any sample raises DomainError naming
+the first failing sample.  Unbatched values stay the batch-size-1 case.
 """
 
 from __future__ import annotations
@@ -35,11 +46,61 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import DomainError, SpaceMismatch
+from .errors import DomainError, FolijetError, SpaceMismatch
 
 __all__ = ["Space", "Series", "space", "second_order", "value_of",
            "exp", "log", "sin", "cos", "tan", "sqrt", "atan",
-           "power", "UNARY_FUNCTIONS"]
+           "power", "UNARY_FUNCTIONS", "raise_where", "batch_of",
+           "broadcast", "take", "merge", "where", "columns",
+           "stack_samples", "samples_of", "sample_error"]
+
+
+def raise_where(bad, error, message, *values):
+    """Raise ``error(message.format(*values))`` where `bad` holds.
+
+    `bad` is a flag or a batch of flags; for a batch the error reports the
+    first sample where it holds, with that sample's entries of any batched
+    `values`, and names the sample.
+    """
+    if type(bad) is np.ndarray and bad.ndim:
+        if bad.any():
+            s = int(bad.argmax())
+            raise sample_error(error, message.format(*(
+                _shown(v[s] if type(v) is np.ndarray and v.ndim else v)
+                for v in values)), s)
+    elif bad:
+        raise error(message.format(*map(_shown, values)))
+
+
+def _shown(value):
+    """An array entry of an error message as a list."""
+    return value.tolist() if type(value) is np.ndarray else value
+
+
+def sample_error(error, detail, s):
+    """``error(detail)`` for sample s of a batch, naming the sample."""
+    out = error(f"{detail} (sample {s})")
+    out.detail, out.sample = detail, s
+    return out
+
+
+class samples_of:
+    """Context for work on the samples `idx` of a batch: an error it raises
+    for its sample s names sample idx[s] of the batch instead."""
+
+    __slots__ = ("idx",)
+
+    def __init__(self, idx):
+        self.idx = idx
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, err, trace):
+        if isinstance(err, FolijetError) and self.idx is not None \
+                and getattr(err, "sample", None) is not None:
+            raise sample_error(type(err), err.detail,
+                               int(self.idx[err.sample])) from None
 
 
 def _group_monomials(count, cap):
@@ -87,6 +148,7 @@ class Space:
                                    np.tile(group, (len(exponents), 1))])
             shape.append(s)
         self.table = (i, j, k)
+        self._keys = k  # the product keys of the largest batch seen
         self.exponents = exponents
         self.shape = tuple(shape)
         self.size = len(exponents)
@@ -103,20 +165,36 @@ class Space:
     def __repr__(self):
         return f"Space({self.groups!r})"
 
+    def keys(self, batch):
+        """The product table's k for a batch: sample s's keys offset by
+        s * size, so one bincount sums every sample's products."""
+        n = batch * len(self.table[2])
+        if len(self._keys) < n:
+            self._keys = (self.table[2]
+                          + self.size * np.arange(batch)[:, None]).ravel()
+        return self._keys[:n]
+
+    def _zeros(self, value):
+        """Zero coefficients, with the batch axis of a batch `value`."""
+        if type(value) is np.ndarray:
+            return np.zeros((len(value), self.size))
+        return np.zeros(self.size)
+
     def constant(self, value):
-        coeffs = np.zeros(self.size)
-        coeffs[0] = value
+        coeffs = self._zeros(value)
+        coeffs.T[0] = value
         return _series(self, coeffs)
 
     def seed(self, value, *variables):
-        """``value`` plus each listed variable; value is a float or series."""
+        """``value`` plus each listed variable; value is a float or series,
+        or a batch of either."""
         if isinstance(value, Series):
             coeffs = value._coerce(self).copy()
         else:
-            coeffs = np.zeros(self.size)
-            coeffs[0] = value
+            coeffs = self._zeros(value)
+            coeffs.T[0] = value
         for v in variables:
-            coeffs[self.variables[v]] += 1.0
+            coeffs.T[self.variables[v]] += 1.0
         return _series(self, coeffs)
 
 
@@ -127,14 +205,49 @@ def space(groups):
 
 
 def _plain(x):
-    return type(x) is float or type(x) is int or isinstance(x, numbers.Real)
+    return (type(x) is float or type(x) is int or type(x) is np.ndarray
+            or isinstance(x, numbers.Real))
+
+
+PRODUCT_CHUNK = 1 << 12
+
+
+def _product(sp, a, bj):
+    """The product kernel: the coefficients of a times b, sample by sample,
+    from a and b's coefficients gathered by the table's j.
+
+    One gather-multiply-bincount over the space's table; a batch sums every
+    sample's products in one bincount over offset keys, in the same order
+    as a single sample, so each sample's product is bit-identical to its
+    own.
+    """
+    i, _, k = sp.table
+    if a.ndim == 1 == bj.ndim:
+        return np.bincount(k, a[i] * bj, sp.size)
+    batch = len(a) if a.ndim == 2 else len(bj)
+    a = np.broadcast_to(a, (batch, sp.size))
+    bj = np.broadcast_to(bj, (batch, len(k)))
+    out = np.empty((batch, sp.size))
+    # at most PRODUCT_CHUNK terms at a time bound the temporaries and keys
+    step = max(1, PRODUCT_CHUNK // len(k))
+    for s in range(0, batch, step):
+        terms = a[s:s + step, i]
+        terms *= bj[s:s + step]
+        n = len(terms)
+        out[s:s + n] = np.bincount(sp.keys(n), terms.ravel(),
+                                   n * sp.size).reshape(n, sp.size)
+    return out
 
 
 def _series(sp, coeffs):
     """A series on a trusted coefficient array; rejects non-finite entries
     (0 * x is NaN exactly when x is not finite)."""
-    if math.isnan(sp.zeros.dot(coeffs)):
-        raise DomainError("non-finite series coefficient")
+    if coeffs.ndim == 1:
+        if math.isnan(sp.zeros.dot(coeffs)):
+            raise DomainError("non-finite series coefficient")
+    else:
+        raise_where(np.isnan(coeffs.dot(sp.zeros)), DomainError,
+                    "non-finite series coefficient")
     out = object.__new__(Series)
     out.space = sp
     out.coeffs = coeffs
@@ -144,8 +257,11 @@ def _series(sp, coeffs):
 class Series:
     """A truncated multivariate Taylor series: float coefficients over a space.
 
-    ``coeffs[m]`` is the coefficient of monomial m, i.e. the partial
-    derivative of that multi-index divided by its factorial.
+    ``coeffs[..., m]`` is the coefficient of monomial m, i.e. the partial
+    derivative of that multi-index divided by its factorial; a leading axis,
+    when there is one, runs over the samples of a batch.  The code writes
+    ``coeffs.T[m]`` for that column: on one sample it is a plain index,
+    which numpy runs several times faster than ``coeffs[..., m]``.
     """
 
     __slots__ = ("space", "coeffs")
@@ -153,16 +269,23 @@ class Series:
 
     def __init__(self, space, coeffs):
         coeffs = np.array(coeffs, dtype=float)
-        if coeffs.shape != (space.size,):
+        if coeffs.shape[-1:] != (space.size,) or coeffs.ndim > 2:
             raise SpaceMismatch(
                 f"{coeffs.shape} coefficients for {space.size} monomials")
-        if not np.isfinite(coeffs).all():
-            raise DomainError("non-finite series coefficient")
+        raise_where(~np.isfinite(coeffs).all(axis=-1), DomainError,
+                    "non-finite series coefficient")
         self.space, self.coeffs = space, coeffs
 
     @property
     def value(self):
-        return float(self.coeffs[0])
+        """The constant coefficient: a float, or a batch of floats."""
+        c = self.coeffs
+        return float(c[0]) if c.ndim == 1 else c[:, 0]
+
+    @property
+    def batch(self):
+        """The number of samples, or None for an unbatched series."""
+        return len(self.coeffs) if self.coeffs.ndim == 2 else None
 
     def __repr__(self):
         return f"Series({self.space.groups!r}, {self.coeffs.tolist()!r})"
@@ -181,10 +304,13 @@ class Series:
         series in the other groups (zero degree in ``group``)."""
         sp = self.space
         g = sp.shape[group]
-        block = self.coeffs.reshape(math.prod(sp.shape[:group]), g, -1)
+        lead = self.coeffs.shape[:-1]
+        block = self.coeffs.reshape(lead + (math.prod(sp.shape[:group]), g,
+                                            -1))
         out = np.zeros((g,) + block.shape)
-        out[:, :, 0, :] = block.transpose(1, 0, 2)
-        return [self._new(row.ravel()) for row in out]
+        n = block.ndim
+        out[..., 0, :] = block.transpose(n - 2, *range(n - 2), n - 1)
+        return [self._new(row.reshape(lead + (-1,))) for row in out]
 
     # -- ring operations ----------------------------------------------------
 
@@ -193,8 +319,12 @@ class Series:
             return self._new(self.coeffs + other._coerce(self.space))
         if not _plain(other):
             return NotImplemented
-        coeffs = self.coeffs.copy()
-        coeffs[0] += other
+        coeffs = self.coeffs
+        if type(other) is np.ndarray and coeffs.ndim == 1:
+            coeffs = np.tile(coeffs, (len(other), 1))
+        else:
+            coeffs = coeffs.copy()
+        coeffs.T[0] += other
         return self._new(coeffs)
 
     __radd__ = __add__
@@ -213,12 +343,15 @@ class Series:
     def __mul__(self, other):
         if type(other) is Series:
             sp = self.space
-            b = other._coerce(sp)
-            i, j, k = sp.table
-            return _series(sp, np.bincount(k, self.coeffs[i] * b[j], sp.size))
+            b, j = other._coerce(sp), sp.table[1]
+            # b[j] on one sample: numpy's `...` indexing is several times
+            # slower
+            return _series(sp, _product(sp, self.coeffs,
+                                        b[j] if b.ndim == 1 else b[:, j]))
         if not _plain(other):
             return NotImplemented
-        return self._new(self.coeffs * other)
+        return self._new(self.coeffs * (other[:, None] if type(other) is
+                                        np.ndarray else other))
 
     __rmul__ = __mul__
 
@@ -227,17 +360,17 @@ class Series:
             return self * other._reciprocal()
         if not _plain(other):
             return NotImplemented
-        if other == 0.0:
-            raise DomainError("division of a series by zero")
-        return self._new(self.coeffs / other)
+        raise_where(other == 0.0, DomainError, "division of a series by zero")
+        return self._new(self.coeffs / (other[:, None] if type(other) is
+                                        np.ndarray else other))
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other if _plain(other) else NotImplemented
 
     def _reciprocal(self):
         a0 = self.value
-        if a0 == 0.0:
-            raise DomainError("division by series with zero value")
+        raise_where(a0 == 0.0, DomainError,
+                    "division by series with zero value")
         return self._compose(_power_coefficients(a0, -1.0, 1.0 / a0,
                                                  self.space.degree))
 
@@ -246,6 +379,14 @@ class Series:
             return exp(log(self) * e)
         if not _plain(e):
             return NotImplemented
+        if type(e) is np.ndarray:
+            # each sample to its own exponent: one power per distinct one
+            values, group = np.unique(e, return_inverse=True)
+            out = broadcast(self.space.constant(0.0), len(e))
+            for n, v in enumerate(values):
+                idx = np.flatnonzero(group == n)
+                out = merge(out, idx, take(self, idx) ** float(v))
+            return out
         e = float(e)
         if e.is_integer():
             n = abs(int(e))
@@ -257,12 +398,12 @@ class Series:
                 if n:
                     base = base * base
             if result is None:
-                return self.space.constant(1.0)
+                return broadcast(self.space.constant(1.0), self.batch)
             return result._reciprocal() if e < 0 else result
         a0 = self.value
-        if a0 <= 0.0:
-            raise DomainError("non-integer power of nonpositive base")
-        return self._compose(_power_coefficients(a0, e, math.pow(a0, e),
+        raise_where(a0 <= 0.0, DomainError,
+                    "non-integer power of nonpositive base")
+        return self._compose(_power_coefficients(a0, e, power(a0, e),
                                                  self.space.degree))
 
     def __rpow__(self, other):
@@ -272,36 +413,57 @@ class Series:
 
     def _compose(self, f):
         """sum_k f[k] (self - value)^k by Horner."""
-        if not all(map(math.isfinite, f)):
+        if type(f[0]) is np.ndarray:
+            raise_where(~np.isfinite(f).all(axis=0), DomainError,
+                        "non-finite derivative of an elementary function")
+        elif not all(map(math.isfinite, f)):
             raise DomainError("non-finite derivative of an elementary function")
         sp = self.space
-        i, j, k = sp.table
         h = self.coeffs.copy()
-        h[0] = 0.0
-        hj = h[j]
-        out = np.zeros(sp.size)
-        out[0] = f[-1]
+        h.T[0] = 0.0
+        j = sp.table[1]
+        hj = h[j] if h.ndim == 1 else h[:, j]
+        out = np.zeros(h.shape)
+        out.T[0] = f[-1]
         for fk in f[-2::-1]:
-            out = np.bincount(k, out[i] * hj, sp.size)
-            out[0] += fk
+            out = _product(sp, out, hj)
+            out.T[0] += fk
         return self._new(out)
 
 
-# Univariate Taylor coefficients f_0..f_D of the elementary functions at a0
+# Univariate Taylor coefficients f_0..f_D of the elementary functions at a0,
+# a float or a batch of floats
+
+
+def _ufunc(fn, ufunc, a0):
+    """fn at a float, or the numpy ufunc over a batch of floats."""
+    if type(a0) is np.ndarray:
+        with np.errstate(all="ignore"):
+            return ufunc(a0)
+    return fn(a0)
 
 
 def _exp_coefficients(a0, D):
-    try:
-        f0 = math.exp(a0)
-    except OverflowError:
-        raise DomainError(f"exp({a0}) overflows") from None
+    if type(a0) is np.ndarray:
+        f0 = _ufunc(None, np.exp, a0)
+        raise_where(np.isinf(f0) & np.isfinite(a0), DomainError,
+                    "exp({}) overflows", a0)
+    else:
+        try:
+            f0 = math.exp(a0)
+        except OverflowError:
+            raise DomainError(f"exp({a0}) overflows") from None
     return [f0 / math.factorial(k) for k in range(D + 1)]
 
 
 def _log_coefficients(a0, D):
-    if a0 <= 0.0:
-        raise DomainError(f"log of nonpositive value {a0}")
-    return [math.log(a0)] + [-(-1.0 / a0) ** k / k for k in range(1, D + 1)]
+    raise_where(a0 <= 0.0, DomainError, "log of nonpositive value {}", a0)
+    try:
+        return [_ufunc(math.log, np.log, a0)] + [-(-1.0 / a0) ** k / k
+                                                 for k in range(1, D + 1)]
+    except OverflowError:  # a float power; a batch overflows to inf
+        raise DomainError("non-finite derivative of an elementary function") \
+            from None
 
 
 def _power_coefficients(a0, e, f0, D):
@@ -313,21 +475,22 @@ def _power_coefficients(a0, e, f0, D):
 
 
 def _sqrt_coefficients(a0, D):
-    if a0 <= 0.0:
-        raise DomainError(f"sqrt of nonpositive value {a0}")
-    return _power_coefficients(a0, 0.5, math.sqrt(a0), D)
+    raise_where(a0 <= 0.0, DomainError, "sqrt of nonpositive value {}", a0)
+    return _power_coefficients(a0, 0.5, _ufunc(math.sqrt, np.sqrt, a0), D)
 
 
 def _sin_coefficients(a0, D, shift=0):
     """sin at a0, or cos with shift=1: derivatives cycle s, c, -s, -c."""
-    s, c = math.sin(a0), math.cos(a0)
+    raise_where(np.isinf(a0), DomainError, "sin or cos of {}", a0)
+    s, c = _ufunc(math.sin, np.sin, a0), _ufunc(math.cos, np.cos, a0)
     cycle = (s, c, -s, -c)
     return [cycle[(k + shift) % 4] / math.factorial(k) for k in range(D + 1)]
 
 
 def _tan_coefficients(a0, D):
     # tan' = 1 + tan^2
-    t = [math.tan(a0)]
+    raise_where(np.isinf(a0), DomainError, "tan of {}", a0)
+    t = [_ufunc(math.tan, np.tan, a0)]
     for k in range(D):
         t.append(((k == 0) + sum(t[j] * t[k - j] for j in range(k + 1)))
                  / (k + 1))
@@ -340,14 +503,15 @@ def _atan_coefficients(a0, D):
     b = [0.0, 0.0]  # b_(k-2), b_(k-1), then the series of 1/w
     for k in range(D):
         b.append(((k == 0) - 2.0 * a0 * b[-1] - b[-2]) / w0)
-    return [math.atan(a0)] + [b[k + 1] / k for k in range(1, D + 1)]
+    return [_ufunc(math.atan, np.arctan, a0)] + [b[k + 1] / k
+                                                 for k in range(1, D + 1)]
 
 
 def _elementary(name, coefficients):
     def fn(x):
         if isinstance(x, Series):
             return x._compose(coefficients(x.value, x.space.degree))
-        return coefficients(float(x), 0)[0]
+        return coefficients(x if type(x) is np.ndarray else float(x), 0)[0]
     fn.__name__ = fn.__qualname__ = name
     return fn
 
@@ -367,6 +531,8 @@ UNARY_FUNCTIONS = {"exp": exp, "log": log, "sin": sin, "cos": cos, "tan": tan,
 def power(a, b):
     """General power a**b with domain checks on the plain-float path."""
     if _plain(a) and _plain(b):
+        if type(a) is np.ndarray or type(b) is np.ndarray:
+            return _power_batch(a, b)
         a, b = float(a), float(b)
         if b.is_integer():
             if a == 0.0 and b < 0:
@@ -379,26 +545,134 @@ def power(a, b):
             raise DomainError(f"{a}^{b} overflows") from None
     if _plain(a):
         # scalar base: a**b = exp(b*log(a))
-        if float(a) <= 0.0:
-            raise DomainError("non-integer power of nonpositive base")
-        return exp(b * math.log(float(a)))
+        a = a if type(a) is np.ndarray else float(a)
+        raise_where(a <= 0.0, DomainError,
+                    "non-integer power of nonpositive base")
+        return exp(b * _ufunc(math.log, np.log, a))
     return a ** b
+
+
+def _power_batch(a, b):
+    """`power` over a batch of floats, sample by sample."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    with np.errstate(all="ignore"):
+        integer = np.isfinite(b) & (b == np.floor(b))
+        out = np.power(a, b)
+    zero = integer & (a == 0.0) & (b < 0)
+    nonpositive = ~integer & (a <= 0.0)
+    over = np.isinf(out) & np.isfinite(a) & np.isfinite(b) & ~zero
+    bad = zero | nonpositive | over
+    if bad.any():
+        s = int(bad.argmax())
+        message = ("negative power of zero" if zero[s] else
+                   "non-integer power of nonpositive base" if nonpositive[s]
+                   else f"{a[s]}^{b[s]} overflows")
+        raise sample_error(DomainError, message, s)
+    return out
 
 
 def _div(a, b):
     if _plain(a) and _plain(b):
+        if type(a) is np.ndarray or type(b) is np.ndarray:
+            raise_where(np.equal(b, 0.0), DomainError, "division by zero")
+            with np.errstate(over="ignore"):
+                return np.true_divide(a, b)
         if float(b) == 0.0:
             raise DomainError("division by zero")
         return float(a) / float(b)
     return a / b
 
 
+# Batches
+
+
+def columns(values):
+    """The entries along the last axis of an array: floats, or, when the
+    array has a leading batch axis, one batch of floats per entry."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 1:
+        return values.tolist()
+    return list(np.ascontiguousarray(values.T))
+
+
+def stack_samples(rows):
+    """Per-sample arrays stacked on a leading batch axis; one sample stays
+    unbatched, the batch-size-1 case."""
+    return np.asarray(rows[0] if len(rows) == 1 else rows, dtype=float)
+
+
+def batch_of(x):
+    """The number of samples of a batched series or floats, else None."""
+    if type(x) is Series:
+        return x.batch
+    return len(x) if type(x) is np.ndarray and x.ndim else None
+
+
+def broadcast(x, batch):
+    """x as a batch of `batch` samples; a batch, or any x for batch None,
+    comes back as it is."""
+    if batch is None:
+        return x
+    if type(x) is Series:
+        if x.coeffs.ndim == 2:
+            return x
+        return _series(x.space, np.tile(x.coeffs, (batch, 1)))
+    return x if type(x) is np.ndarray else np.full(batch, float(x))
+
+
+def take(x, idx):
+    """The samples `idx` of a batch; an unbatched value is the same for
+    every sample and comes back as it is, as does every value for idx None."""
+    if idx is None:
+        return x
+    if type(x) is Series:
+        if x.coeffs.ndim == 1:
+            return x
+        out = object.__new__(Series)
+        out.space, out.coeffs = x.space, x.coeffs[idx]
+        return out
+    return x[idx] if type(x) is np.ndarray else x
+
+
+def _coefficients(x, sp):
+    """The coefficients of a series, or of floats as constants of sp."""
+    return x.coeffs if type(x) is Series else sp.constant(x).coeffs
+
+
+def merge(x, idx, y):
+    """A copy of the batch x with its samples `idx` replaced by y, which
+    may be a series where x holds floats; y itself for idx None."""
+    if idx is None:
+        return y
+    if type(x) is Series or type(y) is Series:
+        sp = (x if type(x) is Series else y).space
+        out = _coefficients(x, sp).copy()
+        out[idx] = _coefficients(y, sp)
+        return _series(sp, out)
+    out = np.array(x, dtype=float)
+    out[idx] = y
+    return out
+
+
+def where(mask, x, y):
+    """Sample by sample, x where the batch of flags `mask` holds, else y."""
+    if type(x) is Series or type(y) is Series:
+        sp = (x if type(x) is Series else y).space
+        return _series(sp, np.where(mask[:, None], _coefficients(x, sp),
+                                    _coefficients(y, sp)))
+    return np.where(mask, x, y)
+
+
 # Reads
 
 
 def value_of(x):
-    """The float value of a series or a plain number."""
-    return x.value if isinstance(x, Series) else float(x)
+    """The float value of a series or a plain number; for a batch, the
+    batch of values."""
+    if isinstance(x, Series):
+        return x.value
+    return x if type(x) is np.ndarray else float(x)
 
 
 def second_order(parts, count):
@@ -406,7 +680,7 @@ def second_order(parts, count):
 
     `parts` lists the coefficients of the group's monomials in order: 1,
     each variable, then each product of two (i <= k).  Entries may be
-    floats or series; the Hessian is a nested list.
+    floats or series, or batches of either; the Hessian is a nested list.
     """
     grad = list(parts[1:count + 1])
     hess = [[None] * count for _ in range(count)]

@@ -308,6 +308,30 @@ def test_lift_demo_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_compare_reports_exit_codes(tmp_path, atlas_dir):
+    reports = {}
+    for metric in ("g", "g_bad"):
+        reports[metric] = tmp_path / f"{metric}.json"
+        main(["certify", str(atlas_dir / "cubic.json"), "--metric", metric,
+              "--order", "1", "--samples", "3", "--out",
+              str(reports[metric])])
+    script = str(ROOT / "scripts" / "compare_reports.py")
+    same = run_process(script, str(reports["g"]), str(reports["g"]))
+    assert same.returncode == 0, same.stderr
+    assert "lists equal" in same.stdout
+    assert "holonomy: largest metric change 0.000e+00" in same.stdout
+    differ = run_process(script, str(reports["g"]), str(reports["g_bad"]))
+    assert differ.returncode == 1
+    assert "lists differ" in differ.stdout
+    (tmp_path / "bad.json").write_text("{not json")
+    for argv in ([str(reports["g"])], [str(reports["g"]),
+                                       str(tmp_path / "bad.json")],
+                 [str(reports["g"]), str(tmp_path / "missing.json")]):
+        proc = run_process(script, *argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+
 def _plane_with_metric(tmp_path, entry):
     doc = json.loads((ROOT / "atlases" / "plane.json").read_text())
     doc["metrics"] = [{"name": "deep", "chart": "O",

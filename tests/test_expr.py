@@ -241,6 +241,120 @@ def test_tape_matches_recursive_oracle(ast, kind, a, b):
             assert np.array_equal(x, y, equal_nan=True)
 
 
+# -- a batch against its samples ---------------------------------------------
+#
+# On a batch of floats the elementary functions and ``^`` are numpy ufuncs
+# where a single float calls ``math``; a series batch takes its
+# elementary-function coefficients from the same ufuncs.  Measured against
+# ``math`` with numpy 2.4 on x86-64, these round differently by at most
+# this many units in the last place; the ufuncs left out agree exactly.
+UFUNC_ULPS = {"exp": 1, "log": 1, "tan": 1, "atan": 1, "^": 1}
+EXACT_UFUNCS = {"sin": (np.sin, math.sin), "cos": (np.cos, math.cos),
+                "sqrt": (np.sqrt, math.sqrt)}
+
+
+def _ulps(a, b):
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=40))
+def test_ufuncs_stay_within_their_ulp_bound(values):
+    x = np.array(values)
+    pos = np.abs(x) + 0.25
+    pairs = {"exp": (np.exp(x), [math.exp(v) for v in x]),
+             "log": (np.log(pos), [math.log(v) for v in pos]),
+             "tan": (np.tan(x), [math.tan(v) for v in x]),
+             "atan": (np.arctan(x), [math.atan(v) for v in x]),
+             "^": (np.power(pos, x / 7.0),
+                   [math.pow(a, b / 7.0) for a, b in zip(pos, x)])}
+    assert pairs.keys() == UFUNC_ULPS.keys()
+    for name, (got, want) in pairs.items():
+        assert _ulps(got, np.array(want)).max() <= UFUNC_ULPS[name], name
+    for name, (ufunc, fn) in EXACT_UFUNCS.items():
+        arg = pos if name == "sqrt" else x
+        assert np.array_equal(ufunc(arg), [fn(v) for v in arg]), name
+
+
+def _uses_ufunc_ulps(node):
+    """Whether an AST reaches an operation listed in UFUNC_ULPS."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if (isinstance(n, Call) and n.fn in UFUNC_ULPS) or \
+                (isinstance(n, Binary) and n.op in UFUNC_ULPS):
+            return True
+        stack += [c for c in (getattr(n, "left", None),
+                              getattr(n, "right", None),
+                              getattr(n, "arg", None)) if c is not None]
+    return False
+
+
+def _batched(envs):
+    """One environment holding every sample of the per-sample envs."""
+    out = {}
+    for name, first in envs[0].items():
+        if isinstance(first, Series):
+            out[name] = Series(first.space,
+                               np.stack([env[name].coeffs for env in envs]))
+        else:
+            out[name] = np.array([env[name] for env in envs])
+    return out
+
+
+def _sample(value, s):
+    return value.coeffs[s] if isinstance(value, Series) else \
+        np.asarray(value)[s]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shared_asts(), st.sampled_from(["float"] + sorted(SERIES_KINDS)),
+       st.sampled_from([1, 2, 7]), st.data())
+def test_batch_matches_per_sample_evaluation(ast, kind, batch, data):
+    values = data.draw(st.lists(st.tuples(st.floats(-2.0, 2.0),
+                                          st.floats(-2.0, 2.0)),
+                                min_size=batch, max_size=batch))
+    envs = [_env(kind, a, b) for a, b in values]
+    program = ExprProgram(ast, "")
+    alone = [_outcome(lambda env=env: program.eval(env)) for env in envs]
+    got, got_err = _outcome(lambda: program.eval(_batched(envs)))
+    failing = [s for s, (_, err) in enumerate(alone) if err is not None]
+    if failing:
+        # the batch stops at the first operation any sample fails, and
+        # names a sample that fails there alone, with the same error; an
+        # operation on values shared by every sample fails for all
+        assert got_err is not None
+        err = _outcome_error(lambda: program.eval(_batched(envs)))
+        s = getattr(err, "sample", None)
+        assert s in failing if s is not None else len(failing) == batch
+        assert type(err) is alone[s or 0][1]
+        return
+    assert got_err is None
+    exact = not _uses_ufunc_ulps(ast)
+    for s, (want, _) in enumerate(alone):
+        assert isinstance(got, Series) is isinstance(want, Series)
+        if exact:
+            assert np.array_equal(_sample(got, s), _parts(want)[0],
+                                  equal_nan=True)
+        else:
+            # a ufunc's last-bit difference grows through later operations
+            assert np.allclose(_sample(got, s), _parts(want)[0], rtol=1e-10,
+                               atol=1e-12, equal_nan=True)
+        # a batch of one sample is that sample, ufuncs or not
+        one, _ = _outcome(lambda env=envs[s]: program.eval(_batched([env])))
+        assert np.array_equal(_sample(got, s), _sample(one, 0),
+                              equal_nan=True)
+
+
+def _outcome_error(fn):
+    try:
+        with np.errstate(all="ignore"):
+            fn()
+    except Exception as err:  # the caller checks the type
+        return err
+    raise AssertionError("no error")
+
+
 def test_tape_fails_at_the_first_failing_operation():
     # the walk fails at log before it looks up the unbound x2
     program = parse("log(x1) + x2")

@@ -1,21 +1,27 @@
+import json
+import zlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from folijet import legendre
 from folijet.atlas import load_atlas_file
+from folijet.cli import main
 from folijet.dynamics import LagrangianField
 from folijet.errors import (
     InvariantViolation,
     ShapeError,
     SingularHessian,
 )
-from folijet.expr import ExprProgram, parse
+from folijet.expr import ExprProgram, coordinate_names, parse
 from folijet.jets import TransverseJetPoint
 from folijet.legendre import (
     CotangentJetPoint,
     _condition_number,
     _newton_top_row,
+    _ray_level,
+    hamiltonian_at,
     legendre_chain,
     legendre_inverse,
     legendre_map,
@@ -23,6 +29,7 @@ from folijet.legendre import (
     admissibility_check,
 )
 from folijet.riemann import lift_lagrangian
+from folijet.scalars import batch_of, space
 from oracles import chain_hamiltonian_nested, chain_hamiltonian_r2
 
 
@@ -158,7 +165,7 @@ def test_newton_rejects_singular_or_non_finite_hessian(hess):
     q = len(hess)
     assert _condition_number(hess) == np.inf
 
-    def quad_at(top):
+    def quad_at(top, idx):
         return 0.0, list(top), hess
 
     with pytest.raises(SingularHessian, match="condition estimate inf"):
@@ -376,3 +383,130 @@ def test_admissibility_slashed_skips_zero_section():
     zero = [c for c in report.checks if c.name == "zero_at_zero_section"]
     assert zero[0].context == "skipped (slashed)"
     assert report.passed, report.to_json()
+
+
+# ------------------------------------ the batched checks, point by point
+#
+# `certify` solves every sample's Newton at once, each sample frozen where
+# it would stop alone.  Recomputed sample by sample through the per-point
+# API on the same draws, the diagonal hamiltonian, the ray levels and the
+# Newton iteration counts must come out the same: exactly, or within
+# 1e-13 where a numpy ufunc stands in for `math` (cubic chart B).
+BATCHED_CASES = [("cubic", 20, 1e-13), ("shear2", 3, 0.0)]
+
+
+def _certify_metrics(tmp_path, atlas_dir, atlas_name, samples):
+    out = tmp_path / "report.json"
+    assert main(["certify", str(atlas_dir / f"{atlas_name}.json"),
+                 "--metric", "g", "--order", "2", "--samples", str(samples),
+                 "--out", str(out)]) == 0
+    metrics = {}
+    for c in json.loads(out.read_text())["checks"]:
+        metrics.setdefault(c["name"], []).append(c["metric"])
+    return metrics
+
+
+@pytest.mark.parametrize("atlas_name,samples,tol", BATCHED_CASES)
+def test_batched_hamiltonian_checks_match_point_by_point(
+        tmp_path, atlas_dir, monkeypatch, atlas_name, samples, tol):
+    r, seed = 2, 0
+    atlas = load_atlas_file(atlas_dir / f"{atlas_name}.json")
+    report = _certify_metrics(tmp_path, atlas_dir, atlas_name, samples)
+    q = atlas.q
+    stage_iterations = []
+    newton = legendre._newton_top_row
+
+    def recording(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        if kwargs.get("stage") == 1:
+            stage_iterations.append(out[2]["iterations"])
+        return out
+
+    monkeypatch.setattr(legendre, "_newton_top_row", recording)
+    for k, (chart, fld) in enumerate(atlas.metrics["g"].items()):
+        L, L1 = lift_lagrangian(fld, r), lift_lagrangian(fld, 1)
+        H = legendre_chain(L)
+        box = np.asarray(atlas.charts[chart].domain[atlas.p:], dtype=float)
+        rng = np.random.default_rng([seed, zlib.crc32(chart.encode()), 13])
+        bases, momenta = [], []
+        for _ in range(samples):
+            bases.append(box[:, 0] + rng.random(q) * (box[:, 1] - box[:, 0]))
+            momenta.append(rng.uniform(-2.0, 2.0, q))
+
+        # the diagonal hamiltonian and the Newton iterations of each sample
+        calls = Counter()
+        original = ExprProgram.eval
+
+        def counting(program, env):
+            calls[program] += max([batch_of(v) or 1 for v in env.values()])
+            return original(program, env)
+
+        monkeypatch.setattr(ExprProgram, "eval", counting)
+        stage_iterations.clear()
+        dev, inverse_iterations = 0.0, []
+        for base, momentum in zip(bases, momenta):
+            cp = CotangentJetPoint(chart, 1, (), tuple(base), (),
+                                   tuple(momentum))
+            want = pseudo_hamiltonian(L1, cp).value
+            dev = max(dev, abs(H(base, momentum) - want))
+            inverse_iterations.append(legendre_inverse(
+                L1, cp, return_stats=True)[1]["iterations"])
+        alone = (calls[L.program], list(stage_iterations))
+        calls.clear()
+        stage_iterations.clear()
+        H(np.array(bases), np.array(momenta))
+        batched = (calls[L.program], list(stage_iterations[0]))
+        monkeypatch.setattr(ExprProgram, "eval", original)
+        # every sample evaluates L and iterates as often as alone
+        assert batched == alone
+        _, stats = hamiltonian_at(L1, np.array(bases),
+                                  np.zeros((samples, 0, q)),
+                                  np.array(momenta), return_stats=True)
+        assert stats["iterations"] == inverse_iterations
+        assert abs(report["diagonal_hamiltonian"][k] - dev) <= tol
+
+        # the ray levels of admissibility condition (d)
+        rng = np.random.default_rng([seed, zlib.crc32(b"admissible")])
+        ray = space(((1, 1),))
+        level = 0.0
+        for _ in range(samples):
+            base = box[:, 0] + rng.random(q) * (box[:, 1] - box[:, 0])
+            rng.uniform(-1.0, 1.0, r * q)  # the sample's jets
+            direction = rng.standard_normal(r * q)
+            direction /= np.linalg.norm(direction)
+
+            def along(t, idx):
+                s = ray.seed(t, 0)
+                env = dict(zip(coordinate_names(q, r),
+                               [*base, *(s * d for d in direction)]))
+                out = L.program.eval(env)
+                return out.value, float(out.coeffs[1])
+
+            (dev,) = _ray_level(along, 1.0, None)
+            level = max(level, dev)
+        assert abs(report["basic_level_attained"][k] - level) <= tol
+
+
+@pytest.mark.parametrize("text,r", [(NON_METRIC_Q1, 2), (NON_METRIC_R3, 3)])
+def test_batched_chain_and_inverse_match_each_sample(text, r):
+    # wide momenta: samples stop after different numbers of steps, so
+    # the masked Newton must freeze each where it would stop alone
+    L = lagrangian(text, r)
+    H = legendre_chain(L)
+    rng = np.random.default_rng(23)
+    momenta = rng.uniform(-6.0, 6.0, (9, 1))
+    bases = rng.uniform(0.2, 1.0, (9, 1))
+    got = H(bases, momenta)
+    for s in range(9):
+        assert got[s] == H(bases[s], momenta[s])
+    jets = rng.uniform(-1.0, 1.0, (9, r - 1, 1))
+    values, stats = hamiltonian_at(L, bases, jets, momenta,
+                                   return_stats=True)
+    for s in range(9):
+        cp = CotangentJetPoint("", r, (), tuple(bases[s]),
+                               tuple(map(tuple, jets[s])), tuple(momenta[s]))
+        point, alone = legendre_inverse(L, cp, return_stats=True)
+        # the lower rows are float batches here, so y^4 is a ufunc power
+        assert values[s] == pytest.approx(L.value(point), rel=1e-14)
+        assert stats["iterations"][s] == alone["iterations"]
+    assert len(set(stats["iterations"])) > 1

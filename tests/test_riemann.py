@@ -1,16 +1,18 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from folijet import expr, riemann
-from folijet.atlas import load_atlas_file
+from folijet.atlas import load_atlas_file, sample_overlap
 from folijet.cli import main
-from folijet.dynamics import vertical_hessian
+from folijet.dynamics import SemiSprayField, projectors, vertical_hessian
 from folijet.errors import ShapeError
 from folijet.expr import coordinate_names, parse
-from folijet.jets import TransverseJetPoint, restrict_to_zero_section
+from folijet.jets import (TransverseJetPoint, prolong_jacobian,
+                          prolong_transition, restrict_to_zero_section)
 from folijet.riemann import (
     MetricField,
     christoffel,
@@ -378,3 +380,83 @@ def test_vertical_exactness_order_mismatch(exp_metric):
     L = lift_lagrangian(exp_metric, 1)
     with pytest.raises(ShapeError):
         vertical_exactness_check(lifted, L, base_box=[[-0.5, 0.8]])
+
+
+# ------------------------------------------- the batched report, point by point
+#
+# `certify` runs each sampled check once over all its samples.  Here every
+# metric is recomputed sample by sample through the per-point API, on the
+# same draws, and must equal the report's: exactly where the batch does
+# the same arithmetic, within 1e-13 where a numpy ufunc stands in for
+# `math` (cubic chart B's x1^(4/3) and the x1^(1/3) transition).
+BATCHED_CASES = [("cubic", "g", 20, 1e-13), ("shear2", "g", 3, 0.0)]
+
+
+def certify_report(tmp_path, atlas_name, metric, samples):
+    out = tmp_path / f"{atlas_name}.json"
+    code = main(["certify", str(ATLAS_DIR / f"{atlas_name}.json"),
+                 "--metric", metric, "--order", "2",
+                 "--samples", str(samples), "--out", str(out)])
+    checks = json.loads(out.read_text())["checks"]
+    metrics = {}
+    for c in checks:
+        metrics.setdefault((c["name"], c["context"]), []).append(c["metric"])
+    return code, metrics
+
+
+def _box_point(rng, box):
+    return box[:, 0] + rng.random(len(box)) * (box[:, 1] - box[:, 0])
+
+
+@pytest.mark.parametrize("atlas_name,metric,samples,tol", BATCHED_CASES)
+def test_batched_geometry_checks_match_point_by_point(
+        tmp_path, atlas_name, metric, samples, tol):
+    r, seed = 2, 0
+    atlas = load_atlas_file(ATLAS_DIR / f"{atlas_name}.json")
+    family = atlas.metrics[metric]
+    lifted = lift_metric(family, r)
+    code, report = certify_report(tmp_path, atlas_name, metric, samples)
+    assert code == 0
+    q, p = atlas.q, atlas.p
+
+    def close(got, want):
+        assert abs(got - want) <= tol, (got, want)
+
+    for t in atlas.transitions.values():
+        rng = np.random.default_rng([seed, zlib.crc32(t.name.encode()), 7])
+        dev = 0.0
+        for pt in sample_overlap(t, samples, seed):
+            point = TransverseJetPoint(t.from_chart, r, tuple(pt[:p]),
+                                       tuple(pt[p:]), sample_jets(rng, r, q))
+            image = prolong_transition(atlas, t, point)
+            dphi = prolong_jacobian(atlas, t, point)
+            left = dphi.T @ lifted.evaluate(image) @ dphi
+            dev = max(dev, float(np.max(np.abs(left
+                                               - lifted.evaluate(point)))))
+        close(report[("holonomy", t.name)][0], dev)
+
+    exactness = report[("vertical_exactness", f"lift({metric},{r})")]
+    for k, (chart, fld) in enumerate(family.items()):
+        L = lift_lagrangian(fld, r)
+        box = np.asarray(atlas.charts[chart].domain[p:], dtype=float)
+        rng = np.random.default_rng([seed, zlib.crc32(b"vexact"), 3])
+        dev = 0.0
+        for _ in range(samples):
+            point = jet_point(_box_point(rng, box),
+                              sample_jets(rng, r, q), chart)
+            g_top = lifted.evaluate(point)[r * q:, r * q:]
+            half = 0.5 * vertical_hessian(L, point).matrix
+            dev = max(dev, float(np.max(np.abs(g_top - half))))
+        close(exactness[k], dev)
+
+        S = SemiSprayField.from_lagrangian(L)
+        rng = np.random.default_rng([seed, zlib.crc32(chart.encode()), 11])
+        dev = 0.0
+        for _ in range(samples):
+            point = jet_point(_box_point(rng, box),
+                              sample_jets(rng, r, q), chart)
+            h, v = projectors(S, point)
+            dev = max(dev, float(np.max(np.abs(h @ h - h))),
+                      float(np.max(np.abs(v @ v - v))),
+                      float(np.max(np.abs(h @ v))))
+        close(report[("projector_idempotence", chart)][0], dev)

@@ -205,3 +205,51 @@ def test_coefficients_are_scaled_partials(name):
         scale = math.prod(math.factorial(k) for k in powers)
         want = float(d.subs({zv: 0 for zv in z}).evalf(30)) / scale
         assert got.coeffs[index] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+# -- batches ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("groups", SPACES)
+def test_batched_product_is_each_samples_product(groups):
+    sp_ = space(groups)
+    rng = np.random.default_rng(len(sp_.table[0]))
+    a, b = rng.standard_normal((2, 9, sp_.size))
+    got = (Series(sp_, a) * Series(sp_, b)).coeffs
+    want = [(Series(sp_, x) * Series(sp_, y)).coeffs for x, y in zip(a, b)]
+    assert np.array_equal(got, want)
+
+
+def test_batch_errors_name_the_first_failing_sample():
+    with pytest.raises(DomainError, match=r"log of nonpositive value -1.0 "
+                                          r"\(sample 2\)"):
+        log(np.array([1.0, 2.0, -1.0, -3.0]))
+    sp_ = space(((1, 2),))
+    coeffs = np.ones((4, 3))
+    coeffs[1, 0] = 0.0
+    with pytest.raises(DomainError, match=r"zero value \(sample 1\)"):
+        1.0 / Series(sp_, coeffs)
+    coeffs[1, 0], coeffs[3, 2] = 1.0, np.inf
+    with pytest.raises(DomainError, match=r"coefficient \(sample 3\)"):
+        Series(sp_, coeffs)
+    with pytest.raises(DomainError, match=r"overflows \(sample 0\)"):
+        exp(Series(sp_, [[1000.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_batched_solve_pivots_each_sample_on_its_own(q):
+    from folijet.linalg import solve
+
+    rng = np.random.default_rng(q)
+    sp_ = space(((2, 1),))
+    a = rng.uniform(-2.0, 2.0, (q, q, 6))
+    a[0, 0, 1::2] *= 1e-3  # every other sample pivots away from row 0
+    b = rng.uniform(-1.0, 1.0, (q, 6, sp_.size))
+    batch = solve([[a[i, j] for j in range(q)] for i in range(q)],
+                  [[Series(sp_, b[i])] for i in range(q)])
+    for s in range(6):
+        alone = solve([[float(a[i, j, s]) for j in range(q)]
+                       for i in range(q)],
+                      [[Series(sp_, b[i, s])] for i in range(q)])
+        for i in range(q):
+            assert np.array_equal(batch[i, 0].coeffs[s], alone[i, 0].coeffs)

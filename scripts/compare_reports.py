@@ -5,10 +5,11 @@ Usage::
 
     python3 scripts/compare_reports.py A.json B.json
 
-Prints whether the reports list the same checks, as (name, context, pass)
-triples in order, and then, check by check, the largest change in the
-metric between the two.  Exits 0 when the lists are equal, 1 when they
-differ and 2 when a file cannot be read or is not a report.
+Prints first whether the two files are byte-identical, then whether the
+reports list the same checks, as (name, context, pass) triples in order,
+and then, check by check, the largest change in the metric between the
+two.  Exits 0 when the lists are equal, 1 when they differ and 2 when a
+file cannot be read or is not a report.
 """
 
 import json
@@ -21,6 +22,11 @@ def _checks(path):
         doc = json.load(handle)
     return [(c["name"], c["context"], c["pass"], float(c["metric"]))
             for c in doc["checks"]]
+
+
+def _bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 def _change(a, b):
@@ -36,9 +42,11 @@ def main(argv):
         return 2
     try:
         first, second = map(_checks, argv)
+        identical = _bytes(argv[0]) == _bytes(argv[1])
     except (OSError, ValueError, KeyError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    print(f"files {'byte-identical' if identical else 'differ in bytes'}")
     same = [c[:3] for c in first] == [c[:3] for c in second]
     print(f"(name, context, pass) lists {'equal' if same else 'differ'}: "
           f"{len(first)} and {len(second)} checks")

@@ -32,7 +32,6 @@ __all__ = [
     "sample_overlap",
     "apply_transition",
     "transverse_jacobian",
-    "box_contains",
 ]
 
 DET_TOLERANCE = 1e-9
@@ -84,10 +83,6 @@ def _check_box(box, what):
             raise InvariantViolation(f"{what}: empty interval [{lo}, {hi}]")
         out.append((lo, hi))
     return tuple(out)
-
-
-def box_contains(box, point, slack=0.0) -> bool:
-    return all(lo - slack <= p <= hi + slack for (lo, hi), p in zip(box, point))
 
 
 def _box_subset(inner, outer) -> bool:

@@ -29,7 +29,8 @@ from . import __version__
 from .atlas import load_atlas_file, validate_foliated
 from .dynamics import SemiSprayField, projector_pair, semispray
 from .errors import FolijetError
-from .jets import TransverseJetPoint, prolong_transition, zero_section
+from .jets import (TransverseJetPoint, prolong_transition, sample_points,
+                   zero_section)
 from .legendre import admissibility_check, hamiltonian_at, legendre_chain
 from .report import Report, worst
 from .riemann import (
@@ -37,10 +38,8 @@ from .riemann import (
     lift_lagrangian,
     lift_metric,
     prolongation_coefficients,
-    sample_jets,
     vertical_exactness_check,
 )
-from .scalars import stack_samples
 
 __all__ = ["main", "build_parser"]
 
@@ -227,23 +226,19 @@ def cmd_lift(args):
     return 0
 
 
-def _sample_bases(atlas, chart, samples, seed, salt):
-    """(rng, base point) pairs; the caller draws the rest from the rng."""
-    box = np.asarray(atlas.charts[chart].domain[atlas.p:], dtype=float)
+def _sample_points(atlas, chart, samples, seed, salt, r, scale=1.0):
+    """`sample_points` in a chart, drawn from its own rng for each salt."""
     rng = np.random.default_rng([int(seed), zlib.crc32(chart.encode()), salt])
-    for _ in range(samples):
-        yield rng, box[:, 0] + rng.random(len(box)) * (box[:, 1] - box[:, 0])
+    return sample_points(rng, atlas.charts[chart].domain[atlas.p:], samples,
+                         r, atlas.q, scale)
 
 
 def _projector_checks(report, atlas, family, order, samples, seed, tol):
     for chart, fld in family.items():
         S = SemiSprayField.from_lagrangian(lift_lagrangian(fld, order))
         eye = np.eye((order + 1) * fld.qdim)
-        bases, jets = [], []
-        for rng, base in _sample_bases(atlas, chart, samples, seed, 11):
-            bases.append(base)
-            jets.append(sample_jets(rng, order, fld.qdim))
-        h, v = projector_pair(S, stack_samples(bases), stack_samples(jets))
+        h, v = projector_pair(S, *_sample_points(atlas, chart, samples, seed,
+                                                 11, order))
         most = (-2, -1)
         dev_sum = worst(0.0, np.abs(h + v - eye).max(axis=most))
         # per sample: h h - h, then v v - v, then h v
@@ -260,14 +255,10 @@ def _hamiltonian_checks(report, atlas, family, order, samples, seed, tol):
         L = lift_lagrangian(fld, order)
         L1 = lift_lagrangian(fld, 1)
         chain = legendre_chain(L)
-        bases, momenta = [], []
-        for rng, base in _sample_bases(atlas, chart, samples, seed, 13):
-            bases.append(base)
-            momenta.append(rng.uniform(-2.0, 2.0, fld.qdim))
-        base, momentum = stack_samples(bases), stack_samples(momenta)
-        want = hamiltonian_at(L1, base,
-                              np.zeros(base.shape[:-1] + (0, fld.qdim)),
-                              momentum)
+        # each base draws its momentum as its one jet row, over no lower rows
+        base, jets = _sample_points(atlas, chart, samples, seed, 13, 1, 2.0)
+        lower, momentum = jets[..., :0, :], jets[..., 0, :]
+        want = hamiltonian_at(L1, base, lower, momentum)
         dev = worst(0.0, np.abs(chain(base, momentum) - want))
         report.add("diagonal_hamiltonian", chart, dev, tol)
         report.extend(admissibility_check(

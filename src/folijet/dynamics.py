@@ -200,14 +200,15 @@ def _semispray_scalars(L, base, jets, lifted=False):
     ((n, 2),) gives the vertical Hessian (top block), the Gamma term (mixed
     Hessian rows) and the lower gradient.  With `lifted` the space is
     ((n, 2), (n, 1)): every coordinate is seeded in both groups, and the
-    components come back as series carrying their first partials with
-    respect to all fiber coordinates in the second group.  At a batch of
-    points, base (B, q) and jets (B, r, q), every component is a batch.
+    components come back as series over the second group's space ((n, 1),),
+    their first partials with respect to all fiber coordinates.  At a batch
+    of points, base (B, q) and jets (B, r, q), every component is a batch.
     """
     L._check_smooth(base, jets)
     r, q = L.order, L.qdim
     n = (r + 1) * q
     sp = space(((n, 2), (n, 1)) if lifted else ((n, 2),))
+    tangent = space(((n, 1),))
     out = L.program.eval(jet_env(
         base, jets,
         lambda i, v: sp.seed(v, i, n + i) if lifted else sp.seed(v, i)))
@@ -222,7 +223,7 @@ def _semispray_scalars(L, base, jets, lifted=False):
         for k in range(1, r + 1):
             yk = rows[k - 1]
             for i in range(q):
-                y_val = sp.seed(yk[i], n + k * q + i) if lifted else yk[i]
+                y_val = tangent.seed(yk[i], k * q + i) if lifted else yk[i]
                 gamma_term = gamma_term + k * y_val * hess[r * q + v][(k - 1) * q + i]
         lower = grad[(r - 1) * q + v]
         rhs.append([gamma_term - lower])
@@ -289,9 +290,8 @@ class SemiSprayField:
     def jacobian_at(self, base, jets):
         """The Jacobian at base (q,) and jets (r, q), or at a batch of
         points as (B, q, (r+1)q)."""
-        n = (self.order + 1) * self.qdim
         return np.stack([
-            s.coeffs[..., s.space.variables[n:]]
+            s.coeffs[..., 1:]
             for s in _semispray_scalars(self.lagrangian, base, jets,
                                         lifted=True)], axis=-2)
 

@@ -20,7 +20,7 @@ from .errors import (
     ShapeError,
 )
 from .expr import coordinate_names
-from .scalars import Series, columns, sample_error, space
+from .scalars import Series, columns, sample_error, space, stack_samples
 
 __all__ = [
     "TransverseJetPoint",
@@ -146,6 +146,18 @@ def point_arrays(point):
     return (np.array(point.leaf, dtype=float).reshape(-1),
             np.array(point.base, dtype=float),
             np.array(point.jets, dtype=float).reshape(len(point.jets), q))
+
+
+def sample_points(rng, box, samples, r, q, scale=1.0):
+    """Base (B, q) in `box` and jets (B, r, q) in [-scale, scale] in one
+    block, with the values of drawing sample by sample ``rng.random(q)``
+    and ``rng.uniform(-scale, scale, (r, q))``, as ``uniform(lo, hi)`` is
+    ``lo + (hi - lo) * random()``; one sample stays unbatched."""
+    box = np.asarray(box, dtype=float)
+    u = rng.random((samples, q + r * q))
+    base = box[:, 0] + u[:, :q] * (box[:, 1] - box[:, 0])
+    jets = -scale + 2.0 * scale * u[:, q:].reshape(samples, r, q)
+    return stack_samples(base), stack_samples(jets)
 
 
 def jet_env(base, jets, seed=None):

@@ -118,11 +118,9 @@ def _second_order_in(out, group, q):
     """Value, gradient and Hessian of `out` in the q variables of a cap-2
     `group`, as series in the other groups, or as floats (or batches of
     floats) for group 0."""
-    if group:
-        return second_order(out.split(group), q)
-    c = out.coeffs
-    return second_order(columns(c.reshape(c.shape[:-1] + (out.space.shape[0],
-                                                          -1))[..., 0]), q)
+    parts = out.split(group)
+    return second_order([p.within(out.space, group) for p in parts] if group
+                        else [p.value for p in parts], q)
 
 
 def _condition_number(h):
@@ -347,7 +345,7 @@ def _shifted(y, group, delta, q):
     c_0 + sum_i m_i (c_i + sum_(k >= i) c_ik m_k) with m = delta + e."""
     if not isinstance(y, Series):
         return y
-    parts = y.split(group)
+    parts = [part.within(y.space, group) for part in y.split(group)]
     moved = [y.space.seed(d, group * q + i) for i, d in enumerate(delta)]
     out = parts[0]
     pos = q + 1
@@ -503,6 +501,29 @@ def _ray_level(value_at, phi_value, batch):
     return levels
 
 
+def _admissible_draws(L, rng, box, samples, jet_scale, env_at):
+    """Base, jets (B, r q) and unit ray direction of each sample, drawn one
+    sample at a time, as ``standard_normal`` takes a varying share of the
+    stream; jets that L excludes are drawn again, up to 50 times."""
+    r, q = L.order, L.qdim
+    lo, width = box[:, 0], box[:, 1] - box[:, 0]
+    drawn = []
+    for _ in range(samples):
+        # `sample_points` of one sample, without its per-call overhead
+        u = rng.random(q + r * q)
+        base, jets = lo + u[:q] * width, -jet_scale + 2.0 * jet_scale * u[q:]
+        if L.excluded is not None:
+            for _ in range(50):
+                if float(L.excluded.eval(env_at(base, jets))) > 0.0:
+                    break
+                jets = rng.uniform(-jet_scale, jet_scale, r * q)
+        drawn.append((base, jets, rng.standard_normal(r * q)))
+    base, jets, direction = map(stack_samples, zip(*drawn))
+    # a stacked d @ d takes each row's sum in np.linalg.norm's order
+    norm = np.sqrt(direction[..., None, :] @ direction[..., :, None])
+    return base, jets, direction / norm[..., 0]
+
+
 def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
                         jet_scale=1.0) -> Report:
     """The four admissible-lagrangian conditions as a report.
@@ -532,26 +553,14 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
         env.update(zip(names, columns(np.concatenate([base, jets], axis=-1))))
         return env
 
-    drawn = []
-    for _ in range(samples):
-        base = box[:, 0] + rng.random(q) * (box[:, 1] - box[:, 0])
-        jets = rng.uniform(-jet_scale, jet_scale, r * q)
-        if L.excluded is not None:
-            for _ in range(50):
-                if float(L.excluded.eval(env_at(base, jets))) > 0.0:
-                    break
-                jets = rng.uniform(-jet_scale, jet_scale, r * q)
-        direction = rng.standard_normal(r * q)
-        direction /= np.linalg.norm(direction)
-        drawn.append((base, jets, direction))
-
     min_eig = np.inf
     min_value = np.inf
     zero_dev = 0.0
     ray_dev = 0.0
     ray_failures = 0
     if samples:
-        base, jets, direction = map(stack_samples, zip(*drawn))
+        base, jets, direction = _admissible_draws(L, rng, box, samples,
+                                                  jet_scale, env_at)
         batch = len(base) if base.ndim == 2 else None
         zero = np.zeros_like(jets)
         if projectable:

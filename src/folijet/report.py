@@ -97,6 +97,3 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def __str__(self):
-        return self.to_json()

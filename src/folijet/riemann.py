@@ -26,7 +26,7 @@ from .dynamics import LagrangianField, semispray, top_hessian
 from .errors import DomainError, InvariantViolation, ShapeError, SingularMetric
 from .expr import ExprProgram, Graph, coordinate_names, parse
 from .jets import (_check_in_overlap, _prolong, _prolong_jacobian,
-                   _taylor_env, point_arrays)
+                   _taylor_env, point_arrays, sample_points)
 from .report import Report, worst
 from .scalars import columns, raise_where, stack_samples
 
@@ -382,12 +382,10 @@ def holonomy_check(atlas, lifted, samples=25, seed=0, *,
         if (t.from_chart not in lifted.sources
                 or t.to_chart not in lifted.sources):
             continue
-        pts = sample_overlap(t, samples, seed)
+        pts = stack_samples(sample_overlap(t, samples, seed))
         rng = np.random.default_rng(
-            [int(seed), zlib.crc32(t.name.encode()), 7]
-        )
-        jets = stack_samples([sample_jets(rng, r, q) for _ in pts])
-        pts = stack_samples(pts)
+            [int(seed), zlib.crc32(t.name.encode()), 7])
+        jets = stack_samples(rng.uniform(-1.0, 1.0, (samples, r, q)))
         leaf, base = pts[..., :p], pts[..., p:]
         _check_in_overlap(t, t.from_chart, leaf, base)
         _, image_base, image_jets = _prolong(atlas, t, leaf, base, jets)
@@ -412,14 +410,9 @@ def vertical_exactness_check(lifted, L, samples=25, seed=0, *, base_box,
     if chart is None:
         chart = next(iter(lifted.sources))
     rng = np.random.default_rng([int(seed), zlib.crc32(b"vexact"), 3])
-    box = np.asarray(base_box, dtype=float)
-    bases, jets = [], []
-    for _ in range(samples):
-        bases.append(box[:, 0] + rng.random(q) * (box[:, 1] - box[:, 0]))
-        jets.append(sample_jets(rng, r, q, jet_scale))
     dev_max = 0.0
     if samples:
-        base, jets = stack_samples(bases), stack_samples(jets)
+        base, jets = sample_points(rng, base_box, samples, r, q, jet_scale)
         g_top = lifted.evaluate_at(chart, base, jets)[..., r * q:, r * q:]
         half_hess = 0.5 * top_hessian(L, base, jets)
         dev_max = worst(dev_max, np.abs(g_top - half_hess).max(axis=(-2, -1)))

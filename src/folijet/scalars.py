@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -84,23 +85,17 @@ def sample_error(error, detail, s):
     return out
 
 
-class samples_of:
+@contextmanager
+def samples_of(idx):
     """Context for work on the samples `idx` of a batch: an error it raises
     for its sample s names sample idx[s] of the batch instead."""
-
-    __slots__ = ("idx",)
-
-    def __init__(self, idx):
-        self.idx = idx
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, kind, err, trace):
-        if isinstance(err, FolijetError) and self.idx is not None \
-                and getattr(err, "sample", None) is not None:
-            raise sample_error(type(err), err.detail,
-                               int(self.idx[err.sample])) from None
+    try:
+        yield
+    except FolijetError as err:
+        if idx is None or getattr(err, "sample", None) is None:
+            raise
+        raise sample_error(type(err), err.detail, int(idx[err.sample])) \
+            from None
 
 
 def _group_monomials(count, cap):
@@ -174,16 +169,8 @@ class Space:
                           + self.size * np.arange(batch)[:, None]).ravel()
         return self._keys[:n]
 
-    def _zeros(self, value):
-        """Zero coefficients, with the batch axis of a batch `value`."""
-        if type(value) is np.ndarray:
-            return np.zeros((len(value), self.size))
-        return np.zeros(self.size)
-
     def constant(self, value):
-        coeffs = self._zeros(value)
-        coeffs.T[0] = value
-        return _series(self, coeffs)
+        return self.seed(value)
 
     def seed(self, value, *variables):
         """``value`` plus each listed variable; value is a float or series,
@@ -191,7 +178,8 @@ class Space:
         if isinstance(value, Series):
             coeffs = value._coerce(self).copy()
         else:
-            coeffs = self._zeros(value)
+            coeffs = np.zeros((len(value), self.size) if type(value) is
+                              np.ndarray else self.size)
             coeffs.T[0] = value
         for v in variables:
             coeffs.T[self.variables[v]] += 1.0
@@ -236,6 +224,13 @@ def _product(sp, a, bj):
         n = len(terms)
         out[s:s + n] = np.bincount(sp.keys(n), terms.ravel(),
                                    n * sp.size).reshape(n, sp.size)
+    return out
+
+
+def _unchecked(sp, coeffs):
+    """A series on coefficients known to be finite, taken as they are."""
+    out = object.__new__(Series)
+    out.space, out.coeffs = sp, coeffs
     return out
 
 
@@ -301,16 +296,27 @@ class Series:
 
     def split(self, group):
         """The coefficient of each monomial of ``group``, in its order, as a
-        series in the other groups (zero degree in ``group``)."""
+        series over the space of the other groups."""
         sp = self.space
-        g = sp.shape[group]
+        rest = space(sp.groups[:group] + sp.groups[group + 1:])
         lead = self.coeffs.shape[:-1]
-        block = self.coeffs.reshape(lead + (math.prod(sp.shape[:group]), g,
-                                            -1))
-        out = np.zeros((g,) + block.shape)
-        n = block.ndim
-        out[..., 0, :] = block.transpose(n - 2, *range(n - 2), n - 1)
-        return [self._new(row.reshape(lead + (-1,))) for row in out]
+        block = self.coeffs.reshape(lead + (math.prod(sp.shape[:group]),
+                                            sp.shape[group], -1))
+        n = block.ndim  # the group's axis first
+        parts = block.transpose(n - 2, *range(n - 2), n - 1).reshape(
+            (-1,) + lead + (rest.size,))
+        return [_unchecked(rest, part) for part in parts]
+
+    def within(self, sp, group):
+        """This series, over `sp` without ``group``, as a series over `sp`
+        of degree zero in ``group``: `split` inverted on its parts."""
+        if sp.groups[:group] + sp.groups[group + 1:] != self.space.groups:
+            raise SpaceMismatch(f"{self.space.groups} not in {sp.groups}")
+        lead = self.coeffs.shape[:-1]
+        pre = math.prod(sp.shape[:group])
+        out = np.zeros(lead + (pre, sp.shape[group], self.space.size // pre))
+        out[..., 0, :] = self.coeffs.reshape(lead + (pre, -1))
+        return _unchecked(sp, out.reshape(lead + (-1,)))
 
     # -- ring operations ----------------------------------------------------
 
@@ -627,11 +633,8 @@ def take(x, idx):
     if idx is None:
         return x
     if type(x) is Series:
-        if x.coeffs.ndim == 1:
-            return x
-        out = object.__new__(Series)
-        out.space, out.coeffs = x.space, x.coeffs[idx]
-        return out
+        return x if x.coeffs.ndim == 1 else _unchecked(x.space,
+                                                        x.coeffs[idx])
     return x[idx] if type(x) is np.ndarray else x
 
 

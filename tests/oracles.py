@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
-Everything here except `eval_ast` deliberately avoids the library's own
-series arithmetic: jet transport is recomputed with sympy power series,
+Everything here except `eval_ast` and `full_space_spray_jacobian`
+deliberately avoids the library's own series arithmetic: jet transport is
+recomputed with sympy power series,
 products with literal polynomial convolution, the Legendre chain with
 sympy derivatives (at r = 2) or high-precision mpmath differences of
 nested solves (at any r) and mpmath root finding, the metric lift and its
@@ -9,20 +10,26 @@ connection coefficients in sympy, and derivatives with central finite
 differences.  `eval_ast` and `collect_variables` are the
 references for the compiled expression tape: they walk the AST
 recursively, recomputing every repeated subtree, and `eval_ast` makes the
-same elemental calls as the tape.
+same elemental calls as the tape.  `full_space_spray_jacobian` is the
+spray Jacobian as it was computed before `Series.split` returned parts
+over the space of the other groups: every part in the whole space.  The
+`*_draws` functions are the per-sample draw loops that the sampled checks
+replaced by block draws, one sample and one jet row at a time.
 """
 
 import math
 import operator
+import zlib
 
 import mpmath
 import numpy as np
 import sympy as sp
 
-from folijet import scalars
+from folijet import linalg, scalars
 from folijet.errors import UnboundVariable
 from folijet.expr import (CONSTANTS, Binary, Call, Const, Num, Unary, Var,
                           coordinate_names)
+from folijet.jets import jet_columns, jet_env
 
 
 def eval_ast(node, env):
@@ -408,3 +415,119 @@ def sympy_value(expression, env):
         return memo[e]
 
     return value(expression)
+
+
+# -- the spray Jacobian over the whole space -------------------------------
+
+
+def full_space_split(y, group):
+    """The parts of `Series.split` as it was: each over the whole space of
+    y, of degree zero in ``group``."""
+    sp = y.space
+    g = sp.shape[group]
+    lead = y.coeffs.shape[:-1]
+    block = y.coeffs.reshape(lead + (math.prod(sp.shape[:group]), g, -1))
+    out = np.zeros((g,) + block.shape)
+    n = block.ndim
+    out[..., 0, :] = block.transpose(n - 2, *range(n - 2), n - 1)
+    return [scalars.Series(sp, row.reshape(lead + (-1,))) for row in out]
+
+
+def full_space_spray_jacobian(L, base, jets):
+    """`SemiSprayField.jacobian_at` with its algebra in ((n, 2), (n, 1)):
+    the Gamma terms and the solve on parts over the whole space."""
+    r, q = L.order, L.qdim
+    n = (r + 1) * q
+    sp = scalars.space(((n, 2), (n, 1)))
+    out = L.program.eval(jet_env(base, jets,
+                                 lambda i, v: sp.seed(v, i, n + i)))
+    _, grad, hess = scalars.second_order(full_space_split(out, 0), n)
+    _, *rows = jet_columns(base, jets)
+    rhs = []
+    for v in range(q):
+        gamma_term = 0.0
+        for k in range(1, r + 1):
+            for i in range(q):
+                y_val = sp.seed(rows[k - 1][i], n + k * q + i)
+                gamma_term = gamma_term + k * y_val * \
+                    hess[r * q + v][(k - 1) * q + i]
+        rhs.append([gamma_term - grad[(r - 1) * q + v]])
+    sol = linalg.solve([row[r * q:] for row in hess[r * q:]], rhs)
+    scale = 1.0 / (2.0 * (r + 1))
+    return np.stack([(scale * sol[u, 0]).coeffs[..., sp.variables[n:]]
+                     for u in range(q)], axis=-2)
+
+
+# -- per-sample draws --------------------------------------------------------
+
+
+def _stacked(rows):
+    """Per-sample rows on a batch axis; one sample stays unbatched."""
+    return np.asarray(rows[0] if len(rows) == 1 else rows, dtype=float)
+
+
+def _box_point(rng, box):
+    box = np.asarray(box, dtype=float)
+    return box[:, 0] + rng.random(len(box)) * (box[:, 1] - box[:, 0])
+
+
+def jet_rows(rng, r, q, scale=1.0):
+    """r jet rows in [-scale, scale], drawn one row at a time."""
+    return [rng.uniform(-scale, scale, q) for _ in range(r)]
+
+
+def _chart_draws(atlas, chart, samples, seed, salt, draw_rest):
+    rng = np.random.default_rng([seed, zlib.crc32(chart.encode()), salt])
+    box = atlas.charts[chart].domain[atlas.p:]
+    drawn = [(_box_point(rng, box), draw_rest(rng))
+             for _ in range(samples)]
+    return tuple(map(_stacked, zip(*drawn)))
+
+
+def projector_draws(atlas, chart, samples, seed, r):
+    """Bases and jets of the projector checks in a chart."""
+    return _chart_draws(atlas, chart, samples, seed, 11,
+                        lambda rng: jet_rows(rng, r, atlas.q))
+
+
+def hamiltonian_draws(atlas, chart, samples, seed):
+    """Bases and momenta of the diagonal-hamiltonian check in a chart."""
+    return _chart_draws(atlas, chart, samples, seed, 13,
+                        lambda rng: rng.uniform(-2.0, 2.0, atlas.q))
+
+
+def holonomy_draws(transition, samples, seed, r, q):
+    """The jets of the holonomy check on a transition."""
+    rng = np.random.default_rng(
+        [seed, zlib.crc32(transition.name.encode()), 7])
+    return _stacked([jet_rows(rng, r, q) for _ in range(samples)])
+
+
+def vertical_exactness_draws(box, samples, seed, r, q, jet_scale):
+    """Bases and jets of the vertical-exactness check."""
+    rng = np.random.default_rng([seed, zlib.crc32(b"vexact"), 3])
+    drawn = [(_box_point(rng, box), jet_rows(rng, r, q, jet_scale))
+             for _ in range(samples)]
+    return tuple(map(_stacked, zip(*drawn)))
+
+
+def admissible_draws(L, box, samples, seed, jet_scale):
+    """Bases, jets (r q) and unit ray directions of the admissibility check;
+    jets that L excludes are drawn again, up to 50 times."""
+    r, q = L.order, L.qdim
+    rng = np.random.default_rng([seed, zlib.crc32(b"admissible")])
+    names = coordinate_names(q, r)
+    drawn = []
+    for _ in range(samples):
+        base = _box_point(rng, box)
+        jets = rng.uniform(-jet_scale, jet_scale, r * q)
+        if L.excluded is not None:
+            for _ in range(50):
+                env = dict(zip(names, [*base, *jets]))
+                if float(L.excluded.eval(env)) > 0.0:
+                    break
+                jets = rng.uniform(-jet_scale, jet_scale, r * q)
+        direction = rng.standard_normal(r * q)
+        direction /= np.linalg.norm(direction)
+        drawn.append((base, jets, direction))
+    return tuple(map(_stacked, zip(*drawn)))

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -269,6 +270,48 @@ def test_certify_shear2_order_4_within_ten_seconds(atlas_dir):
     assert elapsed <= 10.0
 
 
+def _q3_atlas(tmp_path, invariant=True):
+    """A q = 3 atlas: chart B is chart A moved by the translation
+    x -> x + 1, and g_B is METRIC_Q3 pushed forward (or, not invariant,
+    METRIC_Q3 itself)."""
+    from test_riemann import METRIC_Q3
+
+    entries = [[p.source for p in row] for row in METRIC_Q3.components]
+    pushed = [[re.sub(r"x(\d)", r"(x\1 - 1)", e) for e in row]
+              for row in entries]
+    boxes = {"A": [[0.2, 1.2]] * 3, "B": [[1.2, 2.2]] * 3}
+    doc = {
+        "leaf_dim": 1, "transverse_dim": 3,
+        "charts": [{"name": c, "domain": [[0.0, 1.0]] + box}
+                   for c, box in boxes.items()],
+        "transitions": [
+            {"name": f"{a}->{b}", "from": a, "to": b, "leaf_exprs": ["u1"],
+             "transverse_exprs": [f"x{i} {sign} 1" for i in (1, 2, 3)],
+             "overlap": [[0.0, 1.0]] + boxes[a], "inverse_of": f"{b}->{a}"}
+            for a, b, sign in (("A", "B", "+"), ("B", "A", "-"))],
+        "metrics": [{"name": "g", "chart": "A", "components": entries},
+                    {"name": "g", "chart": "B",
+                     "components": pushed if invariant else entries}],
+    }
+    path = tmp_path / ("q3.json" if invariant else "q3_bad.json")
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_certify_q3_end_to_end(capsys, tmp_path):
+    # q = 3: the spray Jacobian's algebra runs in ((9, 1),) at r = 2
+    for extra in (["--order", "2"], ["--order", "3", "--samples", "5"]):
+        code, out, err = run(capsys, "certify", _q3_atlas(tmp_path),
+                             "--metric", "g", *extra)
+        assert code == 0, err
+        assert all(c["pass"] for c in json.loads(out)["checks"])
+    code, out, _ = run(capsys, "certify", _q3_atlas(tmp_path, False),
+                       "--metric", "g", "--order", "2", "--samples", "5")
+    assert code == 1
+    failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
+    assert failed == {"holonomy"}
+
+
 def test_certify_negative_control(capsys, atlas_dir):
     code, out, _ = run(capsys, "certify", str(atlas_dir / "cubic.json"),
                        "--metric", "g_bad", "--order", "2", "--samples", "10")
@@ -318,10 +361,19 @@ def test_compare_reports_exit_codes(tmp_path, atlas_dir):
     script = str(ROOT / "scripts" / "compare_reports.py")
     same = run_process(script, str(reports["g"]), str(reports["g"]))
     assert same.returncode == 0, same.stderr
+    assert same.stdout.splitlines()[0] == "files byte-identical"
     assert "lists equal" in same.stdout
     assert "holonomy: largest metric change 0.000e+00" in same.stdout
+    # the same report laid out otherwise: equal lists, other bytes
+    relaid = tmp_path / "relaid.json"
+    relaid.write_text(json.dumps(json.loads(reports["g"].read_text())))
+    moved = run_process(script, str(reports["g"]), str(relaid))
+    assert moved.returncode == 0, moved.stderr
+    assert moved.stdout.splitlines()[0] == "files differ in bytes"
+    assert "lists equal" in moved.stdout
     differ = run_process(script, str(reports["g"]), str(reports["g_bad"]))
     assert differ.returncode == 1
+    assert differ.stdout.splitlines()[0] == "files differ in bytes"
     assert "lists differ" in differ.stdout
     (tmp_path / "bad.json").write_text("{not json")
     for argv in ([str(reports["g"])], [str(reports["g"]),

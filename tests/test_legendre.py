@@ -1,5 +1,4 @@
 import json
-import zlib
 from collections import Counter
 
 import numpy as np
@@ -30,7 +29,8 @@ from folijet.legendre import (
 )
 from folijet.riemann import lift_lagrangian
 from folijet.scalars import batch_of, space
-from oracles import chain_hamiltonian_nested, chain_hamiltonian_r2
+from oracles import (admissible_draws, chain_hamiltonian_nested,
+                     chain_hamiltonian_r2, hamiltonian_draws)
 
 
 def jet_point(base, jets, chart=""):
@@ -426,12 +426,7 @@ def test_batched_hamiltonian_checks_match_point_by_point(
     for k, (chart, fld) in enumerate(atlas.metrics["g"].items()):
         L, L1 = lift_lagrangian(fld, r), lift_lagrangian(fld, 1)
         H = legendre_chain(L)
-        box = np.asarray(atlas.charts[chart].domain[atlas.p:], dtype=float)
-        rng = np.random.default_rng([seed, zlib.crc32(chart.encode()), 13])
-        bases, momenta = [], []
-        for _ in range(samples):
-            bases.append(box[:, 0] + rng.random(q) * (box[:, 1] - box[:, 0]))
-            momenta.append(rng.uniform(-2.0, 2.0, q))
+        bases, momenta = hamiltonian_draws(atlas, chart, samples, seed)
 
         # the diagonal hamiltonian and the Newton iterations of each sample
         calls = Counter()
@@ -454,26 +449,23 @@ def test_batched_hamiltonian_checks_match_point_by_point(
         alone = (calls[L.program], list(stage_iterations))
         calls.clear()
         stage_iterations.clear()
-        H(np.array(bases), np.array(momenta))
+        H(bases, momenta)
         batched = (calls[L.program], list(stage_iterations[0]))
         monkeypatch.setattr(ExprProgram, "eval", original)
         # every sample evaluates L and iterates as often as alone
         assert batched == alone
-        _, stats = hamiltonian_at(L1, np.array(bases),
+        _, stats = hamiltonian_at(L1, bases,
                                   np.zeros((samples, 0, q)),
-                                  np.array(momenta), return_stats=True)
+                                  momenta, return_stats=True)
         assert stats["iterations"] == inverse_iterations
         assert abs(report["diagonal_hamiltonian"][k] - dev) <= tol
 
         # the ray levels of admissibility condition (d)
-        rng = np.random.default_rng([seed, zlib.crc32(b"admissible")])
         ray = space(((1, 1),))
         level = 0.0
-        for _ in range(samples):
-            base = box[:, 0] + rng.random(q) * (box[:, 1] - box[:, 0])
-            rng.uniform(-1.0, 1.0, r * q)  # the sample's jets
-            direction = rng.standard_normal(r * q)
-            direction /= np.linalg.norm(direction)
+        box = atlas.charts[chart].domain[atlas.p:]
+        bases, _, directions = admissible_draws(L, box, samples, seed, 1.0)
+        for base, direction in zip(bases, directions):
 
             def along(t, idx):
                 s = ray.seed(t, 0)

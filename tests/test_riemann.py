@@ -1,5 +1,4 @@
 import json
-import zlib
 
 import numpy as np
 import pytest
@@ -27,9 +26,12 @@ from folijet.riemann import (
 from conftest import ATLAS_DIR
 from oracles import (
     coframe_metric,
+    holonomy_draws,
+    projector_draws,
     sympy_lift_stages,
     sympy_prolongation_coefficients,
     sympy_value,
+    vertical_exactness_draws,
 )
 
 
@@ -404,10 +406,6 @@ def certify_report(tmp_path, atlas_name, metric, samples):
     return code, metrics
 
 
-def _box_point(rng, box):
-    return box[:, 0] + rng.random(len(box)) * (box[:, 1] - box[:, 0])
-
-
 @pytest.mark.parametrize("atlas_name,metric,samples,tol", BATCHED_CASES)
 def test_batched_geometry_checks_match_point_by_point(
         tmp_path, atlas_name, metric, samples, tol):
@@ -423,11 +421,11 @@ def test_batched_geometry_checks_match_point_by_point(
         assert abs(got - want) <= tol, (got, want)
 
     for t in atlas.transitions.values():
-        rng = np.random.default_rng([seed, zlib.crc32(t.name.encode()), 7])
         dev = 0.0
-        for pt in sample_overlap(t, samples, seed):
+        for pt, jets in zip(sample_overlap(t, samples, seed),
+                            holonomy_draws(t, samples, seed, r, q)):
             point = TransverseJetPoint(t.from_chart, r, tuple(pt[:p]),
-                                       tuple(pt[p:]), sample_jets(rng, r, q))
+                                       tuple(pt[p:]), jets)
             image = prolong_transition(atlas, t, point)
             dphi = prolong_jacobian(atlas, t, point)
             left = dphi.T @ lifted.evaluate(image) @ dphi
@@ -438,23 +436,21 @@ def test_batched_geometry_checks_match_point_by_point(
     exactness = report[("vertical_exactness", f"lift({metric},{r})")]
     for k, (chart, fld) in enumerate(family.items()):
         L = lift_lagrangian(fld, r)
-        box = np.asarray(atlas.charts[chart].domain[p:], dtype=float)
-        rng = np.random.default_rng([seed, zlib.crc32(b"vexact"), 3])
+        box = atlas.charts[chart].domain[p:]
         dev = 0.0
-        for _ in range(samples):
-            point = jet_point(_box_point(rng, box),
-                              sample_jets(rng, r, q), chart)
+        for base, jets in zip(*vertical_exactness_draws(box, samples, seed,
+                                                        r, q, 1.0)):
+            point = jet_point(base, jets, chart)
             g_top = lifted.evaluate(point)[r * q:, r * q:]
             half = 0.5 * vertical_hessian(L, point).matrix
             dev = max(dev, float(np.max(np.abs(g_top - half))))
         close(exactness[k], dev)
 
         S = SemiSprayField.from_lagrangian(L)
-        rng = np.random.default_rng([seed, zlib.crc32(chart.encode()), 11])
         dev = 0.0
-        for _ in range(samples):
-            point = jet_point(_box_point(rng, box),
-                              sample_jets(rng, r, q), chart)
+        for base, jets in zip(*projector_draws(atlas, chart, samples, seed,
+                                               r)):
+            point = jet_point(base, jets, chart)
             h, v = projectors(S, point)
             dev = max(dev, float(np.max(np.abs(h @ h - h))),
                       float(np.max(np.abs(v @ v - v))),

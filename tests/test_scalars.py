@@ -7,8 +7,12 @@ import sympy as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from folijet.atlas import load_atlas_file
+from folijet.dynamics import SemiSprayField
 from folijet.errors import DomainError, SpaceMismatch
 from folijet.expr import FUNCTIONS, parse
+from folijet.jets import sample_points
+from folijet.riemann import lift_lagrangian
 from folijet.scalars import (
     UNARY_FUNCTIONS,
     Series,
@@ -22,10 +26,13 @@ from folijet.scalars import (
     sqrt,
     tan,
 )
+from conftest import ATLAS_DIR
 from oracles import (
     central_difference,
     central_hessian,
     convolve_series,
+    full_space_split,
+    full_space_spray_jacobian,
     sympy_series_coeffs,
 )
 
@@ -253,3 +260,67 @@ def test_batched_solve_pivots_each_sample_on_its_own(q):
                       [[Series(sp_, b[i, s])] for i in range(q)])
         for i in range(q):
             assert np.array_equal(batch[i, 0].coeffs[s], alone[i, 0].coeffs)
+
+
+# -- parts over the space of the other groups ---------------------------------
+
+THREE_GROUPS = ((2, 2), (1, 3), (2, 1))
+
+
+def _random_series(groups, batch, seed):
+    sp_ = space(groups)
+    shape = (sp_.size,) if batch is None else (batch, sp_.size)
+    return Series(sp_, np.random.default_rng(seed).standard_normal(shape))
+
+
+@pytest.mark.parametrize("batch", [None, 5])
+@pytest.mark.parametrize("group", range(len(THREE_GROUPS)))
+def test_within_after_split_is_the_full_space_part(group, batch):
+    y = _random_series(THREE_GROUPS, batch, group)
+    rest = space(THREE_GROUPS[:group] + THREE_GROUPS[group + 1:])
+    parts = y.split(group)
+    want = full_space_split(y, group)
+    assert len(parts) == len(want) == y.space.shape[group]
+    for part, full in zip(parts, want):
+        assert part.space is rest
+        assert part.batch == batch
+        lifted = part.within(y.space, group)
+        assert lifted.space is y.space
+        assert np.array_equal(lifted.coeffs, full.coeffs)
+    with pytest.raises(SpaceMismatch):
+        parts[0].within(y.space, (group + 1) % len(THREE_GROUPS))
+
+
+@pytest.mark.parametrize("batch", [None, 5])
+@pytest.mark.parametrize("group", range(len(THREE_GROUPS)))
+def test_sub_space_product_is_the_degree_zero_slice(group, batch):
+    a = _random_series(THREE_GROUPS, batch, 10 + group).split(group)
+    b = _random_series(THREE_GROUPS, batch, 20 + group).split(group)
+    for x, y in ((a[0], b[0]), (a[1], b[-1])):
+        full = (x.within(space(THREE_GROUPS), group)
+                * y.within(space(THREE_GROUPS), group))
+        zero, *others = full.split(group)
+        assert np.array_equal((x * y).coeffs, zero.coeffs)
+        assert not any(np.any(p.coeffs) for p in others)
+
+
+def _shipped_metrics():
+    for path in sorted(ATLAS_DIR.glob("*.json")):
+        atlas = load_atlas_file(path)
+        for name, family in atlas.metrics.items():
+            for chart, fld in family.items():
+                yield pytest.param(
+                    fld, atlas.charts[chart].domain[atlas.p:],
+                    id=f"{path.stem}-{name}-{chart}")
+
+
+@pytest.mark.parametrize("batch", [None, 25])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("fld,box", _shipped_metrics())
+def test_spray_jacobian_matches_the_full_space_algebra(fld, box, r, batch):
+    L = lift_lagrangian(fld, r)
+    rng = np.random.default_rng(r)
+    base, jets = sample_points(rng, box, batch or 1, r, fld.qdim)
+    got = SemiSprayField.from_lagrangian(L).jacobian_at(base, jets)
+    assert got.shape == base.shape[:-1] + (fld.qdim, (r + 1) * fld.qdim)
+    assert np.array_equal(got, full_space_spray_jacobian(L, base, jets))

@@ -49,10 +49,13 @@ HAMILTONIAN_TOLERANCE = 1e-8
 
 
 def _default_seed():
+    """The seed in FOLIJET_SEED, else 0; ValueError when it is no integer."""
+    value = os.environ.get("FOLIJET_SEED", "0")
     try:
-        return int(os.environ.get("FOLIJET_SEED", "0"))
+        return int(value)
     except ValueError:
-        return 0
+        raise ValueError(
+            f"FOLIJET_SEED must be an integer, got {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, samples=True):
         p.add_argument("atlas", help="path to an atlas JSON file")
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int,
+                       help="sampling seed (default: FOLIJET_SEED, else 0)")
         if samples:
             p.add_argument("--samples", type=int, default=25)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -303,6 +307,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.run(args)
     except (FolijetError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

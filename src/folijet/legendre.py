@@ -33,9 +33,9 @@ from .expr import coordinate_names
 from .jets import (TransverseJetPoint, _check_rows, _finite_tuple,
                    jet_columns, jet_env)
 from .report import Report, worst
-from .scalars import (Series, batch_of, broadcast, columns, merge,
-                      raise_where, samples_of, second_order, space,
-                      stack_samples, take, value_of)
+from .scalars import (Series, batch_of, broadcast, columns, raise_where,
+                      samples_of, second_order, space, stack_samples, take,
+                      value_of, where)
 
 __all__ = [
     "CotangentJetPoint",
@@ -154,22 +154,21 @@ def _largest_coefficient(entries, batch):
                                for e in entries])
 
 
-def _take_tree(x, idx):
-    """`take` on every entry of nested lists or tuples."""
-    if idx is None:
+def _where_tree(mask, x, y):
+    """`where` on every entry of nested lists or tuples: x where the flags
+    `mask` hold, else y, sample by sample; one side whole when the flags
+    all hold or none hold."""
+    if mask.all():
         return x
-    if isinstance(x, (list, tuple)):
-        return type(x)(_take_tree(v, idx) for v in x)
-    return take(x, idx)
-
-
-def _merge_tree(x, idx, y):
-    """`merge` on every entry of nested lists or tuples."""
-    if idx is None:
+    if not mask.any():
         return y
-    if isinstance(x, (list, tuple)):
-        return type(x)(_merge_tree(u, idx, v) for u, v in zip(x, y))
-    return merge(x, idx, y)
+
+    def select(x, y):
+        if isinstance(x, (list, tuple)):
+            return type(x)(map(select, x, y))
+        return where(mask, x, y)
+
+    return select(x, y)
 
 
 def _newton_top_row(quad_at, target, guess, q, *, stage=None,
@@ -177,113 +176,84 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
                     condition_limit=CONDITION_LIMIT, polish=0):
     """Solve grad(quad_at(top)) = target for the top row by damped Newton.
 
-    `quad_at(top, idx)` returns the (value, gradient, Hessian) of the stage
-    in the top row, for the samples `idx` of the batch (None: all of them);
-    entries may be floats or series.  The solve is settled, and stops, once
-    every coefficient of the residual is at roundoff relative to those of
-    the value, gradient and Hessian; otherwise it stops `polish` steps
-    after its largest coefficient falls to `tol`.  Damping and the
-    condition guard use float values.  Returns (top_row, stage_value,
-    stats).
+    `quad_at(top, moving)` returns the (value, gradient, Hessian) of the
+    stage in the top row; entries may be floats or series.  The solve is
+    settled, and stops, once every coefficient of the residual is at
+    roundoff relative to those of the value, gradient and Hessian;
+    otherwise it stops `polish` steps after its largest coefficient falls
+    to `tol`.  Damping and the condition guard use float values.  Returns
+    (top_row, stage_value, stats).
 
-    When the target is a batch, every sample iterates as it would alone,
-    with its own damping, condition guard and pivots, and stops, frozen,
-    where it would stop alone: each step evaluates only the samples still
-    running.  Stats then hold per-sample lists.
+    When the target is a batch, every call evaluates the whole batch, and
+    `moving` flags the samples whose top row moved; a sample that has
+    stopped, or already took its step, sits at its last accepted top row.
+    Every sample keeps its own damping, condition guard and pivots, and
+    stops, frozen in place, where it would stop alone.  Stats then hold
+    per-sample lists.
     """
-    where = f"stage {stage}: " if stage is not None else ""
+    label = f"stage {stage}: " if stage is not None else ""
     if len(guess) != q:
         raise ShapeError(f"guess must have {q} entries")
     batch = next((n for n in map(batch_of, target) if n), None)
-    count = batch or 1
 
-    def pick(idx):
-        """The index set quad_at and take see: None for all samples."""
-        return None if batch is None or len(idx) == count else idx
-
-    def per_sample(values):
-        """Per-sample flags or values as a batch, or as one unbatched."""
-        return values if batch else values[0]
-
-    def residual(out, idx, n):
+    def state_at(top, moving):
+        """(top, out, F, norm, size, settled) at the top row `top`."""
+        out = quad_at(top, moving)
         value, grad, hess = out
-        F = [grad[i] - take(target[i], idx) for i in range(q)]
-        size = _largest_coefficient(F, batch and n)
+        F = [grad[i] - target[i] for i in range(q)]
+        size = _largest_coefficient(F, batch)
         terms = _largest_coefficient([1.0, value, *grad, *sum(hess, [])],
-                                     batch and n)
+                                     batch)
         settled = np.isfinite(terms) & (size <= SETTLED_TOLERANCE * terms)
         norm = np.abs([value_of(f) for f in F]).max(axis=0)
-        return F, *map(np.atleast_1d, (norm, size, settled))
+        return top, out, F, norm, size, settled
 
+    # per-sample flags and counts are batches, or numpy scalars unbatched;
+    # the samples still running have all taken `steps` steps, and those
+    # still pending in a step have all halved `scale` as often
     top = [broadcast(t, batch) for t in guess] if batch else list(guess)
-    out = quad_at(top, None)
-    F, norm, size, settled = residual(out, None, count)
-    iterations = np.zeros(count, dtype=int)
-    extra = np.full(count, polish)
-    active = np.flatnonzero(~settled)
-    # the samples still running have all taken the same number of steps,
-    # and those still damping one step have all halved it as often
-    steps = 0
-    while len(active):
-        small = size[active] <= tol
-        if small.any():
-            stop = small & (extra[active] <= 0)
-            extra[active[small & ~stop]] -= 1
-            active, small = active[~stop], small[~stop]
-            if not len(active):
-                break
-        if steps >= max_iterations and not small.all():
-            stuck = np.zeros(count, dtype=bool)
-            stuck[active[~small]] = True
-            raise_where(per_sample(stuck), NoConvergence,
-                        where + "residual {:.3e} after {} iterations",
-                        per_sample(size), steps)
-        sel = pick(active)
-        with samples_of(sel):
-            hess = _take_tree(out[2], sel)
-            cond = _condition_number(float_matrix(
-                [[value_of(h) for h in row] for row in hess]))
-            raise_where(~np.isfinite(cond) | (cond > condition_limit),
-                        SingularHessian,
-                        where + "vertical hessian condition estimate {:.3e}",
-                        cond)
-            step = linalg.solve(hess, [[-f] for f in _take_tree(F, sel)])
-        pending, rows, scale = active, None, 1.0
+    state = state_at(top, np.ones(batch, dtype=bool) if batch else np.True_)
+    running = ~state[5]
+    iterations, extra, steps = 0, polish, 0
+    while running.any():
+        small = running & (state[4] <= tol)
+        running = running & ~(small & (extra <= 0))
+        extra = extra - (small & running)
+        if not running.any():
+            break
+        if steps >= max_iterations:
+            raise_where(running & ~small, NoConvergence,
+                        label + "residual {:.3e} after {} iterations",
+                        state[4], steps)
+        top, (_, _, hess), F = state[:3]
+        cond = _condition_number(float_matrix(
+            [[value_of(h) for h in row] for row in hess]))
+        raise_where(running & (~np.isfinite(cond) | (cond > condition_limit)),
+                    SingularHessian,
+                    label + "vertical hessian condition estimate {:.3e}",
+                    cond)
+        if not running.all():  # a stopped sample solves a unit system
+            hess = [[where(running, h, float(i == k))
+                     for k, h in enumerate(row)] for i, row in enumerate(hess)]
+        step = linalg.solve(hess, [[-f] for f in F])
+        pending, scale = running, 1.0
         while True:
-            part = pick(pending)
-            trial = [take(top[i], part) + scale * take(step[i][0], rows)
-                     for i in range(q)]
-            with samples_of(part):
-                trial_out = quad_at(trial, part)
-            trial_F, trial_norm, trial_size, trial_settled = residual(
-                trial_out, part, len(pending))
-            old = norm if part is None else norm[pending]
-            accept = (trial_norm < old) | (old <= tol) | (scale < 1e-8)
-            kept = None if accept.all() else np.flatnonzero(accept)
-            if kept is None and part is None:
-                top, out, F = trial, trial_out, trial_F
-                norm, size, settled = trial_norm, trial_size, trial_settled
+            trial = _where_tree(pending, [top[i] + scale * step[i][0]
+                                          for i in range(q)], top)
+            trial_state = state_at(trial, pending)
+            accept = pending & ((trial_state[3] < state[3])
+                                | (state[3] <= tol) | (scale < 1e-8))
+            state = _where_tree(accept, trial_state, state)
+            pending = pending & ~accept
+            if not pending.any():
                 break
-            if kept is None or len(kept):
-                into = pending if kept is None else pending[kept]
-                top = _merge_tree(top, into, _take_tree(trial, kept))
-                out = _merge_tree(out, into, _take_tree(trial_out, kept))
-                F = _merge_tree(F, into, _take_tree(trial_F, kept))
-                got = slice(None) if kept is None else kept
-                norm[into] = trial_norm[got]
-                size[into] = trial_size[got]
-                settled[into] = trial_settled[got]
-            if kept is None:
-                break
-            pending = pending[~accept]
-            rows = np.flatnonzero(~accept) if rows is None else rows[~accept]
             scale *= 0.5
         steps += 1
-        iterations[active] = steps
-        active = active[~settled[active]]
-    stats = {"iterations": per_sample(iterations.tolist()),
-             "residual": per_sample(size.tolist())}
-    return top, out[0], stats
+        iterations = np.where(running, steps, iterations)
+        running = running & ~state[5]
+    stats = {"iterations": np.asarray(iterations).tolist(),
+             "residual": state[4].tolist()}
+    return state[0], state[1][0], stats
 
 
 def _inverse_top(L, base, lower, momentum, guess=None):
@@ -293,8 +263,7 @@ def _inverse_top(L, base, lower, momentum, guess=None):
     if guess is None:
         guess = (0.0,) * q
     return _newton_top_row(
-        lambda t, idx: top_row_derivatives(L, _take_tree(base, idx),
-                                           _take_tree(lower, idx), t),
+        lambda top, moving: top_row_derivatives(L, base, lower, top),
         list(momentum), guess, q,
     )
 
@@ -379,29 +348,30 @@ def _stage_value(L, sp, j, lower, momenta, guess=()):
     settles costs one evaluation of L.
 
     Values may be batches: every sample runs its own Newton at every
-    stage, and a stage's step evaluates the stages below it only for the
-    samples that step moves.
+    stage.  Each step evaluates the stages below it for the whole batch,
+    and keeps the top row and solution tree it evaluated only for the
+    samples that step moves, so a frozen sample shifts and starts its
+    inner stages as it would alone.
     """
     q = L.qdim
     if j == L.order:
         return L.program.eval(lower), []
     names = coordinate_names(q, j + 1)[(j + 1) * q:]
     start, inner = (guess[0], guess[1:]) if guess else ([0.0] * q, [])
-    last = None  # the top row of each sample's last evaluation
+    last = None  # the top row of each sample's last move
 
-    def quad_at(top, idx):
+    def quad_at(top, moving):
         nonlocal last, inner
-        here = _take_tree(inner, idx)
+        here = inner
         if last is not None:
-            delta = [t - t0 for t, t0 in zip(top, _take_tree(last, idx))]
+            delta = [t - t0 for t, t0 in zip(top, last)]
             here = [[_shifted(y, j, delta, q) for y in row] for row in here]
-        env = {name: take(v, idx) for name, v in lower.items()}
+        env = dict(lower)
         for i, name in enumerate(names):
             env[name] = sp.seed(top[i], j * q + i)
-        value, here = _stage_value(L, sp, j + 1, env,
-                                   _take_tree(momenta, idx), here)
-        last = _merge_tree(last, idx, top)
-        inner = _merge_tree(inner, idx, here)
+        value, here = _stage_value(L, sp, j + 1, env, momenta, here)
+        last = _where_tree(moving, top, last)
+        inner = _where_tree(moving, here, inner)
         return _second_order_in(value, j, q)
 
     top, value, _ = _newton_top_row(quad_at, list(momenta[j]), start, q,

@@ -333,10 +333,23 @@ def test_certify_deterministic(tmp_path, atlas_dir, capsys):
 
 
 def test_seed_env_default(capsys, atlas_dir, monkeypatch):
+    atlas = str(atlas_dir / "cubic.json")
     monkeypatch.setenv("FOLIJET_SEED", "42")
-    code, out, _ = run(capsys, "validate", str(atlas_dir / "cubic.json"))
+    code, out, _ = run(capsys, "validate", atlas)
     assert code == 0
     assert json.loads(out)["seed"] == 42
+    # a seed that is no integer is an input error, not seed 0
+    monkeypatch.setenv("FOLIJET_SEED", "abc")
+    code, out, err = run(capsys, "certify", atlas, "--metric", "g",
+                         "--order", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "FOLIJET_SEED" in err
+    assert "Traceback" not in err
+    # --seed overrides the variable, good or bad
+    code, out, _ = run(capsys, "validate", atlas, "--seed", "7")
+    assert code == 0
+    assert json.loads(out)["seed"] == 7
 
 
 def test_unknown_metric(capsys, atlas_dir):
@@ -346,8 +359,9 @@ def test_unknown_metric(capsys, atlas_dir):
     assert "nope" in err
 
 
-def test_lift_demo_runs():
-    proc = run_process(str(ROOT / "scripts" / "lift_demo.py"))
+@pytest.mark.parametrize("script", ["lift_demo.py", "certify_cubic.py"])
+def test_lift_demo_runs(script):
+    proc = run_process(str(ROOT / "scripts" / script))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -10,6 +10,7 @@ from folijet.cli import main
 from folijet.dynamics import LagrangianField
 from folijet.errors import (
     InvariantViolation,
+    NoConvergence,
     ShapeError,
     SingularHessian,
 )
@@ -165,11 +166,93 @@ def test_newton_rejects_singular_or_non_finite_hessian(hess):
     q = len(hess)
     assert _condition_number(hess) == np.inf
 
-    def quad_at(top, idx):
+    def quad_at(top, moving):
         return 0.0, list(top), hess
 
     with pytest.raises(SingularHessian, match="condition estimate inf"):
         _newton_top_row(quad_at, [1.0] * q, [0.0] * q, q)
+
+
+def batched_quad(derivatives, batch):
+    """A one-variable batched `quad_at` from a rule giving per-sample
+    gradients and Hessians, checking that every call sees the whole
+    batch."""
+    seen = []
+
+    def quad_at(top, moving):
+        (t,) = top
+        assert t.shape == (batch,) and moving.shape == (batch,)
+        assert moving.dtype == bool
+        seen.append(moving.copy())
+        grad, hess = derivatives(t)
+        return 0.0, [grad], [[hess]]
+
+    return quad_at, seen
+
+
+def test_batched_newton_no_convergence_names_its_sample():
+    # sample 0 settles at once, sample 1 after one step, and sample 2
+    # converges linearly (x^3 from 1) past the iteration limit
+    cube = np.array([0.0, 0.0, 1.0])
+    quad_at, seen = batched_quad(
+        lambda t: ((1.0 - cube) * t + cube * t ** 3,
+                   (1.0 - cube) + 3.0 * cube * t ** 2), 3)
+    target = [np.array([0.0, 0.5, 0.0])]
+    with pytest.raises(NoConvergence) as err:
+        _newton_top_row(quad_at, target, [np.array([0.0, 0.0, 1.0])], 1,
+                        max_iterations=5)
+    assert err.value.sample == 2
+    assert "(sample 2)" in str(err.value)
+    assert "after 5 iterations" in str(err.value)
+    # samples 0 and 1 stay frozen once stopped
+    assert [m.tolist() for m in seen[:3]] == [[True] * 3,
+                                              [False, True, True],
+                                              [False, False, True]]
+
+
+def _singular_late(t):
+    """Gradients and Hessians of four samples: sample 1's Hessian reads 0
+    once it has moved, and sample 3 (x^2 - 2x = -2 from 0) steps onto
+    x = 1, where its Hessian 2x - 2 vanishes."""
+    grad = np.array([t[0] ** 3, 2.0 * t[1], t[2] ** 3,
+                     t[3] ** 2 - 2.0 * t[3]])
+    hess = np.array([3.0 * t[0] ** 2, 2.0 if t[1] == 0.0 else 0.0,
+                     3.0 * t[2] ** 2, 2.0 * t[3] - 2.0])
+    return grad, hess
+
+
+def _singular_when_stopped(t):
+    """`_singular_late` with sample 3 replaced by the linear x = 3."""
+    grad, hess = _singular_late(t)
+    return np.r_[grad[:3], t[3]], np.r_[hess[:3], 1.0]
+
+
+def test_batched_newton_singular_hessian_names_its_sample():
+    guess = [np.array([0.5, 0.0, 1.0, 0.0])]
+    quad_at, seen = batched_quad(_singular_late, 4)
+    with pytest.raises(SingularHessian) as err:
+        _newton_top_row(quad_at, [np.array([1.0, 1.0, 8.0, -2.0])], guess, 1)
+    assert err.value.sample == 3
+    assert "(sample 3)" in str(err.value)
+    assert len(seen) > 1  # at the second step, once sample 1 stopped
+    # a stopped sample's singular Hessian neither trips the guard nor
+    # the solve
+    quad_at, _ = batched_quad(_singular_when_stopped, 4)
+    top, _, stats = _newton_top_row(
+        quad_at, [np.array([1.0, 1.0, 8.0, 3.0])], guess, 1)
+    assert top[0] == pytest.approx([1.0, 0.5, 2.0, 3.0], rel=1e-12)
+    assert stats["iterations"][1] == 1
+
+
+def test_batched_chain_and_inverse_name_the_singular_sample():
+    # x1 = 0 leaves y^4, whose vertical hessian vanishes at the start
+    L = lagrangian("x1*y1_1^2 + y1_1^4", 1)
+    bases = np.array([[0.5], [1.0], [0.0], [2.0]])
+    momenta = np.array([[0.3], [4.0], [0.3], [1.0]])
+    with pytest.raises(SingularHessian, match=r"\(sample 2\)$"):
+        hamiltonian_at(L, bases, np.zeros((4, 0, 1)), momenta)
+    with pytest.raises(SingularHessian, match=r"\(sample 2\)$"):
+        legendre_chain(L)(bases, momenta)
 
 
 # ------------------------------------------------------ pseudo-hamiltonian

@@ -48,14 +48,21 @@ PROJECTOR_TOLERANCE = 1e-9
 HAMILTONIAN_TOLERANCE = 1e-8
 
 
-def _default_seed():
-    """The seed in FOLIJET_SEED, else 0; ValueError when it is no integer."""
-    value = os.environ.get("FOLIJET_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
+def _seed(args):
+    """The sampling seed: --seed, else FOLIJET_SEED, else 0; ValueError,
+    naming where it came from, unless it is a non-negative integer."""
+    source, seed = "--seed", args.seed
+    if seed is None:
+        source, value = "FOLIJET_SEED", os.environ.get("FOLIJET_SEED", "0")
+        try:
+            seed = int(value)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {value!r}") \
+                from None
+    if seed < 0:
         raise ValueError(
-            f"FOLIJET_SEED must be an integer, got {value!r}") from None
+            f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,9 +314,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _default_seed()
-        return args.run(args)
+        args.seed = _seed(args)
+        # every kernel turns a non-finite value into a DomainError
+        with np.errstate(all="ignore"):
+            return args.run(args)
     except (FolijetError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

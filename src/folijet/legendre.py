@@ -412,86 +412,82 @@ def legendre_chain(L):
     return evaluate
 
 
-def _ray_search(phi_value):
-    """Deviation from the level phi where a fiber ray crosses it, or None
-    when no t <= 2^59 reaches phi, as a coroutine: it yields each t to
-    evaluate and is sent back the value and the slope of the ray there.
+def _ray_level(value_at, phi_value, batch):
+    """Deviation from the level phi where each fiber ray crosses it, or
+    None when no t <= 2^59 reaches phi, for a batch of `batch` (None:
+    unbatched) with the levels phi_value.
 
     From t = 1 the bracket [lo, hi] grows by at least doubling t, or by a
     longer Newton step up to 16 t, until the value reaches phi; then Newton
     steps narrow it, bisecting whenever a step leaves it, until the
-    deviation is at roundoff or the bracket cannot shrink.
+    deviation is at roundoff or the bracket cannot shrink.  Each round is
+    array arithmetic over the samples idx still searching (None: all), and
+    `value_at(t, idx)` gives their rays' values and slopes at their t (a
+    float unbatched); an error it raises for its sample s names idx[s].
+    Every sample steps as in `ray_levels_per_sample` of tests/oracles.py.
     """
-    lo, hi, t = 0.0, math.inf, 1.0
-    roundoff = 4.0 * sys.float_info.epsilon * max(1.0, abs(phi_value))
+    phi = np.broadcast_to(np.asarray(phi_value, dtype=float), (batch or 1,))
+    n = len(phi)
+    roundoff = 4.0 * sys.float_info.epsilon * np.maximum(1.0, np.abs(phi))
+    levels, missed, idx = np.zeros(n), np.zeros(n, dtype=bool), np.arange(n)
+    lo, hi, t = np.zeros(n), np.full(n, np.inf), np.ones(n)
     for _ in range(300):
-        v, slope = yield t
-        dev = v - phi_value
-        if abs(dev) <= roundoff:
-            break
-        if dev < 0.0:
-            lo = t
-        else:
-            hi = t
-        step = t - dev / slope if slope > 0.0 else math.nan
-        if hi == math.inf:
-            if t >= RAY_REACH:
-                return None
-            t_next = min(step if step > 2.0 * t else 2.0 * t, 16.0 * t,
-                         RAY_REACH)
-        else:
-            t_next = step if lo < step < hi else 0.5 * (lo + hi)
-            if not lo < t_next < hi or t_next == t:
-                break
-        t = t_next
-    return abs(dev)
-
-
-def _ray_level(value_at, phi_value, batch):
-    """`_ray_search` for each sample of a batch of `batch` (None:
-    unbatched), with the levels phi_value; each round evaluates the rays of
-    all samples still searching at once, by `value_at(t, idx)` for the
-    samples idx (None: all).  The deviations, None for unbracketed rays."""
-    phis = np.broadcast_to(phi_value, (batch or 1,)).tolist()
-    searches = [_ray_search(phi) for phi in phis]
-    pending = {s: search.send(None) for s, search in enumerate(searches)}
-    levels = [None] * len(searches)
-    while pending:
-        samples = list(pending)
-        sel = None if len(samples) == len(searches) else np.array(samples)
-        t = np.array(list(pending.values())) if batch else pending[0]
+        sel = None if len(idx) == n else idx
         with samples_of(sel):
-            v, slope = (np.atleast_1d(x).tolist() for x in value_at(t, sel))
-        for s, point in zip(samples, zip(v, slope)):
-            try:
-                pending[s] = searches[s].send(point)
-            except StopIteration as done:
-                levels[s] = done.value
-                del pending[s]
-    return levels
+            v, slope = value_at(t if batch else float(t[0]), sel)
+        dev = v - phi
+        levels[idx] = level = np.abs(dev)
+        below = dev < 0.0
+        lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+        # no slope, no step: dev / NaN raises no floating-point warning
+        step = t - dev / np.where(slope > 0.0, slope, np.nan)
+        unbracketed = hi == np.inf
+        t_next = np.where(unbracketed, np.minimum(np.minimum(
+            np.fmax(step, 2.0 * t), 16.0 * t), RAY_REACH),
+            np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)))
+        close = level <= roundoff
+        missing = ~close & unbracketed & (t >= RAY_REACH)
+        missed[idx[missing]] = True
+        # t is lo or hi by now, so a t_next inside the bracket moves
+        going = ~(close | missing) & (unbracketed
+                                      | ((lo < t_next) & (t_next < hi)))
+        if going.all():
+            t = t_next
+        elif going.any():
+            idx, phi, roundoff, lo, hi, t = (
+                x[going] for x in (idx, phi, roundoff, lo, hi, t_next))
+        else:
+            break
+    return np.where(missed, None, levels).tolist()
 
 
 def _admissible_draws(L, rng, box, samples, jet_scale, env_at):
-    """Base, jets (B, r q) and unit ray direction of each sample, drawn one
-    sample at a time, as ``standard_normal`` takes a varying share of the
-    stream; jets that L excludes are drawn again, up to 50 times."""
+    """Base, jets (B, r q) and unit ray direction of each sample; the loop
+    holds the generator calls, as ``standard_normal`` takes a varying share
+    of the stream, and draws jets that L excludes again, up to 50 times."""
     r, q = L.order, L.qdim
-    lo, width = box[:, 0], box[:, 1] - box[:, 0]
-    drawn = []
+    lo, width, span = box[:, 0], box[:, 1] - box[:, 0], 2.0 * jet_scale
+
+    def scaled(u):  # `sample_points` of uniform draws, without its overhead
+        return lo + u[..., :q] * width, -jet_scale + span * u[..., q:]
+
+    uniform, redrawn, normal = [], [], []
     for _ in range(samples):
-        # `sample_points` of one sample, without its per-call overhead
-        u = rng.random(q + r * q)
-        base, jets = lo + u[:q] * width, -jet_scale + 2.0 * jet_scale * u[q:]
+        uniform.append(rng.random(q + r * q))
         if L.excluded is not None:
+            base, jets = scaled(uniform[-1])
             for _ in range(50):
                 if float(L.excluded.eval(env_at(base, jets))) > 0.0:
                     break
                 jets = rng.uniform(-jet_scale, jet_scale, r * q)
-        drawn.append((base, jets, rng.standard_normal(r * q)))
-    base, jets, direction = map(stack_samples, zip(*drawn))
+            redrawn.append(jets)
+        normal.append(rng.standard_normal(r * q))
+    base, jets = scaled(stack_samples(uniform))
+    direction = stack_samples(normal)
     # a stacked d @ d takes each row's sum in np.linalg.norm's order
     norm = np.sqrt(direction[..., None, :] @ direction[..., :, None])
-    return base, jets, direction / norm[..., 0]
+    return (base, stack_samples(redrawn) if redrawn else jets,
+            direction / norm[..., 0])
 
 
 def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,

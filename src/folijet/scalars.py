@@ -31,9 +31,10 @@ forward mode, Griewank & Walther ch. 3).  The product of a batch is the
 same ``bincount`` over the table's keys offset by ``sample * size``, so it
 sums each output coefficient in the same order and is bit-identical to
 the product of each sample.  Elementary functions of a batch go through
-numpy ufuncs, which may differ from ``math`` in the last bit; a domain
-error or a non-finite coefficient in any sample raises DomainError naming
-the first failing sample.  Unbatched values stay the batch-size-1 case.
+numpy ufuncs, which may differ from ``math`` in the last bit.  A domain
+check is one reduction per batch; only when it fails is the first failing
+sample looked for, and the DomainError names it.  Unbatched values stay
+the batch-size-1 case.
 """
 
 from __future__ import annotations
@@ -213,17 +214,18 @@ def _product(sp, a, bj):
     if a.ndim == 1 == bj.ndim:
         return np.bincount(k, a[i] * bj, sp.size)
     batch = len(a) if a.ndim == 2 else len(bj)
+    # at most PRODUCT_CHUNK terms at a time bound the temporaries and keys
+    step = max(1, PRODUCT_CHUNK // len(k))
+    if a.ndim == 2 == bj.ndim and batch <= step:
+        terms = a[:, i]
+        terms *= bj
+        return np.bincount(sp.keys(batch), terms.ravel(),
+                           batch * sp.size).reshape(batch, sp.size)
     a = np.broadcast_to(a, (batch, sp.size))
     bj = np.broadcast_to(bj, (batch, len(k)))
     out = np.empty((batch, sp.size))
-    # at most PRODUCT_CHUNK terms at a time bound the temporaries and keys
-    step = max(1, PRODUCT_CHUNK // len(k))
     for s in range(0, batch, step):
-        terms = a[s:s + step, i]
-        terms *= bj[s:s + step]
-        n = len(terms)
-        out[s:s + n] = np.bincount(sp.keys(n), terms.ravel(),
-                                   n * sp.size).reshape(n, sp.size)
+        out[s:s + step] = _product(sp, a[s:s + step], bj[s:s + step])
     return out
 
 
@@ -237,16 +239,11 @@ def _unchecked(sp, coeffs):
 def _series(sp, coeffs):
     """A series on a trusted coefficient array; rejects non-finite entries
     (0 * x is NaN exactly when x is not finite)."""
-    if coeffs.ndim == 1:
-        if math.isnan(sp.zeros.dot(coeffs)):
-            raise DomainError("non-finite series coefficient")
-    else:
-        raise_where(np.isnan(coeffs.dot(sp.zeros)), DomainError,
+    probe = coeffs.dot(sp.zeros)
+    if math.isnan(probe if coeffs.ndim == 1 else probe.sum()):
+        raise_where(np.isnan(probe), DomainError,
                     "non-finite series coefficient")
-    out = object.__new__(Series)
-    out.space = sp
-    out.coeffs = coeffs
-    return out
+    return _unchecked(sp, coeffs)
 
 
 class Series:
@@ -559,7 +556,15 @@ def power(a, b):
 
 
 def _power_batch(a, b):
-    """`power` over a batch of floats, sample by sample."""
+    """`power` over a batch of floats, sample by sample; to a plain exponent
+    the samples are searched only if the power is not finite, or if a
+    non-integer exponent meets a base <= 0."""
+    if type(b) is not np.ndarray:
+        b = float(b)
+        with np.errstate(all="ignore"):
+            out = np.power(a, b)
+        if math.isfinite(out.sum()) and (b.is_integer() or a.min() > 0.0):
+            return out
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
                                np.asarray(b, dtype=float))
     with np.errstate(all="ignore"):

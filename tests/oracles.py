@@ -15,10 +15,14 @@ spray Jacobian as it was computed before `Series.split` returned parts
 over the space of the other groups: every part in the whole space.  The
 `*_draws` functions are the per-sample draw loops that the sampled checks
 replaced by block draws, one sample and one jet row at a time.
+`ray_levels_per_sample` is the ray search of admissibility condition (d)
+as it ran before it became array arithmetic: one coroutine per sample,
+fed by one evaluation of the samples still searching per round.
 """
 
 import math
 import operator
+import sys
 import zlib
 
 import mpmath
@@ -30,6 +34,8 @@ from folijet.errors import UnboundVariable
 from folijet.expr import (CONSTANTS, Binary, Call, Const, Num, Unary, Var,
                           coordinate_names)
 from folijet.jets import jet_columns, jet_env
+from folijet.legendre import RAY_REACH
+from folijet.scalars import samples_of
 
 
 def eval_ast(node, env):
@@ -531,3 +537,65 @@ def admissible_draws(L, box, samples, seed, jet_scale):
         direction /= np.linalg.norm(direction)
         drawn.append((base, jets, direction))
     return tuple(map(_stacked, zip(*drawn)))
+
+
+# -- the ray search of admissibility condition (d), one sample at a time -----
+
+
+def _ray_search(phi_value):
+    """Deviation from the level phi where a fiber ray crosses it, or None
+    when no t <= 2^59 reaches phi, as a coroutine: it yields each t to
+    evaluate and is sent back the value and the slope of the ray there.
+
+    From t = 1 the bracket [lo, hi] grows by at least doubling t, or by a
+    longer Newton step up to 16 t, until the value reaches phi; then Newton
+    steps narrow it, bisecting whenever a step leaves it, until the
+    deviation is at roundoff or the bracket cannot shrink.
+    """
+    lo, hi, t = 0.0, math.inf, 1.0
+    roundoff = 4.0 * sys.float_info.epsilon * max(1.0, abs(phi_value))
+    for _ in range(300):
+        v, slope = yield t
+        dev = v - phi_value
+        if abs(dev) <= roundoff:
+            break
+        if dev < 0.0:
+            lo = t
+        else:
+            hi = t
+        step = t - dev / slope if slope > 0.0 else math.nan
+        if hi == math.inf:
+            if t >= RAY_REACH:
+                return None
+            t_next = min(step if step > 2.0 * t else 2.0 * t, 16.0 * t,
+                         RAY_REACH)
+        else:
+            t_next = step if lo < step < hi else 0.5 * (lo + hi)
+            if not lo < t_next < hi or t_next == t:
+                break
+        t = t_next
+    return abs(dev)
+
+
+def ray_levels_per_sample(value_at, phi_value, batch):
+    """`_ray_search` for each sample of a batch of `batch` (None:
+    unbatched), with the levels phi_value; each round evaluates the rays of
+    all samples still searching at once, by `value_at(t, idx)` for the
+    samples idx (None: all).  The deviations, None for unbracketed rays."""
+    phis = np.broadcast_to(phi_value, (batch or 1,)).tolist()
+    searches = [_ray_search(phi) for phi in phis]
+    pending = {s: search.send(None) for s, search in enumerate(searches)}
+    levels = [None] * len(searches)
+    while pending:
+        samples = list(pending)
+        sel = None if len(samples) == len(searches) else np.array(samples)
+        t = np.array(list(pending.values())) if batch else pending[0]
+        with samples_of(sel):
+            v, slope = (np.atleast_1d(x).tolist() for x in value_at(t, sel))
+        for s, point in zip(samples, zip(v, slope)):
+            try:
+                pending[s] = searches[s].send(point)
+            except StopIteration as done:
+                levels[s] = done.value
+                del pending[s]
+    return levels

@@ -350,6 +350,16 @@ def test_seed_env_default(capsys, atlas_dir, monkeypatch):
     code, out, _ = run(capsys, "validate", atlas, "--seed", "7")
     assert code == 0
     assert json.loads(out)["seed"] == 7
+    # a negative seed is an input error that names where it came from
+    code, out, err = run(capsys, "certify", atlas, "--metric", "g",
+                         "--order", "2", "--seed", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be a non-negative integer, got -5\n"
+    monkeypatch.setenv("FOLIJET_SEED", "-5")
+    code, out, err = run(capsys, "validate", atlas)
+    assert (code, out) == (2, "")
+    assert err == ("error: FOLIJET_SEED must be a non-negative integer, "
+                   "got -5\n")
 
 
 def test_unknown_metric(capsys, atlas_dir):
@@ -423,6 +433,18 @@ def test_certify_long_sum_metric_exits_without_traceback(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["summary"]["failed"] == 0
+
+
+def test_overflowing_jet_semispray_exits_2_with_one_error_line():
+    # the overflow is one DomainError: numpy warns of none of its steps
+    proc = run_process("-m", "folijet.cli", "semispray",
+                       str(ROOT / "atlases" / "cubic.json"), "--metric", "g",
+                       "--order", "2", "--chart", "B",
+                       "--jet", "x=1e308;y1=1e308")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_deeply_nested_parentheses_exit_2(tmp_path):

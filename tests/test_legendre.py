@@ -9,6 +9,7 @@ from folijet.atlas import load_atlas_file
 from folijet.cli import main
 from folijet.dynamics import LagrangianField
 from folijet.errors import (
+    DomainError,
     InvariantViolation,
     NoConvergence,
     ShapeError,
@@ -29,9 +30,10 @@ from folijet.legendre import (
     admissibility_check,
 )
 from folijet.riemann import lift_lagrangian
-from folijet.scalars import batch_of, space
+from folijet.scalars import batch_of, columns, raise_where, space, take
 from oracles import (admissible_draws, chain_hamiltonian_nested,
-                     chain_hamiltonian_r2, hamiltonian_draws)
+                     chain_hamiltonian_r2, hamiltonian_draws,
+                     ray_levels_per_sample)
 
 
 def jet_point(base, jets, chart=""):
@@ -466,6 +468,130 @@ def test_admissibility_slashed_skips_zero_section():
     zero = [c for c in report.checks if c.name == "zero_at_zero_section"]
     assert zero[0].context == "skipped (slashed)"
     assert report.passed, report.to_json()
+
+
+# ------------------------------------------- the ray search of condition (d)
+#
+# `_ray_level` runs every sample's bracketed Newton search as array
+# arithmetic; `ray_levels_per_sample` is the same search as one coroutine
+# per sample.  Every level must come out bit for bit the same.
+SHIPPED_METRICS = [("cubic", "g", "A"), ("cubic", "g", "B"),
+                   ("cubic", "g_bad", "A"), ("cubic", "g_bad", "B"),
+                   ("plane", "flat", "O"), ("plane", "wavy", "O"),
+                   ("plane", "expo", "O"), ("shear2", "g", "A"),
+                   ("shear2", "g", "B")]
+
+
+def _rays(L, base, direction):
+    """`admissibility_check`'s rays: value_at(t, idx) for the samples idx."""
+    ray = space(((1, 1),))
+    names = coordinate_names(L.qdim, L.order)
+
+    def value_at(t, idx):
+        s = ray.seed(t, 0)
+        env = dict(zip(names, [*columns(take(base, idx)),
+                               *(s * d for d in columns(take(direction,
+                                                             idx)))]))
+        out = L.program.eval(env)
+        return out.value, out.coeffs[..., 1]
+
+    return value_at
+
+
+def _same_levels(got, want):
+    assert [dev is None for dev in got] == [dev is None for dev in want]
+    assert [dev for dev in got if dev is not None] \
+        == [dev for dev in want if dev is not None]
+
+
+@pytest.mark.parametrize("atlas_name,metric,chart", SHIPPED_METRICS)
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_ray_level_matches_the_per_sample_search(atlas_dir, atlas_name,
+                                                 metric, chart, r):
+    atlas = load_atlas_file(atlas_dir / f"{atlas_name}.json")
+    L = lift_lagrangian(atlas.metrics[metric][chart], r)
+    box = atlas.charts[chart].domain[atlas.p:]
+    for batch in (None, 1, 25, 150):
+        base, _, direction = admissible_draws(L, box, batch or 1, r, 1.0)
+        if batch == 1:
+            base, direction = base[None], direction[None]
+        value_at = _rays(L, base, direction)
+        levels = [1.0] if batch is None else \
+            [1.0, np.geomspace(1e-3, 1e3, batch)]
+        for phi in levels:
+            got = _ray_level(value_at, phi, batch)
+            _same_levels(got, ray_levels_per_sample(value_at, phi, batch))
+            assert len(got) == (batch or 1)
+
+
+def _synthetic(scale, fn):
+    """value_at of the rays v = scale fn(t), one scale per sample."""
+    scale = np.asarray(scale, dtype=float)
+
+    def value_at(t, idx):
+        c = take(scale, idx)
+        value, slope = fn(t)
+        return c * value, c * slope
+
+    return value_at
+
+
+def test_ray_level_stops_each_sample_in_its_own_round():
+    # v = c t^3 reaches 1 at c^(-1/3): exactly at t = 1 for c = 1, after a
+    # few doublings or Newton steps for the others
+    value_at = _synthetic([1.0, 1e-6, 3.0, 0.37, 1e4, 0.5],
+                          lambda t: (t ** 3, 3.0 * t ** 2))
+    rounds = []
+
+    def counting(t, idx):
+        rounds.append(len(t))
+        return value_at(t, idx)
+
+    got = _ray_level(counting, 1.0, 6)
+    _same_levels(got, ray_levels_per_sample(value_at, 1.0, 6))
+    assert None not in got
+    assert len(set(rounds)) > 2 and rounds[0] == 6
+    # a ray that reads no slope doubles t and bisects, without Newton steps
+    value_at = _synthetic([1e-6, 3.0, 0.37], lambda t: (t ** 3, 0.0 * t))
+    got = _ray_level(value_at, 1.0, 3)
+    _same_levels(got, ray_levels_per_sample(value_at, 1.0, 3))
+
+
+def test_ray_level_gives_none_where_no_ray_reaches():
+    # v = c (1 - exp(-t)) stays below 1 for c < 1
+    value_at = _synthetic([2.0, 0.5, 0.9, 40.0],
+                          lambda t: (-np.expm1(-t), np.exp(-t)))
+    got = _ray_level(value_at, 1.0, 4)
+    _same_levels(got, ray_levels_per_sample(value_at, 1.0, 4))
+    assert [dev is None for dev in got] == [False, True, True, False]
+    level = _ray_level(lambda t, idx: (0.5 * t / (1.0 + t),
+                                       0.5 / (1.0 + t) ** 2), 1.0, None)
+    assert level == [None]
+    # no slope: t doubles up to 2^59, where c = 1 comes within roundoff
+    # of phi from below, with the bracket still open
+    below = 1.0 - 2.0 ** -52
+    value_at = _synthetic([1.0, 0.9], lambda t: (
+        np.where(t >= legendre.RAY_REACH, below, 0.5), 0.0 * t))
+    got = _ray_level(value_at, 1.0, 2)
+    _same_levels(got, ray_levels_per_sample(value_at, 1.0, 2))
+    assert got == [2.0 ** -52, None]
+
+
+def test_ray_level_error_names_the_sample_of_the_full_batch():
+    # sample 0 stops at once, so sample 3 sits at position 2 of the
+    # sub-batch that raises
+    value_at = _synthetic([1.0, 0.1, 0.2, 0.3, 0.4],
+                          lambda t: (t ** 2, 2.0 * t))
+    marked = np.arange(5) == 3
+
+    def failing(t, idx):
+        if idx is not None:
+            raise_where(take(marked, idx), DomainError, "ray at t = {}", t)
+        return value_at(t, idx)
+
+    for search in (_ray_level, ray_levels_per_sample):
+        with pytest.raises(DomainError, match=r"ray at t = \S+ \(sample 3\)"):
+            search(failing, 1.0, 5)
 
 
 # ------------------------------------ the batched checks, point by point

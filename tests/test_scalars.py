@@ -219,12 +219,15 @@ def test_coefficients_are_scaled_partials(name):
 
 @pytest.mark.parametrize("groups", SPACES)
 def test_batched_product_is_each_samples_product(groups):
+    # 1, 9 and 150 samples: one chunk of the product or several
     sp_ = space(groups)
     rng = np.random.default_rng(len(sp_.table[0]))
-    a, b = rng.standard_normal((2, 9, sp_.size))
-    got = (Series(sp_, a) * Series(sp_, b)).coeffs
-    want = [(Series(sp_, x) * Series(sp_, y)).coeffs for x, y in zip(a, b)]
-    assert np.array_equal(got, want)
+    for batch in (1, 9, 150):
+        a, b = rng.standard_normal((2, batch, sp_.size))
+        got = (Series(sp_, a) * Series(sp_, b)).coeffs
+        want = [(Series(sp_, x) * Series(sp_, y)).coeffs
+                for x, y in zip(a, b)]
+        assert np.array_equal(got, want)
 
 
 def test_batch_errors_name_the_first_failing_sample():
@@ -241,6 +244,31 @@ def test_batch_errors_name_the_first_failing_sample():
         Series(sp_, coeffs)
     with pytest.raises(DomainError, match=r"overflows \(sample 0\)"):
         exp(Series(sp_, [[1000.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
+    # a float batch to a plain exponent: one power, searched only on failure
+    for base, e, message in [
+            ([1.0, 0.0, 2.0], -2, r"negative power of zero \(sample 1\)"),
+            ([1.0, 4.0, -1.0], 0.5,
+             r"non-integer power of nonpositive base \(sample 2\)"),
+            ([0.0, 4.0], 0.5,
+             r"non-integer power of nonpositive base \(sample 0\)"),
+            ([3.0, 1e200], 2, r"1e\+200\^2.0 overflows \(sample 1\)")]:
+        with pytest.raises(DomainError, match=message):
+            power(np.array(base), e)
+    got = power(np.array([2.0, np.nan]), 2)
+    assert got[0] == 4.0 and np.isnan(got[1])
+    # a plain exponent gives the bits of the general path with the exponent
+    # broadcast over the batch at stride 0; numpy runs its square,
+    # reciprocal and sqrt loops for 2, -1 and 0.5 in both, which differ
+    # from its general power loop (np.full) by at most one ulp
+    rng = np.random.default_rng(5)
+    signed = rng.standard_normal(1000) * np.logspace(-3, 3, 1000)
+    for e, base in [(2, signed), (3, signed), (-1, signed),
+                    (0.5, np.abs(signed)), (-4 / 3, np.abs(signed))]:
+        got = power(base, e)
+        assert np.array_equal(got, power(base, np.broadcast_to(
+            float(e), base.shape)))
+        general = power(base, np.full(len(base), float(e)))
+        assert np.all(np.abs(got - general) <= np.spacing(np.abs(general)))
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])

@@ -18,6 +18,7 @@ input error.  Reports are deterministic JSON for fixed seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -65,8 +66,25 @@ def _seed(args):
     return seed
 
 
+def _finite(text):
+    """The argparse type of the tolerances: a finite float."""
+    try:
+        if np.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error:`` line, as `main` does."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="folijet",
         description="transverse jet bundles: validation and certification",
     )
@@ -81,11 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=int, default=25)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
+    def tolerances(p, **defaults):
+        for name, default in defaults.items():
+            p.add_argument(f"--tol-{name}", type=_finite, default=default)
+
     p = sub.add_parser("validate", help="check the pseudogroup structure")
     common(p)
-    p.add_argument("--tol-det", type=float, default=1e-9)
-    p.add_argument("--tol-roundtrip", type=float, default=1e-9)
-    p.add_argument("--tol-cocycle", type=float, default=1e-8)
+    tolerances(p, det=1e-9, roundtrip=1e-9, cocycle=1e-8)
     p.set_defaults(run=cmd_validate)
 
     p = sub.add_parser("prolong", help="transport a jet across a transition")
@@ -116,14 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--metric", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--tol-det", type=float, default=1e-9)
-    p.add_argument("--tol-roundtrip", type=float, default=1e-9)
-    p.add_argument("--tol-cocycle", type=float, default=1e-8)
-    p.add_argument("--tol-projector", type=float, default=PROJECTOR_TOLERANCE)
-    p.add_argument("--tol-holonomy", type=float, default=1e-7)
-    p.add_argument("--tol-exactness", type=float, default=1e-8)
-    p.add_argument("--tol-hamiltonian", type=float,
-                   default=HAMILTONIAN_TOLERANCE)
+    tolerances(p, det=1e-9, roundtrip=1e-9, cocycle=1e-8,
+               projector=PROJECTOR_TOLERANCE, holonomy=1e-7, exactness=1e-8,
+               hamiltonian=HAMILTONIAN_TOLERANCE)
     p.set_defaults(run=cmd_certify)
     return parser
 
@@ -200,6 +215,9 @@ def cmd_semispray(args):
         L = atlas.lagrangians.get(args.lagrangian)
         if L is None:
             raise ValueError(f"unknown lagrangian {args.lagrangian!r}")
+        if args.order not in (None, L.order):
+            raise ValueError(f"lagrangian {args.lagrangian!r} has order "
+                             f"{L.order}, got --order {args.order}")
         chart = args.chart or ""
     else:
         if args.order is None:
@@ -310,9 +328,11 @@ def cmd_certify(args):
     return 0 if report.passed else 1
 
 
+_parser = functools.cache(build_parser)  # main's, built once per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.seed = _seed(args)
         # every kernel turns a non-finite value into a DomainError

@@ -34,8 +34,7 @@ from .jets import (TransverseJetPoint, _check_rows, _finite_tuple,
                    jet_columns, jet_env)
 from .report import Report, worst
 from .scalars import (Series, batch_of, broadcast, columns, raise_where,
-                      samples_of, second_order, space, stack_samples, take,
-                      value_of, where)
+                      second_order, space, stack_samples, value_of, where)
 
 __all__ = [
     "CotangentJetPoint",
@@ -421,22 +420,21 @@ def _ray_level(value_at, phi_value, batch):
     longer Newton step up to 16 t, until the value reaches phi; then Newton
     steps narrow it, bisecting whenever a step leaves it, until the
     deviation is at roundoff or the bracket cannot shrink.  Each round is
-    array arithmetic over the samples idx still searching (None: all), and
-    `value_at(t, idx)` gives their rays' values and slopes at their t (a
-    float unbatched); an error it raises for its sample s names idx[s].
-    Every sample steps as in `ray_levels_per_sample` of tests/oracles.py.
+    array arithmetic over the whole batch; `value_at(t)` gives every ray's
+    value and slope at its t (a float unbatched).  A stopped sample keeps
+    its t, so, as no sample's value depends on another's, it reads the same
+    values, bracket and verdict in every later round: it stays stopped
+    without a mask.  Every sample steps as in `ray_levels_per_sample` of
+    tests/oracles.py.
     """
     phi = np.broadcast_to(np.asarray(phi_value, dtype=float), (batch or 1,))
     n = len(phi)
     roundoff = 4.0 * sys.float_info.epsilon * np.maximum(1.0, np.abs(phi))
-    levels, missed, idx = np.zeros(n), np.zeros(n, dtype=bool), np.arange(n)
     lo, hi, t = np.zeros(n), np.full(n, np.inf), np.ones(n)
     for _ in range(300):
-        sel = None if len(idx) == n else idx
-        with samples_of(sel):
-            v, slope = value_at(t if batch else float(t[0]), sel)
+        v, slope = value_at(t if batch else float(t[0]))
         dev = v - phi
-        levels[idx] = level = np.abs(dev)
+        level = np.abs(dev)
         below = dev < 0.0
         lo, hi = np.where(below, t, lo), np.where(below, hi, t)
         # no slope, no step: dev / NaN raises no floating-point warning
@@ -447,18 +445,13 @@ def _ray_level(value_at, phi_value, batch):
             np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi)))
         close = level <= roundoff
         missing = ~close & unbracketed & (t >= RAY_REACH)
-        missed[idx[missing]] = True
         # t is lo or hi by now, so a t_next inside the bracket moves
         going = ~(close | missing) & (unbracketed
                                       | ((lo < t_next) & (t_next < hi)))
-        if going.all():
-            t = t_next
-        elif going.any():
-            idx, phi, roundoff, lo, hi, t = (
-                x[going] for x in (idx, phi, roundoff, lo, hi, t_next))
-        else:
+        if not going.any():
             break
-    return np.where(missed, None, levels).tolist()
+        t = t_next if going.all() else np.where(going, t_next, t)
+    return np.where(missing, None, level).tolist()
 
 
 def _admissible_draws(L, rng, box, samples, jet_scale, env_at):
@@ -543,12 +536,11 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
         phi_value = value_of(phi.eval(env_at(base, zero))) \
             if phi is not None else 1.0
 
-        def along(t, idx):
+        def along(t):
             s = ray.seed(t, 0)
             env = dict.fromkeys(leaf_vars, 0.0)
-            env.update(zip(names, [*columns(take(base, idx)),
-                                   *(s * d for d in columns(take(direction,
-                                                                 idx)))]))
+            env.update(zip(names, [*columns(base),
+                                   *(s * d for d in columns(direction))]))
             out = L.program.eval(env)
             return out.value, out.coeffs[..., 1]
 

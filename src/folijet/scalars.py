@@ -33,8 +33,10 @@ sums each output coefficient in the same order and is bit-identical to
 the product of each sample.  Elementary functions of a batch go through
 numpy ufuncs, which may differ from ``math`` in the last bit.  A domain
 check is one reduction per batch; only when it fails is the first failing
-sample looked for, and the DomainError names it.  Unbatched values stay
-the batch-size-1 case.
+sample looked for, and the DomainError names it.  Where samples part
+ways (a Newton solve, a search, per-sample exponents) every step still
+runs over the whole batch and `where` keeps each sample's own result;
+nothing runs on a sub-batch.  Unbatched values stay the batch-size-1 case.
 """
 
 from __future__ import annotations
@@ -42,19 +44,17 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import DomainError, FolijetError, SpaceMismatch
+from .errors import DomainError, SpaceMismatch
 
 __all__ = ["Space", "Series", "space", "second_order", "value_of",
            "exp", "log", "sin", "cos", "tan", "sqrt", "atan",
            "power", "UNARY_FUNCTIONS", "raise_where", "batch_of",
-           "broadcast", "take", "merge", "where", "columns",
-           "stack_samples", "samples_of", "sample_error"]
+           "broadcast", "where", "columns", "stack_samples", "sample_error"]
 
 
 def raise_where(bad, error, message, *values):
@@ -84,19 +84,6 @@ def sample_error(error, detail, s):
     out = error(f"{detail} (sample {s})")
     out.detail, out.sample = detail, s
     return out
-
-
-@contextmanager
-def samples_of(idx):
-    """Context for work on the samples `idx` of a batch: an error it raises
-    for its sample s names sample idx[s] of the batch instead."""
-    try:
-        yield
-    except FolijetError as err:
-        if idx is None or getattr(err, "sample", None) is None:
-            raise
-        raise sample_error(type(err), err.detail, int(idx[err.sample])) \
-            from None
 
 
 def _group_monomials(count, cap):
@@ -383,12 +370,12 @@ class Series:
         if not _plain(e):
             return NotImplemented
         if type(e) is np.ndarray:
-            # each sample to its own exponent: one power per distinct one
+            # a whole-batch power per distinct exponent; the rest raise 1
             values, group = np.unique(e, return_inverse=True)
             out = broadcast(self.space.constant(0.0), len(e))
             for n, v in enumerate(values):
-                idx = np.flatnonzero(group == n)
-                out = merge(out, idx, take(self, idx) ** float(v))
+                mask = group == n
+                out = where(mask, where(mask, self, 1.0) ** float(v), out)
             return out
         e = float(e)
         if e.is_integer():
@@ -632,43 +619,13 @@ def broadcast(x, batch):
     return x if type(x) is np.ndarray else np.full(batch, float(x))
 
 
-def take(x, idx):
-    """The samples `idx` of a batch; an unbatched value is the same for
-    every sample and comes back as it is, as does every value for idx None."""
-    if idx is None:
-        return x
-    if type(x) is Series:
-        return x if x.coeffs.ndim == 1 else _unchecked(x.space,
-                                                        x.coeffs[idx])
-    return x[idx] if type(x) is np.ndarray else x
-
-
-def _coefficients(x, sp):
-    """The coefficients of a series, or of floats as constants of sp."""
-    return x.coeffs if type(x) is Series else sp.constant(x).coeffs
-
-
-def merge(x, idx, y):
-    """A copy of the batch x with its samples `idx` replaced by y, which
-    may be a series where x holds floats; y itself for idx None."""
-    if idx is None:
-        return y
-    if type(x) is Series or type(y) is Series:
-        sp = (x if type(x) is Series else y).space
-        out = _coefficients(x, sp).copy()
-        out[idx] = _coefficients(y, sp)
-        return _series(sp, out)
-    out = np.array(x, dtype=float)
-    out[idx] = y
-    return out
-
-
 def where(mask, x, y):
     """Sample by sample, x where the batch of flags `mask` holds, else y."""
     if type(x) is Series or type(y) is Series:
         sp = (x if type(x) is Series else y).space
-        return _series(sp, np.where(mask[:, None], _coefficients(x, sp),
-                                    _coefficients(y, sp)))
+        x, y = (v.coeffs if type(v) is Series else sp.constant(v).coeffs
+                for v in (x, y))
+        return _series(sp, np.where(mask[:, None], x, y))
     return np.where(mask, x, y)
 
 

@@ -17,25 +17,27 @@ over the space of the other groups: every part in the whole space.  The
 replaced by block draws, one sample and one jet row at a time.
 `ray_levels_per_sample` is the ray search of admissibility condition (d)
 as it ran before it became array arithmetic: one coroutine per sample,
-fed by one evaluation of the samples still searching per round.
+fed by one evaluation of the samples still searching per round, whose
+errors `samples_of` renames to the samples of the whole batch.
 """
 
 import math
 import operator
 import sys
 import zlib
+from contextlib import contextmanager
 
 import mpmath
 import numpy as np
 import sympy as sp
 
 from folijet import linalg, scalars
-from folijet.errors import UnboundVariable
+from folijet.errors import FolijetError, UnboundVariable
 from folijet.expr import (CONSTANTS, Binary, Call, Const, Num, Unary, Var,
                           coordinate_names)
 from folijet.jets import jet_columns, jet_env
 from folijet.legendre import RAY_REACH
-from folijet.scalars import samples_of
+from folijet.scalars import sample_error
 
 
 def eval_ast(node, env):
@@ -575,6 +577,19 @@ def _ray_search(phi_value):
                 break
         t = t_next
     return abs(dev)
+
+
+@contextmanager
+def samples_of(idx):
+    """Context for work on the samples `idx` of a batch: an error it raises
+    for its sample s names sample idx[s] of the batch instead."""
+    try:
+        yield
+    except FolijetError as err:
+        if idx is None or getattr(err, "sample", None) is None:
+            raise
+        raise sample_error(type(err), err.detail, int(idx[err.sample])) \
+            from None
 
 
 def ray_levels_per_sample(value_at, phi_value, batch):

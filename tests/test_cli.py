@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folijet import cli
 from folijet.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -194,6 +195,16 @@ def test_semispray_named_lagrangian(capsys, atlas_dir):
     assert code == 0
     payload = json.loads(out)
     assert payload["components"][0] == pytest.approx(-0.9 / 6.0)
+    # --order must name the lagrangian's own order, not be dropped
+    code, same, _ = run(capsys, "semispray", str(atlas_dir / "cubic.json"),
+                        "--lagrangian", "flat2", "--order", "2",
+                        "--jet", "u=0;x=1;y1=0.9;y2=0.2")
+    assert (code, same) == (0, out)
+    code, out, err = run(capsys, "semispray", str(atlas_dir / "cubic.json"),
+                         "--lagrangian", "flat2", "--order", "3",
+                         "--jet", "x=1;y1=0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: lagrangian 'flat2' has order 2, got --order 3\n"
 
 
 def test_semispray_metric_lift(capsys, atlas_dir):
@@ -360,6 +371,33 @@ def test_seed_env_default(capsys, atlas_dir, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("error: FOLIJET_SEED must be a non-negative integer, "
                    "got -5\n")
+
+
+TOLERANCE_FLAGS = [("validate", flag) for flag in
+                   ("--tol-det", "--tol-roundtrip", "--tol-cocycle")] + [
+    ("certify", flag) for flag in
+    ("--tol-det", "--tol-roundtrip", "--tol-cocycle", "--tol-projector",
+     "--tol-holonomy", "--tol-exactness", "--tol-hamiltonian")]
+
+
+@pytest.mark.parametrize("verb,flag", TOLERANCE_FLAGS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e-3x"])
+def test_tolerance_must_be_finite(capsys, atlas_dir, verb, flag, value):
+    # a non-finite tolerance would put a bare NaN or Infinity in the report
+    argv = [verb, str(atlas_dir / "cubic.json"), f"{flag}={value}"]
+    if verb == "certify":
+        argv += ["--metric", "g", "--order", "1"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out) == (2, "")
+    assert err == (f"error: argument {flag}: must be a finite number, "
+                   f"got {value!r}\n")
+
+
+def test_main_builds_its_parser_once():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_unknown_metric(capsys, atlas_dir):

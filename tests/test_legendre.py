@@ -30,7 +30,7 @@ from folijet.legendre import (
     admissibility_check,
 )
 from folijet.riemann import lift_lagrangian
-from folijet.scalars import batch_of, columns, raise_where, space, take
+from folijet.scalars import batch_of, columns, raise_where, space
 from oracles import (admissible_draws, chain_hamiltonian_nested,
                      chain_hamiltonian_r2, hamiltonian_draws,
                      ray_levels_per_sample)
@@ -473,8 +473,9 @@ def test_admissibility_slashed_skips_zero_section():
 # ------------------------------------------- the ray search of condition (d)
 #
 # `_ray_level` runs every sample's bracketed Newton search as array
-# arithmetic; `ray_levels_per_sample` is the same search as one coroutine
-# per sample.  Every level must come out bit for bit the same.
+# arithmetic over the whole batch; `ray_levels_per_sample` is the same
+# search as one coroutine per sample, fed by sub-batches of the samples
+# still searching.  Every level must come out bit for bit the same.
 SHIPPED_METRICS = [("cubic", "g", "A"), ("cubic", "g", "B"),
                    ("cubic", "g_bad", "A"), ("cubic", "g_bad", "B"),
                    ("plane", "flat", "O"), ("plane", "wavy", "O"),
@@ -482,12 +483,19 @@ SHIPPED_METRICS = [("cubic", "g", "A"), ("cubic", "g", "B"),
                    ("shear2", "g", "B")]
 
 
+def take(x, idx):
+    """The samples idx of a batch, all for None: the sub-batches that
+    `ray_levels_per_sample` evaluates."""
+    return x if idx is None else x[idx]
+
+
 def _rays(L, base, direction):
-    """`admissibility_check`'s rays: value_at(t, idx) for the samples idx."""
+    """`admissibility_check`'s rays: value_at(t) for the whole batch, or
+    value_at(t, idx) for the samples idx."""
     ray = space(((1, 1),))
     names = coordinate_names(L.qdim, L.order)
 
-    def value_at(t, idx):
+    def value_at(t, idx=None):
         s = ray.seed(t, 0)
         env = dict(zip(names, [*columns(take(base, idx)),
                                *(s * d for d in columns(take(direction,
@@ -528,7 +536,7 @@ def _synthetic(scale, fn):
     """value_at of the rays v = scale fn(t), one scale per sample."""
     scale = np.asarray(scale, dtype=float)
 
-    def value_at(t, idx):
+    def value_at(t, idx=None):
         c = take(scale, idx)
         value, slope = fn(t)
         return c * value, c * slope
@@ -541,16 +549,27 @@ def test_ray_level_stops_each_sample_in_its_own_round():
     # few doublings or Newton steps for the others
     value_at = _synthetic([1.0, 1e-6, 3.0, 0.37, 1e4, 0.5],
                           lambda t: (t ** 3, 3.0 * t ** 2))
-    rounds = []
+    rounds, sub_batches = [], []
 
-    def counting(t, idx):
-        rounds.append(len(t))
+    def counting(t):
+        rounds.append(t.copy())
+        return value_at(t)
+
+    def counting_sub_batches(t, idx):
+        sub_batches.append(range(6) if idx is None else idx.tolist())
         return value_at(t, idx)
 
     got = _ray_level(counting, 1.0, 6)
-    _same_levels(got, ray_levels_per_sample(value_at, 1.0, 6))
+    _same_levels(got, ray_levels_per_sample(counting_sub_batches, 1.0, 6))
     assert None not in got
-    assert len(set(rounds)) > 2 and rounds[0] == 6
+    # every round evaluates the whole batch, for as many rounds as the
+    # sample that searches longest
+    assert {len(t) for t in rounds} == {6}
+    assert len(rounds) == len(sub_batches)
+    assert len({len(idx) for idx in sub_batches}) > 2
+    # c = 1 stops in round 1 and keeps its t in every later round
+    assert 0 not in sub_batches[1]
+    assert all(t[0] == 1.0 for t in rounds)
     # a ray that reads no slope doubles t and bisects, without Newton steps
     value_at = _synthetic([1e-6, 3.0, 0.37], lambda t: (t ** 3, 0.0 * t))
     got = _ray_level(value_at, 1.0, 3)
@@ -564,8 +583,8 @@ def test_ray_level_gives_none_where_no_ray_reaches():
     got = _ray_level(value_at, 1.0, 4)
     _same_levels(got, ray_levels_per_sample(value_at, 1.0, 4))
     assert [dev is None for dev in got] == [False, True, True, False]
-    level = _ray_level(lambda t, idx: (0.5 * t / (1.0 + t),
-                                       0.5 / (1.0 + t) ** 2), 1.0, None)
+    level = _ray_level(lambda t: (0.5 * t / (1.0 + t),
+                                  0.5 / (1.0 + t) ** 2), 1.0, None)
     assert level == [None]
     # no slope: t doubles up to 2^59, where c = 1 comes within roundoff
     # of phi from below, with the bracket still open
@@ -578,15 +597,16 @@ def test_ray_level_gives_none_where_no_ray_reaches():
 
 
 def test_ray_level_error_names_the_sample_of_the_full_batch():
-    # sample 0 stops at once, so sample 3 sits at position 2 of the
-    # sub-batch that raises
+    # sample 3 fails once it leaves t = 1, in round 2: a whole-batch round
+    # of `_ray_level`, and position 2 of the reference's sub-batch, as
+    # sample 0 stops at once
     value_at = _synthetic([1.0, 0.1, 0.2, 0.3, 0.4],
                           lambda t: (t ** 2, 2.0 * t))
     marked = np.arange(5) == 3
 
-    def failing(t, idx):
-        if idx is not None:
-            raise_where(take(marked, idx), DomainError, "ray at t = {}", t)
+    def failing(t, idx=None):
+        raise_where(take(marked, idx) & (t > 1.0), DomainError,
+                    "ray at t = {}", t)
         return value_at(t, idx)
 
     for search in (_ray_level, ray_levels_per_sample):
@@ -676,7 +696,7 @@ def test_batched_hamiltonian_checks_match_point_by_point(
         bases, _, directions = admissible_draws(L, box, samples, seed, 1.0)
         for base, direction in zip(bases, directions):
 
-            def along(t, idx):
+            def along(t):
                 s = ray.seed(t, 0)
                 env = dict(zip(coordinate_names(q, r),
                                [*base, *(s * d for d in direction)]))

@@ -271,6 +271,27 @@ def test_batch_errors_name_the_first_failing_sample():
         assert np.all(np.abs(got - general) <= np.spacing(np.abs(general)))
 
 
+def test_per_sample_exponent_is_each_samples_own_power():
+    # a batch to a batch of exponents: each sample comes out as that
+    # sample alone to its own exponent, bit for bit
+    sp_ = space(((2, 2),))
+    rng = np.random.default_rng(12)
+    coeffs = rng.standard_normal((9, sp_.size))
+    coeffs[:, 0] = [0.5, 2.0, 3.5, -1.5, -2.0, 0.0, 1.7, 4.0, -0.3]
+    e = np.array([1.5, -0.5, 2.0, 3.0, -2.0, 2.0, 1.5, 0.25, 1.0])
+    got = (Series(sp_, coeffs) ** e).coeffs
+    for s in range(len(e)):
+        own = Series(sp_, coeffs[s:s + 1]) ** float(e[s])
+        assert np.array_equal(got[s], own.coeffs[0]), s
+    # an error names the failing sample of the whole batch
+    env = {"x1": np.array([0.5, 1.5, 2.5]),
+           "y1_1": space(((1, 1),)).seed(np.array([3.0, 4.0, 1.0]), 0)}
+    with pytest.raises(DomainError, match=r"nonpositive base \(sample 2\)"):
+        parse("(y1_1 - 2)^x1").eval(env)
+    with pytest.raises(DomainError):
+        Series(sp_, coeffs[:3] ** 2) ** np.array([2.0, 0.5, np.nan])
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_batched_solve_pivots_each_sample_on_its_own(q):
     from folijet.linalg import solve

@@ -18,7 +18,6 @@ input error.  Reports are deterministic JSON for fixed seeds.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -76,15 +75,8 @@ def _finite(text):
     raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as one ``error:`` line, as `main` does."""
-
-    def error(self, message):
-        self.exit(2, f"error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="folijet",
         description="transverse jet bundles: validation and certification",
     )
@@ -328,11 +320,8 @@ def cmd_certify(args):
     return 0 if report.passed else 1
 
 
-_parser = functools.cache(build_parser)  # main's, built once per process
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.seed = _seed(args)
         # every kernel turns a non-finite value into a DomainError

@@ -370,15 +370,24 @@ class Series:
         if not _plain(e):
             return NotImplemented
         if type(e) is np.ndarray:
-            # a whole-batch power per distinct exponent; the rest raise 1
-            values, group = np.unique(e, return_inverse=True)
-            out = broadcast(self.space.constant(0.0), len(e))
-            for n, v in enumerate(values):
-                mask = group == n
-                out = where(mask, where(mask, self, 1.0) ** float(v), out)
-            return out
-        e = float(e)
-        if e.is_integer():
+            whole = np.isfinite(e) & (e == np.floor(e))
+            if whole.any() or self.batch is None:
+                # the non-integer exponents in one pass, each integer one in
+                # its own, other samples raising 1 (`where` batches a base);
+                # all passes run, so the error is the batch's first failure
+                out, errors = 0.0, []
+                for v in [None, *np.unique(e[whole])]:
+                    mask = ~whole if v is None else e == v
+                    try:
+                        out = where(mask, where(mask, self, 1.0) ** (
+                            np.where(mask, e, 0.5) if v is None else float(v)),
+                            out)
+                    except DomainError as err:
+                        errors.append(err)
+                if errors:
+                    raise min(errors, key=lambda err: err.sample)
+                return out
+        elif (e := float(e)).is_integer():
             n = abs(int(e))
             result, base = None, self
             while n:
@@ -390,6 +399,7 @@ class Series:
             if result is None:
                 return broadcast(self.space.constant(1.0), self.batch)
             return result._reciprocal() if e < 0 else result
+        # a non-integer float, or a batch of them
         a0 = self.value
         raise_where(a0 <= 0.0, DomainError,
                     "non-integer power of nonpositive base")

@@ -16,6 +16,7 @@ from folijet.riemann import lift_lagrangian
 from folijet.scalars import (
     UNARY_FUNCTIONS,
     Series,
+    broadcast,
     cos,
     exp,
     log,
@@ -283,12 +284,29 @@ def test_per_sample_exponent_is_each_samples_own_power():
     for s in range(len(e)):
         own = Series(sp_, coeffs[s:s + 1]) ** float(e[s])
         assert np.array_equal(got[s], own.coeffs[0]), s
+    # an unbatched base to a batch of exponents
+    x = space(((1, 2),)).seed(2.0, 0)
+    for e in ([0.5, 1.5], [2.0, 0.5], [2.0, 3.0]):
+        got = (x ** np.array(e)).coeffs
+        for s in range(2):
+            own = broadcast(x, 1) ** e[s]
+            assert np.array_equal(got[s], own.coeffs[0]), (e, s)
     # an error names the failing sample of the whole batch
     env = {"x1": np.array([0.5, 1.5, 2.5]),
            "y1_1": space(((1, 1),)).seed(np.array([3.0, 4.0, 1.0]), 0)}
     with pytest.raises(DomainError, match=r"nonpositive base \(sample 2\)"):
         parse("(y1_1 - 2)^x1").eval(env)
-    with pytest.raises(DomainError):
+    # ... also when a later pass fails on an earlier sample: the passes
+    # run non-integer exponents first, then the integers in rising order
+    one = space(((1, 1),))
+    for bases, e, expected in [
+            ([-1.0, 0.0], [0.5, -1.0], r"nonpositive base \(sample 0\)"),
+            ([0.0, -1.0], [-1.0, 0.5], r"zero value \(sample 0\)"),
+            ([0.0, 0.0], [-1.0, -2.0], r"zero value \(sample 0\)")]:
+        with pytest.raises(DomainError, match=expected):
+            Series(one, [[b, 1.0] for b in bases]) ** np.array(e)
+    # a NaN exponent fails on its own sample, not on the others' 1 ** NaN
+    with pytest.raises(DomainError, match=r"\(sample 2\)"):
         Series(sp_, coeffs[:3] ** 2) ** np.array([2.0, 0.5, np.nan])
 
 

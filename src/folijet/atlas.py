@@ -275,8 +275,7 @@ def load_atlas(document) -> "FoliatedAtlas":
                 raise SchemaError(f"metric {name}: components must be rows")
             fld = MetricField.from_components(components, q, name=name,
                                               chart=chart)
-            fld.check_positive_definite(charts[chart].domain[p:], samples=25,
-                                        seed=0)
+            fld.check_positive_definite(charts[chart].domain[p:])
             metrics.setdefault(name, {})[chart] = fld
 
     lagrangians: dict[str, object] = {}

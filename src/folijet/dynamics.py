@@ -50,15 +50,6 @@ HESSIAN_DET_TOLERANCE = 1e-9
 HESSIAN_EIG_TOLERANCE = 1e-9
 
 
-def point_env(point, seed=None):
-    """Environment binding fiber coordinates, optionally through `seed`.
-
-    seed(index, value) may turn each coordinate into a series; without it
-    the environment holds plain floats.
-    """
-    return jet_env(point.base, point.jets, seed)
-
-
 def top_row_derivatives(L, base, lower, top):
     """Value, gradient and Hessian of L in its top row y^(r), as floats.
 
@@ -146,7 +137,7 @@ class LagrangianField:
 
     def value(self, point) -> float:
         self.check_point(point)
-        return float(self.program.eval(point_env(point)))
+        return float(self.program.eval(jet_env(point.base, point.jets)))
 
 
 @dataclass(frozen=True)
@@ -163,7 +154,8 @@ def gamma_apply(f, point):
     r, q = point.order, point.qdim
     sp = space((((r + 1) * q, 1),))
     # every coordinate is seeded, so the value is a series
-    grad = f.eval(point_env(point, lambda i, v: sp.seed(v, i))).coeffs[1:]
+    grad = f.eval(jet_env(point.base, point.jets,
+                          lambda i, v: sp.seed(v, i))).coeffs[1:]
     total = 0.0
     for k in range(1, r + 1):
         yk = point.jets[k - 1]
@@ -180,17 +172,16 @@ def top_hessian(L, base, jets):
     return float_matrix(top_row_derivatives(L, x, rows[:-1], rows[-1])[2])
 
 
-def vertical_hessian(L, point, *, det_tol=HESSIAN_DET_TOLERANCE,
-                     eig_tol=HESSIAN_EIG_TOLERANCE) -> HessianInfo:
+def vertical_hessian(L, point) -> HessianInfo:
     """Second partials of L in its top-order jet variables."""
     L._check_shape(point)
     _, base, jets = point_arrays(point)
     hess = top_hessian(L, base, jets)
     det = float(np.linalg.det(hess))
-    eigs = np.linalg.eigvalsh(hess)
-    return HessianInfo(hess, det, float(eigs.min()),
-                       regular=abs(det) > det_tol,
-                       positive_definite=float(eigs.min()) > eig_tol)
+    min_eig = float(np.linalg.eigvalsh(hess).min())
+    return HessianInfo(hess, det, min_eig,
+                       regular=abs(det) > HESSIAN_DET_TOLERANCE,
+                       positive_definite=min_eig > HESSIAN_EIG_TOLERANCE)
 
 
 def _semispray_scalars(L, base, jets, lifted=False):
@@ -228,7 +219,7 @@ def _semispray_scalars(L, base, jets, lifted=False):
         lower = grad[(r - 1) * q + v]
         rhs.append([gamma_term - lower])
     try:
-        sol = linalg.solve(h, rhs, singular_tol=HESSIAN_DET_TOLERANCE)
+        sol = linalg.solve(h, rhs)
     except SingularHessian as err:
         raise SingularHessian(
             f"vertical hessian of {L.name or L.program.to_text()!r} is "

@@ -281,10 +281,14 @@ class _Parser:
 # each distinct (operation, operand slots) pair computed once.  Instruction
 # i is ``(op, out, a, b)`` and writes register ``out``:
 #
-#     (CONST, out, value, None)   a number or named constant
+#     (CONST, out, value, None)   a number or named constant, a float
 #     (LOAD,  out, name,  None)   a variable read from the environment
 #     (fn,    out, a,     None)   fn(register a)
 #     (fn,    out, a,     b)      fn(register a, register b)
+#
+# ``^`` is `scalars.power` whatever its exponent: an integer-valued float
+# exponent keeps a negative base legal there, so a literal like the 2 of
+# ``x^2`` is a float constant like any other.
 #
 # A register is reused once the last reader of its value has run, so an
 # evaluation holds only the intermediates that are still to be read.
@@ -293,35 +297,14 @@ CONST = "const"
 LOAD = "load"
 
 
-def _int_power(left, n):
-    # integer literal exponents keep negative bases legal
-    if isinstance(left, scalars.Series):
-        return left ** n
-    return scalars.power(left, n)
-
-
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": scalars._div, "^": scalars.power}
-
-
-def _integer_exponent(node):
-    if node.op == "^" and isinstance(node.right, Num) \
-            and float(node.right.value).is_integer():
-        return int(node.right.value)
-    return None
 
 
 def _children(node):
     if isinstance(node, Binary):
         return (node.left, node.right)
     return (node.arg,) if isinstance(node, (Unary, Call)) else ()
-
-
-def _operands(node):
-    """The children an instruction for `node` reads, left to right."""
-    if isinstance(node, Binary) and _integer_exponent(node) is not None:
-        return (node.left,)
-    return _children(node)
 
 
 def _compile(root):
@@ -346,7 +329,7 @@ def _compile(root):
         if id(node) in slot_of:
             stack.pop()
             continue
-        pending = [c for c in _operands(node) if id(c) not in slot_of]
+        pending = [c for c in _children(node) if id(c) not in slot_of]
         if pending:
             stack.extend(reversed(pending))
             continue
@@ -358,13 +341,8 @@ def _compile(root):
             slot = intern((CONST, type(value), struct.pack("<d", value)),
                           (CONST, value))
         else:
-            slots = tuple(slot_of[id(c)] for c in _operands(node))
-            n = _integer_exponent(node) if isinstance(node, Binary) else None
-            if n is not None:
-                # the exponent gets a slot of its own holding the int
-                op = _int_power
-                slots += (intern((CONST, n)),)
-            elif isinstance(node, Unary):
+            slots = tuple(slot_of[id(c)] for c in _children(node))
+            if isinstance(node, Unary):
                 op = operator.neg
             elif isinstance(node, Call):
                 op = scalars.UNARY_FUNCTIONS[node.fn]

@@ -20,7 +20,7 @@ from .errors import (
     ShapeError,
 )
 from .expr import coordinate_names
-from .scalars import Series, columns, sample_error, space, stack_samples
+from .scalars import Series, columns, raise_where, space, stack_samples
 
 __all__ = [
     "TransverseJetPoint",
@@ -207,13 +207,8 @@ def _check_in_overlap(transition, chart, leaf, base):
     points = np.concatenate([leaf, base], axis=-1)
     box = np.asarray(transition.overlap, dtype=float).reshape(-1, 2)
     inside = ((box[:, 0] <= points) & (points <= box[:, 1])).all(axis=-1)
-    if not inside.all():
-        s = int(np.argmin(inside))
-        at = points if inside.ndim == 0 else points[s]
-        detail = f"point {tuple(at.tolist())} outside overlap of " \
-                 f"{transition.name}"
-        raise OutsideOverlap(detail) if inside.ndim == 0 else \
-            sample_error(OutsideOverlap, detail, s)
+    raise_where(~inside, OutsideOverlap, "point {} outside overlap of {}",
+                points, transition.name)
 
 
 def _prolong(atlas, transition, leaf, base, jets):

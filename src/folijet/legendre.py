@@ -170,9 +170,7 @@ def _where_tree(mask, x, y):
     return select(x, y)
 
 
-def _newton_top_row(quad_at, target, guess, q, *, stage=None,
-                    tol=NEWTON_TOLERANCE, max_iterations=NEWTON_MAX_ITERATIONS,
-                    condition_limit=CONDITION_LIMIT, polish=0):
+def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
     """Solve grad(quad_at(top)) = target for the top row by damped Newton.
 
     `quad_at(top, moving)` returns the (value, gradient, Hessian) of the
@@ -180,8 +178,8 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
     settled, and stops, once every coefficient of the residual is at
     roundoff relative to those of the value, gradient and Hessian;
     otherwise it stops `polish` steps after its largest coefficient falls
-    to `tol`.  Damping and the condition guard use float values.  Returns
-    (top_row, stage_value, stats).
+    to NEWTON_TOLERANCE.  Damping and the condition guard use float
+    values.  Returns (top_row, stage_value, stats).
 
     When the target is a batch, every call evaluates the whole batch, and
     `moving` flags the samples whose top row moved; a sample that has
@@ -191,8 +189,6 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
     per-sample lists.
     """
     label = f"stage {stage}: " if stage is not None else ""
-    if len(guess) != q:
-        raise ShapeError(f"guess must have {q} entries")
     batch = next((n for n in map(batch_of, target) if n), None)
 
     def state_at(top, moving):
@@ -215,19 +211,19 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
     running = ~state[5]
     iterations, extra, steps = 0, polish, 0
     while running.any():
-        small = running & (state[4] <= tol)
+        small = running & (state[4] <= NEWTON_TOLERANCE)
         running = running & ~(small & (extra <= 0))
         extra = extra - (small & running)
         if not running.any():
             break
-        if steps >= max_iterations:
+        if steps >= NEWTON_MAX_ITERATIONS:
             raise_where(running & ~small, NoConvergence,
                         label + "residual {:.3e} after {} iterations",
                         state[4], steps)
         top, (_, _, hess), F = state[:3]
         cond = _condition_number(float_matrix(
             [[value_of(h) for h in row] for row in hess]))
-        raise_where(running & (~np.isfinite(cond) | (cond > condition_limit)),
+        raise_where(running & (~np.isfinite(cond) | (cond > CONDITION_LIMIT)),
                     SingularHessian,
                     label + "vertical hessian condition estimate {:.3e}",
                     cond)
@@ -241,7 +237,8 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
                                           for i in range(q)], top)
             trial_state = state_at(trial, pending)
             accept = pending & ((trial_state[3] < state[3])
-                                | (state[3] <= tol) | (scale < 1e-8))
+                                | (state[3] <= NEWTON_TOLERANCE)
+                                | (scale < 1e-8))
             state = _where_tree(accept, trial_state, state)
             pending = pending & ~accept
             if not pending.any():
@@ -255,24 +252,21 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None,
     return state[0], state[1][0], stats
 
 
-def _inverse_top(L, base, lower, momentum, guess=None):
-    """The top row y^(r) with dL/dy^(r) = momentum, by Newton, with its
-    stats; base, rows and momentum hold floats or batches of floats."""
-    q = L.qdim
-    if guess is None:
-        guess = (0.0,) * q
+def _inverse_top(L, base, lower, momentum):
+    """The top row y^(r) with dL/dy^(r) = momentum, by Newton from zero,
+    with its stats; base, rows and momentum hold floats or batches of them."""
     return _newton_top_row(
         lambda top, moving: top_row_derivatives(L, base, lower, top),
-        list(momentum), guess, q,
+        list(momentum), [0.0] * L.qdim, L.qdim,
     )
 
 
-def legendre_inverse(L, cpoint, guess=None, *, return_stats=False):
+def legendre_inverse(L, cpoint, *, return_stats=False):
     """Recover the jet point with momentum `cpoint.momentum` under L."""
     if cpoint.order != L.order or cpoint.qdim != L.qdim:
         raise ShapeError("cotangent point does not match the lagrangian")
     top, _, stats = _inverse_top(L, cpoint.base, cpoint.jets,
-                                 cpoint.momentum, guess)
+                                 cpoint.momentum)
     point = TransverseJetPoint(cpoint.chart, L.order, cpoint.leaf,
                                cpoint.base, cpoint.jets + (tuple(top),))
     L.check_point(point)
@@ -281,20 +275,19 @@ def legendre_inverse(L, cpoint, guess=None, *, return_stats=False):
     return point
 
 
-def pseudo_hamiltonian(L, cpoint, guess=None) -> HamiltonianValue:
+def pseudo_hamiltonian(L, cpoint) -> HamiltonianValue:
     """H = L composed with the inverse Legendre map."""
     if cpoint.order != L.order or cpoint.qdim != L.qdim:
         raise ShapeError("cotangent point does not match the lagrangian")
     return HamiltonianValue(hamiltonian_at(L, cpoint.base, cpoint.jets,
-                                           cpoint.momentum, guess), cpoint)
+                                           cpoint.momentum), cpoint)
 
 
-def hamiltonian_at(L, base, jets, momentum, guess=None, *,
-                   return_stats=False):
+def hamiltonian_at(L, base, jets, momentum, *, return_stats=False):
     """`pseudo_hamiltonian`'s value at base (q,), lower rows (r-1, q) and
     momentum (q,), or at a batch of them (B, ...) as a batch of values."""
     x, *rows = jet_columns(base, jets)
-    top, _, stats = _inverse_top(L, x, rows, columns(momentum), guess)
+    top, _, stats = _inverse_top(L, x, rows, columns(momentum))
     top = np.array(top).T
     raise_where(~np.isfinite(top).all(axis=-1), InvariantViolation,
                 "non-finite entry in jets")

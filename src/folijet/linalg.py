@@ -16,6 +16,8 @@ from .scalars import Series, raise_where, value_of, where
 
 __all__ = ["solve"]
 
+SINGULAR_TOLERANCE = 1e-9
+
 
 def _as_object_matrix(a):
     rows = [list(row) for row in a]
@@ -47,12 +49,12 @@ def _swap_rows(M, col, rows):
                 M[col, j], M[i, j] = where(mask, y, x), where(mask, x, y)
 
 
-def solve(a, b, *, singular_tol=1e-9):
+def solve(a, b):
     """Solve a X = b by elimination with partial pivoting.
 
     `a` is n x n, `b` is n x m; entries may be floats or series, or batches
     of either.  Raises SingularHessian when a pivot magnitude or the
-    determinant falls at or below `singular_tol`, in any sample.
+    determinant falls at or below SINGULAR_TOLERANCE, in any sample.
     """
     A = _as_object_matrix(a)
     n = A.shape[0]
@@ -69,7 +71,7 @@ def solve(a, b, *, singular_tol=1e-9):
             magnitudes = np.abs(np.broadcast_arrays(*values))
             rows = col + magnitudes.argmax(axis=0)  # the first largest
             pivot = np.choose(rows - col, np.broadcast_arrays(*values))
-            raise_where(np.abs(pivot) <= singular_tol, SingularHessian,
+            raise_where(np.abs(pivot) <= SINGULAR_TOLERANCE, SingularHessian,
                         "pivot magnitude {:.3e} at column {}",
                         np.abs(pivot), col)
             swapped = rows != col
@@ -80,7 +82,7 @@ def solve(a, b, *, singular_tol=1e-9):
         else:
             pivot_row = col + max(range(n - col), key=lambda i: abs(values[i]))
             pivot = values[pivot_row - col]
-            if abs(pivot) <= singular_tol:
+            if abs(pivot) <= SINGULAR_TOLERANCE:
                 raise SingularHessian(
                     f"pivot magnitude {abs(pivot):.3e} at column {col}")
             if pivot_row != col:
@@ -96,7 +98,7 @@ def solve(a, b, *, singular_tol=1e-9):
                 A[i, j] = A[i, j] - factor * A[col, j]
             for j in range(B.shape[1]):
                 B[i, j] = B[i, j] - factor * B[col, j]
-    raise_where(np.abs(det) <= singular_tol, SingularHessian,
+    raise_where(np.abs(det) <= SINGULAR_TOLERANCE, SingularHessian,
                 "determinant magnitude {:.3e}", np.abs(det))
     X = np.empty_like(B)
     for col in range(n - 1, -1, -1):

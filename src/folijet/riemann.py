@@ -98,16 +98,17 @@ class MetricField:
                     "metric {!r} is not finite at {}", self.name, base)
         return out
 
-    def check_positive_definite(self, box, samples=25, seed=0, *,
-                                eig_tol=EIG_TOLERANCE):
+    def check_positive_definite(self, box):
+        """Raise SingularMetric unless g is positive definite at 25 points
+        of `box`, drawn from a stream fixed by the metric's name and chart."""
         key = zlib.crc32(f"metric:{self.name}:{self.chart}".encode())
-        rng = np.random.default_rng([int(seed), key])
+        rng = np.random.default_rng([0, key])
         box = np.asarray(box, dtype=float)
         if box.shape != (self.qdim, 2):
             raise ShapeError("domain box must have one interval per coordinate")
-        pts = box[:, 0] + rng.random((samples, self.qdim)) * (box[:, 1] - box[:, 0])
+        pts = box[:, 0] + rng.random((25, self.qdim)) * (box[:, 1] - box[:, 0])
         eig = np.linalg.eigvalsh(self.evaluate(pts)).min(axis=-1)
-        raise_where(eig <= eig_tol, SingularMetric,
+        raise_where(eig <= EIG_TOLERANCE, SingularMetric,
                     "metric {!r} has eigenvalue {:.3e} at {}", self.name,
                     eig, pts)
 

@@ -36,7 +36,11 @@ check is one reduction per batch; only when it fails is the first failing
 sample looked for, and the DomainError names it.  Where samples part
 ways (a Newton solve, a search, per-sample exponents) every step still
 runs over the whole batch and `where` keeps each sample's own result;
-nothing runs on a sub-batch.  Unbatched values stay the batch-size-1 case.
+nothing runs on a sub-batch.  Unbatched values stay the batch-size-1 case,
+and `stack_samples` keeps one sample unbatched because that is faster: a
+warm one-sample ``certify`` of the generated shear2 atlas at order 2 took
+20-32 ms unbatched against 35-52 ms with the batch axis kept, for the same
+report (6 alternating process pairs on one core, median of 15 calls each).
 """
 
 from __future__ import annotations
@@ -400,11 +404,19 @@ class Series:
                 return broadcast(self.space.constant(1.0), self.batch)
             return result._reciprocal() if e < 0 else result
         # a non-integer float, or a batch of them
-        a0 = self.value
-        raise_where(a0 <= 0.0, DomainError,
-                    "non-integer power of nonpositive base")
-        return self._compose(_power_coefficients(a0, e, power(a0, e),
-                                                 self.space.degree))
+        a0, degree = self.value, self.space.degree
+        if type(a0) is not np.ndarray:
+            return self._compose(_power_coefficients(a0, e, power(a0, e),
+                                                     degree))
+        with np.errstate(all="ignore"):
+            f = _power_coefficients(a0, e, np.power(a0, e), degree)
+        ok = (a0 > 0.0) & np.isfinite(f).all(axis=0)
+        if not ok.all():
+            # the first failing sample fails `power` as it would alone, or
+            # else `_compose`
+            only = np.arange(len(a0)) == int(ok.argmin())
+            power(np.where(only, a0, 1.0), np.where(only, e, 0.5))
+        return self._compose(f)
 
     def __rpow__(self, other):
         return power(other, self) if _plain(other) else NotImplemented

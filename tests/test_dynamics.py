@@ -8,7 +8,6 @@ from folijet.dynamics import (
     dual_coefficients,
     gamma_apply,
     horizontal_coefficients,
-    point_env,
     projectors,
     semispray,
     semispray_section,
@@ -22,7 +21,7 @@ from folijet.errors import (
     SingularHessian,
 )
 from folijet.expr import parse
-from folijet.jets import TransverseJetPoint
+from folijet.jets import TransverseJetPoint, jet_env
 from oracles import central_difference_vector
 
 
@@ -50,7 +49,7 @@ def sympy_gamma(text, r, q, point):
         for k in range(2, r + 1):
             total += k * syms[f"y{k}_{i+1}"] * sp.diff(
                 f, syms[f"y{k-1}_{i+1}"])
-    env = point_env(point)
+    env = jet_env(point.base, point.jets)
     return float(total.subs({syms[n]: env[n] for n in names}))
 
 

@@ -6,6 +6,7 @@ from folijet.errors import OrderError, OutsideOverlap, ShapeError
 from folijet.jets import (
     TransverseFiberVector,
     TransverseJetPoint,
+    _check_in_overlap,
     apply_J,
     apply_J_dual,
     include_jet,
@@ -17,7 +18,7 @@ from folijet.jets import (
 from oracles import central_difference_vector, sympy_prolong
 
 
-def make_atlas(q, exprs, lo=0.2, hi=1.8):
+def make_atlas(q, exprs, lo=0.2, hi=1.8, name="A->B"):
     return load_atlas({
         "leaf_dim": 0,
         "transverse_dim": q,
@@ -26,7 +27,7 @@ def make_atlas(q, exprs, lo=0.2, hi=1.8):
             {"name": "B", "domain": [[-100.0, 100.0]] * q},
         ],
         "transitions": [{
-            "name": "A->B", "from": "A", "to": "B",
+            "name": name, "from": "A", "to": "B",
             "leaf_exprs": [], "transverse_exprs": exprs,
             "overlap": [[lo, hi]] * q,
         }],
@@ -71,6 +72,22 @@ def test_prolong_requires_overlap_and_chart():
     outside = TransverseJetPoint("A", 1, (), (3.0,), ((1.0,),))
     with pytest.raises(OutsideOverlap):
         prolong_transition(atlas, t, outside)
+
+
+def test_outside_overlap_names_the_point_and_its_sample():
+    # braces in a transition name are printed, not formatted
+    atlas = make_atlas(1, ["x1^3"], 0.5, 2.0, name="A->B {0}")
+    t = atlas.transitions["A->B {0}"]
+    outside = TransverseJetPoint("A", 1, (), (3.0,), ((1.0,),))
+    with pytest.raises(OutsideOverlap) as err:
+        prolong_transition(atlas, t, outside)
+    assert str(err.value) == "point [3.0] outside overlap of A->B {0}"
+    base = np.array([[1.0], [0.25], [3.0]])
+    with pytest.raises(OutsideOverlap) as err:
+        _check_in_overlap(t, "A", np.zeros((3, 0)), base)
+    assert err.value.sample == 1
+    assert str(err.value) == \
+        "point [0.25] outside overlap of A->B {0} (sample 1)"
 
 
 def test_zero_section_prolongs_to_zero_section():

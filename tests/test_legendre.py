@@ -192,17 +192,17 @@ def batched_quad(derivatives, batch):
     return quad_at, seen
 
 
-def test_batched_newton_no_convergence_names_its_sample():
+def test_batched_newton_no_convergence_names_its_sample(monkeypatch):
     # sample 0 settles at once, sample 1 after one step, and sample 2
     # converges linearly (x^3 from 1) past the iteration limit
+    monkeypatch.setattr(legendre, "NEWTON_MAX_ITERATIONS", 5)
     cube = np.array([0.0, 0.0, 1.0])
     quad_at, seen = batched_quad(
         lambda t: ((1.0 - cube) * t + cube * t ** 3,
                    (1.0 - cube) + 3.0 * cube * t ** 2), 3)
     target = [np.array([0.0, 0.5, 0.0])]
     with pytest.raises(NoConvergence) as err:
-        _newton_top_row(quad_at, target, [np.array([0.0, 0.0, 1.0])], 1,
-                        max_iterations=5)
+        _newton_top_row(quad_at, target, [np.array([0.0, 0.0, 1.0])], 1)
     assert err.value.sample == 2
     assert "(sample 2)" in str(err.value)
     assert "after 5 iterations" in str(err.value)
@@ -468,6 +468,23 @@ def test_admissibility_slashed_skips_zero_section():
     zero = [c for c in report.checks if c.name == "zero_at_zero_section"]
     assert zero[0].context == "skipped (slashed)"
     assert report.passed, report.to_json()
+
+
+@pytest.mark.parametrize("samples", [1, 5])
+@pytest.mark.parametrize("phi,passes", [("2", True), ("1 + x1^2", True),
+                                        ("-1", False)])
+def test_admissibility_prescribed_basic_level(atlas_dir, phi, passes,
+                                              samples):
+    # condition (d) at a basic level phi(x) other than 1: every ray of the
+    # lift crosses each positive level, but as L >= 0 none reaches -1, and
+    # the closest the search gets is L = 0, a deviation of 1
+    g = load_atlas_file(atlas_dir / "cubic.json").metrics["g"]["B"]
+    report = admissibility_check(lift_lagrangian(g, 2), parse(phi),
+                                 samples=samples, seed=0,
+                                 base_box=[[0.5, 2.0]])
+    level, = (c for c in report.checks if c.name == "basic_level_attained")
+    assert level.passed is passes
+    assert level.metric <= 2.3e-15 if passes else level.metric == 1.0
 
 
 # ------------------------------------------- the ray search of condition (d)

@@ -308,6 +308,15 @@ def test_per_sample_exponent_is_each_samples_own_power():
     # a NaN exponent fails on its own sample, not on the others' 1 ** NaN
     with pytest.raises(DomainError, match=r"\(sample 2\)"):
         Series(sp_, coeffs[:3] ** 2) ** np.array([2.0, 0.5, np.nan])
+    # ... and before a later sample's nonpositive base or overflow: each
+    # sample meets its checks in its own order
+    for bases, e, expected in [
+            ([2.0, -1.0], [np.nan, 0.5], r"^non-finite derivative .*0\)$"),
+            ([2.0, -1.0], [np.inf, 0.5], r"^non-finite derivative .*0\)$"),
+            ([2.0, 1e300], [np.nan, 1.5], r"^non-finite derivative .*0\)$"),
+            ([1e300, -1.0], [1.5, 0.5], r"^1e\+300\^1.5 overflows .*0\)$")]:
+        with pytest.raises(DomainError, match=expected):
+            Series(one, [[b, 1.0] for b in bases]) ** np.array(e)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])

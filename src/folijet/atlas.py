@@ -4,14 +4,14 @@ An atlas document is a single JSON object (see `load_atlas`).  Transition
 maps have the foliated pseudogroup form: leaf expressions may use leaf and
 transverse coordinates, transverse expressions only transverse ones.  That
 restriction is enforced syntactically at load time and double-checked
-numerically during validation.
+numerically during validation.  The records are plain classes, compared
+by identity and treated as immutable.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -90,44 +90,55 @@ def _box_subset(inner, outer) -> bool:
                for (ilo, ihi), (olo, ohi) in zip(inner, outer))
 
 
-@dataclass(frozen=True)
 class Chart:
-    name: str
-    domain: tuple  # (p+q) closed intervals
+    __slots__ = ("name", "domain")
+
+    def __init__(self, name: str, domain: tuple):
+        self.name, self.domain = name, domain  # (p+q) closed intervals
 
     @property
     def dim(self):
         return len(self.domain)
 
 
-@dataclass(frozen=True)
 class Transition:
-    name: str
-    from_chart: str
-    to_chart: str
-    leaf_exprs: tuple  # p ExprPrograms
-    transverse_exprs: tuple  # q ExprPrograms
-    overlap: tuple  # (p+q) intervals, subset of the source domain
-    inverse_of: str | None = None
+    __slots__ = ("name", "from_chart", "to_chart", "leaf_exprs",
+                 "transverse_exprs", "overlap", "inverse_of")
+
+    def __init__(self, name: str, from_chart: str, to_chart: str,
+                 leaf_exprs: tuple, transverse_exprs: tuple, overlap: tuple,
+                 inverse_of: str | None = None):
+        self.name, self.from_chart, self.to_chart = name, from_chart, to_chart
+        self.leaf_exprs = leaf_exprs  # p ExprPrograms
+        self.transverse_exprs = transverse_exprs  # q ExprPrograms
+        self.overlap = overlap  # (p+q) intervals in the source domain
+        self.inverse_of = inverse_of
 
 
-@dataclass(frozen=True)
 class TripleOverlap:
-    first: str
-    second: str
-    composite: str  # should equal second o first
-    overlap: tuple
+    __slots__ = ("first", "second", "composite", "overlap")
+
+    def __init__(self, first: str, second: str, composite: str,
+                 overlap: tuple):
+        self.first, self.second = first, second
+        self.composite = composite  # should equal second o first
+        self.overlap = overlap
 
 
-@dataclass(frozen=True)
 class FoliatedAtlas:
-    leaf_dim: int
-    transverse_dim: int
-    charts: Mapping[str, Chart]
-    transitions: Mapping[str, Transition]
-    triples: tuple = ()
-    metrics: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
-    lagrangians: Mapping[str, object] = field(default_factory=dict)
+    __slots__ = ("leaf_dim", "transverse_dim", "charts", "transitions",
+                 "triples", "metrics", "lagrangians")
+
+    def __init__(self, leaf_dim: int, transverse_dim: int,
+                 charts: Mapping[str, Chart],
+                 transitions: Mapping[str, Transition], triples: tuple = (),
+                 metrics: Mapping[str, Mapping[str, object]] | None = None,
+                 lagrangians: Mapping[str, object] | None = None):
+        self.leaf_dim, self.transverse_dim = leaf_dim, transverse_dim
+        self.charts, self.transitions = charts, transitions
+        self.triples = triples
+        self.metrics = {} if metrics is None else metrics
+        self.lagrangians = {} if lagrangians is None else lagrangians
 
     @property
     def p(self):

@@ -10,11 +10,12 @@ Conventions used throughout:
   S^u = (1/(2(r+1))) h^{uv} (Gamma(dL/dy^(r)v) - dL/dy^(r-1)v)
   with h the vertical Hessian; the associated fiber vector field is
   Gamma_S = (y^(1), 2 y^(2), ..., r y^(r), (r+1) S).
+
+Lagrangian and spray fields, Hessian data and connection coefficients are
+plain classes, compared by identity and treated as immutable.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +47,6 @@ __all__ = [
     "horizontal_coefficients",
 ]
 
-HESSIAN_DET_TOLERANCE = 1e-9
-HESSIAN_EIG_TOLERANCE = 1e-9
-
 
 def top_row_derivatives(L, base, lower, top):
     """Value, gradient and Hessian of L in its top row y^(r), as floats.
@@ -71,7 +69,6 @@ def float_matrix(rows):
     return m if m.ndim == 2 else np.moveaxis(m, -1, 0)
 
 
-@dataclass(frozen=True)
 class LagrangianField:
     """A field L(x, y^(1..r)) over transverse jet coordinates.
 
@@ -79,12 +76,13 @@ class LagrangianField:
     (excluded <= 0 means the point is outside the smooth locus).
     """
 
-    order: int
-    qdim: int
-    program: ExprProgram
-    slashed: bool = False
-    excluded: ExprProgram | None = None
-    name: str = ""
+    __slots__ = ("order", "qdim", "program", "slashed", "excluded", "name")
+
+    def __init__(self, order: int, qdim: int, program: ExprProgram,
+                 slashed: bool = False, excluded: ExprProgram | None = None,
+                 name: str = ""):
+        self.order, self.qdim, self.program = order, qdim, program
+        self.slashed, self.excluded, self.name = slashed, excluded, name
 
     @classmethod
     def from_program(cls, program, *, order, qdim, slashed=False,
@@ -140,13 +138,15 @@ class LagrangianField:
         return float(self.program.eval(jet_env(point.base, point.jets)))
 
 
-@dataclass(frozen=True)
 class HessianInfo:
-    matrix: np.ndarray
-    det: float
-    min_eigenvalue: float
-    regular: bool
-    positive_definite: bool
+    __slots__ = ("matrix", "det", "min_eigenvalue", "regular",
+                 "positive_definite")
+
+    def __init__(self, matrix: np.ndarray, det: float, min_eigenvalue: float,
+                 regular: bool, positive_definite: bool):
+        self.matrix, self.det = matrix, det
+        self.min_eigenvalue = min_eigenvalue
+        self.regular, self.positive_definite = regular, positive_definite
 
 
 def gamma_apply(f, point):
@@ -180,8 +180,8 @@ def vertical_hessian(L, point) -> HessianInfo:
     det = float(np.linalg.det(hess))
     min_eig = float(np.linalg.eigvalsh(hess).min())
     return HessianInfo(hess, det, min_eig,
-                       regular=abs(det) > HESSIAN_DET_TOLERANCE,
-                       positive_definite=min_eig > HESSIAN_EIG_TOLERANCE)
+                       regular=abs(det) > linalg.SINGULAR_TOLERANCE,
+                       positive_definite=min_eig > linalg.SINGULAR_TOLERANCE)
 
 
 def _semispray_scalars(L, base, jets, lifted=False):
@@ -246,7 +246,6 @@ def semispray_section(L, point) -> TransverseJetPoint:
                               point.base, point.jets + (tuple(s),))
 
 
-@dataclass(frozen=True)
 class SemiSprayField:
     """The semi-spray of a lagrangian as a reusable field.
 
@@ -254,7 +253,10 @@ class SemiSprayField:
     demand at each point.
     """
 
-    lagrangian: LagrangianField
+    __slots__ = ("lagrangian",)
+
+    def __init__(self, lagrangian: LagrangianField):
+        self.lagrangian = lagrangian
 
     @classmethod
     def from_lagrangian(cls, L):
@@ -304,16 +306,17 @@ def spray_vector(S, point):
     return np.array(comps)
 
 
-@dataclass(frozen=True)
 class ConnectionCoefficients:
     """Connection data at a point: M (dual form) and/or N (horizontal form).
 
     Each is a tuple of r matrices, indexed so that entry k-1 is the
     coefficient written M_(k) or N_(k)."""
 
-    order: int
-    M: tuple | None = None
-    N: tuple | None = None
+    __slots__ = ("order", "M", "N")
+
+    def __init__(self, order: int, M: tuple | None = None,
+                 N: tuple | None = None):
+        self.order, self.M, self.N = order, M, N
 
 
 def _spray_jacobian(S, base, jets):

@@ -18,13 +18,15 @@ pairs its names with values.
 
 Parentheses, unary minus and ``^`` nest at most ``MAX_NESTING`` levels deep.
 
-Programs are immutable.  Each is compiled once, on first use, to a tape
-in which every repeated subexpression is one shared slot, and evaluation
-runs the tape in one loop over plain floats and series (`scalars.Series`),
-mixed; a float result comes back as a series if any env value is one.  Env
-values may be batches (a float ndarray, or a series with a batch axis):
-one pass of the tape then evaluates every sample.  A `Graph` builds
-programs with shared nodes and their symbolic derivatives.
+Programs and AST nodes are plain classes, compared and hashed by
+identity and treated as immutable.  Each program is compiled once, on
+first use, to a tape in which every repeated subexpression is one shared
+slot, and evaluation runs the tape in one loop over plain floats and
+series (`scalars.Series`), mixed; a float result comes back as a series
+if any env value is one.  Env values may be batches (a float ndarray, or
+a series with a batch axis): one pass of the tape then evaluates every
+sample.  A `Graph` builds programs with shared nodes and their symbolic
+derivatives.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import math
 import operator
 import re
 import struct
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Any, Mapping
 
@@ -89,38 +90,47 @@ def coordinate_names(q, r=0, p=0) -> list:
 # -- AST --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Num:
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Var:
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
 class Const:
-    name: str  # "pi" or "e"
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name  # "pi" or "e"
 
 
-@dataclass(frozen=True)
 class Unary:
-    op: str  # "-"
-    arg: Any
+    __slots__ = ("op", "arg")
+
+    def __init__(self, op: str, arg: Any):
+        self.op, self.arg = op, arg  # op is "-"
 
 
-@dataclass(frozen=True)
 class Binary:
-    op: str  # one of + - * / ^
-    left: Any
-    right: Any
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Any, right: Any):
+        # op is one of + - * / ^
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass(frozen=True)
 class Call:
-    fn: str
-    arg: Any
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: Any):
+        self.fn, self.arg = fn, arg
 
 
 # -- tokenizer --------------------------------------------------------------
@@ -136,12 +146,12 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self.kind, self.text = kind, text  # kind "num", "name", "op" or "end"
+        self.line, self.column = line, column
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -416,8 +426,9 @@ class ExprProgram:
     """An immutable expression, evaluated from its compiled tape.
 
     `source` is the text the program was parsed from; a program built on
-    a `Graph` prints its source the first time it is read.  Programs
-    compare and hash by identity, so no graph is ever walked as a tree.
+    a `Graph` prints its source the first time it is read.  Programs, like
+    their AST nodes, compare and hash by identity, so no graph is ever
+    walked as a tree.
     """
 
     def __init__(self, ast, source=None):

@@ -3,13 +3,13 @@
 A jet point stores the transverse Taylor coefficients y^(1..r) of a curve
 class; transport across a foliated transition is therefore literal truncated
 Taylor composition.  The shift endomorphism J and its dual act on fiber
-vectors grouped as (X, Y^(1), ..., Y^(r)).
+vectors grouped as (X, Y^(1), ..., Y^(r)).  Jet points and fiber vectors
+are plain classes, compared by identity and treated as immutable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,36 +43,32 @@ def _finite_tuple(values, what):
     return out
 
 
-def _check_rows(point, rows):
+def _check_rows(point, leaf, base, jets, rows):
     """Store a point's leaf, base and `rows` jet rows as finite floats."""
-    object.__setattr__(point, "leaf", _finite_tuple(point.leaf, "leaf"))
-    base = _finite_tuple(point.base, "base")
-    object.__setattr__(point, "base", base)
-    jets = tuple(_finite_tuple(row, "jets") for row in point.jets)
+    point.leaf = _finite_tuple(leaf, "leaf")
+    point.base = base = _finite_tuple(base, "base")
+    jets = tuple(_finite_tuple(row, "jets") for row in jets)
     if len(jets) != rows:
         raise ShapeError(f"expected {rows} jet rows, got {len(jets)}")
     if any(len(row) != len(base) for row in jets):
         raise ShapeError("jet rows must match the transverse dimension")
-    object.__setattr__(point, "jets", jets)
+    point.jets = jets
 
 
-@dataclass(frozen=True)
 class TransverseJetPoint:
     """A point of the order-r transverse bundle in one chart.
 
     jets[k-1] holds y^(k), the k-th transverse Taylor coefficient row.
     """
 
-    chart: str
-    order: int
-    leaf: tuple
-    base: tuple
-    jets: tuple  # r rows of q entries
+    __slots__ = ("chart", "order", "leaf", "base", "jets")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise OrderError(f"jet order must be >= 1, got {self.order}")
-        _check_rows(self, self.order)
+    def __init__(self, chart: str, order: int, leaf: tuple, base: tuple,
+                 jets: tuple):
+        if order < 1:
+            raise OrderError(f"jet order must be >= 1, got {order}")
+        self.chart, self.order = chart, order
+        _check_rows(self, leaf, base, jets, order)
 
     @property
     def qdim(self):
@@ -93,21 +89,19 @@ class TransverseJetPoint:
         }
 
 
-@dataclass(frozen=True)
 class TransverseFiberVector:
     """A fiber vector over a jet point, grouped (X, Y^(1), ..., Y^(r))."""
 
-    basepoint: TransverseJetPoint
-    components: tuple
+    __slots__ = ("basepoint", "components")
 
-    def __post_init__(self):
-        comps = _finite_tuple(self.components, "components")
-        expected = (self.basepoint.order + 1) * self.basepoint.qdim
+    def __init__(self, basepoint: TransverseJetPoint, components: tuple):
+        comps = _finite_tuple(components, "components")
+        expected = (basepoint.order + 1) * basepoint.qdim
         if len(comps) != expected:
             raise ShapeError(
                 f"expected {expected} components, got {len(comps)}"
             )
-        object.__setattr__(self, "components", comps)
+        self.basepoint, self.components = basepoint, comps
 
     @property
     def order(self):

@@ -9,6 +9,9 @@ first-order stage.
 
 Convention: the diagonal hamiltonian carries a 1/r normalization, so the
 flat lift gives H(x, p) = |p|^2 / 4 at every order.
+
+Cotangent jet points and hamiltonian values are plain classes, compared
+by identity and treated as immutable.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import math
 import sys
 import zlib
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -53,10 +55,8 @@ CONDITION_LIMIT = 1e12
 RAY_TOLERANCE = 1e-8
 RAY_REACH = 2.0 ** 59
 ZERO_SECTION_TOLERANCE = 1e-12
-EIG_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
 class CotangentJetPoint:
     """A momentum-replaced jet point: (x, y^(1..r-1), p).
 
@@ -64,21 +64,18 @@ class CotangentJetPoint:
     r-1 lower rows, `momentum` the top-order momentum covector.
     """
 
-    chart: str
-    order: int
-    leaf: tuple
-    base: tuple
-    jets: tuple  # r-1 rows of q entries
-    momentum: tuple  # q entries
+    __slots__ = ("chart", "order", "leaf", "base", "jets", "momentum")
 
-    def __post_init__(self):
-        if self.order < 1:
-            raise ShapeError(f"order must be >= 1, got {self.order}")
-        _check_rows(self, self.order - 1)
-        momentum = _finite_tuple(self.momentum, "momentum")
+    def __init__(self, chart: str, order: int, leaf: tuple, base: tuple,
+                 jets: tuple, momentum: tuple):
+        if order < 1:
+            raise ShapeError(f"order must be >= 1, got {order}")
+        self.chart, self.order = chart, order
+        _check_rows(self, leaf, base, jets, order - 1)
+        momentum = _finite_tuple(momentum, "momentum")
         if len(momentum) != len(self.base):
             raise ShapeError("momentum must match the transverse dimension")
-        object.__setattr__(self, "momentum", momentum)
+        self.momentum = momentum
 
     @property
     def qdim(self):
@@ -94,14 +91,13 @@ class CotangentJetPoint:
         }
 
 
-@dataclass(frozen=True)
 class HamiltonianValue:
-    value: float
-    at: CotangentJetPoint
+    __slots__ = ("value", "at")
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+    def __init__(self, value: float, at: CotangentJetPoint):
+        if not math.isfinite(value):
             raise InvariantViolation("non-finite hamiltonian value")
+        self.value, self.at = value, at
 
 
 def legendre_map(L, point) -> CotangentJetPoint:
@@ -542,7 +538,7 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
         ray_dev = worst(ray_dev, [dev for dev in levels if dev is not None])
 
     report.add("hessian_positive_definite", L.name or "L",
-               float(min_eig), EIG_TOLERANCE, direction=">")
+               float(min_eig), linalg.SINGULAR_TOLERANCE, direction=">")
     report.add("nonnegative", L.name or "L", max(0.0, -float(min_value)),
                ZERO_SECTION_TOLERANCE)
     context = "skipped (slashed)" if L.slashed else (L.name or "L")

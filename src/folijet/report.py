@@ -2,13 +2,14 @@
 
 A Report is a flat list of named checks, each carrying the measured
 deviation (or eigenvalue), its tolerance and a pass flag.  Serialization
-is deterministic so that equal-seed runs diff byte-for-byte.
+is deterministic so that equal-seed runs diff byte-for-byte.  Both are
+plain classes compared by identity; a Check is treated as immutable, and
+a Report grows only through `add` and `extend`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,22 +25,25 @@ def worst(start, values, pick=max):
     return pick([start, *np.ravel(values).tolist()])
 
 
-@dataclass(frozen=True)
 class Check:
-    name: str
-    context: str
-    metric: float
-    tolerance: float
-    passed: bool
-    # ">" for lower bounds (determinants, eigenvalues), "<=" for deviations
-    direction: str = "<="
+    __slots__ = ("name", "context", "metric", "tolerance", "passed",
+                 "direction")
+
+    def __init__(self, name: str, context: str, metric: float,
+                 tolerance: float, passed: bool, direction: str = "<="):
+        self.name, self.context = name, context
+        self.metric, self.tolerance, self.passed = metric, tolerance, passed
+        # ">" for lower bounds (determinants, eigenvalues), "<=" for deviations
+        self.direction = direction
 
 
-@dataclass
 class Report:
-    seed: int = 0
-    tool_version: str = __version__
-    checks: list = field(default_factory=list)
+    __slots__ = ("seed", "tool_version", "checks")
+
+    def __init__(self, seed: int = 0, tool_version: str = __version__,
+                 checks: list | None = None):
+        self.seed, self.tool_version = seed, tool_version
+        self.checks = [] if checks is None else checks
 
     def add(self, name, context, metric, tolerance, direction="<="):
         if direction == "<=":

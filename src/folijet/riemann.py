@@ -11,12 +11,14 @@ orthogonal) yields a fiber metric G on the full jet fiber.  `holonomy_check` the
 
 Convention: the top vertical block of G equals g, i.e. half the vertical
 Hessian of L^(r).
+
+Metric fields and lifted metrics are plain classes, compared by identity
+and treated as immutable.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -27,6 +29,7 @@ from .errors import DomainError, InvariantViolation, ShapeError, SingularMetric
 from .expr import ExprProgram, Graph, coordinate_names, parse
 from .jets import (_check_in_overlap, _prolong, _prolong_jacobian,
                    _taylor_env, point_arrays, sample_points)
+from .linalg import SINGULAR_TOLERANCE
 from .report import Report, worst
 from .scalars import columns, raise_where, stack_samples
 
@@ -46,16 +49,16 @@ __all__ = [
 HOLONOMY_TOLERANCE = 1e-7
 EXACTNESS_TOLERANCE = 1e-8
 SPRAY_CROSSCHECK_TOLERANCE = 1e-9
-EIG_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
 class MetricField:
     """A symmetric positive-definite q x q field over transverse coordinates."""
 
-    components: tuple  # q rows of q ExprPrograms
-    name: str = ""
-    chart: str = ""
+    __slots__ = ("components", "name", "chart")
+
+    def __init__(self, components: tuple, name: str = "", chart: str = ""):
+        self.components = components  # q rows of q ExprPrograms
+        self.name, self.chart = name, chart
 
     @classmethod
     def from_components(cls, entries, q, *, name="", chart=""):
@@ -108,7 +111,7 @@ class MetricField:
             raise ShapeError("domain box must have one interval per coordinate")
         pts = box[:, 0] + rng.random((25, self.qdim)) * (box[:, 1] - box[:, 0])
         eig = np.linalg.eigvalsh(self.evaluate(pts)).min(axis=-1)
-        raise_where(eig <= EIG_TOLERANCE, SingularMetric,
+        raise_where(eig <= SINGULAR_TOLERANCE, SingularMetric,
                     "metric {!r} has eigenvalue {:.3e} at {}", self.name,
                     eig, pts)
 
@@ -300,7 +303,6 @@ def _transport_coefficients(g, base, jets):
     return G[..., 0, :, :], W
 
 
-@dataclass
 class LiftedMetric:
     """The fiber metric G on the order-r jet fiber, per source chart.
 
@@ -309,8 +311,10 @@ class LiftedMetric:
     jet point by `_transport_coefficients`.
     """
 
-    order: int
-    sources: Mapping[str, MetricField]
+    __slots__ = ("order", "sources")
+
+    def __init__(self, order: int, sources: Mapping[str, MetricField]):
+        self.order, self.sources = order, sources
 
     @property
     def qdim(self):

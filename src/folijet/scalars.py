@@ -392,17 +392,21 @@ class Series:
                     raise min(errors, key=lambda err: err.sample)
                 return out
         elif (e := float(e)).is_integer():
-            n = abs(int(e))
-            result, base = None, self
-            while n:
-                if n & 1:
-                    result = base if result is None else result * base
-                n >>= 1
-                if n:
-                    base = base * base
-            if result is None:
-                return broadcast(self.space.constant(1.0), self.batch)
-            return result._reciprocal() if e < 0 else result
+            try:
+                return self._whole_power(e)
+            except DomainError as err:
+                if self.batch is None:
+                    raise
+                # the batch stops at the first product that fails in any
+                # sample; name the first sample that fails alone
+                for s in range(err.sample):
+                    try:
+                        _unchecked(self.space,
+                                   self.coeffs[s:s + 1])._whole_power(e)
+                    except DomainError as alone:
+                        raise sample_error(DomainError, alone.detail,
+                                           s) from None
+                raise
         # a non-integer float, or a batch of them
         a0, degree = self.value, self.space.degree
         if type(a0) is not np.ndarray:
@@ -417,6 +421,20 @@ class Series:
             only = np.arange(len(a0)) == int(ok.argmin())
             power(np.where(only, a0, 1.0), np.where(only, e, 0.5))
         return self._compose(f)
+
+    def _whole_power(self, e):
+        """self ** e for an integer-valued float e, by repeated squaring."""
+        n = abs(int(e))
+        result, base = None, self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        if result is None:
+            return broadcast(self.space.constant(1.0), self.batch)
+        return result._reciprocal() if e < 0 else result
 
     def __rpow__(self, other):
         return power(other, self) if _plain(other) else NotImplemented

@@ -77,6 +77,15 @@ def eval_ast(node, env):
     raise TypeError(f"unknown AST node {node!r}")
 
 
+def same_tree(a, b):
+    """Whether two expression ASTs have the same node types and fields, by
+    recursive descent; leaves compare by value."""
+    if not isinstance(a, (Num, Var, Const, Unary, Binary, Call)):
+        return a == b
+    return type(a) is type(b) and all(
+        same_tree(getattr(a, f), getattr(b, f)) for f in type(a).__slots__)
+
+
 def collect_variables(node):
     """The variable names an expression AST reads, by recursive descent."""
     if isinstance(node, Var):

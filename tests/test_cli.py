@@ -221,6 +221,18 @@ def test_cli_import_leaves_sympy_out():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_certify_generates_no_dataclass_code(atlas_dir):
+    # a start-up guard: the records are plain classes, so a whole certify
+    # never imports dataclasses, whose decorations cost 14-29 ms a process
+    atlas = str(atlas_dir / "cubic.json")
+    proc = run_process("-c", "import sys, folijet.cli; "
+                       f"argv = ['certify', {atlas!r}, '--metric', 'g', "
+                       "'--order', '1', '--samples', '2']; "
+                       "assert folijet.cli.main(argv) == 0; "
+                       "assert 'dataclasses' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lift_emits_programs(capsys, atlas_dir):
     code, out, _ = run(capsys, "lift", str(atlas_dir / "plane.json"),
                        "--metric", "flat", "--order", "2")

@@ -319,6 +319,18 @@ def test_per_sample_exponent_is_each_samples_own_power():
             Series(one, [[b, 1.0] for b in bases]) ** np.array(e)
 
 
+@pytest.mark.parametrize("e", [1000.0, np.array([1000.0] * 4)],
+                         ids=["float", "per-sample"])
+def test_integer_power_names_first_sample_that_fails_alone(e):
+    # squaring overflows sample 2 first, but alone sample 0 passes and
+    # sample 1 is the first that fails
+    x = Series(space(((1, 2),)),
+               [[2.0, 1.0, 0.0], [3.0, 1.0, 0.0], [1e300, 1.0, 0.0],
+                [1e300, 1.0, 0.0]])
+    with pytest.raises(DomainError, match=r"\(sample 1\)$"):
+        x ** e
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_batched_solve_pivots_each_sample_on_its_own(q):
     from folijet.linalg import solve

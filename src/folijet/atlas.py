@@ -30,8 +30,6 @@ __all__ = [
     "load_atlas_file",
     "validate_foliated",
     "sample_overlap",
-    "apply_transition",
-    "transverse_jacobian",
 ]
 
 DET_TOLERANCE = 1e-9
@@ -95,10 +93,6 @@ class Chart:
 
     def __init__(self, name: str, domain: tuple):
         self.name, self.domain = name, domain  # (p+q) closed intervals
-
-    @property
-    def dim(self):
-        return len(self.domain)
 
 
 class Transition:
@@ -328,26 +322,12 @@ def load_atlas_file(path) -> "FoliatedAtlas":
 # ---------------------------------------------------------------------------
 
 
-def apply_transition(atlas, transition, leaf, base):
-    """Map a (leaf, transverse) point through a transition; plain floats."""
-    image = _apply(atlas, transition, np.array([*leaf, *base], dtype=float))
-    return tuple(image[:atlas.p].tolist()), tuple(image[atlas.p:].tolist())
-
-
 def _apply(atlas, transition, points):
     """Points (p + q,), or a batch (B, p + q), mapped through a transition."""
     env = dict(zip(exprmod.coordinate_names(atlas.q, p=atlas.p),
                    columns(points)))
     return np.stack([e.eval(env) for e in transition.leaf_exprs
                      + transition.transverse_exprs], axis=-1)
-
-
-def transverse_jacobian(atlas, transition, base):
-    """q x q Jacobian of the transverse part, from seeds in ((q, 1),)."""
-    sp = space(((atlas.q, 1),))
-    env = {name: sp.seed(float(v), i) for i, (name, v)
-           in enumerate(zip(exprmod.coordinate_names(atlas.q), base))}
-    return np.array([e.eval(env).coeffs[1:] for e in transition.transverse_exprs])
 
 
 def sample_overlap(transition, n, seed):

@@ -26,7 +26,8 @@ import zlib
 import numpy as np
 
 from . import __version__
-from .atlas import load_atlas_file, validate_foliated
+from .atlas import (COCYCLE_TOLERANCE, DET_TOLERANCE, ROUNDTRIP_TOLERANCE,
+                    load_atlas_file, validate_foliated)
 from .dynamics import SemiSprayField, projector_pair, semispray
 from .errors import FolijetError
 from .jets import (TransverseJetPoint, prolong_transition, sample_points,
@@ -34,6 +35,8 @@ from .jets import (TransverseJetPoint, prolong_transition, sample_points,
 from .legendre import admissibility_check, hamiltonian_at, legendre_chain
 from .report import Report, worst
 from .riemann import (
+    EXACTNESS_TOLERANCE,
+    HOLONOMY_TOLERANCE,
     holonomy_check,
     lift_lagrangian,
     lift_metric,
@@ -95,9 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
         for name, default in defaults.items():
             p.add_argument(f"--tol-{name}", type=_finite, default=default)
 
+    atlas_tolerances = dict(det=DET_TOLERANCE, roundtrip=ROUNDTRIP_TOLERANCE,
+                            cocycle=COCYCLE_TOLERANCE)
     p = sub.add_parser("validate", help="check the pseudogroup structure")
     common(p)
-    tolerances(p, det=1e-9, roundtrip=1e-9, cocycle=1e-8)
+    tolerances(p, **atlas_tolerances)
     p.set_defaults(run=cmd_validate)
 
     p = sub.add_parser("prolong", help="transport a jet across a transition")
@@ -128,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--metric", required=True)
     p.add_argument("--order", type=int, required=True)
-    tolerances(p, det=1e-9, roundtrip=1e-9, cocycle=1e-8,
-               projector=PROJECTOR_TOLERANCE, holonomy=1e-7, exactness=1e-8,
+    tolerances(p, **atlas_tolerances, projector=PROJECTOR_TOLERANCE,
+               holonomy=HOLONOMY_TOLERANCE, exactness=EXACTNESS_TOLERANCE,
                hamiltonian=HAMILTONIAN_TOLERANCE)
     p.set_defaults(run=cmd_certify)
     return parser
@@ -210,7 +215,11 @@ def cmd_semispray(args):
         if args.order not in (None, L.order):
             raise ValueError(f"lagrangian {args.lagrangian!r} has order "
                              f"{L.order}, got --order {args.order}")
-        chart = args.chart or ""
+        if args.chart is not None:
+            # an atlas lagrangian keeps no chart for --chart to name
+            raise ValueError("--chart names the chart of a --metric "
+                             "presentation; it does not apply to --lagrangian")
+        chart = ""
     else:
         if args.order is None:
             raise ValueError("--metric needs --order")

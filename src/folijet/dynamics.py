@@ -28,8 +28,7 @@ from .errors import (
     SingularHessian,
 )
 from .expr import ExprProgram, coordinate_names
-from .jets import (TransverseJetPoint, j_matrix, jet_columns, jet_env,
-                   point_arrays)
+from .jets import j_matrix, jet_columns, jet_env, point_arrays
 from .scalars import columns, raise_where, second_order, space, value_of
 
 __all__ = [
@@ -37,14 +36,10 @@ __all__ = [
     "SemiSprayField",
     "ConnectionCoefficients",
     "HessianInfo",
-    "gamma_apply",
     "vertical_hessian",
     "semispray",
-    "semispray_section",
-    "spray_vector",
     "dual_coefficients",
     "projectors",
-    "horizontal_coefficients",
 ]
 
 
@@ -149,21 +144,6 @@ class HessianInfo:
         self.regular, self.positive_definite = regular, positive_definite
 
 
-def gamma_apply(f, point):
-    """Apply the derivation Gamma to an expression at a jet point."""
-    r, q = point.order, point.qdim
-    sp = space((((r + 1) * q, 1),))
-    # every coordinate is seeded, so the value is a series
-    grad = f.eval(jet_env(point.base, point.jets,
-                          lambda i, v: sp.seed(v, i))).coeffs[1:]
-    total = 0.0
-    for k in range(1, r + 1):
-        yk = point.jets[k - 1]
-        for i in range(q):
-            total += k * yk[i] * grad[(k - 1) * q + i]
-    return float(total)
-
-
 def top_hessian(L, base, jets):
     """The vertical Hessian of L at base (q,) and jets (r, q), or at a batch
     of points as (B, q, q)."""
@@ -236,16 +216,6 @@ def semispray(L, point):
     return np.array([value_of(s) for s in _semispray_scalars(L, base, jets)])
 
 
-def semispray_section(L, point) -> TransverseJetPoint:
-    """The order r+1 jet point the semi-spray assigns to `point`.
-
-    Lower jets are copied verbatim, the new top row is S.
-    """
-    s = semispray(L, point)
-    return TransverseJetPoint(point.chart, point.order + 1, point.leaf,
-                              point.base, point.jets + (tuple(s),))
-
-
 class SemiSprayField:
     """The semi-spray of a lagrangian as a reusable field.
 
@@ -296,27 +266,14 @@ class SemiSprayField:
             )
 
 
-def spray_vector(S, point):
-    """Fiber components of Gamma_S: (y^(1), 2 y^(2), ..., (r+1) S)."""
-    r, q = S.order, S.qdim
-    comps = []
-    for k in range(1, r + 1):
-        comps.extend(k * v for v in point.jets[k - 1])
-    comps.extend((r + 1) * v for v in S.components(point))
-    return np.array(comps)
-
-
 class ConnectionCoefficients:
-    """Connection data at a point: M (dual form) and/or N (horizontal form).
+    """Dual connection coefficients at a point: M is a tuple of r matrices,
+    indexed so that entry k-1 is the coefficient written M_(k)."""
 
-    Each is a tuple of r matrices, indexed so that entry k-1 is the
-    coefficient written M_(k) or N_(k)."""
+    __slots__ = ("order", "M")
 
-    __slots__ = ("order", "M", "N")
-
-    def __init__(self, order: int, M: tuple | None = None,
-                 N: tuple | None = None):
-        self.order, self.M, self.N = order, M, N
+    def __init__(self, order: int, M: tuple):
+        self.order, self.M = order, M
 
 
 def _spray_jacobian(S, base, jets):
@@ -367,13 +324,3 @@ def projector_pair(S, base, jets):
     h = (r * np.eye(n) - lie) / (r + 1)
     v = (np.eye(n) + lie) / (r + 1)
     return h, v
-
-
-def horizontal_coefficients(h, r, q) -> ConnectionCoefficients:
-    """Read N_(k) off the first block row of a horizontal projector."""
-    h = np.asarray(h, dtype=float)
-    n = (r + 1) * q
-    if h.shape != (n, n):
-        raise ShapeError(f"projector shape {h.shape}, expected {(n, n)}")
-    N = tuple(h[:q, k * q:(k + 1) * q].copy() for k in range(1, r + 1))
-    return ConnectionCoefficients(r, N=N)

@@ -2,9 +2,10 @@
 
 A jet point stores the transverse Taylor coefficients y^(1..r) of a curve
 class; transport across a foliated transition is therefore literal truncated
-Taylor composition.  The shift endomorphism J and its dual act on fiber
-vectors grouped as (X, Y^(1), ..., Y^(r)).  Jet points and fiber vectors
-are plain classes, compared by identity and treated as immutable.
+Taylor composition.  The fiber coordinates are grouped as (x, y^(1), ...,
+y^(r)); the shift endomorphism J (`j_matrix`) maps each group to the next,
+and the projector pair in `dynamics` is built from it.  Jet points are
+plain classes, compared by identity and treated as immutable.
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ from .scalars import Series, columns, raise_where, space, stack_samples
 
 __all__ = [
     "TransverseJetPoint",
-    "TransverseFiberVector",
     "zero_section",
     "prolong_transition",
     "prolong_jacobian",
     "include_jet",
-    "apply_J",
-    "apply_J_dual",
     "j_matrix",
     "restrict_to_zero_section",
 ]
@@ -74,12 +72,6 @@ class TransverseJetPoint:
     def qdim(self):
         return len(self.base)
 
-    def jet(self, k):
-        """y^(k) for 1 <= k <= r; y^(0) is the base point."""
-        if k == 0:
-            return self.base
-        return self.jets[k - 1]
-
     def to_dict(self):
         return {
             "chart": self.chart,
@@ -87,33 +79,6 @@ class TransverseJetPoint:
             "base": list(self.base),
             "jets": [list(row) for row in self.jets],
         }
-
-
-class TransverseFiberVector:
-    """A fiber vector over a jet point, grouped (X, Y^(1), ..., Y^(r))."""
-
-    __slots__ = ("basepoint", "components")
-
-    def __init__(self, basepoint: TransverseJetPoint, components: tuple):
-        comps = _finite_tuple(components, "components")
-        expected = (basepoint.order + 1) * basepoint.qdim
-        if len(comps) != expected:
-            raise ShapeError(
-                f"expected {expected} components, got {len(comps)}"
-            )
-        self.basepoint, self.components = basepoint, comps
-
-    @property
-    def order(self):
-        return self.basepoint.order
-
-    @property
-    def qdim(self):
-        return self.basepoint.qdim
-
-    def block(self, k):
-        q = self.qdim
-        return self.components[k * q:(k + 1) * q]
 
 
 def zero_section(r, leaf, base, chart=""):
@@ -284,35 +249,14 @@ def include_jet(r_low, r_high, point):
 
 
 def j_matrix(r, q):
-    """The shift endomorphism J as an ((r+1)q) square matrix."""
+    """The shift endomorphism J as an ((r+1)q) square matrix: it maps the
+    fiber group (X, Y^(1), ..., Y^(r)) to (0, X, ..., Y^(r-1))."""
     n = (r + 1) * q
     out = np.zeros((n, n))
     for k in range(r):
         for i in range(q):
             out[(k + 1) * q + i, k * q + i] = 1.0
     return out
-
-
-def apply_J(vector, k=1):
-    """k-fold shift (X, Y^(1), ..., Y^(r)) -> (0, ..., 0, X, ..., Y^(r-k))."""
-    if k < 1:
-        raise OrderError(f"need k >= 1, got {k}")
-    q = vector.qdim
-    r = vector.order
-    comps = list(vector.components)
-    shifted = [0.0] * (k * q) + comps[:max(0, (r + 1 - k)) * q]
-    return TransverseFiberVector(vector.basepoint, tuple(shifted[:(r + 1) * q]))
-
-
-def apply_J_dual(vector, k=1):
-    """k-fold dual shift: the transpose of apply_J in coordinates."""
-    if k < 1:
-        raise OrderError(f"need k >= 1, got {k}")
-    q = vector.qdim
-    r = vector.order
-    comps = list(vector.components)
-    shifted = comps[k * q:] + [0.0] * min(k * q, (r + 1) * q)
-    return TransverseFiberVector(vector.basepoint, tuple(shifted[:(r + 1) * q]))
 
 
 def restrict_to_zero_section(metric_eval, r, leaf, base, chart=""):

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import LagrangianField, semispray, top_hessian
+from .dynamics import LagrangianField, top_hessian
 from .errors import DomainError, InvariantViolation, ShapeError, SingularMetric
 from .expr import ExprProgram, Graph, coordinate_names, parse
 from .jets import (_check_in_overlap, _prolong, _prolong_jacobian,
@@ -36,8 +36,6 @@ from .scalars import columns, raise_where, stack_samples
 __all__ = [
     "MetricField",
     "LiftedMetric",
-    "christoffel",
-    "geodesic_spray",
     "lift_lagrangian",
     "lift_metric",
     "prolongation_coefficients",
@@ -48,7 +46,6 @@ __all__ = [
 
 HOLONOMY_TOLERANCE = 1e-7
 EXACTNESS_TOLERANCE = 1e-8
-SPRAY_CROSSCHECK_TOLERANCE = 1e-9
 
 
 class MetricField:
@@ -158,11 +155,6 @@ def _christoffel_series(g, base, jets=()):
     return G, (gamma + gamma.swapaxes(-2, -1)) / 2.0
 
 
-def christoffel(g, base):
-    """Levi-Civita symbols C[a][b][c] of g at a base point."""
-    return _christoffel_series(g, base)[1][..., 0, :, :, :]
-
-
 class _Lift:
     """The lift recursion of one metric on one expression graph.
 
@@ -243,22 +235,6 @@ def _lift(g):
     source text, so a higher order continues from the stages built."""
     return _lift_of(tuple(tuple(p.source or p.to_text() for p in row)
                           for row in g.components), g.qdim)
-
-
-def geodesic_spray(g, point):
-    """Spray of the metric lagrangian, cross-checked via Christoffel symbols."""
-    if point.order != 1:
-        raise ShapeError("geodesic spray wants an order-1 jet point")
-    gamma = christoffel(g, point.base)
-    y = np.asarray(point.jets[0])
-    via_christoffel = 0.25 * np.einsum("abc,b,c->a", gamma, y, y)
-    via_lagrangian = semispray(lift_lagrangian(g, 1), point)
-    dev = float(np.max(np.abs(via_christoffel - via_lagrangian)))
-    if dev > SPRAY_CROSSCHECK_TOLERANCE:
-        raise InvariantViolation(
-            f"geodesic spray cross-check deviates by {dev:.3e}"
-        )
-    return via_lagrangian
 
 
 def lift_lagrangian(g, r) -> LagrangianField:

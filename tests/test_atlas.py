@@ -3,13 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from folijet.atlas import (
-    apply_transition,
-    load_atlas,
-    sample_overlap,
-    transverse_jacobian,
-    validate_foliated,
-)
+from folijet.atlas import load_atlas, sample_overlap, validate_foliated
 from folijet.errors import InvariantViolation, SchemaError
 
 
@@ -75,15 +69,6 @@ def test_rejects_unknown_inverse():
     doc["transitions"][0]["inverse_of"] = "nope"
     with pytest.raises(SchemaError, match="inverse_of"):
         load_atlas(doc)
-
-
-def test_apply_transition_and_jacobian(cubic_atlas):
-    t = cubic_atlas.transitions["A->B"]
-    leaf, base = apply_transition(cubic_atlas, t, (0.3,), (1.2,))
-    assert leaf == (0.3,)
-    assert base[0] == pytest.approx(1.2**3)
-    jac = transverse_jacobian(cubic_atlas, t, (1.2,))
-    assert jac[0, 0] == pytest.approx(3 * 1.2**2)
 
 
 def test_sample_overlap_deterministic(cubic_atlas):

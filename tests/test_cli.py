@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folijet.cli import main
+from folijet.atlas import (COCYCLE_TOLERANCE, DET_TOLERANCE,
+                           ROUNDTRIP_TOLERANCE)
+from folijet.cli import (HAMILTONIAN_TOLERANCE, PROJECTOR_TOLERANCE,
+                         build_parser, main)
+from folijet.riemann import EXACTNESS_TOLERANCE, HOLONOMY_TOLERANCE
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -204,6 +208,15 @@ def test_semispray_named_lagrangian(capsys, atlas_dir):
                          "--jet", "x=1;y1=0.5")
     assert (code, out) == (2, "")
     assert err == "error: lagrangian 'flat2' has order 2, got --order 3\n"
+    # an atlas lagrangian keeps no chart, so --chart has nothing to name
+    for chart in ("Nope", "B"):
+        code, out, err = run(capsys, "semispray",
+                             str(atlas_dir / "cubic.json"),
+                             "--lagrangian", "flat2", "--chart", chart,
+                             "--jet", "x=5;y1=1;y2=0.2")
+        assert (code, out) == (2, "")
+        assert err == ("error: --chart names the chart of a --metric "
+                       "presentation; it does not apply to --lagrangian\n")
 
 
 def test_semispray_metric_lift(capsys, atlas_dir):
@@ -389,6 +402,23 @@ TOLERANCE_FLAGS = [("validate", flag) for flag in
     ("certify", flag) for flag in
     ("--tol-det", "--tol-roundtrip", "--tol-cocycle", "--tol-projector",
      "--tol-holonomy", "--tol-exactness", "--tol-hamiltonian")]
+
+
+@pytest.mark.parametrize("verb", ["validate", "certify"])
+def test_tolerance_defaults_are_the_library_constants(verb):
+    argv = [verb, "a.json"] + (["--metric", "g", "--order", "1"]
+                               if verb == "certify" else [])
+    args = build_parser().parse_args(argv)
+    want = dict(det=DET_TOLERANCE, roundtrip=ROUNDTRIP_TOLERANCE,
+                cocycle=COCYCLE_TOLERANCE)
+    if verb == "certify":
+        want.update(projector=PROJECTOR_TOLERANCE,
+                    holonomy=HOLONOMY_TOLERANCE,
+                    exactness=EXACTNESS_TOLERANCE,
+                    hamiltonian=HAMILTONIAN_TOLERANCE)
+    got = {k[len("tol_"):]: v for k, v in vars(args).items()
+           if k.startswith("tol_")}
+    assert got == want
 
 
 @pytest.mark.parametrize("verb,flag", TOLERANCE_FLAGS)

@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
-import sympy as sp
 
 from folijet.dynamics import (
     LagrangianField,
     SemiSprayField,
     dual_coefficients,
-    gamma_apply,
-    horizontal_coefficients,
     projectors,
     semispray,
-    semispray_section,
-    spray_vector,
     vertical_hessian,
 )
 from folijet.errors import (
@@ -21,7 +16,7 @@ from folijet.errors import (
     SingularHessian,
 )
 from folijet.expr import parse
-from folijet.jets import TransverseJetPoint, jet_env
+from folijet.jets import TransverseJetPoint
 from oracles import central_difference_vector
 
 
@@ -33,47 +28,6 @@ def jet_point(base, jets, chart="A"):
 def lagrangian(text, order, qdim=1, **kw):
     return LagrangianField.from_program(parse(text), order=order, qdim=qdim,
                                         **kw)
-
-
-def sympy_gamma(text, r, q, point):
-    """Independent symbolic evaluation of the derivation Gamma."""
-    f = sp.sympify(text.replace("^", "**"))
-    names = [f"x{i+1}" for i in range(q)]
-    for k in range(1, r + 1):
-        names += [f"y{k}_{i+1}" for i in range(q)]
-    syms = {n: sp.Symbol(n) for n in names}
-    f = f.subs(syms)
-    total = sp.Integer(0)
-    for i in range(q):
-        total += syms[f"y1_{i+1}"] * sp.diff(f, syms[f"x{i+1}"])
-        for k in range(2, r + 1):
-            total += k * syms[f"y{k}_{i+1}"] * sp.diff(
-                f, syms[f"y{k-1}_{i+1}"])
-    env = jet_env(point.base, point.jets)
-    return float(total.subs({syms[n]: env[n] for n in names}))
-
-
-# ---------------------------------------------------------------- gamma
-
-
-def test_gamma_reads_off_operator():
-    pt = jet_point([1.5], [[0.7], [0.3]])
-    assert gamma_apply(parse("x1"), pt) == pytest.approx(0.7)
-    assert gamma_apply(parse("y1_1"), pt) == pytest.approx(2 * 0.3)
-    assert gamma_apply(parse("42"), pt) == 0.0
-
-
-@pytest.mark.parametrize("text,r,q", [
-    ("sin(x1)*y1_1^2 + y2_1*x1", 2, 1),
-    ("exp(x1/3)*y1_2 + y2_1*y1_1 + x2^2", 3, 2),
-])
-def test_gamma_matches_sympy(text, r, q):
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        pt = jet_point(rng.uniform(0.3, 1.2, q),
-                       [rng.uniform(-1, 1, q) for _ in range(r)])
-        got = gamma_apply(parse(text), pt)
-        assert got == pytest.approx(sympy_gamma(text, r, q, pt), abs=1e-10)
 
 
 # ------------------------------------------------------- vertical hessian
@@ -133,15 +87,6 @@ def test_semispray_singular_hessian():
     L = lagrangian("y2_1", 2)
     with pytest.raises(SingularHessian):
         semispray(L, jet_point([0.5], [[0.1], [0.2]]))
-
-
-def test_semispray_section_copies_lower_jets():
-    L = lagrangian("exp(x1)*y1_1^2", 1)
-    pt = jet_point([0.3], [[1.1]])
-    section = semispray_section(L, pt)
-    assert section.order == 2
-    assert section.base == pt.base and section.jets[0] == pt.jets[0]
-    assert section.jets[1][0] == pytest.approx(1.1 ** 2 / 8.0)
 
 
 def test_slashed_lagrangian_excluded_point():
@@ -224,31 +169,6 @@ def test_projector_laws(text, r, q):
         assert np.abs(v @ v - v).max() <= 1e-9
         assert np.abs(h @ v).max() <= 1e-9
         assert np.abs(v @ h).max() <= 1e-9
-
-
-def test_horizontal_coefficients_read_off():
-    S = SemiSprayField.from_lagrangian(lagrangian("y1_1^2", 1))
-    pt = jet_point([0.5], [[0.3]])
-    h, _ = projectors(S, pt)
-    N = horizontal_coefficients(h, 1, 1).N
-    assert N[0][0, 0] == pytest.approx(0.0, abs=1e-14)
-
-    L = lagrangian("exp(x1)*(y1_1^2 + y2_1^2)", 2)
-    S = SemiSprayField.from_lagrangian(L)
-    pt = jet_point([0.4], [[0.9], [0.2]])
-    h, _ = projectors(S, pt)
-    N = horizontal_coefficients(h, 2, 1).N
-    # rebuilding the X-row from N reproduces h's first block row
-    row = np.concatenate([[1.0]] + [n[0] for n in N])
-    assert np.allclose(row, h[0, :], atol=1e-10)
-
-
-def test_spray_vector_components():
-    S = SemiSprayField.from_lagrangian(lagrangian("exp(x1)*y1_1^2", 1))
-    pt = jet_point([0.0], [[0.6]])
-    vec = spray_vector(S, pt)
-    assert vec[0] == pytest.approx(0.6)
-    assert vec[1] == pytest.approx(2 * 0.6 ** 2 / 8.0)
 
 
 def test_spray_order_mismatch():

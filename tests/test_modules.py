@@ -1,0 +1,31 @@
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "folijet"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve_and_imports_are_used(name):
+    module = importlib.import_module(
+        "folijet" if name == "__init__" else f"folijet.{name}")
+    exported = getattr(module, "__all__", [])
+    # `from folijet.<name> import *` fails on a name that does not resolve
+    assert [n for n in exported if not hasattr(module, n)] == []
+
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    # every Attribute chain ends in a Name, so the roots are Name nodes
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(set(imported) - used - set(exported))
+    assert unused == [], [f"line {imported[n]}: {n}" for n in unused]

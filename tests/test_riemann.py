@@ -7,15 +7,14 @@ import sympy as sp
 from folijet import expr, riemann
 from folijet.atlas import load_atlas_file, sample_overlap
 from folijet.cli import main
-from folijet.dynamics import SemiSprayField, projectors, vertical_hessian
+from folijet.dynamics import (SemiSprayField, projectors, semispray,
+                              vertical_hessian)
 from folijet.errors import ShapeError
 from folijet.expr import coordinate_names, parse
 from folijet.jets import (TransverseJetPoint, prolong_jacobian,
                           prolong_transition, restrict_to_zero_section)
 from folijet.riemann import (
     MetricField,
-    christoffel,
-    geodesic_spray,
     holonomy_check,
     lift_lagrangian,
     lift_metric,
@@ -40,8 +39,8 @@ def jet_point(base, jets, chart=""):
                               tuple(tuple(row) for row in jets))
 
 
-TWO_DIM = MetricField.from_components(
-    [["1 + x2^2", "x1*x2/4"], [None, "2 + sin(x1)"]], 2, name="curved2")
+TWO_DIM_ENTRIES = [["1 + x2^2", "x1*x2/4"], ["x1*x2/4", "2 + sin(x1)"]]
+TWO_DIM = MetricField.from_components(TWO_DIM_ENTRIES, 2, name="curved2")
 
 
 def sympy_christoffel(entries, q, base):
@@ -65,24 +64,33 @@ def sympy_christoffel(entries, q, base):
 # ------------------------------------------------------------- christoffel
 
 
+def christoffel_at(g, base):
+    """Coefficient 0 of `_christoffel_series`: the symbols at the base."""
+    return riemann._christoffel_series(g, base)[1][0]
+
+
 def test_christoffel_examples(flat_metric, exp_metric):
-    assert np.allclose(christoffel(flat_metric, [0.7]), 0.0)
-    gamma = christoffel(exp_metric, [0.4])
+    assert np.allclose(christoffel_at(flat_metric, [0.7]), 0.0)
+    gamma = christoffel_at(exp_metric, [0.4])
     assert gamma[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_christoffel_symmetry_and_oracle():
-    entries = [["1 + x2^2", "x1*x2/4"], ["x1*x2/4", "2 + sin(x1)"]]
     rng = np.random.default_rng(3)
     for _ in range(5):
         base = rng.uniform(0.2, 1.2, 2)
-        gamma = christoffel(TWO_DIM, base)
+        gamma = christoffel_at(TWO_DIM, base)
         assert np.allclose(gamma, gamma.transpose(0, 2, 1), atol=0)
-        want = sympy_christoffel(entries, 2, base)
+        want = sympy_christoffel(TWO_DIM_ENTRIES, 2, base)
         assert np.allclose(gamma, want, atol=1e-10)
 
 
 # ---------------------------------------------------------- geodesic spray
+
+
+def geodesic_spray(g, point):
+    """Spray of the metric lift L^(1) = g(y, y): Gamma^a_bc(x) y^b y^c / 4."""
+    return semispray(lift_lagrangian(g, 1), point)
 
 
 def test_geodesic_spray_examples(flat_metric, exp_metric):
@@ -96,16 +104,15 @@ def test_geodesic_spray_two_homogeneous():
     rng = np.random.default_rng(9)
     for lam in (0.5, 2.0, 7.0):
         base = rng.uniform(0.3, 1.0, 2)
+        gamma = sympy_christoffel(TWO_DIM_ENTRIES, 2, base)
         y = rng.uniform(-1, 1, 2)
         s1 = geodesic_spray(TWO_DIM, jet_point(base, [y]))
         s2 = geodesic_spray(TWO_DIM, jet_point(base, [lam * y]))
         scale = max(1.0, np.abs(s2).max())
         assert np.allclose(lam ** 2 * s1, s2, atol=1e-10 * scale)
-
-
-def test_geodesic_spray_wants_order_one(flat_metric):
-    with pytest.raises(ShapeError):
-        geodesic_spray(flat_metric, jet_point([0.3], [[0.9], [0.1]]))
+        for v, s in ((y, s1), (lam * y, s2)):
+            want = 0.25 * np.einsum("abc,b,c->a", gamma, v, v)
+            assert np.allclose(s, want, atol=1e-10 * max(1.0, np.abs(want).max()))
 
 
 # --------------------------------------------------------- lagrangian lift

@@ -30,8 +30,8 @@ from .atlas import (COCYCLE_TOLERANCE, DET_TOLERANCE, ROUNDTRIP_TOLERANCE,
                     load_atlas_file, validate_foliated)
 from .dynamics import SemiSprayField, projector_pair, semispray
 from .errors import FolijetError
-from .jets import (TransverseJetPoint, prolong_transition, sample_points,
-                   zero_section)
+from .jets import (TransverseJetPoint, prolong_transition,
+                   restrict_to_zero_section, sample_points)
 from .legendre import admissibility_check, hamiltonian_at, legendre_chain
 from .report import Report, worst
 from .riemann import (
@@ -224,7 +224,7 @@ def cmd_semispray(args):
         if args.order is None:
             raise ValueError("--metric needs --order")
         family = _metric_family(atlas, args.metric)
-        chart = args.chart or next(iter(family))
+        chart = next(iter(family)) if args.chart is None else args.chart
         if chart not in family:
             raise ValueError(
                 f"metric {args.metric!r} has no presentation in chart "
@@ -306,12 +306,11 @@ def cmd_certify(args):
                                     cocycle_tol=args.tol_cocycle))
     lifted = lift_metric(family, args.order)
     for chart, fld in family.items():
-        domain = np.asarray(atlas.charts[chart].domain[atlas.p:], dtype=float)
-        point = zero_section(args.order,
-                             (0.0,) * atlas.p, domain.mean(axis=1), chart)
-        got = lifted.evaluate(point)[:fld.qdim, :fld.qdim]
+        base = np.mean(atlas.charts[chart].domain[atlas.p:], axis=1)
+        got = restrict_to_zero_section(lifted.evaluate, args.order,
+                                       (0.0,) * atlas.p, base, chart)
         report.add("zero_section_restriction", chart,
-                   float(np.max(np.abs(got - fld.evaluate(point.base)))),
+                   float(np.max(np.abs(got - fld.evaluate(base)))),
                    args.tol_exactness)
     _projector_checks(report, atlas, family, args.order, args.samples,
                       args.seed, args.tol_projector)

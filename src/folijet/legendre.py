@@ -180,7 +180,8 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
     When the target is a batch, every call evaluates the whole batch, and
     `moving` flags the samples whose top row moved; a sample that has
     stopped, or already took its step, sits at its last accepted top row.
-    Every sample keeps its own damping, condition guard and pivots, and
+    Every sample keeps its own damping and condition guard, numpy's LU in
+    `linalg.solve` factors each sample's Hessian on its own, and a sample
     stops, frozen in place, where it would stop alone.  Stats then hold
     per-sample lists.
     """
@@ -443,15 +444,16 @@ def _ray_level(value_at, phi_value, batch):
     return np.where(missing, None, level).tolist()
 
 
-def _admissible_draws(L, rng, box, samples, jet_scale, env_at):
-    """Base, jets (B, r q) and unit ray direction of each sample; the loop
-    holds the generator calls, as ``standard_normal`` takes a varying share
-    of the stream, and draws jets that L excludes again, up to 50 times."""
+def _admissible_draws(L, rng, box, samples, env_at):
+    """Base, jets (B, r q) in [-1, 1] and unit ray direction of each
+    sample; the loop holds the generator calls, as ``standard_normal`` takes
+    a varying share of the stream, and draws jets that L excludes again, up
+    to 50 times."""
     r, q = L.order, L.qdim
-    lo, width, span = box[:, 0], box[:, 1] - box[:, 0], 2.0 * jet_scale
+    lo, width = box[:, 0], box[:, 1] - box[:, 0]
 
     def scaled(u):  # `sample_points` of uniform draws, without its overhead
-        return lo + u[..., :q] * width, -jet_scale + span * u[..., q:]
+        return lo + u[..., :q] * width, -1.0 + 2.0 * u[..., q:]
 
     uniform, redrawn, normal = [], [], []
     for _ in range(samples):
@@ -461,7 +463,7 @@ def _admissible_draws(L, rng, box, samples, jet_scale, env_at):
             for _ in range(50):
                 if float(L.excluded.eval(env_at(base, jets))) > 0.0:
                     break
-                jets = rng.uniform(-jet_scale, jet_scale, r * q)
+                jets = rng.uniform(-1.0, 1.0, r * q)
             redrawn.append(jets)
         normal.append(rng.standard_normal(r * q))
     base, jets = scaled(stack_samples(uniform))
@@ -472,8 +474,8 @@ def _admissible_draws(L, rng, box, samples, jet_scale, env_at):
             direction / norm[..., 0])
 
 
-def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
-                        jet_scale=1.0) -> Report:
+def admissibility_check(L, phi=None, samples=25, seed=0, *,
+                        base_box) -> Report:
     """The four admissible-lagrangian conditions as a report.
 
     (a) positive-definite vertical Hessian, (b) nonnegativity with zero on
@@ -508,7 +510,7 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *, base_box,
     ray_failures = 0
     if samples:
         base, jets, direction = _admissible_draws(L, rng, box, samples,
-                                                  jet_scale, env_at)
+                                                  env_at)
         batch = len(base) if base.ndim == 2 else None
         zero = np.zeros_like(jets)
         if projectable:

@@ -380,8 +380,7 @@ def holonomy_check(atlas, lifted, samples=25, seed=0, *,
 
 
 def vertical_exactness_check(lifted, L, samples=25, seed=0, *, base_box,
-                             chart=None, jet_scale=1.0,
-                             tol=EXACTNESS_TOLERANCE) -> Report:
+                             chart=None, tol=EXACTNESS_TOLERANCE) -> Report:
     """Top vertical block of G against half the vertical Hessian of L."""
     report = Report(seed=int(seed))
     r = lifted.order
@@ -393,7 +392,7 @@ def vertical_exactness_check(lifted, L, samples=25, seed=0, *, base_box,
     rng = np.random.default_rng([int(seed), zlib.crc32(b"vexact"), 3])
     dev_max = 0.0
     if samples:
-        base, jets = sample_points(rng, base_box, samples, r, q, jet_scale)
+        base, jets = sample_points(rng, base_box, samples, r, q)
         g_top = lifted.evaluate_at(chart, base, jets)[..., r * q:, r * q:]
         half_hess = 0.5 * top_hessian(L, base, jets)
         dev_max = worst(dev_max, np.abs(g_top - half_hess).max(axis=(-2, -1)))

@@ -226,6 +226,12 @@ def test_semispray_metric_lift(capsys, atlas_dir):
     assert code == 0
     payload = json.loads(out)
     assert payload["components"][0] == pytest.approx(0.8 ** 2 / 8.0)
+    # an empty --chart names no presentation; it does not pick the first
+    code, _, err = run(capsys, "semispray", str(atlas_dir / "plane.json"),
+                       "--metric", "expo", "--order", "1", "--chart", "",
+                       "--jet", "x=0.5;y1=0.8")
+    assert code == 2
+    assert "has no presentation in chart ''" in err
 
 
 def test_cli_import_leaves_sympy_out():

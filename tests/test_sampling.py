@@ -18,7 +18,8 @@ from oracles import (admissible_draws, hamiltonian_draws, holonomy_draws,
                      jet_rows, projector_draws, vertical_exactness_draws)
 
 SAMPLES = [1, 2, 150]
-JET_SCALES = [1.0, 2.5]
+# the checks draw jets in [-1, 1]; the oracles are given that scale
+JET_SCALES = [1.0]
 # a box away from the unit box, where the shear2 metric is positive definite
 BOX = [[-0.4, 0.9], [1.5, 4.0]]
 
@@ -86,7 +87,7 @@ def test_vertical_exactness_draws_in_one_block(
     calls = spy(monkeypatch, riemann, "top_hessian")
     riemann.vertical_exactness_check(
         lift_metric(fld, r), lift_lagrangian(fld, r), samples, seed,
-        base_box=BOX, jet_scale=jet_scale)
+        base_box=BOX)
     ((_, base, jets), _), = calls
     want_base, want_jets = vertical_exactness_draws(BOX, samples, seed, r,
                                                     fld.qdim, jet_scale)
@@ -113,7 +114,7 @@ def test_admissibility_draws_keep_the_stream(
         shear2_atlas.metrics["g"]["A"], 2)
     calls = spy(monkeypatch, legendre, "_admissible_draws")
     legendre.admissibility_check(L, samples=samples, seed=seed,
-                                 base_box=BOX, jet_scale=jet_scale)
+                                 base_box=BOX)
     (_, got), = calls
     want = admissible_draws(L, BOX, samples, seed, jet_scale)
     for g, w in zip(got, want):

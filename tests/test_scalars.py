@@ -350,6 +350,52 @@ def test_batched_solve_pivots_each_sample_on_its_own(q):
             assert np.array_equal(batch[i, 0].coeffs[s], alone[i, 0].coeffs)
 
 
+def _solve_entry(rng, sp_, batch, series):
+    """A random float or series in [-1, 1], or a batch of either."""
+    shape = () if batch is None else (batch,)
+    if series:
+        return Series(sp_, rng.uniform(-1.0, 1.0, shape + (sp_.size,)))
+    values = rng.uniform(-1.0, 1.0, shape)
+    return values if batch else float(values)
+
+
+@pytest.mark.parametrize("series_a", [False, True],
+                         ids=["float-a", "series-a"])
+@pytest.mark.parametrize("batch", [None, 1, 7])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("groups", [((2, 1),), ((1, 4),), ((2, 2), (2, 2))])
+def test_solve_leaves_no_residual(groups, q, batch, series_a):
+    # a X - b vanishes in every coefficient, whatever computed X: float a
+    # with series b, or series a with float b; q + 1 on the diagonal keeps
+    # a well conditioned
+    from folijet.linalg import solve
+
+    rng = np.random.default_rng([q, batch or 0, int(series_a), len(groups)])
+    sp_ = space(groups)
+    a = [[_solve_entry(rng, sp_, batch, series_a) + (q + 1.0) * (i == k)
+          for k in range(q)] for i in range(q)]
+    b = [[_solve_entry(rng, sp_, batch, not series_a)] for _ in range(q)]
+    X = solve(a, b)
+    assert X.shape == (q, 1)
+    largest = max(np.abs(getattr(x, "coeffs", x)).max()
+                  for row in a + b for x in row)
+    for i in range(q):
+        residual = sum(a[i][k] * X[k, 0] for k in range(q)) - b[i][0]
+        assert np.abs(residual.coeffs).max() <= 1e-13 * largest
+
+
+def test_solve_names_the_first_singular_sample():
+    from folijet.errors import SingularHessian
+    from folijet.linalg import solve
+
+    sp_ = space(((2, 1),))
+    coeffs = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 2, 7, sp_.size))
+    coeffs[:, :, 3, 0] = 1.0  # the values of sample 3 have rank one
+    a = [[Series(sp_, coeffs[i, k]) for k in range(2)] for i in range(2)]
+    with pytest.raises(SingularHessian, match=r"\(sample 3\)$"):
+        solve(a, [[1.0], [2.0]])
+
+
 # -- parts over the space of the other groups ---------------------------------
 
 THREE_GROUPS = ((2, 2), (1, 3), (2, 1))

@@ -11,14 +11,16 @@ by identity and treated as immutable.
 from __future__ import annotations
 
 import json
-import zlib
 from typing import Mapping
 
 import numpy as np
 
 from . import expr as exprmod
+from .dynamics import LagrangianField
 from .errors import InvariantViolation, SchemaError
+from .jets import sample_box, sample_overlap
 from .report import Report, worst
+from .riemann import MetricField
 from .scalars import columns, space, stack_samples
 
 __all__ = [
@@ -101,7 +103,7 @@ class Transition:
 
     def __init__(self, name: str, from_chart: str, to_chart: str,
                  leaf_exprs: tuple, transverse_exprs: tuple, overlap: tuple,
-                 inverse_of: str | None = None):
+                 inverse_of: str | None):
         self.name, self.from_chart, self.to_chart = name, from_chart, to_chart
         self.leaf_exprs = leaf_exprs  # p ExprPrograms
         self.transverse_exprs = transverse_exprs  # q ExprPrograms
@@ -125,14 +127,13 @@ class FoliatedAtlas:
 
     def __init__(self, leaf_dim: int, transverse_dim: int,
                  charts: Mapping[str, Chart],
-                 transitions: Mapping[str, Transition], triples: tuple = (),
-                 metrics: Mapping[str, Mapping[str, object]] | None = None,
-                 lagrangians: Mapping[str, object] | None = None):
+                 transitions: Mapping[str, Transition], triples: tuple,
+                 metrics: Mapping[str, Mapping[str, MetricField]],
+                 lagrangians: Mapping[str, Mapping[str, LagrangianField]]):
         self.leaf_dim, self.transverse_dim = leaf_dim, transverse_dim
         self.charts, self.transitions = charts, transitions
         self.triples = triples
-        self.metrics = {} if metrics is None else metrics
-        self.lagrangians = {} if lagrangians is None else lagrangians
+        self.metrics, self.lagrangians = metrics, lagrangians
 
     @property
     def p(self):
@@ -264,52 +265,45 @@ def load_atlas(document) -> "FoliatedAtlas":
                              "triple overlap")
         triples.append(TripleOverlap(t1, t2, t3, overlap))
 
-    # metrics and lagrangians are owned by the riemann/dynamics modules;
-    # imported here lazily to keep the module graph acyclic
-    metrics: dict[str, dict[str, object]] = {}
-    if document.get("metrics"):
-        from .riemann import MetricField
+    def metric(entry, name, chart):
+        components = _field(entry, "components", f"metric {name}", list)
+        if not all(isinstance(row, list) for row in components):
+            raise SchemaError(f"metric {name}: components must be rows")
+        fld = MetricField.from_components(components, q, name=name,
+                                          chart=chart)
+        fld.check_positive_definite(charts[chart].domain[p:])
+        return fld
 
-        for entry in _entries(document, "metrics"):
-            name = str(_field(entry, "name", "metric"))
-            chart = str(_field(entry, "chart", f"metric {name}"))
+    def lagrangian(entry, name, chart):
+        order = _int_field(entry, "order", f"lagrangian {name}")
+        program = exprmod.parse(str(_field(entry, "expr",
+                                           f"lagrangian {name}")))
+        excluded = entry.get("excluded")
+        return LagrangianField.from_program(
+            program, order=order, qdim=q, name=name,
+            slashed=bool(entry.get("slashed", False)),
+            excluded=exprmod.parse(str(excluded)) if excluded else None)
+
+    fields = {}
+    for kind, build in (("metric", metric), ("lagrangian", lagrangian)):
+        fields[kind] = families = {}
+        for entry in _entries(document, f"{kind}s"):
+            name = str(_field(entry, "name", kind))
+            chart = str(_field(entry, "chart", f"{kind} {name}"))
             if chart not in charts:
-                raise SchemaError(f"metric {name}: unknown chart {chart!r}")
-            components = _field(entry, "components", f"metric {name}", list)
-            if not all(isinstance(row, list) for row in components):
-                raise SchemaError(f"metric {name}: components must be rows")
-            fld = MetricField.from_components(components, q, name=name,
-                                              chart=chart)
-            fld.check_positive_definite(charts[chart].domain[p:])
-            metrics.setdefault(name, {})[chart] = fld
+                raise SchemaError(f"{kind} {name}: unknown chart {chart!r}")
+            family = families.setdefault(name, {})
+            if chart in family:
+                raise SchemaError(
+                    f"{kind} {name}: presented twice in chart {chart!r}")
+            family[chart] = build(entry, name, chart)
+    for name, family in fields["lagrangian"].items():
+        if len({L.order for L in family.values()}) > 1:
+            raise SchemaError(
+                f"lagrangian {name}: presentations differ in order")
 
-    lagrangians: dict[str, object] = {}
-    if document.get("lagrangians"):
-        from .dynamics import LagrangianField
-
-        for entry in _entries(document, "lagrangians"):
-            name = str(_field(entry, "name", "lagrangian"))
-            chart = str(_field(entry, "chart", f"lagrangian {name}"))
-            if chart not in charts:
-                raise SchemaError(f"lagrangian {name}: unknown chart {chart!r}")
-            order = _int_field(entry, "order", f"lagrangian {name}")
-            program = exprmod.parse(str(_field(entry, "expr",
-                                               f"lagrangian {name}")))
-            excluded = entry.get("excluded")
-            fld = LagrangianField.from_program(
-                program,
-                order=order,
-                qdim=q,
-                slashed=bool(entry.get("slashed", False)),
-                excluded=exprmod.parse(str(excluded)) if excluded else None,
-                name=name,
-            )
-            if name in lagrangians:
-                raise SchemaError(f"duplicate lagrangian name {name!r}")
-            lagrangians[name] = fld
-
-    return FoliatedAtlas(p, q, charts, transitions, tuple(triples), metrics,
-                         lagrangians)
+    return FoliatedAtlas(p, q, charts, transitions, tuple(triples),
+                         fields["metric"], fields["lagrangian"])
 
 
 def load_atlas_file(path) -> "FoliatedAtlas":
@@ -318,7 +312,7 @@ def load_atlas_file(path) -> "FoliatedAtlas":
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers
+# validation
 # ---------------------------------------------------------------------------
 
 
@@ -328,22 +322,6 @@ def _apply(atlas, transition, points):
                    columns(points)))
     return np.stack([e.eval(env) for e in transition.leaf_exprs
                      + transition.transverse_exprs], axis=-1)
-
-
-def sample_overlap(transition, n, seed):
-    """Deterministic pseudo-random points inside the overlap box."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    key = zlib.crc32(transition.name.encode("utf-8"))
-    rng = np.random.default_rng([int(seed), key])
-    box = np.asarray(transition.overlap, dtype=float)
-    u = rng.random((n, box.shape[0]))
-    return box[:, 0] + u * (box[:, 1] - box[:, 0])
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
 
 
 def _gaps(a, b):
@@ -392,10 +370,9 @@ def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
         t1 = atlas.transitions[triple.first]
         t2 = atlas.transitions[triple.second]
         t3 = atlas.transitions[triple.composite]
-        probe = Transition(f"triple:{t1.name}|{t2.name}|{t3.name}",
-                           t1.from_chart, t2.to_chart, t1.leaf_exprs,
-                           t1.transverse_exprs, triple.overlap)
-        pts = stack_samples(sample_overlap(probe, samples, seed))
+        pts = stack_samples(sample_box(
+            triple.overlap, samples, seed,
+            f"triple:{t1.name}|{t2.name}|{t3.name}"))
         via = _apply(atlas, t2, _apply(atlas, t1, pts))
         report.add("cocycle", f"{t2.name} o {t1.name} == {t3.name}",
                    worst(0.0, _gaps(via, _apply(atlas, t3, pts))), cocycle_tol)

@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-import zlib
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .atlas import (COCYCLE_TOLERANCE, DET_TOLERANCE, ROUNDTRIP_TOLERANCE,
 from .dynamics import SemiSprayField, projector_pair, semispray
 from .errors import FolijetError
 from .jets import (TransverseJetPoint, prolong_transition,
-                   restrict_to_zero_section, sample_points)
+                   restrict_to_zero_section, sample_points, sample_stream)
 from .legendre import admissibility_check, hamiltonian_at, legendre_chain
 from .report import Report, worst
 from .riemann import (
@@ -118,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--lagrangian", help="named lagrangian from the atlas")
     group.add_argument("--metric", help="lift this metric instead")
-    p.add_argument("--chart", help="chart of the metric presentation")
+    p.add_argument("--chart", help="chart of the presentation (default: first)")
     p.add_argument("--order", type=int, help="lift order when using --metric")
     p.add_argument("--jet", required=True)
     p.set_defaults(run=cmd_semispray)
@@ -176,10 +175,11 @@ def _parse_jet(spec, atlas, order):
     return leaf, base, tuple(jets)
 
 
-def _metric_family(atlas, name):
-    family = atlas.metrics.get(name)
+def _family(atlas, kind, name):
+    """The presentations {chart: field} of the atlas's `kind` `name`."""
+    family = getattr(atlas, f"{kind}s").get(name)
     if not family:
-        raise ValueError(f"atlas declares no metric named {name!r}")
+        raise ValueError(f"atlas declares no {kind} named {name!r}")
     return family
 
 
@@ -208,29 +208,22 @@ def cmd_prolong(args):
 
 def cmd_semispray(args):
     atlas = load_atlas_file(args.atlas)
-    if args.lagrangian:
-        L = atlas.lagrangians.get(args.lagrangian)
-        if L is None:
-            raise ValueError(f"unknown lagrangian {args.lagrangian!r}")
-        if args.order not in (None, L.order):
-            raise ValueError(f"lagrangian {args.lagrangian!r} has order "
-                             f"{L.order}, got --order {args.order}")
-        if args.chart is not None:
-            # an atlas lagrangian keeps no chart for --chart to name
-            raise ValueError("--chart names the chart of a --metric "
-                             "presentation; it does not apply to --lagrangian")
-        chart = ""
-    else:
-        if args.order is None:
-            raise ValueError("--metric needs --order")
-        family = _metric_family(atlas, args.metric)
-        chart = next(iter(family)) if args.chart is None else args.chart
-        if chart not in family:
-            raise ValueError(
-                f"metric {args.metric!r} has no presentation in chart "
-                f"{chart!r}"
-            )
+    kind, name = (("metric", args.metric) if args.lagrangian is None
+                  else ("lagrangian", args.lagrangian))
+    if kind == "metric" and args.order is None:
+        raise ValueError("--metric needs --order")
+    family = _family(atlas, kind, name)
+    chart = next(iter(family)) if args.chart is None else args.chart
+    if chart not in family:
+        raise ValueError(
+            f"{kind} {name!r} has no presentation in chart {chart!r}")
+    if kind == "metric":
         L = lift_lagrangian(family[chart], args.order)
+    else:
+        L = family[chart]
+        if args.order not in (None, L.order):
+            raise ValueError(f"lagrangian {name!r} has order {L.order}, "
+                             f"got --order {args.order}")
     leaf, base, jets = _parse_jet(args.jet, atlas, L.order)
     point = TransverseJetPoint(chart, L.order, leaf, base, jets)
     s = semispray(L, point)
@@ -241,7 +234,7 @@ def cmd_semispray(args):
 
 def cmd_lift(args):
     atlas = load_atlas_file(args.atlas)
-    family = _metric_family(atlas, args.metric)
+    family = _family(atlas, "metric", args.metric)
     charts = {}
     for chart, fld in family.items():
         L = lift_lagrangian(fld, args.order)
@@ -256,19 +249,13 @@ def cmd_lift(args):
     return 0
 
 
-def _sample_points(atlas, chart, samples, seed, salt, r, scale=1.0):
-    """`sample_points` in a chart, drawn from its own rng for each salt."""
-    rng = np.random.default_rng([int(seed), zlib.crc32(chart.encode()), salt])
-    return sample_points(rng, atlas.charts[chart].domain[atlas.p:], samples,
-                         r, atlas.q, scale)
-
-
 def _projector_checks(report, atlas, family, order, samples, seed, tol):
     for chart, fld in family.items():
         S = SemiSprayField.from_lagrangian(lift_lagrangian(fld, order))
         eye = np.eye((order + 1) * fld.qdim)
-        h, v = projector_pair(S, *_sample_points(atlas, chart, samples, seed,
-                                                 11, order))
+        h, v = projector_pair(S, *sample_points(
+            sample_stream(seed, chart, 11),
+            atlas.charts[chart].domain[atlas.p:], samples, order, atlas.q))
         most = (-2, -1)
         dev_sum = worst(0.0, np.abs(h + v - eye).max(axis=most))
         # per sample: h h - h, then v v - v, then h v
@@ -286,19 +273,20 @@ def _hamiltonian_checks(report, atlas, family, order, samples, seed, tol):
         L1 = lift_lagrangian(fld, 1)
         chain = legendre_chain(L)
         # each base draws its momentum as its one jet row, over no lower rows
-        base, jets = _sample_points(atlas, chart, samples, seed, 13, 1, 2.0)
+        domain = atlas.charts[chart].domain[atlas.p:]
+        base, jets = sample_points(sample_stream(seed, chart, 13), domain,
+                                   samples, 1, atlas.q, 2.0)
         lower, momentum = jets[..., :0, :], jets[..., 0, :]
         want = hamiltonian_at(L1, base, lower, momentum)
         dev = worst(0.0, np.abs(chain(base, momentum) - want))
         report.add("diagonal_hamiltonian", chart, dev, tol)
-        report.extend(admissibility_check(
-            L, samples=samples, seed=seed,
-            base_box=atlas.charts[chart].domain[atlas.p:]))
+        report.extend(admissibility_check(L, samples=samples, seed=seed,
+                                          base_box=domain))
 
 
 def cmd_certify(args):
     atlas = load_atlas_file(args.atlas)
-    family = _metric_family(atlas, args.metric)
+    family = _family(atlas, "metric", args.metric)
     report = Report(seed=int(args.seed))
     report.extend(validate_foliated(atlas, samples=args.samples,
                                     seed=args.seed, det_tol=args.tol_det,

@@ -52,8 +52,6 @@ __all__ = [
     "Unary",
     "Binary",
     "Call",
-    "VARIABLE_NAME",
-    "is_variable_name",
     "coordinate_names",
     "Graph",
 ]

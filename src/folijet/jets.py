@@ -11,6 +11,7 @@ plain classes, compared by identity and treated as immutable.
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 
@@ -107,16 +108,47 @@ def point_arrays(point):
             np.array(point.jets, dtype=float).reshape(len(point.jets), q))
 
 
+def sample_stream(seed, label, *salt):
+    """The generator of one sampled check: keyed by the seed, the CRC-32 of
+    the check's label and any salt integers, so each check, chart or
+    transition draws from a stream of its own."""
+    return np.random.default_rng(
+        [int(seed), zlib.crc32(label.encode()), *salt])
+
+
+def in_box(box, u):
+    """Uniform draws u (..., n) in [0, 1) as points lo + u (hi - lo) of a
+    box of n intervals [lo, hi]."""
+    box = np.asarray(box, dtype=float)
+    return box[:, 0] + u * (box[:, 1] - box[:, 0])
+
+
+def split_draws(box, u, scale=1.0):
+    """Uniform draws u (..., q + m) as a base (..., q) in a box of q
+    intervals and m jet entries in [-scale, scale]."""
+    q = len(box)
+    return in_box(box, u[..., :q]), in_box(((-scale, scale),), u[..., q:])
+
+
+def sample_box(box, n, seed, label):
+    """n points of `box` from the stream of `label`."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return in_box(box, sample_stream(seed, label).random((n, len(box))))
+
+
+def sample_overlap(transition, n, seed):
+    """Deterministic pseudo-random points inside the overlap box."""
+    return sample_box(transition.overlap, n, seed, transition.name)
+
+
 def sample_points(rng, box, samples, r, q, scale=1.0):
     """Base (B, q) in `box` and jets (B, r, q) in [-scale, scale] in one
     block, with the values of drawing sample by sample ``rng.random(q)``
     and ``rng.uniform(-scale, scale, (r, q))``, as ``uniform(lo, hi)`` is
     ``lo + (hi - lo) * random()``; one sample stays unbatched."""
-    box = np.asarray(box, dtype=float)
-    u = rng.random((samples, q + r * q))
-    base = box[:, 0] + u[:, :q] * (box[:, 1] - box[:, 0])
-    jets = -scale + 2.0 * scale * u[:, q:].reshape(samples, r, q)
-    return stack_samples(base), stack_samples(jets)
+    base, jets = split_draws(box, rng.random((samples, q + r * q)), scale)
+    return stack_samples(base), stack_samples(jets.reshape(samples, r, q))
 
 
 def jet_env(base, jets, seed=None):

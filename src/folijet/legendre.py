@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-import zlib
 from functools import reduce
 
 import numpy as np
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .expr import coordinate_names
 from .jets import (TransverseJetPoint, _check_rows, _finite_tuple,
-                   jet_columns, jet_env)
+                   jet_columns, jet_env, sample_stream, split_draws)
 from .report import Report, worst
 from .scalars import (Series, batch_of, broadcast, columns, raise_where,
                       second_order, space, stack_samples, value_of, where)
@@ -450,23 +449,18 @@ def _admissible_draws(L, rng, box, samples, env_at):
     a varying share of the stream, and draws jets that L excludes again, up
     to 50 times."""
     r, q = L.order, L.qdim
-    lo, width = box[:, 0], box[:, 1] - box[:, 0]
-
-    def scaled(u):  # `sample_points` of uniform draws, without its overhead
-        return lo + u[..., :q] * width, -1.0 + 2.0 * u[..., q:]
-
     uniform, redrawn, normal = [], [], []
     for _ in range(samples):
         uniform.append(rng.random(q + r * q))
         if L.excluded is not None:
-            base, jets = scaled(uniform[-1])
+            base, jets = split_draws(box, uniform[-1])
             for _ in range(50):
                 if float(L.excluded.eval(env_at(base, jets))) > 0.0:
                     break
                 jets = rng.uniform(-1.0, 1.0, r * q)
             redrawn.append(jets)
         normal.append(rng.standard_normal(r * q))
-    base, jets = scaled(stack_samples(uniform))
+    base, jets = split_draws(box, stack_samples(uniform))
     direction = stack_samples(normal)
     # a stacked d @ d takes each row's sum in np.linalg.norm's order
     norm = np.sqrt(direction[..., None, :] @ direction[..., :, None])
@@ -486,7 +480,6 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *,
     """
     r, q = L.order, L.qdim
     report = Report(seed=int(seed))
-    rng = np.random.default_rng([int(seed), zlib.crc32(b"admissible")])
     box = np.asarray(base_box, dtype=float)
     if box.shape != (q, 2):
         raise ShapeError("base_box must have one interval per coordinate")
@@ -509,8 +502,8 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *,
     ray_dev = 0.0
     ray_failures = 0
     if samples:
-        base, jets, direction = _admissible_draws(L, rng, box, samples,
-                                                  env_at)
+        base, jets, direction = _admissible_draws(
+            L, sample_stream(seed, "admissible"), box, samples, env_at)
         batch = len(base) if base.ndim == 2 else None
         zero = np.zeros_like(jets)
         if projectable:

@@ -40,10 +40,8 @@ class Check:
 class Report:
     __slots__ = ("seed", "tool_version", "checks")
 
-    def __init__(self, seed: int = 0, tool_version: str = __version__,
-                 checks: list | None = None):
-        self.seed, self.tool_version = seed, tool_version
-        self.checks = [] if checks is None else checks
+    def __init__(self, seed: int = 0):
+        self.seed, self.tool_version, self.checks = seed, __version__, []
 
     def add(self, name, context, metric, tolerance, direction="<="):
         if direction == "<=":

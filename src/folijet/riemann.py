@@ -18,7 +18,6 @@ and treated as immutable.
 
 from __future__ import annotations
 
-import zlib
 from functools import lru_cache
 from typing import Mapping
 
@@ -28,7 +27,8 @@ from .dynamics import LagrangianField, top_hessian
 from .errors import DomainError, InvariantViolation, ShapeError, SingularMetric
 from .expr import ExprProgram, Graph, coordinate_names, parse
 from .jets import (_check_in_overlap, _prolong, _prolong_jacobian,
-                   _taylor_env, point_arrays, sample_points)
+                   _taylor_env, point_arrays, sample_box, sample_overlap,
+                   sample_points, sample_stream)
 from .linalg import SINGULAR_TOLERANCE
 from .report import Report, worst
 from .scalars import columns, raise_where, stack_samples
@@ -101,12 +101,9 @@ class MetricField:
     def check_positive_definite(self, box):
         """Raise SingularMetric unless g is positive definite at 25 points
         of `box`, drawn from a stream fixed by the metric's name and chart."""
-        key = zlib.crc32(f"metric:{self.name}:{self.chart}".encode())
-        rng = np.random.default_rng([0, key])
-        box = np.asarray(box, dtype=float)
-        if box.shape != (self.qdim, 2):
+        if np.shape(box) != (self.qdim, 2):
             raise ShapeError("domain box must have one interval per coordinate")
-        pts = box[:, 0] + rng.random((25, self.qdim)) * (box[:, 1] - box[:, 0])
+        pts = sample_box(box, 25, 0, f"metric:{self.name}:{self.chart}")
         eig = np.linalg.eigvalsh(self.evaluate(pts)).min(axis=-1)
         raise_where(eig <= SINGULAR_TOLERANCE, SingularMetric,
                     "metric {!r} has eigenvalue {:.3e} at {}", self.name,
@@ -233,7 +230,7 @@ _lift_of = lru_cache(maxsize=64)(_Lift)  # one recursion per metric
 def _lift(g):
     """The lift recursion of g, kept per metric and keyed on the entries'
     source text, so a higher order continues from the stages built."""
-    return _lift_of(tuple(tuple(p.source or p.to_text() for p in row)
+    return _lift_of(tuple(tuple(p.source for p in row)
                           for row in g.components), g.qdim)
 
 
@@ -354,8 +351,6 @@ def holonomy_check(atlas, lifted, samples=25, seed=0, *,
                    tol=HOLONOMY_TOLERANCE) -> Report:
     """Transition-invariance of the lifted metric: DPhi^T G' DPhi == G,
     over all of a transition's samples at once."""
-    from .atlas import sample_overlap
-
     report = Report(seed=int(seed))
     r, p = lifted.order, atlas.p
     q = lifted.qdim
@@ -364,8 +359,7 @@ def holonomy_check(atlas, lifted, samples=25, seed=0, *,
                 or t.to_chart not in lifted.sources):
             continue
         pts = stack_samples(sample_overlap(t, samples, seed))
-        rng = np.random.default_rng(
-            [int(seed), zlib.crc32(t.name.encode()), 7])
+        rng = sample_stream(seed, t.name, 7)
         jets = stack_samples(rng.uniform(-1.0, 1.0, (samples, r, q)))
         leaf, base = pts[..., :p], pts[..., p:]
         _check_in_overlap(t, t.from_chart, leaf, base)
@@ -389,10 +383,10 @@ def vertical_exactness_check(lifted, L, samples=25, seed=0, *, base_box,
         raise ShapeError("lagrangian and lifted metric orders differ")
     if chart is None:
         chart = next(iter(lifted.sources))
-    rng = np.random.default_rng([int(seed), zlib.crc32(b"vexact"), 3])
     dev_max = 0.0
     if samples:
-        base, jets = sample_points(rng, base_box, samples, r, q)
+        base, jets = sample_points(sample_stream(seed, "vexact", 3),
+                                   base_box, samples, r, q)
         g_top = lifted.evaluate_at(chart, base, jets)[..., r * q:, r * q:]
         half_hess = 0.5 * top_hessian(L, base, jets)
         dev_max = worst(dev_max, np.abs(g_top - half_hess).max(axis=(-2, -1)))

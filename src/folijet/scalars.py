@@ -58,7 +58,7 @@ from .errors import DomainError, SpaceMismatch
 __all__ = ["Space", "Series", "space", "second_order", "value_of",
            "exp", "log", "sin", "cos", "tan", "sqrt", "atan",
            "power", "UNARY_FUNCTIONS", "raise_where", "batch_of",
-           "broadcast", "where", "columns", "stack_samples", "sample_error"]
+           "broadcast", "where", "columns", "stack_samples"]
 
 
 def raise_where(bad, error, message, *values):

@@ -19,10 +19,13 @@ replaced by block draws, one sample and one jet row at a time.
 as it ran before it became array arithmetic: one coroutine per sample,
 fed by one evaluation of the samples still searching per round, whose
 errors `samples_of` renames to the samples of the whole batch.
+`recoordinatize` rewrites an atlas document as text in new transverse
+coordinates, so that a certificate can be compared across coordinates.
 """
 
 import math
 import operator
+import re
 import sys
 import zlib
 from contextlib import contextmanager
@@ -623,3 +626,78 @@ def ray_levels_per_sample(value_at, phi_value, batch):
                 levels[s] = done.value
                 del pending[s]
     return levels
+
+
+# -- an atlas document in other transverse coordinates ----------------------
+
+# x = phi(z) on one coordinate, as texts over the placeholder {} (phi, its
+# inverse and its derivative), with the inverse as a float function for the
+# interval ends
+COORDINATE_MAPS = {
+    "exp": ("exp({})", "log({})", "exp({})", math.log),
+    "affine": ("(2*{} - 0.3)", "(({} + 0.3)/2)", "2", lambda x: (x + 0.3) / 2),
+    "flip": ("(0.5 - {})", "(0.5 - {})", "(0 - 1)", lambda x: 0.5 - x),
+    "cube": ("({}^3)", "({}^(1/3))", "(3*{}^2)", lambda x: x ** (1 / 3)),
+}
+
+
+def _substitute(text, values):
+    """`text` with every transverse coordinate x_i replaced by
+    values[i - 1], all in one pass."""
+    return re.sub(r"\bx([1-9][0-9]*)\b",
+                  lambda m: f"({values[int(m.group(1)) - 1]})", text)
+
+
+def recoordinatize(doc, maps, perm):
+    """The atlas document `doc` in the transverse coordinates z given in
+    every chart by x_i = phi_i(z_perm[i]), phi_i = COORDINATE_MAPS[maps[i]].
+
+    Boxes take the inverse images of their intervals, ends swapped for a
+    decreasing map; transitions are conjugated, metrics pulled back by the
+    diagonal Jacobian, and lagrangians dropped.  The z are named x1, x2, ...
+    in the result, as every atlas names its transverse coordinates.
+    """
+    p, q = doc["leaf_dim"], doc["transverse_dim"]
+    forward, inverse, derivative, pull = zip(
+        *(COORDINATE_MAPS[name] for name in maps))
+    z = [f"x{perm[i] + 1}" for i in range(q)]
+    x_of_z = [forward[i].format(z[i]) for i in range(q)]
+
+    def box(intervals):
+        out = list(intervals)
+        for i in range(q):
+            ends = sorted(pull[i](v) for v in intervals[p + i])
+            out[p + perm[i]] = ends
+        return out
+
+    def transverse(texts):
+        out = [None] * q
+        for i, text in enumerate(texts):
+            out[perm[i]] = inverse[i].format(
+                f"({_substitute(text, x_of_z)})")
+        return out
+
+    def pullback(rows):
+        out = [[None] * q for _ in range(q)]
+        for a in range(q):
+            for b in range(q):
+                out[perm[a]][perm[b]] = (
+                    f"{derivative[a].format(z[a])}*{derivative[b].format(z[b])}"
+                    f"*({_substitute(str(rows[a][b]), x_of_z)})")
+        return out
+
+    return {
+        "leaf_dim": p,
+        "transverse_dim": q,
+        "charts": [dict(c, domain=box(c["domain"])) for c in doc["charts"]],
+        "transitions": [
+            dict(t, overlap=box(t["overlap"]),
+                 leaf_exprs=[_substitute(e, x_of_z)
+                             for e in t.get("leaf_exprs", [])],
+                 transverse_exprs=transverse(t["transverse_exprs"]))
+            for t in doc["transitions"]],
+        "triples": [dict(t, overlap=box(t["overlap"]))
+                    for t in doc.get("triples", [])],
+        "metrics": [dict(m, components=pullback(m["components"]))
+                    for m in doc.get("metrics", [])],
+    }

@@ -16,6 +16,7 @@ from folijet.atlas import (COCYCLE_TOLERANCE, DET_TOLERANCE,
 from folijet.cli import (HAMILTONIAN_TOLERANCE, PROJECTOR_TOLERANCE,
                          build_parser, main)
 from folijet.riemann import EXACTNESS_TOLERANCE, HOLONOMY_TOLERANCE
+from oracles import recoordinatize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -83,11 +84,25 @@ NUMERIC_BREAKS = {
     "metric_not_finite": with_metric("1e200*1e200*x1 + 1"),
 }
 
+
+def lagrangian(chart, order, expr="y1_1^2"):
+    """A presentation of the lagrangian family "L" in `chart`."""
+    return {"name": "L", "chart": chart, "order": order, "expr": expr}
+
+
 SCHEMA_BREAKS = {
     "chart_without_name": lambda doc: doc["charts"][0].pop("name"),
     "transition_without_overlap":
         lambda doc: doc["transitions"][0].pop("overlap"),
     "metrics_as_dict": lambda doc: doc.update(metrics={"g": {"A": [["1"]]}}),
+    "lagrangians_as_null": lambda doc: doc.update(lagrangians=None),
+    "metric_presented_twice_in_a_chart": lambda doc: doc.update(metrics=[
+        {"name": "g", "chart": "A", "components": [["1"]]},
+        {"name": "g", "chart": "A", "components": [["2"]]}]),
+    "lagrangian_presented_twice_in_a_chart": lambda doc: doc.update(
+        lagrangians=[lagrangian("A", 1), lagrangian("A", 1, "2*y1_1^2")]),
+    "lagrangian_family_of_mixed_order": lambda doc: doc.update(
+        lagrangians=[lagrangian("A", 1), lagrangian("B", 2)]),
     "leaf_dim_not_an_integer": lambda doc: doc.update(leaf_dim=[0]),
     "interval_bound_not_a_number":
         lambda doc: doc["charts"][0].update(domain=[[None, 2.0]]),
@@ -203,20 +218,42 @@ def test_semispray_named_lagrangian(capsys, atlas_dir):
                         "--lagrangian", "flat2", "--order", "2",
                         "--jet", "u=0;x=1;y1=0.9;y2=0.2")
     assert (code, same) == (0, out)
+    # --chart picks a presentation of the family, by default the first
+    code, same, _ = run(capsys, "semispray", str(atlas_dir / "cubic.json"),
+                        "--lagrangian", "flat2", "--chart", "A",
+                        "--jet", "u=0;x=1;y1=0.9;y2=0.2")
+    assert (code, same) == (0, out)
+    assert payload["point"]["chart"] == "A"
     code, out, err = run(capsys, "semispray", str(atlas_dir / "cubic.json"),
                          "--lagrangian", "flat2", "--order", "3",
                          "--jet", "x=1;y1=0.5")
     assert (code, out) == (2, "")
     assert err == "error: lagrangian 'flat2' has order 2, got --order 3\n"
-    # an atlas lagrangian keeps no chart, so --chart has nothing to name
     for chart in ("Nope", "B"):
         code, out, err = run(capsys, "semispray",
                              str(atlas_dir / "cubic.json"),
                              "--lagrangian", "flat2", "--chart", chart,
                              "--jet", "x=5;y1=1;y2=0.2")
         assert (code, out) == (2, "")
-        assert err == ("error: --chart names the chart of a --metric "
-                       "presentation; it does not apply to --lagrangian\n")
+        assert err == (f"error: lagrangian 'flat2' has no presentation in "
+                       f"chart '{chart}'\n")
+
+
+def test_semispray_evaluates_the_presentation_in_its_chart(capsys, tmp_path):
+    doc = two_chart_doc()
+    # S = y1 (y2 - 1) / (6 x1) for chart B's presentation at order 2
+    doc["lagrangians"] = [lagrangian("A", 2, "y1_1^2 + y2_1^2"),
+                          lagrangian("B", 2, "y1_1^2 + x1*y2_1^2")]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    jet = "x=2;y1=0.9;y2=0.2"
+    for chart, want in (("A", -0.9 / 6.0), ("B", 0.9 * (0.2 - 1.0) / 12.0)):
+        code, out, _ = run(capsys, "semispray", str(path), "--lagrangian",
+                           "L", "--chart", chart, "--jet", jet)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["point"]["chart"] == chart
+        assert payload["components"][0] == pytest.approx(want)
 
 
 def test_semispray_metric_lift(capsys, atlas_dir):
@@ -641,3 +678,33 @@ def test_certify_exit_contract_under_mutation(tmp_path_factory, doc):
 def test_certify_exit_contract_under_metric_mutation(tmp_path_factory, doc):
     # order 2, so the chain hands a shifted guess to its inner stage
     assert _certify_exit_codes(tmp_path_factory, doc, 2) <= {0, 1, 2}
+
+
+# (atlas, metric, coordinate maps, permutation) of `recoordinatize`
+RECOORDINATIZED = {
+    "cubic_g_exp": ("cubic", "g", ["exp"], [0]),
+    "cubic_g_flip": ("cubic", "g", ["flip"], [0]),
+    "cubic_g_bad_cube": ("cubic", "g_bad", ["cube"], [0]),
+    "shear2_exp_affine_swapped": ("shear2", "g", ["exp", "affine"], [1, 0]),
+    "shear2_affine_flip": ("shear2", "g", ["affine", "flip"], [0, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECOORDINATIZED))
+def test_certify_is_the_same_in_other_transverse_coordinates(
+        capsys, tmp_path, atlas_dir, case):
+    name, metric, maps, perm = RECOORDINATIZED[case]
+    original = atlas_dir / f"{name}.json"
+    rewritten = tmp_path / f"{case}.json"
+    rewritten.write_text(json.dumps(recoordinatize(
+        json.loads(original.read_text()), maps, perm)))
+
+    def certify(path, r):
+        code, out, _ = run(capsys, "certify", str(path), "--metric", metric,
+                           "--order", str(r), "--samples", "10",
+                           "--seed", "3")
+        return code, [(c["name"], c["context"], c["pass"])
+                      for c in json.loads(out)["checks"]]
+
+    for r in (1, 2, 3):
+        assert certify(rewritten, r) == certify(original, r)

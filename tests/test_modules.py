@@ -29,3 +29,15 @@ def test_module_exports_resolve_and_imports_are_used(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported) - used - set(exported))
     assert unused == [], [f"line {imported[n]}: {n}" for n in unused]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_modules_import_only_at_module_level(name):
+    # an import inside a function or class hides a cycle in the module graph
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    nested = [node.lineno for top in tree.body
+              if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+              for node in ast.walk(top)
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == [], f"{name}.py imports inside a body at lines {nested}"

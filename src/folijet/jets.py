@@ -108,12 +108,60 @@ def point_arrays(point):
             np.array(point.jets, dtype=float).reshape(len(point.jets), q))
 
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(z):
+    """The SplitMix64 output function of a uint64 array, wrapping."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+class Stream:
+    """A counter-based SplitMix64 stream (Steele, Lea & Flood, OOPSLA 2014):
+    draw c is mix(key + (c + 1) gamma), a pure function of (key, c).  Each
+    call takes the next draws in C order, so one block of draws holds the
+    values that drawing it row by row gives."""
+
+    __slots__ = ("key", "count")
+
+    def __init__(self, key):
+        self.key = np.array([key], dtype=np.uint64)
+        self.count = 0
+
+    def bits(self, shape):
+        """The next draws as uint64, in C order over `shape`."""
+        n = int(np.prod(shape))
+        c = np.arange(self.count + 1, self.count + n + 1, dtype=np.uint64)
+        self.count += n
+        return _mix(self.key + c * _GAMMA).reshape(shape)
+
+    def random(self, shape):
+        """Uniforms in [0, 1): the top 53 bits of each draw."""
+        return (self.bits(shape) >> np.uint64(11)) * 2.0 ** -53
+
+    def uniform(self, lo, hi, shape):
+        return lo + (hi - lo) * self.random(shape)
+
+    def standard_normal(self, shape):
+        """Box-Muller normals, each from the two draws (u1, u2) that follow
+        the previous normal's."""
+        u1, u2 = self.random((int(np.prod(shape)), 2)).T
+        return (np.sqrt(-2.0 * np.log1p(-u1))
+                * np.cos(2.0 * np.pi * u2)).reshape(shape)
+
+
 def sample_stream(seed, label, *salt):
-    """The generator of one sampled check: keyed by the seed, the CRC-32 of
+    """The stream of one sampled check: keyed by the seed, the CRC-32 of
     the check's label and any salt integers, so each check, chart or
-    transition draws from a stream of its own."""
-    return np.random.default_rng(
-        [int(seed), zlib.crc32(label.encode()), *salt])
+    transition draws from a stream of its own.  Each key part, taken
+    modulo 2^64, moves the key (from 0) to draw 0 of the stream keyed
+    key + part."""
+    key = np.zeros(1, dtype=np.uint64)
+    for part in (int(seed), zlib.crc32(label.encode()), *salt):
+        key = _mix(key + np.uint64(part % 2 ** 64) + _GAMMA)
+    return Stream(key[0])
 
 
 def in_box(box, u):

@@ -443,29 +443,29 @@ def _ray_level(value_at, phi_value, batch):
     return np.where(missing, None, level).tolist()
 
 
-def _admissible_draws(L, rng, box, samples, env_at):
+def _admissible_draws(L, seed, box, samples, env_at):
     """Base, jets (B, r q) in [-1, 1] and unit ray direction of each
-    sample; the loop holds the generator calls, as ``standard_normal`` takes
-    a varying share of the stream, and draws jets that L excludes again, up
-    to 50 times."""
+    sample, each kind in one block of the stream of "admissible": every
+    base with its jets, then every direction.  Jets that L excludes are
+    drawn again, up to 50 times: attempt a draws a block from the stream
+    salted a and keeps the rows of the samples still excluded."""
     r, q = L.order, L.qdim
-    uniform, redrawn, normal = [], [], []
-    for _ in range(samples):
-        uniform.append(rng.random(q + r * q))
-        if L.excluded is not None:
-            base, jets = split_draws(box, uniform[-1])
-            for _ in range(50):
-                if float(L.excluded.eval(env_at(base, jets))) > 0.0:
-                    break
-                jets = rng.uniform(-1.0, 1.0, r * q)
-            redrawn.append(jets)
-        normal.append(rng.standard_normal(r * q))
-    base, jets = split_draws(box, stack_samples(uniform))
-    direction = stack_samples(normal)
+    stream = sample_stream(seed, "admissible")
+    base, jets = split_draws(box, stream.random((samples, q + r * q)))
+    direction = stream.standard_normal((samples, r * q))
+    if L.excluded is not None:
+        pending = np.arange(samples)
+        for attempt in range(1, 51):
+            kept = value_of(L.excluded.eval(
+                env_at(base[pending], jets[pending]))) > 0.0
+            pending = pending[~np.broadcast_to(kept, pending.shape)]
+            if not len(pending):
+                break
+            jets[pending] = sample_stream(seed, "admissible", attempt) \
+                .uniform(-1.0, 1.0, (samples, r * q))[pending]
     # a stacked d @ d takes each row's sum in np.linalg.norm's order
     norm = np.sqrt(direction[..., None, :] @ direction[..., :, None])
-    return (base, stack_samples(redrawn) if redrawn else jets,
-            direction / norm[..., 0])
+    return tuple(map(stack_samples, (base, jets, direction / norm[..., 0])))
 
 
 def admissibility_check(L, phi=None, samples=25, seed=0, *,
@@ -475,7 +475,7 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *,
     (a) positive-definite vertical Hessian, (b) nonnegativity with zero on
     the zero section, (c) projectability (no leaf-coordinate dependence),
     (d) a prescribed basic level phi (default 1) attained along random
-    fiber rays.  The samples are drawn one by one, then each condition is
+    fiber rays.  The samples are drawn in blocks, then each condition is
     evaluated over all of them at once.
     """
     r, q = L.order, L.qdim
@@ -502,8 +502,8 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *,
     ray_dev = 0.0
     ray_failures = 0
     if samples:
-        base, jets, direction = _admissible_draws(
-            L, sample_stream(seed, "admissible"), box, samples, env_at)
+        base, jets, direction = _admissible_draws(L, seed, box, samples,
+                                                  env_at)
         batch = len(base) if base.ndim == 2 else None
         zero = np.zeros_like(jets)
         if projectable:

@@ -350,13 +350,18 @@ def sample_jets(rng, r, q, scale=1.0):
 def holonomy_check(atlas, lifted, samples=25, seed=0, *,
                    tol=HOLONOMY_TOLERANCE) -> Report:
     """Transition-invariance of the lifted metric: DPhi^T G' DPhi == G,
-    over all of a transition's samples at once."""
+    over all of a transition's samples at once.  A transition from or to a
+    chart where the metric has no presentation fails, with the number of
+    such charts as its metric."""
     report = Report(seed=int(seed))
     r, p = lifted.order, atlas.p
     q = lifted.qdim
     for t in atlas.transitions.values():
-        if (t.from_chart not in lifted.sources
-                or t.to_chart not in lifted.sources):
+        missing = [c for c in dict.fromkeys((t.from_chart, t.to_chart))
+                   if c not in lifted.sources]
+        if missing:
+            report.add("holonomy", f"{t.name} (no presentation in chart "
+                       f"{' or '.join(missing)})", float(len(missing)), tol)
             continue
         pts = stack_samples(sample_overlap(t, samples, seed))
         rng = sample_stream(seed, t.name, 7)

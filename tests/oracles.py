@@ -14,7 +14,9 @@ same elemental calls as the tape.  `full_space_spray_jacobian` is the
 spray Jacobian as it was computed before `Series.split` returned parts
 over the space of the other groups: every part in the whole space.  The
 `*_draws` functions are the per-sample draw loops that the sampled checks
-replaced by block draws, one sample and one jet row at a time.
+replaced by block draws, one sample and one jet row at a time, over
+`SplitMix64`, the stream generator in plain int arithmetic, one draw at a
+time.
 `ray_levels_per_sample` is the ray search of admissibility condition (d)
 as it ran before it became array arithmetic: one coroutine per sample,
 fed by one evaluation of the samples still searching per round, whose
@@ -480,6 +482,57 @@ def full_space_spray_jacobian(L, base, jets):
 
 # -- per-sample draws --------------------------------------------------------
 
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z):
+    """The SplitMix64 output function of a 64-bit int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+class SplitMix64:
+    """Draws of the stream keyed `key` one at a time from draw `start`:
+    draw c is splitmix64(key + (c + 1) gamma).  The normals take numpy's
+    log1p and cos, as libm's log1p differs from numpy's in the last bit
+    for some arguments."""
+
+    def __init__(self, key, start=0):
+        self.key, self.count = key, start
+
+    @classmethod
+    def of(cls, seed, label, *salt, start=0):
+        """The stream of a check: from key 0, each part p (seed, CRC-32 of
+        the label, salts) makes draw 0 of the stream keyed key + p the
+        key."""
+        key = 0
+        for part in (seed, zlib.crc32(label.encode()), *salt):
+            key = splitmix64((key + part + GAMMA) & MASK64)
+        return cls(key, start)
+
+    def next(self):
+        self.count += 1
+        return splitmix64((self.key + self.count * GAMMA) & MASK64)
+
+    def unit(self):
+        return (self.next() >> 11) * 2.0 ** -53
+
+    def random(self, n):
+        return np.array([self.unit() for _ in range(n)])
+
+    def uniform(self, lo, hi, n):
+        return np.array([lo + (hi - lo) * self.unit() for _ in range(n)])
+
+    def standard_normal(self, n):
+        out = []
+        for _ in range(n):
+            u1, u2 = self.unit(), self.unit()
+            out.append(np.sqrt(-2.0 * np.log1p(-u1))
+                       * np.cos(2.0 * np.pi * u2))
+        return np.array(out)
+
 
 def _stacked(rows):
     """Per-sample rows on a batch axis; one sample stays unbatched."""
@@ -497,7 +550,7 @@ def jet_rows(rng, r, q, scale=1.0):
 
 
 def _chart_draws(atlas, chart, samples, seed, salt, draw_rest):
-    rng = np.random.default_rng([seed, zlib.crc32(chart.encode()), salt])
+    rng = SplitMix64.of(seed, chart, salt)
     box = atlas.charts[chart].domain[atlas.p:]
     drawn = [(_box_point(rng, box), draw_rest(rng))
              for _ in range(samples)]
@@ -518,36 +571,43 @@ def hamiltonian_draws(atlas, chart, samples, seed):
 
 def holonomy_draws(transition, samples, seed, r, q):
     """The jets of the holonomy check on a transition."""
-    rng = np.random.default_rng(
-        [seed, zlib.crc32(transition.name.encode()), 7])
+    rng = SplitMix64.of(seed, transition.name, 7)
     return _stacked([jet_rows(rng, r, q) for _ in range(samples)])
 
 
 def vertical_exactness_draws(box, samples, seed, r, q, jet_scale):
     """Bases and jets of the vertical-exactness check."""
-    rng = np.random.default_rng([seed, zlib.crc32(b"vexact"), 3])
+    rng = SplitMix64.of(seed, "vexact", 3)
     drawn = [(_box_point(rng, box), jet_rows(rng, r, q, jet_scale))
              for _ in range(samples)]
     return tuple(map(_stacked, zip(*drawn)))
 
 
 def admissible_draws(L, box, samples, seed, jet_scale):
-    """Bases, jets (r q) and unit ray directions of the admissibility check;
-    jets that L excludes are drawn again, up to 50 times."""
+    """Bases, jets (r q) and unit ray directions of the admissibility check,
+    each sample read at its own draws: its base and jets, then, after every
+    sample's, its direction, from the stream of "admissible"; jets that L
+    excludes are drawn again, up to 50 times, attempt a from the stream
+    salted a at the sample's row."""
     r, q = L.order, L.qdim
-    rng = np.random.default_rng([seed, zlib.crc32(b"admissible")])
+    m = r * q
     names = coordinate_names(q, r)
     drawn = []
-    for _ in range(samples):
+    for i in range(samples):
+        rng = SplitMix64.of(seed, "admissible", start=i * (q + m))
         base = _box_point(rng, box)
-        jets = rng.uniform(-jet_scale, jet_scale, r * q)
+        jets = rng.uniform(-jet_scale, jet_scale, m)
         if L.excluded is not None:
-            for _ in range(50):
+            for attempt in range(1, 51):
                 env = dict(zip(names, [*base, *jets]))
                 if float(L.excluded.eval(env)) > 0.0:
                     break
-                jets = rng.uniform(-jet_scale, jet_scale, r * q)
-        direction = rng.standard_normal(r * q)
+                jets = SplitMix64.of(seed, "admissible", attempt,
+                                     start=i * m).uniform(-jet_scale,
+                                                          jet_scale, m)
+        direction = SplitMix64.of(seed, "admissible",
+                                  start=samples * (q + m) + 2 * i * m
+                                  ).standard_normal(m)
         direction /= np.linalg.norm(direction)
         drawn.append((base, jets, direction))
     return tuple(map(_stacked, zip(*drawn)))

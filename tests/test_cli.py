@@ -289,6 +289,21 @@ def test_certify_generates_no_dataclass_code(atlas_dir):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_certify_and_validate_leave_numpy_random_out(atlas_dir):
+    # the sampled checks draw from SplitMix64 streams in plain numpy
+    # arithmetic; numpy.random would bring secrets, hmac and OpenSSL with it
+    argvs = [["certify", str(atlas_dir / "cubic.json"), "--metric", "g",
+              "--order", "1", "--samples", "2"],
+             ["validate", str(atlas_dir / "triple.json")]]
+    proc = run_process("-c", "import sys, folijet.cli; "
+                       f"assert all(folijet.cli.main(a) == 0 "
+                       f"for a in {argvs!r}); "
+                       "got = {'numpy.random', 'secrets', 'hashlib'} "
+                       "& set(sys.modules); "
+                       "assert not got, got")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lift_emits_programs(capsys, atlas_dir):
     code, out, _ = run(capsys, "lift", str(atlas_dir / "plane.json"),
                        "--metric", "flat", "--order", "2")
@@ -397,6 +412,22 @@ def test_certify_negative_control(capsys, atlas_dir):
     report = json.loads(out)
     failing = {c["name"] for c in report["checks"] if not c["pass"]}
     assert "holonomy" in failing
+
+
+def test_certify_fails_a_metric_missing_from_a_chart(capsys, tmp_path,
+                                                    atlas_dir):
+    doc = json.loads((atlas_dir / "cubic.json").read_text())
+    doc["metrics"] = [m for m in doc["metrics"]
+                      if (m["name"], m["chart"]) == ("g", "A")]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "certify", str(path), "--metric", "g",
+                       "--order", "2", "--samples", "5")
+    assert code == 1
+    failed = [(c["name"], c["context"], c["metric"])
+              for c in json.loads(out)["checks"] if not c["pass"]]
+    assert failed == [("holonomy", "A->B (no presentation in chart B)", 1.0),
+                      ("holonomy", "B->A (no presentation in chart B)", 1.0)]
 
 
 def test_certify_deterministic(tmp_path, atlas_dir, capsys):

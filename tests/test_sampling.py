@@ -1,9 +1,10 @@
 """Block draws of the sampled checks against the per-sample draw loops.
 
-Every sampled check draws its points in one block (the admissibility check
-in one `random` call per sample); each must see exactly the values that
-drawing one sample, and one jet row, at a time gives (see `oracles`), and
-one sample must stay an unbatched point.
+Every sampled check draws its points in blocks from a counter-based
+SplitMix64 stream; each must see exactly the values that drawing one
+sample, and one jet row, at a time gives (see `oracles`), and one sample
+must stay an unbatched point.  The stream itself is checked against the
+published SplitMix64 values and against the oracle's int arithmetic.
 """
 
 import numpy as np
@@ -13,15 +14,52 @@ from folijet import cli, legendre, riemann
 from folijet.atlas import load_atlas_file, sample_overlap
 from folijet.dynamics import LagrangianField
 from folijet.expr import parse
+from folijet.jets import Stream, sample_stream
 from folijet.riemann import lift_lagrangian, lift_metric, sample_jets
-from oracles import (admissible_draws, hamiltonian_draws, holonomy_draws,
-                     jet_rows, projector_draws, vertical_exactness_draws)
+from oracles import (SplitMix64, admissible_draws, hamiltonian_draws,
+                     holonomy_draws, jet_rows, projector_draws,
+                     vertical_exactness_draws)
 
 SAMPLES = [1, 2, 150]
 # the checks draw jets in [-1, 1]; the oracles are given that scale
 JET_SCALES = [1.0]
 # a box away from the unit box, where the shear2 metric is positive definite
 BOX = [[-0.4, 0.9], [1.5, 4.0]]
+
+
+# (seed, label, salt): the keys of the checks, a large seed, a long salt
+KEYS = [(0, "admissible", ()), (3, "A->B", (7,)), (5, "vexact", (3,)),
+        (7, "admissible", (50,)), (2 ** 64 - 1, "B", (11,)),
+        (12345, "triple:A->B|B->C|A->C", (1, 2, 3))]
+DRAWS = 10 ** 4
+
+
+def test_stream_gives_the_published_splitmix64_values():
+    want = [6457827717110365317, 3203168211198807973, 9817491932198370423]
+    assert Stream(1234567).bits(3).tolist() == want
+    oracle = SplitMix64(1234567)
+    assert [oracle.next() for _ in want] == want
+
+
+@pytest.mark.parametrize("seed,label,salt", KEYS)
+def test_stream_matches_the_int_arithmetic_oracle(seed, label, salt):
+    # every draw bit for bit, over blocks of several shapes in a row
+    got = sample_stream(seed, label, *salt)
+    want = SplitMix64.of(seed, label, *salt)
+    assert got.bits(DRAWS).tolist() == [want.next() for _ in range(DRAWS)]
+    same(got.random((DRAWS // 4, 4)).reshape(-1), want.random(DRAWS))
+    same(got.uniform(-2.5, 0.5, DRAWS), want.uniform(-2.5, 0.5, DRAWS))
+    same(got.standard_normal((2, DRAWS // 4)).reshape(-1),
+         want.standard_normal(DRAWS // 2))
+    assert got.count == want.count == 4 * DRAWS
+
+
+def test_stream_uniforms_and_normals_look_right():
+    u = sample_stream(1, "moments").random(DRAWS)
+    assert u.min() >= 0.0 and u.max() < 1.0
+    assert abs(u.mean() - 0.5) < 0.02 and abs(u.var() - 1 / 12) < 0.01
+    z = sample_stream(1, "moments").standard_normal(DRAWS)
+    assert abs(z.mean()) < 0.05 and abs(z.std() - 1.0) < 0.05
 
 
 def spy(monkeypatch, module, name):

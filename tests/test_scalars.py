@@ -332,7 +332,7 @@ def test_integer_power_names_first_sample_that_fails_alone(e):
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
-def test_batched_solve_pivots_each_sample_on_its_own(q):
+def test_batched_solve_matches_each_sample_alone(q):
     from folijet.linalg import solve
 
     rng = np.random.default_rng(q)

@@ -26,7 +26,7 @@ def run():
                                tuple((0.3 * k,) for k in range(1, R + 1)))
     G = lift_metric(flat, R)
     print(f"flat lift, r={R}: max |G - I| =",
-          np.max(np.abs(G(point) - np.eye(R + 1))))
+          np.max(np.abs(G.evaluate(point) - np.eye(R + 1))))
 
     expg = MetricField.from_components([["exp(x1)"]], 1, name="exp")
     L = lift_lagrangian(expg, R)
@@ -38,8 +38,9 @@ def run():
         print(f"connection coefficient M_({k}):",
               [[prog.to_text() for prog in row] for row in mat])
     print("\nlifted metric at", point.to_dict())
-    print(np.array_str(lifted(point), precision=6, suppress_small=True))
-    restricted = restrict_to_zero_section(lifted, R, (), (0.7,))
+    print(np.array_str(lifted.evaluate(point), precision=6,
+                       suppress_small=True))
+    restricted = restrict_to_zero_section(lifted.evaluate, R, (), (0.7,))
     print("zero-section restriction:", restricted,
           "vs g(0.7) =", expg.evaluate((0.7,)))
 

@@ -50,10 +50,11 @@ def _field(entry, key, what, kind=None):
 
 
 def _int_field(entry, key, what):
-    try:
-        return int(_field(entry, key, what))
-    except (TypeError, ValueError) as err:
-        raise SchemaError(f"{what}: {key!r} must be an integer") from err
+    """entry[key] as a JSON integer; 1.5, true or "1" is a SchemaError."""
+    value = _field(entry, key, what)
+    if type(value) is not int:
+        raise SchemaError(f"{what}: {key!r} must be an integer")
+    return value
 
 
 def _entries(document, key):
@@ -122,26 +123,17 @@ class TripleOverlap:
 
 
 class FoliatedAtlas:
-    __slots__ = ("leaf_dim", "transverse_dim", "charts", "transitions",
-                 "triples", "metrics", "lagrangians")
+    __slots__ = ("p", "q", "charts", "transitions", "triples", "metrics",
+                 "lagrangians")
 
-    def __init__(self, leaf_dim: int, transverse_dim: int,
-                 charts: Mapping[str, Chart],
+    def __init__(self, p: int, q: int, charts: Mapping[str, Chart],
                  transitions: Mapping[str, Transition], triples: tuple,
                  metrics: Mapping[str, Mapping[str, MetricField]],
                  lagrangians: Mapping[str, Mapping[str, LagrangianField]]):
-        self.leaf_dim, self.transverse_dim = leaf_dim, transverse_dim
+        self.p, self.q = p, q  # the leaf and transverse dimensions
         self.charts, self.transitions = charts, transitions
         self.triples = triples
         self.metrics, self.lagrangians = metrics, lagrangians
-
-    @property
-    def p(self):
-        return self.leaf_dim
-
-    @property
-    def q(self):
-        return self.transverse_dim
 
 
 def _parse_exprs(texts, where):
@@ -325,10 +317,9 @@ def _apply(atlas, transition, points):
 
 
 def _gaps(a, b):
-    """Largest entry gap between points, per sample: `max` over the
-    entries in order."""
-    gaps = np.abs(np.subtract(a, b)).reshape(-1, np.shape(a)[-1])
-    return [max(row) for row in gaps.tolist()]
+    """Largest entry gap between points, per sample; NaN where any gap
+    is."""
+    return np.abs(np.subtract(a, b)).max(axis=-1)
 
 
 def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,

@@ -11,8 +11,8 @@ Conventions used throughout:
   with h the vertical Hessian; the associated fiber vector field is
   Gamma_S = (y^(1), 2 y^(2), ..., r y^(r), (r+1) S).
 
-Lagrangian and spray fields, Hessian data and connection coefficients are
-plain classes, compared by identity and treated as immutable.
+Lagrangian and spray fields are plain classes, compared by identity and
+treated as immutable.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .scalars import columns, raise_where, second_order, space, value_of
 __all__ = [
     "LagrangianField",
     "SemiSprayField",
-    "ConnectionCoefficients",
-    "HessianInfo",
     "vertical_hessian",
     "semispray",
     "dual_coefficients",
@@ -133,17 +131,6 @@ class LagrangianField:
         return float(self.program.eval(jet_env(point.base, point.jets)))
 
 
-class HessianInfo:
-    __slots__ = ("matrix", "det", "min_eigenvalue", "regular",
-                 "positive_definite")
-
-    def __init__(self, matrix: np.ndarray, det: float, min_eigenvalue: float,
-                 regular: bool, positive_definite: bool):
-        self.matrix, self.det = matrix, det
-        self.min_eigenvalue = min_eigenvalue
-        self.regular, self.positive_definite = regular, positive_definite
-
-
 def top_hessian(L, base, jets):
     """The vertical Hessian of L at base (q,) and jets (r, q), or at a batch
     of points as (B, q, q)."""
@@ -152,16 +139,12 @@ def top_hessian(L, base, jets):
     return float_matrix(top_row_derivatives(L, x, rows[:-1], rows[-1])[2])
 
 
-def vertical_hessian(L, point) -> HessianInfo:
-    """Second partials of L in its top-order jet variables."""
+def vertical_hessian(L, point) -> np.ndarray:
+    """Second partials of L in its top-order jet variables, as a (q, q)
+    matrix."""
     L._check_shape(point)
     _, base, jets = point_arrays(point)
-    hess = top_hessian(L, base, jets)
-    det = float(np.linalg.det(hess))
-    min_eig = float(np.linalg.eigvalsh(hess).min())
-    return HessianInfo(hess, det, min_eig,
-                       regular=abs(det) > linalg.SINGULAR_TOLERANCE,
-                       positive_definite=min_eig > linalg.SINGULAR_TOLERANCE)
+    return top_hessian(L, base, jets)
 
 
 def _semispray_scalars(L, base, jets, lifted=False):
@@ -197,7 +180,7 @@ def _semispray_scalars(L, base, jets, lifted=False):
                 y_val = tangent.seed(yk[i], k * q + i) if lifted else yk[i]
                 gamma_term = gamma_term + k * y_val * hess[r * q + v][(k - 1) * q + i]
         lower = grad[(r - 1) * q + v]
-        rhs.append([gamma_term - lower])
+        rhs.append(gamma_term - lower)
     try:
         sol = linalg.solve(h, rhs)
     except SingularHessian as err:
@@ -206,7 +189,7 @@ def _semispray_scalars(L, base, jets, lifted=False):
             f"singular: {err}"
         ) from None
     scale = 1.0 / (2.0 * (r + 1))
-    return [scale * sol[u, 0] for u in range(q)]
+    return [scale * s for s in sol]
 
 
 def semispray(L, point):
@@ -240,10 +223,6 @@ class SemiSprayField:
     def qdim(self):
         return self.lagrangian.qdim
 
-    def components(self, point):
-        self._check(point)
-        return semispray(self.lagrangian, point)
-
     def jacobian(self, point):
         """d S^u / d(fiber coordinates) as a (q, (r+1)q) float matrix."""
         self._check(point)
@@ -266,16 +245,6 @@ class SemiSprayField:
             )
 
 
-class ConnectionCoefficients:
-    """Dual connection coefficients at a point: M is a tuple of r matrices,
-    indexed so that entry k-1 is the coefficient written M_(k)."""
-
-    __slots__ = ("order", "M")
-
-    def __init__(self, order: int, M: tuple):
-        self.order, self.M = order, M
-
-
 def _spray_jacobian(S, base, jets):
     """d Gamma_S / d(fiber coordinates) as a dense (r+1)q square matrix, or
     a batch of them."""
@@ -290,15 +259,14 @@ def _spray_jacobian(S, base, jets):
     return A
 
 
-def dual_coefficients(S, point) -> ConnectionCoefficients:
-    """Dual connection coefficients M_(k) = -dS/dy^(r+1-k)."""
+def dual_coefficients(S, point) -> tuple:
+    """Dual connection coefficients M_(k) = -dS/dy^(r+1-k), as the tuple
+    (M_(1), ..., M_(r)) of (q, q) matrices."""
     r, q = S.order, S.qdim
     grads = S.jacobian(point)
-    M = []
-    for k in range(1, r + 1):
-        j = r + 1 - k  # M_(k) differentiates against y^(j)
-        M.append(-grads[:, j * q:(j + 1) * q].copy())
-    return ConnectionCoefficients(r, M=tuple(M))
+    # M_(k) differentiates against y^(j), j = r + 1 - k
+    return tuple(-grads[:, j * q:(j + 1) * q]
+                 for j in range(r, 0, -1))
 
 
 def projectors(S, point):

@@ -48,8 +48,6 @@ __all__ = [
     "parse",
     "Num",
     "Var",
-    "Const",
-    "Unary",
     "Binary",
     "Call",
     "coordinate_names",
@@ -100,20 +98,6 @@ class Var:
 
     def __init__(self, name: str):
         self.name = name
-
-
-class Const:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name  # "pi" or "e"
-
-
-class Unary:
-    __slots__ = ("op", "arg")
-
-    def __init__(self, op: str, arg: Any):
-        self.op, self.arg = op, arg  # op is "-"
 
 
 class Binary:
@@ -246,7 +230,7 @@ class _Parser:
     def unary(self):
         if self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
-            return Unary("-", self.nested(self.unary))
+            return Call("neg", self.nested(self.unary))
         return self.atom()
 
     def atom(self):
@@ -267,7 +251,7 @@ class _Parser:
                 self.expect_op(")")
                 return Call(tok.text, arg)
             if tok.text in CONSTANTS:
-                return Const(tok.text)
+                return Num(CONSTANTS[tok.text])
             if not is_variable_name(tok.text):
                 raise ExprSyntaxError(
                     f"unknown variable name {tok.text!r}", tok.line, tok.column
@@ -289,7 +273,7 @@ class _Parser:
 # each distinct (operation, operand slots) pair computed once.  Instruction
 # i is ``(op, out, a, b)`` and writes register ``out``:
 #
-#     (CONST, out, value, None)   a number or named constant, a float
+#     (CONST, out, value, None)   a number, as a float
 #     (LOAD,  out, name,  None)   a variable read from the environment
 #     (fn,    out, a,     None)   fn(register a)
 #     (fn,    out, a,     b)      fn(register a, register b)
@@ -312,7 +296,7 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 def _children(node):
     if isinstance(node, Binary):
         return (node.left, node.right)
-    return (node.arg,) if isinstance(node, (Unary, Call)) else ()
+    return (node.arg,) if isinstance(node, Call) else ()
 
 
 def _compile(root):
@@ -344,15 +328,12 @@ def _compile(root):
         stack.pop()
         if isinstance(node, Var):
             slot = intern((LOAD, node.name))
-        elif isinstance(node, (Num, Const)):
-            value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
-            slot = intern((CONST, type(value), struct.pack("<d", value)),
-                          (CONST, value))
+        elif isinstance(node, Num):
+            slot = intern((CONST, type(node.value),
+                           struct.pack("<d", node.value)), (CONST, node.value))
         else:
             slots = tuple(slot_of[id(c)] for c in _children(node))
-            if isinstance(node, Unary):
-                op = operator.neg
-            elif isinstance(node, Call):
+            if isinstance(node, Call):
                 op = scalars.UNARY_FUNCTIONS[node.fn]
             else:
                 op = _BINARY[node.op]
@@ -400,16 +381,13 @@ def _print(node, parent_prec=0) -> str:
         if v < 0:
             return f"({text})" if parent_prec > 0 else text
         return text
-    if isinstance(node, Const):
-        return node.name
     if isinstance(node, Var):
         return node.name
+    if isinstance(node, Call) and node.fn == "neg":
+        text = f"-{_print(node.arg, 4)}"
+        return f"({text})" if parent_prec >= 1 else text
     if isinstance(node, Call):
         return f"{node.fn}({_print(node.arg)})"
-    if isinstance(node, Unary):
-        inner = _print(node.arg, 4)
-        text = f"-{inner}"
-        return f"({text})" if parent_prec >= 1 else text
     if isinstance(node, Binary):
         prec = _PRECEDENCE[node.op]
         left = _print(node.left, prec)
@@ -473,7 +451,7 @@ class ExprProgram:
                 sp = sample.space
             batch = scalars.batch_of(sample) or batch
         if sp is not None:
-            value = sp.constant(value)
+            value = sp.seed(value)
         return value if batch is None else scalars.broadcast(value, batch)
 
     def free_variables(self) -> frozenset:
@@ -649,14 +627,13 @@ class Graph:
     def load(self, ast):
         """The graph's node for a parsed AST."""
         def build(node, args):
-            if isinstance(node, (Num, Const)):
-                return self.num(node.value if isinstance(node, Num)
-                                else CONSTANTS[node.name])
+            if isinstance(node, Num):
+                return self.num(node.value)
             if isinstance(node, Var):
                 return self.var(node.name)
             if isinstance(node, Binary):
                 return getattr(self, _METHODS[node.op])(*args)
-            return self.call(getattr(node, "fn", "neg"), *args)
+            return self.call(node.fn, *args)
         return self._post_order(ast, {}, build)
 
     def diff(self, root, name):

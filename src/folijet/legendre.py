@@ -16,7 +16,6 @@ by identity and treated as immutable.
 
 from __future__ import annotations
 
-import math
 import sys
 from functools import reduce
 
@@ -80,23 +79,12 @@ class CotangentJetPoint:
     def qdim(self):
         return len(self.base)
 
-    def to_dict(self):
-        return {
-            "chart": self.chart,
-            "leaf": list(self.leaf),
-            "base": list(self.base),
-            "jets": [list(row) for row in self.jets],
-            "momentum": list(self.momentum),
-        }
-
 
 class HamiltonianValue:
-    __slots__ = ("value", "at")
+    __slots__ = ("value",)
 
-    def __init__(self, value: float, at: CotangentJetPoint):
-        if not math.isfinite(value):
-            raise InvariantViolation("non-finite hamiltonian value")
-        self.value, self.at = value, at
+    def __init__(self, value: float):
+        self.value = value
 
 
 def legendre_map(L, point) -> CotangentJetPoint:
@@ -226,10 +214,10 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
         if not running.all():  # a stopped sample solves a unit system
             hess = [[where(running, h, float(i == k))
                      for k, h in enumerate(row)] for i, row in enumerate(hess)]
-        step = linalg.solve(hess, [[-f] for f in F])
+        step = linalg.solve(hess, [-f for f in F])
         pending, scale = running, 1.0
         while True:
-            trial = _where_tree(pending, [top[i] + scale * step[i][0]
+            trial = _where_tree(pending, [top[i] + scale * step[i]
                                           for i in range(q)], top)
             trial_state = state_at(trial, pending)
             accept = pending & ((trial_state[3] < state[3])
@@ -276,7 +264,7 @@ def pseudo_hamiltonian(L, cpoint) -> HamiltonianValue:
     if cpoint.order != L.order or cpoint.qdim != L.qdim:
         raise ShapeError("cotangent point does not match the lagrangian")
     return HamiltonianValue(hamiltonian_at(L, cpoint.base, cpoint.jets,
-                                           cpoint.momentum), cpoint)
+                                           cpoint.momentum))
 
 
 def hamiltonian_at(L, base, jets, momentum, *, return_stats=False):

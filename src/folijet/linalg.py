@@ -27,17 +27,16 @@ SINGULAR_TOLERANCE = 1e-9
 
 
 def _times(m, x):
-    """The matrix product m x of nested lists."""
-    return [[reduce(add, [mk * xk[j] for mk, xk in zip(row, x)])
-             for j in range(len(x[0]))] for row in m]
+    """The matrix-vector product m x of nested lists."""
+    return [reduce(add, [mk * xk for mk, xk in zip(row, x)]) for row in m]
 
 
 def solve(a, b):
-    """Solve a X = b for the n x m object array X.
+    """Solve a X = b for the list X of n entries.
 
-    `a` is n x n, `b` is n x m; entries may be floats or series, or batches
-    of either.  Raises SingularHessian when the determinant of the values
-    of `a` falls at or below SINGULAR_TOLERANCE, in any sample.
+    `a` is n x n, `b` holds n entries; entries may be floats or series, or
+    batches of either.  Raises SingularHessian when the determinant of the
+    values of `a` falls at or below SINGULAR_TOLERANCE, in any sample.
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
@@ -53,13 +52,9 @@ def solve(a, b):
     X = _times(inv, b)
     for _ in range(max((x.space.degree for row in a for x in row
                         if type(x) is Series), default=0)):
-        step = _times(inv, [[bj - s for bj, s in zip(bi, ai)]
-                            for bi, ai in zip(b, _times(a1, X))])
+        step = _times(inv, [bi - s for bi, s in zip(b, _times(a1, X))])
         if all(np.array_equal(getattr(x, "coeffs", x), getattr(y, "coeffs", y))
-               for row, new in zip(X, step) for x, y in zip(row, new)):
+               for x, y in zip(X, step)):
             break  # a fixed point: every further step repeats it
         X = step
-    out = np.empty((n, len(b[0])), dtype=object)
-    for (i, j), _ in np.ndenumerate(out):
-        out[i, j] = X[i][j]  # a batch stays one entry
-    return out
+    return X

@@ -19,10 +19,11 @@ __all__ = ["Check", "Report", "worst"]
 
 
 def worst(start, values, pick=max):
-    """`pick` folded over `start` and then `values` in sample order, as a
-    loop of ``start = pick(start, value)`` would: a NaN after the first
-    entry is passed over.  `values` may be one float or a batch."""
-    return pick([start, *np.ravel(values).tolist()])
+    """`pick` over `start` and `values`, or NaN when any of them is NaN, so
+    that a NaN deviation fails its check.  `values` may be one float or a
+    batch."""
+    values = [start, *np.ravel(values).tolist()]
+    return float("nan") if np.isnan(values).any() else pick(values)
 
 
 class Check:

@@ -327,9 +327,6 @@ class LiftedMetric:
             lead + (r + 1, q, -1))).reshape(R.shape)
         return (G + G.swapaxes(-2, -1)) / 2.0
 
-    def __call__(self, point):
-        return self.evaluate(point)
-
 
 def lift_metric(g, r) -> LiftedMetric:
     """Lift a metric (or a per-chart family) to the order-r jet fiber."""

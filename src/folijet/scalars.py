@@ -161,9 +161,6 @@ class Space:
                           + self.size * np.arange(batch)[:, None]).ravel()
         return self._keys[:n]
 
-    def constant(self, value):
-        return self.seed(value)
-
     def seed(self, value, *variables):
         """``value`` plus each listed variable; value is a float or series,
         or a batch of either."""
@@ -433,7 +430,7 @@ class Series:
             if n:
                 base = base * base
         if result is None:
-            return broadcast(self.space.constant(1.0), self.batch)
+            return broadcast(self.space.seed(1.0), self.batch)
         return result._reciprocal() if e < 0 else result
 
     def __rpow__(self, other):
@@ -663,7 +660,7 @@ def where(mask, x, y):
     """Sample by sample, x where the batch of flags `mask` holds, else y."""
     if type(x) is Series or type(y) is Series:
         sp = (x if type(x) is Series else y).space
-        x, y = (v.coeffs if type(v) is Series else sp.constant(v).coeffs
+        x, y = (v.coeffs if type(v) is Series else sp.seed(v).coeffs
                 for v in (x, y))
         return _series(sp, np.where(mask[:, None], x, y))
     return np.where(mask, x, y)

@@ -38,8 +38,7 @@ import sympy as sp
 
 from folijet import linalg, scalars
 from folijet.errors import FolijetError, UnboundVariable
-from folijet.expr import (CONSTANTS, Binary, Call, Const, Num, Unary, Var,
-                          coordinate_names)
+from folijet.expr import Binary, Call, Num, Var, coordinate_names
 from folijet.jets import jet_columns, jet_env
 from folijet.legendre import RAY_REACH
 from folijet.scalars import sample_error
@@ -49,15 +48,11 @@ def eval_ast(node, env):
     """Evaluate an expression AST by recursive descent."""
     if isinstance(node, Num):
         return node.value
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
     if isinstance(node, Var):
         try:
             return env[node.name]
         except KeyError:
             raise UnboundVariable(node.name) from None
-    if isinstance(node, Unary):
-        return -eval_ast(node.arg, env)
     if isinstance(node, Call):
         return scalars.UNARY_FUNCTIONS[node.fn](eval_ast(node.arg, env))
     if isinstance(node, Binary):
@@ -85,7 +80,7 @@ def eval_ast(node, env):
 def same_tree(a, b):
     """Whether two expression ASTs have the same node types and fields, by
     recursive descent; leaves compare by value."""
-    if not isinstance(a, (Num, Var, Const, Unary, Binary, Call)):
+    if not isinstance(a, (Num, Var, Binary, Call)):
         return a == b
     return type(a) is type(b) and all(
         same_tree(getattr(a, f), getattr(b, f)) for f in type(a).__slots__)
@@ -95,7 +90,7 @@ def collect_variables(node):
     """The variable names an expression AST reads, by recursive descent."""
     if isinstance(node, Var):
         return {node.name}
-    if isinstance(node, (Unary, Call)):
+    if isinstance(node, Call):
         return collect_variables(node.arg)
     if isinstance(node, Binary):
         return collect_variables(node.left) | collect_variables(node.right)
@@ -109,7 +104,7 @@ def eval_program(program, env):
     if isinstance(result, (int, float)):
         for sample in env.values():
             if isinstance(sample, scalars.Series):
-                return sample.space.constant(result)
+                return sample.space.seed(result)
     return result
 
 
@@ -330,12 +325,8 @@ def to_sympy(program):
         if isinstance(node, Num):
             v = node.value
             return sp.Integer(int(v)) if float(v).is_integer() else sp.Float(v)
-        if isinstance(node, Const):
-            return sp.pi if node.name == "pi" else sp.E
         if isinstance(node, Var):
             return sp.Symbol(node.name, real=True)
-        if isinstance(node, Unary):
-            return -conv(node.arg)
         if isinstance(node, Call):
             return _SYMPY_FUNCTIONS[node.fn](conv(node.arg))
         return _SYMPY_BINARY[node.op](conv(node.left), conv(node.right))
@@ -473,11 +464,11 @@ def full_space_spray_jacobian(L, base, jets):
                 y_val = sp.seed(rows[k - 1][i], n + k * q + i)
                 gamma_term = gamma_term + k * y_val * \
                     hess[r * q + v][(k - 1) * q + i]
-        rhs.append([gamma_term - grad[(r - 1) * q + v]])
+        rhs.append(gamma_term - grad[(r - 1) * q + v])
     sol = linalg.solve([row[r * q:] for row in hess[r * q:]], rhs)
     scale = 1.0 / (2.0 * (r + 1))
-    return np.stack([(scale * sol[u, 0]).coeffs[..., sp.variables[n:]]
-                     for u in range(q)], axis=-2)
+    return np.stack([(scale * s).coeffs[..., sp.variables[n:]] for s in sol],
+                    axis=-2)
 
 
 # -- per-sample draws --------------------------------------------------------

@@ -247,7 +247,7 @@ def test_criterion_05_semispray_and_dual_coefficients():
 
         def spray_at(flat):
             p = jet_point(flat[:1], [flat[1:2], flat[2:3]])
-            return S.components(p)
+            return semispray(S.lagrangian, p)
 
         flat = np.concatenate([base] + [np.asarray(j) for j in jets])
         jac = central_difference_vector(spray_at, flat)
@@ -256,7 +256,7 @@ def test_criterion_05_semispray_and_dual_coefficients():
             want = -jac[:, j:j + 1]
             scale = max(1.0, float(np.abs(want).max()))
             dev_fd = max(dev_fd,
-                         float(np.max(np.abs(coeffs.M[k - 1] - want))) / scale)
+                         float(np.max(np.abs(coeffs[k - 1] - want))) / scale)
     ok = dev_value <= 1e-12 and dev_fd <= 1e-6
     record(5, "semi-spray value and dual coefficients check out", ok,
            f"value dev {dev_value:.2e}, finite-difference dev {dev_fd:.2e}")
@@ -271,7 +271,7 @@ def test_criterion_06_metric_lift():
             base = rng.uniform(-0.5, 0.8, 1)
             point = jet_point(base, [rng.uniform(-1, 1, 1) for _ in range(r)])
             dev_hess = max(dev_hess,
-                           float(np.max(np.abs(vertical_hessian(L, point).matrix
+                           float(np.max(np.abs(vertical_hessian(L, point)
                                                - 2 * EXP.evaluate(base)))))
     # the flat stage sprays vanish through order 2, so the lift is the
     # plain sum of squares there; at order 3 the top square is shifted

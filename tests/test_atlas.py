@@ -5,6 +5,7 @@ import pytest
 
 from folijet.atlas import load_atlas, sample_overlap, validate_foliated
 from folijet.errors import InvariantViolation, SchemaError
+from folijet.report import worst
 
 
 def minimal_doc(**overrides):
@@ -106,3 +107,14 @@ def test_validate_flags_near_singular_transition():
     report = validate_foliated(atlas, samples=50, seed=0, det_tol=1e-5)
     failing = {c.name for c in report.checks if not c.passed}
     assert "transverse_jacobian_invertible" in failing
+
+
+def test_worst_is_nan_when_any_value_is():
+    nan = float("nan")
+    assert worst(0.0, [1e-3, 2e-3]) == 2e-3
+    assert worst(np.inf, np.array([3.0, 1.0]), min) == 1.0
+    for start, values, pick in ((0.0, [1e-3, nan], max),
+                                (0.0, np.array([nan, 1e-3]), max),
+                                (nan, [1e-3], max),
+                                (np.inf, [2.0, nan], min)):
+        assert np.isnan(worst(start, values, pick))

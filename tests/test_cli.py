@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import pathlib
 import re
@@ -90,6 +91,19 @@ def lagrangian(chart, order, expr="y1_1^2"):
     return {"name": "L", "chart": chart, "order": order, "expr": expr}
 
 
+def with_leaf_dim(value):
+    """`leaf_dim` set to `value`, and one leaf coordinate u1 in every box:
+    a value that truncates to 1 would load."""
+    def change(doc):
+        doc["leaf_dim"] = value
+        for entry in doc["charts"]:
+            entry["domain"] = [[0.0, 1.0]] + entry["domain"]
+        for entry in doc["transitions"]:
+            entry["overlap"] = [[0.0, 1.0]] + entry["overlap"]
+            entry["leaf_exprs"] = ["u1"]
+    return change
+
+
 SCHEMA_BREAKS = {
     "chart_without_name": lambda doc: doc["charts"][0].pop("name"),
     "transition_without_overlap":
@@ -104,6 +118,12 @@ SCHEMA_BREAKS = {
     "lagrangian_family_of_mixed_order": lambda doc: doc.update(
         lagrangians=[lagrangian("A", 1), lagrangian("B", 2)]),
     "leaf_dim_not_an_integer": lambda doc: doc.update(leaf_dim=[0]),
+    "leaf_dim_a_fraction": with_leaf_dim(1.5),
+    "leaf_dim_a_boolean": with_leaf_dim(True),
+    "leaf_dim_a_string": with_leaf_dim("1"),
+    "transverse_dim_a_fraction": lambda doc: doc.update(transverse_dim=1.9),
+    "lagrangian_order_a_fraction": lambda doc: doc.update(
+        lagrangians=[lagrangian("A", 2.7)]),
     "interval_bound_not_a_number":
         lambda doc: doc["charts"][0].update(domain=[[None, 2.0]]),
     **NUMERIC_BREAKS,
@@ -171,6 +191,36 @@ def test_validate_near_singular_fails(capsys, tmp_path):
     report = json.loads(out)
     failing = [c["name"] for c in report["checks"] if not c["pass"]]
     assert "transverse_jacobian_invertible" in failing
+
+
+@pytest.mark.parametrize("leaf", [False, True], ids=["q", "p-and-q"])
+def test_validate_fails_a_nan_round_trip(capsys, tmp_path, leaf):
+    # B->A times x1^310 by 0: on B's image [10.5, 12] of the overlap the
+    # power overflows, so every round trip from A is 0*inf, NaN; with a
+    # leaf coordinate the NaN gap follows an exact one
+    doc = {
+        "leaf_dim": 0,
+        "transverse_dim": 1,
+        "charts": [{"name": "A", "domain": [[0.5, 2.0]]},
+                   {"name": "B", "domain": [[0.0, 20.0]]}],
+        "transitions": [
+            {"name": f"{a}->{b}", "from": a, "to": b, "leaf_exprs": [],
+             "transverse_exprs": [expr], "overlap": [[0.5, 2.0]],
+             "inverse_of": f"{b}->{a}"}
+            for a, b, expr in (
+                ("A", "B", "x1 + 10"),
+                ("B", "A", "x1 - 10 + 0*(" + "*".join(["x1"] * 310) + ")"))],
+    }
+    if leaf:
+        with_leaf_dim(1)(doc)
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(path), "--samples", "5")
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert [(c["name"], c["context"]) for c in failed] == [
+        ("inverse_round_trip", "A->B")]
+    assert math.isnan(failed[0]["metric"])
 
 
 def test_prolong_cubic_hand_values(capsys, atlas_dir):
@@ -711,13 +761,21 @@ def test_certify_exit_contract_under_metric_mutation(tmp_path_factory, doc):
     assert _certify_exit_codes(tmp_path_factory, doc, 2) <= {0, 1, 2}
 
 
-# (atlas, metric, coordinate maps, permutation) of `recoordinatize`
+# (atlas, metric, coordinate maps, permutation) of `recoordinatize`; the
+# q = 3 atlases are `_q3_atlas` and its control, which certify at fewer
+# samples
 RECOORDINATIZED = {
     "cubic_g_exp": ("cubic", "g", ["exp"], [0]),
     "cubic_g_flip": ("cubic", "g", ["flip"], [0]),
     "cubic_g_bad_cube": ("cubic", "g_bad", ["cube"], [0]),
     "shear2_exp_affine_swapped": ("shear2", "g", ["exp", "affine"], [1, 0]),
     "shear2_affine_flip": ("shear2", "g", ["affine", "flip"], [0, 1]),
+    "q3_exp_affine_flip": ("q3", "g", ["exp", "affine", "flip"], [2, 0, 1]),
+    "q3_cube_exp_affine": ("q3", "g", ["cube", "exp", "affine"], [1, 2, 0]),
+    "q3_bad_exp_affine_flip":
+        ("q3_bad", "g", ["exp", "affine", "flip"], [2, 0, 1]),
+    "q3_bad_cube_exp_affine":
+        ("q3_bad", "g", ["cube", "exp", "affine"], [1, 2, 0]),
 }
 
 
@@ -725,17 +783,22 @@ RECOORDINATIZED = {
 def test_certify_is_the_same_in_other_transverse_coordinates(
         capsys, tmp_path, atlas_dir, case):
     name, metric, maps, perm = RECOORDINATIZED[case]
-    original = atlas_dir / f"{name}.json"
+    if name.startswith("q3"):
+        original, samples = _q3_atlas(tmp_path, name == "q3"), "5"
+    else:
+        original, samples = atlas_dir / f"{name}.json", "10"
     rewritten = tmp_path / f"{case}.json"
     rewritten.write_text(json.dumps(recoordinatize(
-        json.loads(original.read_text()), maps, perm)))
+        json.loads(pathlib.Path(original).read_text()), maps, perm)))
 
     def certify(path, r):
         code, out, _ = run(capsys, "certify", str(path), "--metric", metric,
-                           "--order", str(r), "--samples", "10",
+                           "--order", str(r), "--samples", samples,
                            "--seed", "3")
         return code, [(c["name"], c["context"], c["pass"])
                       for c in json.loads(out)["checks"]]
 
     for r in (1, 2, 3):
-        assert certify(rewritten, r) == certify(original, r)
+        want = certify(original, r)
+        assert want[0] == (1 if "bad" in case else 0)
+        assert certify(rewritten, r) == want

@@ -17,6 +17,7 @@ from folijet.errors import (
 )
 from folijet.expr import parse
 from folijet.jets import TransverseJetPoint
+from folijet.linalg import SINGULAR_TOLERANCE
 from oracles import central_difference_vector
 
 
@@ -36,18 +37,19 @@ def lagrangian(text, order, qdim=1, **kw):
 def test_vertical_hessian_examples():
     L = lagrangian("y2_1^2 + y2_2^2", 2, qdim=2)
     pt = jet_point([0.3, 0.4], [[0.1, 0.2], [0.5, -0.6]])
-    info = vertical_hessian(L, pt)
-    assert np.allclose(info.matrix, 2 * np.eye(2))
-    assert info.regular and info.positive_definite
+    hess = vertical_hessian(L, pt)
+    assert hess.shape == (2, 2)
+    assert np.allclose(hess, 2 * np.eye(2))
+    assert np.linalg.eigvalsh(hess).min() > SINGULAR_TOLERANCE
 
     L = lagrangian("exp(x1)*y1_1^2", 1)
-    info = vertical_hessian(L, jet_point([0.0], [[0.7]]))
-    assert info.matrix[0, 0] == pytest.approx(2.0)
+    hess = vertical_hessian(L, jet_point([0.0], [[0.7]]))
+    assert hess[0, 0] == pytest.approx(2.0)
 
     L = lagrangian("y2_1", 2)
-    info = vertical_hessian(L, jet_point([0.5], [[0.1], [0.2]]))
-    assert np.allclose(info.matrix, 0.0)
-    assert not info.regular
+    hess = vertical_hessian(L, jet_point([0.5], [[0.1], [0.2]]))
+    assert np.allclose(hess, 0.0)
+    assert abs(np.linalg.det(hess)) <= SINGULAR_TOLERANCE
 
 
 def test_lagrangian_rejects_leaf_and_momentum_variables():
@@ -104,13 +106,15 @@ def test_dual_coefficients_hand_value():
     S = SemiSprayField.from_lagrangian(lagrangian("exp(x1)*y1_1^2", 1))
     pt = jet_point([0.2], [[0.8]])
     coeffs = dual_coefficients(S, pt)
-    assert coeffs.M[0][0, 0] == pytest.approx(-0.8 / 4.0, abs=1e-12)
+    assert len(coeffs) == 1
+    assert coeffs[0][0, 0] == pytest.approx(-0.8 / 4.0, abs=1e-12)
 
 
 def test_dual_coefficients_zero_spray():
     S = SemiSprayField.from_lagrangian(lagrangian("y2_1^2", 2))
     coeffs = dual_coefficients(S, jet_point([0.5], [[0.3], [0.1]]))
-    assert all(np.allclose(m, 0.0) for m in coeffs.M)
+    assert len(coeffs) == 2
+    assert all(np.allclose(m, 0.0) for m in coeffs)
 
 
 @pytest.mark.parametrize("text,r,q", [
@@ -130,7 +134,7 @@ def test_dual_coefficients_match_finite_differences(text, r, q):
         p = TransverseJetPoint("A", r, (), tuple(flat[:q]),
                                tuple(tuple(flat[(k + 1) * q:(k + 2) * q])
                                      for k in range(r)))
-        return S.components(p)
+        return semispray(L, p)
 
     flat = np.concatenate([base] + [np.asarray(j) for j in jets])
     jac = central_difference_vector(spray_at, flat)
@@ -138,7 +142,7 @@ def test_dual_coefficients_match_finite_differences(text, r, q):
         j = r + 1 - k
         want = -jac[:, j * q:(j + 1) * q]
         scale = max(1.0, np.abs(want).max())
-        assert np.allclose(coeffs.M[k - 1], want, atol=1e-6 * scale)
+        assert np.allclose(coeffs[k - 1], want, atol=1e-6 * scale)
 
 
 # -------------------------------------------------------------- projectors
@@ -174,4 +178,4 @@ def test_projector_laws(text, r, q):
 def test_spray_order_mismatch():
     S = SemiSprayField.from_lagrangian(lagrangian("y1_1^2", 1))
     with pytest.raises(OrderError):
-        S.components(jet_point([0.5], [[0.3], [0.1]]))
+        S.jacobian(jet_point([0.5], [[0.3], [0.1]]))

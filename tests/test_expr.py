@@ -19,16 +19,15 @@ from folijet.errors import (
 )
 from folijet.expr import (
     CONST,
+    CONSTANTS,
     FUNCTIONS,
     LOAD,
     VARIABLE_NAME,
     Binary,
     Call,
-    Const,
     ExprProgram,
     Graph,
     Num,
-    Unary,
     Var,
     coordinate_names,
     is_variable_name,
@@ -107,7 +106,7 @@ def test_eval_errors():
 def test_print_parse_idempotence_examples():
     for text in ("sin(x1)^2 + 1", "-x1^2 * (x2 - 3) / 7",
                  "exp(y1_1) - sqrt(x1 + 2)", "1/(9*x1^(4/3))",
-                 "2^3^2", "-(x1 + x2)"):
+                 "2^3^2", "-(x1 + x2)", "pi*x1 - e", "neg(x1) + 1"):
         prog = parse(text)
         again = parse(prog.to_text())
         assert same_tree(again.ast, prog.ast)
@@ -121,9 +120,9 @@ def test_eval_kinds_agree(a, b):
     prog = parse("x1^2 * sin(x2) + exp(x1/x2) - log(x1)")
     env_f = {"x1": a, "x2": b}
     plain = prog.eval(env_f)
-    taylor = prog.eval({k: space(((1, 0),)).constant(v)
+    taylor = prog.eval({k: space(((1, 0),)).seed(v)
                         for k, v in env_f.items()})
-    quad = prog.eval({k: space(((2, 2),)).constant(v)
+    quad = prog.eval({k: space(((2, 2),)).seed(v)
                       for k, v in env_f.items()})
     assert taylor.coeffs[0] == pytest.approx(plain, rel=1e-14)
     assert quad.value == pytest.approx(plain, rel=1e-14)
@@ -146,14 +145,14 @@ def shared_asts(draw):
     """Random ASTs built from a pool, so subtrees are reused on purpose:
     by the same object, and by structurally equal copies."""
     pool = [Var("x1"), Var("x2"), Num(draw(st.sampled_from(_NUMBERS))),
-            Const(draw(st.sampled_from(["pi", "e"])))]
+            Num(CONSTANTS[draw(st.sampled_from(["pi", "e"]))])]
 
     def pick():
         return pool[draw(st.integers(0, len(pool) - 1))]
 
     def unary(arg):
         fn = draw(st.sampled_from(["-"] + sorted(FUNCTIONS)))
-        return Unary("-", arg) if fn == "-" else Call(fn, arg)
+        return Call("neg" if fn == "-" else fn, arg)
 
     for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(

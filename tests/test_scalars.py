@@ -195,7 +195,7 @@ def test_coefficients_are_scaled_partials(name):
     # d^m f(a + w . z) / m! at z = 0
     sp_ = space(((2, 2), (1, 1)))
     a, w = 0.6, (1.0, -0.5, 0.25)
-    u = sp_.constant(a)
+    u = sp_.seed(a)
     for v, wv in enumerate(w):
         u = u + wv * sp_.seed(0.0, v)
     z = sp.symbols("z0:3")
@@ -341,13 +341,13 @@ def test_batched_solve_matches_each_sample_alone(q):
     a[0, 0, 1::2] *= 1e-3  # every other sample pivots away from row 0
     b = rng.uniform(-1.0, 1.0, (q, 6, sp_.size))
     batch = solve([[a[i, j] for j in range(q)] for i in range(q)],
-                  [[Series(sp_, b[i])] for i in range(q)])
+                  [Series(sp_, b[i]) for i in range(q)])
     for s in range(6):
         alone = solve([[float(a[i, j, s]) for j in range(q)]
                        for i in range(q)],
-                      [[Series(sp_, b[i, s])] for i in range(q)])
+                      [Series(sp_, b[i, s]) for i in range(q)])
         for i in range(q):
-            assert np.array_equal(batch[i, 0].coeffs[s], alone[i, 0].coeffs)
+            assert np.array_equal(batch[i].coeffs[s], alone[i].coeffs)
 
 
 def _solve_entry(rng, sp_, batch, series):
@@ -374,13 +374,13 @@ def test_solve_leaves_no_residual(groups, q, batch, series_a):
     sp_ = space(groups)
     a = [[_solve_entry(rng, sp_, batch, series_a) + (q + 1.0) * (i == k)
           for k in range(q)] for i in range(q)]
-    b = [[_solve_entry(rng, sp_, batch, not series_a)] for _ in range(q)]
+    b = [_solve_entry(rng, sp_, batch, not series_a) for _ in range(q)]
     X = solve(a, b)
-    assert X.shape == (q, 1)
+    assert len(X) == q
     largest = max(np.abs(getattr(x, "coeffs", x)).max()
-                  for row in a + b for x in row)
+                  for x in [*sum(a, []), *b])
     for i in range(q):
-        residual = sum(a[i][k] * X[k, 0] for k in range(q)) - b[i][0]
+        residual = sum(a[i][k] * X[k] for k in range(q)) - b[i]
         assert np.abs(residual.coeffs).max() <= 1e-13 * largest
 
 
@@ -393,7 +393,7 @@ def test_solve_names_the_first_singular_sample():
     coeffs[:, :, 3, 0] = 1.0  # the values of sample 3 have rank one
     a = [[Series(sp_, coeffs[i, k]) for k in range(2)] for i in range(2)]
     with pytest.raises(SingularHessian, match=r"\(sample 3\)$"):
-        solve(a, [[1.0], [2.0]])
+        solve(a, [1.0, 2.0])
 
 
 # -- parts over the space of the other groups ---------------------------------

@@ -13,6 +13,10 @@ Verbs:
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 setup or
 input error.  Reports are deterministic JSON for fixed seeds.
+
+`main` returns the exit code and can be called in-process; `entry`, behind
+``python -m folijet.cli`` and the ``folijet`` script, runs it and ends the
+process without interpreter teardown.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .riemann import (
     vertical_exactness_check,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "entry", "build_parser"]
 
 PROJECTOR_SUM_TOLERANCE = 1e-14
 PROJECTOR_TOLERANCE = 1e-9
@@ -334,5 +338,26 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry():
+    """Run `main` on the command line, flush its output and end the process
+    with its exit code.
+
+    Interpreter teardown costs a cold process about 30 ms, half of it
+    numpy's module teardown, and nothing is pending once the output is
+    flushed: `_emit` closes an --out file before it returns."""
+    try:
+        code = main()
+    except SystemExit as stop:  # argparse: --help, --version, a bad command
+        code = stop.code
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None in a process started without it
+                stream.flush()
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        code = 2
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -2,14 +2,17 @@
 
 A Report is a flat list of named checks, each carrying the measured
 deviation (or eigenvalue), its tolerance and a pass flag.  Serialization
-is deterministic so that equal-seed runs diff byte-for-byte.  Both are
-plain classes compared by identity; a Check is treated as immutable, and
-a Report grows only through `add` and `extend`.
+is deterministic so that equal-seed runs diff byte-for-byte, and is
+RFC 8259 JSON: a non-finite number is written as the string "NaN",
+"Infinity" or "-Infinity", which `float()` reads back.  Both are plain
+classes compared by identity; a Check is treated as immutable, and a
+Report grows only through `add` and `extend`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -24,6 +27,15 @@ def worst(start, values, pick=max):
     batch."""
     values = [start, *np.ravel(values).tolist()]
     return float("nan") if np.isnan(values).any() else pick(values)
+
+
+def _number(value):
+    """`value` as JSON can hold it: a finite float, else its string."""
+    if math.isfinite(value):
+        return value
+    if math.isnan(value):
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
 
 
 class Check:
@@ -88,8 +100,8 @@ class Report:
                 {
                     "name": c.name,
                     "context": c.context,
-                    "metric": c.metric,
-                    "tolerance": c.tolerance,
+                    "metric": _number(c.metric),
+                    "tolerance": _number(c.tolerance),
                     "direction": c.direction,
                     "pass": c.passed,
                 }
@@ -99,4 +111,5 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                          allow_nan=False)

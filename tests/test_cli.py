@@ -28,12 +28,23 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def child_env():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def run_process(*argv):
     """Run a Python script or module in a fresh interpreter."""
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run([sys.executable, *argv], capture_output=True,
-                          text=True, env=env, timeout=300)
+                          text=True, env=child_env(), timeout=300)
+
+
+def buffered_env():
+    """`child_env` without PYTHONUNBUFFERED: a child that writes through at
+    once would hide a missing flush."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def test_validate_passes(capsys, atlas_dir):
@@ -193,12 +204,13 @@ def test_validate_near_singular_fails(capsys, tmp_path):
     assert "transverse_jacobian_invertible" in failing
 
 
-@pytest.mark.parametrize("leaf", [False, True], ids=["q", "p-and-q"])
-def test_validate_fails_a_nan_round_trip(capsys, tmp_path, leaf):
-    # B->A times x1^310 by 0: on B's image [10.5, 12] of the overlap the
-    # power overflows, so every round trip from A is 0*inf, NaN; with a
-    # leaf coordinate the NaN gap follows an exact one
-    doc = {
+def nan_round_trip_atlas(overflow=True):
+    """Charts A and B of q = 1, B = A + 10.  With `overflow`, B->A times
+    x1^310 by 0: on B's image [10.5, 12] of the overlap the power
+    overflows, so every round trip from A is 0*inf, NaN."""
+    back = "x1 - 10" + (" + 0*(" + "*".join(["x1"] * 310) + ")"
+                        if overflow else "")
+    return {
         "leaf_dim": 0,
         "transverse_dim": 1,
         "charts": [{"name": "A", "domain": [[0.5, 2.0]]},
@@ -207,20 +219,33 @@ def test_validate_fails_a_nan_round_trip(capsys, tmp_path, leaf):
             {"name": f"{a}->{b}", "from": a, "to": b, "leaf_exprs": [],
              "transverse_exprs": [expr], "overlap": [[0.5, 2.0]],
              "inverse_of": f"{b}->{a}"}
-            for a, b, expr in (
-                ("A", "B", "x1 + 10"),
-                ("B", "A", "x1 - 10 + 0*(" + "*".join(["x1"] * 310) + ")"))],
+            for a, b, expr in (("A", "B", "x1 + 10"), ("B", "A", back))],
     }
+
+
+def strict_json(text):
+    """`json.loads` that rejects the bare NaN and Infinity tokens, which
+    RFC 8259 does not allow."""
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("leaf", [False, True], ids=["q", "p-and-q"])
+def test_validate_fails_a_nan_round_trip(capsys, tmp_path, leaf):
+    # with a leaf coordinate the NaN gap follows an exact one
+    doc = nan_round_trip_atlas()
     if leaf:
         with_leaf_dim(1)(doc)
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "validate", str(path), "--samples", "5")
     assert code == 1
-    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    failed = [c for c in strict_json(out)["checks"] if not c["pass"]]
     assert [(c["name"], c["context"]) for c in failed] == [
         ("inverse_round_trip", "A->B")]
-    assert math.isnan(failed[0]["metric"])
+    assert failed[0]["metric"] == "NaN"
+    assert math.isnan(float(failed[0]["metric"]))
 
 
 def test_prolong_cubic_hand_values(capsys, atlas_dir):
@@ -600,6 +625,22 @@ def test_compare_reports_exit_codes(tmp_path, atlas_dir):
     assert differ.returncode == 1
     assert differ.stdout.splitlines()[0] == "files differ in bytes"
     assert "lists differ" in differ.stdout
+    # a NaN metric is the string "NaN", which the script reads back
+    for name, overflow in (("nan", True), ("exact", False)):
+        path = tmp_path / f"{name}_atlas.json"
+        path.write_text(json.dumps(nan_round_trip_atlas(overflow)))
+        reports[name] = tmp_path / f"{name}.json"
+        main(["validate", str(path), "--samples", "5", "--out",
+              str(reports[name])])
+    nan_same = run_process(script, str(reports["nan"]), str(reports["nan"]))
+    assert nan_same.returncode == 0, nan_same.stderr
+    assert "inverse_round_trip: largest metric change 0.000e+00" \
+        in nan_same.stdout
+    nan_differ = run_process(script, str(reports["exact"]),
+                             str(reports["nan"]))
+    assert nan_differ.returncode == 1, nan_differ.stderr
+    assert "inverse_round_trip: largest metric change inf" \
+        in nan_differ.stdout
     (tmp_path / "bad.json").write_text("{not json")
     for argv in ([str(reports["g"])], [str(reports["g"]),
                                        str(tmp_path / "bad.json")],
@@ -655,6 +696,62 @@ def test_deeply_nested_parentheses_exit_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("atlas_name,metric,code",
+                         [("shear2", "g", 0), ("cubic", "g_bad", 1)])
+def test_child_process_writes_its_whole_report(capsys, atlas_dir, atlas_name,
+                                               metric, code):
+    argv = ["certify", str(atlas_dir / f"{atlas_name}.json"),
+            "--metric", metric, "--order", "2", "--samples", "3"]
+    proc = subprocess.run([sys.executable, "-m", "folijet.cli", *argv],
+                          capture_output=True, env=buffered_env(),
+                          timeout=300)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == b""
+    assert main(argv) == code
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    # buffered, a report that fits the stdout buffer fails at the last
+    # flush and one larger than the buffer fails inside `main`
+    ["certify", "cubic.json", "--metric", "g", "--order", "2",
+     "--samples", "3"],
+    ["lift", "shear2.json", "--metric", "g", "--order", "2"],
+], ids=["certify", "lift"])
+def test_closed_stdout_exits_2_with_one_error_line(atlas_dir, argv,
+                                                   unbuffered):
+    env = buffered_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [argv[0], str(atlas_dir / argv[1]), *argv[2:]]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "folijet.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=300)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_child_process_started_without_stdout_keeps_its_exit_code(atlas_dir):
+    proc = subprocess.run(
+        [sys.executable, "-m", "folijet.cli", "certify",
+         str(atlas_dir / "cubic.json"), "--metric", "g", "--order", "1",
+         "--samples", "2"],
+        stderr=subprocess.PIPE, text=True, env=buffered_env(), timeout=300,
+        preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 # -- the exit contract under mutated atlas documents ----------------------

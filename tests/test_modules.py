@@ -1,10 +1,12 @@
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "folijet"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "folijet"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
@@ -41,3 +43,18 @@ def test_modules_import_only_at_module_level(name):
               for node in ast.walk(top)
               if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == [], f"{name}.py imports inside a body at lines {nested}"
+
+
+def test_console_script_is_the_process_entry_of_the_cli_module():
+    # plain text: tomllib is not in the standard library before 3.11
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.fullmatch(r'\s*folijet = "folijet\.cli:(\w+)"\s*', scripts)
+    assert target, scripts
+    name = target.group(1)
+    assert callable(getattr(importlib.import_module("folijet.cli"), name))
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    block = [node for node in tree.body if isinstance(node, ast.If)
+             and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(block) == 1
+    assert [ast.unparse(node) for node in block[0].body] == [f"{name}()"]

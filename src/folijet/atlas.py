@@ -259,10 +259,9 @@ def load_atlas(document) -> "FoliatedAtlas":
 
     def metric(entry, name, chart):
         components = _field(entry, "components", f"metric {name}", list)
-        if not all(isinstance(row, list) for row in components):
-            raise SchemaError(f"metric {name}: components must be rows")
-        fld = MetricField.from_components(components, q, name=name,
-                                          chart=chart)
+        fld = MetricField.from_components(
+            [_parse_exprs(row, f"metric {name} components[{i}]")
+             for i, row in enumerate(components)], q, name=name, chart=chart)
         fld.check_positive_definite(charts[chart].domain[p:])
         return fld
 

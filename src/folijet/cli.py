@@ -56,7 +56,7 @@ HAMILTONIAN_TOLERANCE = 1e-8
 
 def _seed(args):
     """The sampling seed: --seed, else FOLIJET_SEED, else 0; ValueError,
-    naming where it came from, unless it is a non-negative integer."""
+    naming where it came from, unless it is an integer in [0, 2^64)."""
     source, seed = "--seed", args.seed
     if seed is None:
         source, value = "FOLIJET_SEED", os.environ.get("FOLIJET_SEED", "0")
@@ -68,6 +68,8 @@ def _seed(args):
     if seed < 0:
         raise ValueError(
             f"{source} must be a non-negative integer, got {seed}")
+    if seed >= 2 ** 64:  # the sample streams key on the seed modulo 2^64
+        raise ValueError(f"{source} must be below 2^64, got {seed}")
     return seed
 
 
@@ -329,12 +331,6 @@ def main(argv=None) -> int:
             return args.run(args)
     except (FolijetError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # printing an expression recurses; a tree too deep for the
-        # interpreter stack ends here
-        print("error: expression too deeply nested to process",
-              file=sys.stderr)
         return 2
 
 

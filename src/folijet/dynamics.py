@@ -23,12 +23,11 @@ from . import linalg
 from .errors import (
     ExcludedPoint,
     InvariantViolation,
-    OrderError,
     ShapeError,
     SingularHessian,
 )
 from .expr import ExprProgram, coordinate_names
-from .jets import j_matrix, jet_columns, jet_env, point_arrays
+from .jets import check_fit, j_matrix, jet_columns, jet_env, point_arrays
 from .scalars import columns, raise_where, second_order, space, value_of
 
 __all__ = [
@@ -81,7 +80,7 @@ class LagrangianField:
     def from_program(cls, program, *, order, qdim, slashed=False,
                      excluded=None, name=""):
         if order < 1:
-            raise OrderError(f"lagrangian order must be >= 1, got {order}")
+            raise ShapeError(f"lagrangian order must be >= 1, got {order}")
         allowed = set(coordinate_names(qdim, order))
         extra = program.free_variables() - allowed
         if extra:
@@ -103,19 +102,8 @@ class LagrangianField:
         return cls(order, qdim, program, slashed, excluded, name)
 
     def check_point(self, point):
-        self._check_shape(point)
+        check_fit(point, self)
         self._check_smooth(point.base, point.jets)
-
-    def _check_shape(self, point):
-        if point.order != self.order:
-            raise OrderError(
-                f"point order {point.order} != lagrangian order {self.order}"
-            )
-        if point.qdim != self.qdim:
-            raise ShapeError(
-                f"point dimension {point.qdim} != lagrangian dimension "
-                f"{self.qdim}"
-            )
 
     def _check_smooth(self, base, jets):
         """Points base (..., q), jets (..., r, q) must avoid the excluded
@@ -142,7 +130,7 @@ def top_hessian(L, base, jets):
 def vertical_hessian(L, point) -> np.ndarray:
     """Second partials of L in its top-order jet variables, as a (q, q)
     matrix."""
-    L._check_shape(point)
+    check_fit(point, L)
     _, base, jets = point_arrays(point)
     return top_hessian(L, base, jets)
 
@@ -194,7 +182,7 @@ def _semispray_scalars(L, base, jets, lifted=False):
 
 def semispray(L, point):
     """Semi-spray components S^u at a jet point (plain floats)."""
-    L._check_shape(point)
+    check_fit(point, L)
     _, base, jets = point_arrays(point)
     return np.array([value_of(s) for s in _semispray_scalars(L, base, jets)])
 
@@ -225,7 +213,7 @@ class SemiSprayField:
 
     def jacobian(self, point):
         """d S^u / d(fiber coordinates) as a (q, (r+1)q) float matrix."""
-        self._check(point)
+        check_fit(point, self)
         _, base, jets = point_arrays(point)
         return self.jacobian_at(base, jets)
 
@@ -236,13 +224,6 @@ class SemiSprayField:
             s.coeffs[..., 1:]
             for s in _semispray_scalars(self.lagrangian, base, jets,
                                         lifted=True)], axis=-2)
-
-    def _check(self, point):
-        if point.order != self.order or point.qdim != self.qdim:
-            raise OrderError(
-                f"point of order {point.order}, dim {point.qdim} fed to a "
-                f"spray of order {self.order}, dim {self.qdim}"
-            )
 
 
 def _spray_jacobian(S, base, jets):
@@ -276,7 +257,7 @@ def projectors(S, point):
     spray vector field: with A = d Gamma_S / d(coords) and constant J,
     L_S J = J A - A J, then h = (r I - L_S J)/(r+1), v = (I + L_S J)/(r+1).
     """
-    S._check(point)
+    check_fit(point, S)
     _, base, jets = point_arrays(point)
     return projector_pair(S, base, jets)
 

@@ -1,12 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: every error is a
+`FolijetError`, and an argument that does not fit is a `ShapeError`."""
 
 
 class FolijetError(Exception):
     """Base class for all package errors."""
-
-
-class SpaceMismatch(FolijetError):
-    """Two series over different spaces were combined."""
 
 
 class DomainError(FolijetError):
@@ -46,12 +43,10 @@ class OutsideOverlap(FolijetError):
     """A point fed to a transition lies outside the declared overlap."""
 
 
-class OrderError(FolijetError):
-    """Invalid pair of jet orders for an inclusion."""
-
-
 class ShapeError(FolijetError):
-    """A matrix argument has the wrong shape."""
+    """An argument does not fit: a jet point's order or dimension against
+    its field's (`jets.check_fit`), an order below 1 or an inclusion's pair
+    of orders, series over different spaces, or a wrong-shaped array."""
 
 
 class ExcludedPoint(FolijetError):

@@ -61,7 +61,6 @@ VARIABLE_NAME = re.compile(
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 # the parser recurses once per level, so deeper input is a syntax error
-# rather than a RecursionError
 MAX_NESTING = 100
 
 FUNCTIONS = frozenset(
@@ -374,28 +373,49 @@ def _allocate(code, result):
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
 
-def _print(node, parent_prec=0) -> str:
-    if isinstance(node, Num):
-        v = node.value
-        text = repr(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
-        if v < 0:
-            return f"({text})" if parent_prec > 0 else text
-        return text
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call) and node.fn == "neg":
-        text = f"-{_print(node.arg, 4)}"
-        return f"({text})" if parent_prec >= 1 else text
-    if isinstance(node, Call):
-        return f"{node.fn}({_print(node.arg)})"
+def _operands(node):
+    """A node's operands, each with the precedence it is printed under;
+    the right one of a left-associative operation a level higher."""
     if isinstance(node, Binary):
         prec = _PRECEDENCE[node.op]
-        left = _print(node.left, prec)
-        # right operand needs a bump for left-associative ops
-        right = _print(node.right, prec if node.op == "^" else prec + 1)
-        text = f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
-        return f"({text})" if parent_prec > prec or (node.op == "^" and parent_prec == prec) else text
-    raise TypeError(f"unknown AST node {node!r}")
+        return ((node.left, prec),
+                (node.right, prec if node.op == "^" else prec + 1))
+    return ((node.arg, 4 if node.fn == "neg" else 0),) \
+        if isinstance(node, Call) else ()
+
+
+def _print(root) -> str:
+    """The text of an AST, built from an explicit stack, as a built graph
+    may nest deeper than the interpreter's stack; each shared node is
+    printed once per precedence it is printed under."""
+    done = {}  # (id(node), parent's precedence) -> text
+    stack = [(root, 0)]
+    while stack:
+        node, parent_prec = stack[-1]
+        operands = _operands(node)
+        pending = [o for o in operands if (id(o[0]), o[1]) not in done]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        args = [done[id(n), p] for n, p in operands]
+        if isinstance(node, Num):
+            v = node.value
+            text = repr(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
+            wrap = v < 0 and parent_prec > 0
+        elif isinstance(node, Var):
+            text, wrap = node.name, False
+        elif isinstance(node, Call):
+            text, wrap = (f"-{args[0]}", parent_prec >= 1) \
+                if node.fn == "neg" else (f"{node.fn}({args[0]})", False)
+        else:
+            prec = _PRECEDENCE[node.op]
+            text = f" {node.op} ".join(args) if node.op in "+-" \
+                else node.op.join(args)
+            wrap = parent_prec > prec or (node.op == "^"
+                                          and parent_prec == prec)
+        done[id(node), parent_prec] = f"({text})" if wrap else text
+    return done[id(root), 0]
 
 
 class ExprProgram:
@@ -470,8 +490,9 @@ def parse(text: str) -> ExprProgram:
 #
 # Every repeated subexpression of a graph is one node (Griewank & Walther,
 # ch. 6; Guenter, SIGGRAPH 2007), interned on its operation and the ids of
-# its operands, never on its value: hashing, comparing or printing a
-# shared graph walks it as a tree, in time exponential in its depth.
+# its operands, never on its value: hashing or comparing a shared graph
+# walks it as a tree, in time exponential in its depth, and its text is as
+# long as the tree.
 
 
 _METHODS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}

@@ -15,12 +15,7 @@ import zlib
 
 import numpy as np
 
-from .errors import (
-    InvariantViolation,
-    OrderError,
-    OutsideOverlap,
-    ShapeError,
-)
+from .errors import InvariantViolation, OutsideOverlap, ShapeError
 from .expr import coordinate_names
 from .scalars import Series, columns, raise_where, space, stack_samples
 
@@ -42,8 +37,12 @@ def _finite_tuple(values, what):
     return out
 
 
-def _check_rows(point, leaf, base, jets, rows):
-    """Store a point's leaf, base and `rows` jet rows as finite floats."""
+def _check_rows(point, chart, order, leaf, base, jets, rows):
+    """Store a point's chart, order (>= 1), and leaf, base and `rows` jet
+    rows as finite floats."""
+    if order < 1:
+        raise ShapeError(f"jet order must be >= 1, got {order}")
+    point.chart, point.order = chart, order
     point.leaf = _finite_tuple(leaf, "leaf")
     point.base = base = _finite_tuple(base, "base")
     jets = tuple(_finite_tuple(row, "jets") for row in jets)
@@ -64,10 +63,7 @@ class TransverseJetPoint:
 
     def __init__(self, chart: str, order: int, leaf: tuple, base: tuple,
                  jets: tuple):
-        if order < 1:
-            raise OrderError(f"jet order must be >= 1, got {order}")
-        self.chart, self.order = chart, order
-        _check_rows(self, leaf, base, jets, order)
+        _check_rows(self, chart, order, leaf, base, jets, order)
 
     @property
     def qdim(self):
@@ -82,10 +78,17 @@ class TransverseJetPoint:
         }
 
 
+def check_fit(point, field):
+    """Raise ShapeError unless a jet point, or a cotangent one, has the
+    order and transverse dimension of the field it is fed to."""
+    if point.order != field.order or point.qdim != field.qdim:
+        raise ShapeError(
+            f"point of order {point.order}, dimension {point.qdim} does not "
+            f"fit a field of order {field.order}, dimension {field.qdim}")
+
+
 def zero_section(r, leaf, base, chart=""):
     """The zero jet over (leaf, base)."""
-    if r < 1:
-        raise OrderError(f"need r >= 1, got {r}")
     q = len(base)
     return TransverseJetPoint(chart, r, tuple(leaf), tuple(base),
                               tuple((0.0,) * q for _ in range(r)))
@@ -310,12 +313,9 @@ def include_jet(r_low, r_high, point):
     multiple (d+j)!/j! of y^(j), with d = r_high - r_low.  Exact integer
     arithmetic, identity when the orders agree.
     """
-    if r_low < 1 or r_low > r_high:
-        raise OrderError(f"need 1 <= r_low <= r_high, got {r_low}, {r_high}")
-    if point.order != r_low:
-        raise OrderError(
-            f"point has order {point.order}, expected {r_low}"
-        )
+    if not point.order == r_low <= r_high:
+        raise ShapeError(f"cannot include a jet of order {point.order} as "
+                         f"order {r_low} into order {r_high}")
     if r_low == r_high:
         return point
     d = r_high - r_low

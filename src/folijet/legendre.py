@@ -31,7 +31,8 @@ from .errors import (
 )
 from .expr import coordinate_names
 from .jets import (TransverseJetPoint, _check_rows, _finite_tuple,
-                   jet_columns, jet_env, sample_stream, split_draws)
+                   check_fit, jet_columns, jet_env, sample_stream,
+                   split_draws)
 from .report import Report, worst
 from .scalars import (Series, batch_of, broadcast, columns, raise_where,
                       second_order, space, stack_samples, value_of, where)
@@ -66,10 +67,7 @@ class CotangentJetPoint:
 
     def __init__(self, chart: str, order: int, leaf: tuple, base: tuple,
                  jets: tuple, momentum: tuple):
-        if order < 1:
-            raise ShapeError(f"order must be >= 1, got {order}")
-        self.chart, self.order = chart, order
-        _check_rows(self, leaf, base, jets, order - 1)
+        _check_rows(self, chart, order, leaf, base, jets, order - 1)
         momentum = _finite_tuple(momentum, "momentum")
         if len(momentum) != len(self.base):
             raise ShapeError("momentum must match the transverse dimension")
@@ -107,17 +105,13 @@ def _second_order_in(out, group, q):
 
 def _condition_number(h):
     """2-norm condition number of symmetric float matrices (..., q, q), inf
-    where one is singular or not finite: closed form for q <= 2, eigvalsh
+    where one is singular or not finite: closed form for q = 1, eigvalsh
     beyond."""
     h = np.asarray(h, dtype=float)
     finite = np.isfinite(h).all(axis=(-2, -1))
     with np.errstate(all="ignore"):
         if h.shape[-1] == 1:
             big = small = np.abs(h[..., 0, 0])
-        elif h.shape[-1] == 2:
-            a, b, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
-            big = np.abs(0.5 * (a + d)) + np.hypot(0.5 * (a - d), b)
-            small = np.abs(a * d - b * b) / big
         else:
             eig = np.abs(np.linalg.eigvalsh(
                 np.where(finite[..., None, None], h, 0.0)))
@@ -247,8 +241,7 @@ def _inverse_top(L, base, lower, momentum):
 
 def legendre_inverse(L, cpoint, *, return_stats=False):
     """Recover the jet point with momentum `cpoint.momentum` under L."""
-    if cpoint.order != L.order or cpoint.qdim != L.qdim:
-        raise ShapeError("cotangent point does not match the lagrangian")
+    check_fit(cpoint, L)
     top, _, stats = _inverse_top(L, cpoint.base, cpoint.jets,
                                  cpoint.momentum)
     point = TransverseJetPoint(cpoint.chart, L.order, cpoint.leaf,
@@ -261,8 +254,7 @@ def legendre_inverse(L, cpoint, *, return_stats=False):
 
 def pseudo_hamiltonian(L, cpoint) -> HamiltonianValue:
     """H = L composed with the inverse Legendre map."""
-    if cpoint.order != L.order or cpoint.qdim != L.qdim:
-        raise ShapeError("cotangent point does not match the lagrangian")
+    check_fit(cpoint, L)
     return HamiltonianValue(hamiltonian_at(L, cpoint.base, cpoint.jets,
                                            cpoint.momentum))
 

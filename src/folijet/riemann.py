@@ -27,8 +27,8 @@ from .dynamics import LagrangianField, top_hessian
 from .errors import DomainError, InvariantViolation, ShapeError, SingularMetric
 from .expr import ExprProgram, Graph, coordinate_names, parse
 from .jets import (_check_in_overlap, _prolong, _prolong_jacobian,
-                   _taylor_env, point_arrays, sample_box, sample_overlap,
-                   sample_points, sample_stream)
+                   _taylor_env, check_fit, point_arrays, sample_box,
+                   sample_overlap, sample_points, sample_stream)
 from .linalg import SINGULAR_TOLERANCE
 from .report import Report, worst
 from .scalars import columns, raise_where, stack_samples
@@ -46,37 +46,41 @@ __all__ = [
 
 HOLONOMY_TOLERANCE = 1e-7
 EXACTNESS_TOLERANCE = 1e-8
+SYMMETRY_TOLERANCE = 1e-12
 
 
 class MetricField:
-    """A symmetric positive-definite q x q field over transverse coordinates."""
+    """A symmetric positive-definite q x q field over transverse coordinates.
 
-    __slots__ = ("components", "name", "chart")
+    `components` is the upper triangle mirrored, the matrix every
+    computation reads; `lower[i][j]` is the entry (i, j), j < i, as given,
+    which `check_positive_definite` holds to its mirror image.
+    """
 
-    def __init__(self, components: tuple, name: str = "", chart: str = ""):
-        self.components = components  # q rows of q ExprPrograms
+    __slots__ = ("components", "lower", "name", "chart")
+
+    def __init__(self, components: tuple, lower: tuple, name: str = "",
+                 chart: str = ""):
+        self.components, self.lower = components, lower  # ExprPrograms
         self.name, self.chart = name, chart
 
     @classmethod
     def from_components(cls, entries, q, *, name="", chart=""):
         if len(entries) != q or any(len(row) != q for row in entries):
             raise ShapeError(f"metric {name!r}: need a {q} x {q} matrix")
-        parsed = [[None] * q for _ in range(q)]
+        parsed = [[p if isinstance(p, ExprProgram) else parse(str(p))
+                   for p in row] for row in entries]
         allowed = set(coordinate_names(q))
-        for i in range(q):
-            for j in range(i, q):
-                prog = entries[i][j]
-                if not isinstance(prog, ExprProgram):
-                    prog = parse(str(prog))
-                extra = prog.free_variables() - allowed
-                if extra:
-                    raise InvariantViolation(
-                        f"metric {name!r} entry ({i},{j}) uses {sorted(extra)}"
-                    )
-                # lower triangle mirrors the upper one
-                parsed[i][j] = prog
-                parsed[j][i] = prog
-        return cls(tuple(tuple(row) for row in parsed), name, chart)
+        for i, j in np.ndindex(q, q):
+            extra = parsed[i][j].free_variables() - allowed
+            if extra:
+                raise InvariantViolation(
+                    f"metric {name!r} entry ({i},{j}) uses {sorted(extra)}"
+                )
+        return cls(tuple(tuple(parsed[min(i, j)][max(i, j)] for j in range(q))
+                         for i in range(q)),
+                   tuple(tuple(row[:i]) for i, row in enumerate(parsed)),
+                   name, chart)
 
     @property
     def qdim(self):
@@ -100,11 +104,23 @@ class MetricField:
 
     def check_positive_definite(self, box):
         """Raise SingularMetric unless g is positive definite at 25 points
-        of `box`, drawn from a stream fixed by the metric's name and chart."""
+        of `box`, drawn from a stream fixed by the metric's name and chart,
+        and InvariantViolation unless each lower entry equals its mirror
+        image there."""
         if np.shape(box) != (self.qdim, 2):
             raise ShapeError("domain box must have one interval per coordinate")
         pts = sample_box(box, 25, 0, f"metric:{self.name}:{self.chart}")
-        eig = np.linalg.eigvalsh(self.evaluate(pts)).min(axis=-1)
+        g = self.evaluate(pts)
+        env = dict(zip(coordinate_names(self.qdim), columns(pts)))
+        for i, row in enumerate(self.lower):
+            for j, prog in enumerate(row):
+                raise_where(~np.isclose(prog.eval(env), g[:, i, j],
+                                        SYMMETRY_TOLERANCE,
+                                        SYMMETRY_TOLERANCE),
+                            InvariantViolation,
+                            "metric {!r} entry ({},{}) differs from entry "
+                            "({},{}) at {}", self.name, i, j, j, i, pts)
+        eig = np.linalg.eigvalsh(g).min(axis=-1)
         raise_where(eig <= SINGULAR_TOLERANCE, SingularMetric,
                     "metric {!r} has eigenvalue {:.3e} at {}", self.name,
                     eig, pts)
@@ -303,10 +319,7 @@ class LiftedMetric:
         )
 
     def evaluate(self, point) -> np.ndarray:
-        r = self.order
-        if point.order != r:
-            raise ShapeError(
-                f"jet of order {point.order} for a lift of order {r}")
+        check_fit(point, self)
         _, base, jets = point_arrays(point)
         return self.evaluate_at(point.chart, base, jets)
 

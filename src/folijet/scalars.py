@@ -53,7 +53,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import DomainError, SpaceMismatch
+from .errors import DomainError, ShapeError
 
 __all__ = ["Space", "Series", "space", "second_order", "value_of",
            "exp", "log", "sin", "cos", "tan", "sqrt", "atan",
@@ -250,7 +250,7 @@ class Series:
     def __init__(self, space, coeffs):
         coeffs = np.array(coeffs, dtype=float)
         if coeffs.shape[-1:] != (space.size,) or coeffs.ndim > 2:
-            raise SpaceMismatch(
+            raise ShapeError(
                 f"{coeffs.shape} coefficients for {space.size} monomials")
         raise_where(~np.isfinite(coeffs).all(axis=-1), DomainError,
                     "non-finite series coefficient")
@@ -272,7 +272,7 @@ class Series:
 
     def _coerce(self, other_space):
         if self.space is not other_space:
-            raise SpaceMismatch(
+            raise ShapeError(
                 f"spaces differ: {self.space.groups} vs {other_space.groups}")
         return self.coeffs
 
@@ -296,7 +296,7 @@ class Series:
         """This series, over `sp` without ``group``, as a series over `sp`
         of degree zero in ``group``: `split` inverted on its parts."""
         if sp.groups[:group] + sp.groups[group + 1:] != self.space.groups:
-            raise SpaceMismatch(f"{self.space.groups} not in {sp.groups}")
+            raise ShapeError(f"{self.space.groups} not in {sp.groups}")
         lead = self.coeffs.shape[:-1]
         pre = math.prod(sp.shape[:group])
         out = np.zeros(lead + (pre, sp.shape[group], self.space.size // pre))

@@ -16,6 +16,7 @@ from folijet.atlas import (COCYCLE_TOLERANCE, DET_TOLERANCE,
                            ROUNDTRIP_TOLERANCE)
 from folijet.cli import (HAMILTONIAN_TOLERANCE, PROJECTOR_TOLERANCE,
                          build_parser, main)
+from folijet.expr import parse
 from folijet.riemann import EXACTNESS_TOLERANCE, HOLONOMY_TOLERANCE
 from oracles import recoordinatize
 
@@ -115,6 +116,20 @@ def with_leaf_dim(value):
     return change
 
 
+def with_lower_entry(entry):
+    """q = 2, with a metric on chart A whose entry (1,0) is `entry` and
+    whose entry (0,1) is 0."""
+    def change(doc):
+        doc["transverse_dim"] = 2
+        for box in ([c["domain"] for c in doc["charts"]]
+                    + [doc["transitions"][0]["overlap"]]):
+            box.append([0.5, 2.0])
+        doc["transitions"][0]["transverse_exprs"].append("x2")
+        doc["metrics"] = [{"name": "g", "chart": "A",
+                           "components": [["1", "0"], [entry, "1"]]}]
+    return change
+
+
 SCHEMA_BREAKS = {
     "chart_without_name": lambda doc: doc["charts"][0].pop("name"),
     "transition_without_overlap":
@@ -137,6 +152,8 @@ SCHEMA_BREAKS = {
         lagrangians=[lagrangian("A", 2.7)]),
     "interval_bound_not_a_number":
         lambda doc: doc["charts"][0].update(domain=[[None, 2.0]]),
+    "metric_lower_entry_unparsable": with_lower_entry("garbage((("),
+    "metric_lower_entry_not_symmetric": with_lower_entry("100*x1"),
     **NUMERIC_BREAKS,
 }
 
@@ -546,6 +563,27 @@ def test_seed_env_default(capsys, atlas_dir, monkeypatch):
                    "got -5\n")
 
 
+@pytest.mark.parametrize("source", ["--seed", "FOLIJET_SEED"])
+def test_seed_must_be_below_2_to_the_64(capsys, atlas_dir, monkeypatch,
+                                        source):
+    # the sample streams key on the seed modulo 2^64: 2^64 would be seed 0
+    atlas = str(atlas_dir / "cubic.json")
+    for seed, want in ((2 ** 64, 2), (2 ** 64 - 1, 0)):
+        if source == "--seed":
+            argv = ["--seed", str(seed)]
+        else:
+            argv = []
+            monkeypatch.setenv("FOLIJET_SEED", str(seed))
+        code, out, err = run(capsys, "certify", atlas, "--metric", "g",
+                             "--order", "1", "--samples", "3", *argv)
+        assert code == want, err
+        if want:
+            assert (out, err) == (
+                "", f"error: {source} must be below 2^64, got {seed}\n")
+        else:
+            assert json.loads(out)["seed"] == seed
+
+
 TOLERANCE_FLAGS = [("validate", flag) for flag in
                    ("--tol-det", "--tol-roundtrip", "--tol-cocycle")] + [
     ("certify", flag) for flag in
@@ -675,6 +713,19 @@ def test_certify_long_sum_metric_exits_without_traceback(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stdout)["summary"]["failed"] == 0
+
+
+def test_lift_of_a_long_sum_metric_exits_0(tmp_path):
+    # the printed lagrangian nests one sum per term, 1500 deep
+    entry = "2" + "".join(f" + 0.001*sin({k}*x1)" for k in range(1, 1500))
+    proc = run_process("-m", "folijet.cli", "lift",
+                       _plane_with_metric(tmp_path, entry),
+                       "--metric", "deep", "--order", "1")
+    assert proc.returncode == 0, proc.stderr
+    printed = json.loads(proc.stdout)["charts"]["O"]["lagrangian"]
+    env = {"x1": 0.3, "y1_1": 0.5}
+    assert parse(printed).eval(env) == pytest.approx(
+        0.25 * parse(entry).eval(env), rel=1e-14)
 
 
 def test_overflowing_jet_semispray_exits_2_with_one_error_line():

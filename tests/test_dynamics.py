@@ -12,7 +12,7 @@ from folijet.dynamics import (
 from folijet.errors import (
     ExcludedPoint,
     InvariantViolation,
-    OrderError,
+    ShapeError,
     SingularHessian,
 )
 from folijet.expr import parse
@@ -57,7 +57,7 @@ def test_lagrangian_rejects_leaf_and_momentum_variables():
         lagrangian("y1_1^2 + u1", 1)
     with pytest.raises(InvariantViolation):
         lagrangian("p_1^2", 1)
-    with pytest.raises(OrderError):
+    with pytest.raises(ShapeError):
         lagrangian("x1", 0)
 
 
@@ -177,5 +177,5 @@ def test_projector_laws(text, r, q):
 
 def test_spray_order_mismatch():
     S = SemiSprayField.from_lagrangian(lagrangian("y1_1^2", 1))
-    with pytest.raises(OrderError):
+    with pytest.raises(ShapeError):
         S.jacobian(jet_point([0.5], [[0.3], [0.1]]))

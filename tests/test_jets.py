@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from folijet.atlas import load_atlas
-from folijet.errors import OrderError, OutsideOverlap, ShapeError
+from folijet.dynamics import (LagrangianField, SemiSprayField,
+                              dual_coefficients, projectors, semispray,
+                              vertical_hessian)
+from folijet.errors import OutsideOverlap, ShapeError
+from folijet.expr import parse
 from folijet.jets import (
     TransverseJetPoint,
     _check_in_overlap,
@@ -12,6 +16,9 @@ from folijet.jets import (
     prolong_transition,
     zero_section,
 )
+from folijet.legendre import (CotangentJetPoint, legendre_inverse,
+                              legendre_map, pseudo_hamiltonian)
+from folijet.riemann import MetricField, lift_metric
 from oracles import central_difference_vector, sympy_prolong
 
 
@@ -138,9 +145,9 @@ def test_include_jet_factors_and_identity():
     up = include_jet(2, 4, point)
     # d = 2: row d+j carries (d+j)!/j! * y^(j)
     assert up.jets == ((0.0,), (0.0,), (6 * 2.0,), (12 * 3.0,))
-    with pytest.raises(OrderError):
+    with pytest.raises(ShapeError):
         include_jet(3, 2, point)
-    with pytest.raises(OrderError):
+    with pytest.raises(ShapeError):
         include_jet(1, 2, point)  # order mismatch with the point
 
 
@@ -198,5 +205,47 @@ def test_j_shift_and_dual():
 def test_shape_validation():
     with pytest.raises(ShapeError):
         TransverseJetPoint("A", 2, (), (1.0,), ((1.0,),))
-    with pytest.raises(OrderError):
+    with pytest.raises(ShapeError):
         zero_section(0, (), (1.0,))
+
+
+# ------------------------------------------------------ the point contract
+
+# fields of order 2 on q = 2, and every entry that takes a point of one
+FIT_L = LagrangianField.from_program(parse("y1_1^2 + y2_1^2 + y2_2^2"),
+                                     order=2, qdim=2)
+FIT_S = SemiSprayField.from_lagrangian(FIT_L)
+FIT_G = lift_metric(MetricField.from_components([["1", "0"], ["0", "1"]], 2),
+                    2)
+JET_ENTRIES = {
+    "vertical_hessian": lambda pt: vertical_hessian(FIT_L, pt),
+    "semispray": lambda pt: semispray(FIT_L, pt),
+    "LagrangianField.value": FIT_L.value,
+    "legendre_map": lambda pt: legendre_map(FIT_L, pt),
+    "SemiSprayField.jacobian": FIT_S.jacobian,
+    "projectors": lambda pt: projectors(FIT_S, pt),
+    "dual_coefficients": lambda pt: dual_coefficients(FIT_S, pt),
+    "LiftedMetric.evaluate": FIT_G.evaluate,
+}
+COTANGENT_ENTRIES = {
+    "legendre_inverse": lambda cp: legendre_inverse(FIT_L, cp),
+    "pseudo_hamiltonian": lambda cp: pseudo_hamiltonian(FIT_L, cp),
+}
+
+
+@pytest.mark.parametrize("entry", [*JET_ENTRIES, *COTANGENT_ENTRIES])
+def test_point_entries_raise_one_shape_error(entry):
+    for order, q in ((3, 2), (2, 3)):  # the wrong order, then dimension
+        base, rows = (0.5,) * q, ((0.1,) * q,) * order
+        if entry in JET_ENTRIES:
+            call = JET_ENTRIES[entry]
+            point = TransverseJetPoint("", order, (), base, rows)
+        else:
+            call = COTANGENT_ENTRIES[entry]
+            point = CotangentJetPoint("", order, (), base, rows[1:],
+                                      (1.0,) * q)
+        with pytest.raises(ShapeError) as err:
+            call(point)
+        assert str(err.value) == (
+            f"point of order {order}, dimension {q} does not fit a field "
+            "of order 2, dimension 2")

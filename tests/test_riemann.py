@@ -269,8 +269,8 @@ def _atlas_metrics():
 
 # a q = 3 metric with an off-diagonal entry
 METRIC_Q3 = MetricField.from_components(
-    [["1 + x2^2", "0.1", "0"], [None, "2 + x3^2", "0"],
-     [None, None, "1 + x1^2"]], 3, name="q3")
+    [["1 + x2^2", "0.1", "0"], ["0.1", "2 + x3^2", "0"],
+     ["0", "0", "1 + x1^2"]], 3, name="q3")
 SHEAR2_A = load_atlas_file(ATLAS_DIR / "shear2.json").metrics["g"]["A"]
 
 

@@ -28,7 +28,8 @@ from .errors import (
 )
 from .expr import ExprProgram, coordinate_names
 from .jets import check_fit, j_matrix, jet_columns, jet_env, point_arrays
-from .scalars import columns, raise_where, second_order, space, value_of
+from .scalars import (columns, prefixed, raise_where, second_order, space,
+                      value_of)
 
 __all__ = [
     "LagrangianField",
@@ -53,12 +54,6 @@ def top_row_derivatives(L, base, lower, top):
               *(sp.seed(v, i) for i, v in enumerate(top))]
     out = L.program.eval(dict(zip(coordinate_names(q, L.order), values)))
     return second_order(columns(out.coeffs), q)
-
-
-def float_matrix(rows):
-    """A nested list of floats, or of batches, as (q, q) or (B, q, q)."""
-    m = np.array(rows, dtype=float)
-    return m if m.ndim == 2 else np.moveaxis(m, -1, 0)
 
 
 class LagrangianField:
@@ -124,7 +119,8 @@ def top_hessian(L, base, jets):
     of points as (B, q, q)."""
     L._check_smooth(base, jets)
     x, *rows = jet_columns(base, jets)
-    return float_matrix(top_row_derivatives(L, x, rows[:-1], rows[-1])[2])
+    h = np.array(top_row_derivatives(L, x, rows[:-1], rows[-1])[2], float)
+    return h if h.ndim == 2 else np.moveaxis(h, -1, 0)
 
 
 def vertical_hessian(L, point) -> np.ndarray:
@@ -172,10 +168,8 @@ def _semispray_scalars(L, base, jets, lifted=False):
     try:
         sol = linalg.solve(h, rhs)
     except SingularHessian as err:
-        raise SingularHessian(
-            f"vertical hessian of {L.name or L.program.to_text()!r} is "
-            f"singular: {err}"
-        ) from None
+        raise prefixed(err, "vertical hessian of {!r} is singular: ".format(
+            L.name or L.program.to_text())) from None
     scale = 1.0 / (2.0 * (r + 1))
     return [scale * s for s in sol]
 

@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 
 from . import linalg
-from .dynamics import float_matrix, top_hessian, top_row_derivatives
+from .dynamics import top_hessian, top_row_derivatives
 from .errors import (
     InvariantViolation,
     NoConvergence,
@@ -34,8 +34,9 @@ from .jets import (TransverseJetPoint, _check_rows, _finite_tuple,
                    check_fit, jet_columns, jet_env, sample_stream,
                    split_draws)
 from .report import Report, worst
-from .scalars import (Series, batch_of, broadcast, columns, raise_where,
-                      second_order, space, stack_samples, value_of, where)
+from .scalars import (Series, batch_of, broadcast, columns, prefixed,
+                      raise_where, second_order, space, stack_samples,
+                      value_of, where)
 
 __all__ = [
     "CotangentJetPoint",
@@ -50,7 +51,6 @@ __all__ = [
 NEWTON_TOLERANCE = 1e-10
 NEWTON_MAX_ITERATIONS = 50
 SETTLED_TOLERANCE = 1e-14
-CONDITION_LIMIT = 1e12
 RAY_TOLERANCE = 1e-8
 RAY_REACH = 2.0 ** 59
 ZERO_SECTION_TOLERANCE = 1e-12
@@ -103,22 +103,6 @@ def _second_order_in(out, group, q):
                         else [p.value for p in parts], q)
 
 
-def _condition_number(h):
-    """2-norm condition number of symmetric float matrices (..., q, q), inf
-    where one is singular or not finite: closed form for q = 1, eigvalsh
-    beyond."""
-    h = np.asarray(h, dtype=float)
-    finite = np.isfinite(h).all(axis=(-2, -1))
-    with np.errstate(all="ignore"):
-        if h.shape[-1] == 1:
-            big = small = np.abs(h[..., 0, 0])
-        else:
-            eig = np.abs(np.linalg.eigvalsh(
-                np.where(finite[..., None, None], h, 0.0)))
-            big, small = eig.max(axis=-1), eig.min(axis=-1)
-        return np.where(finite & (small > 0.0), big / small, np.inf)
-
-
 def _largest_coefficient(entries, batch):
     """Largest magnitude over the coefficients of floats or series, per
     sample of a batch of `batch` (None: unbatched)."""
@@ -155,16 +139,16 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
     settled, and stops, once every coefficient of the residual is at
     roundoff relative to those of the value, gradient and Hessian;
     otherwise it stops `polish` steps after its largest coefficient falls
-    to NEWTON_TOLERANCE.  Damping and the condition guard use float
-    values.  Returns (top_row, stage_value, stats).
+    to NEWTON_TOLERANCE.  Damping uses float values, and `linalg.solve`
+    raises SingularHessian where the Hessian is not regular.  Returns
+    (top_row, stage_value, stats).
 
     When the target is a batch, every call evaluates the whole batch, and
     `moving` flags the samples whose top row moved; a sample that has
     stopped, or already took its step, sits at its last accepted top row.
-    Every sample keeps its own damping and condition guard, numpy's LU in
-    `linalg.solve` factors each sample's Hessian on its own, and a sample
-    stops, frozen in place, where it would stop alone.  Stats then hold
-    per-sample lists.
+    Every sample keeps its own damping, `linalg.solve` judges and factors
+    each sample's Hessian on its own, and a sample stops, frozen in place,
+    where it would stop alone.  Stats then hold per-sample lists.
     """
     label = f"stage {stage}: " if stage is not None else ""
     batch = next((n for n in map(batch_of, target) if n), None)
@@ -199,16 +183,13 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
                         label + "residual {:.3e} after {} iterations",
                         state[4], steps)
         top, (_, _, hess), F = state[:3]
-        cond = _condition_number(float_matrix(
-            [[value_of(h) for h in row] for row in hess]))
-        raise_where(running & (~np.isfinite(cond) | (cond > CONDITION_LIMIT)),
-                    SingularHessian,
-                    label + "vertical hessian condition estimate {:.3e}",
-                    cond)
         if not running.all():  # a stopped sample solves a unit system
             hess = [[where(running, h, float(i == k))
                      for k, h in enumerate(row)] for i, row in enumerate(hess)]
-        step = linalg.solve(hess, [-f for f in F])
+        try:
+            step = linalg.solve(hess, [-f for f in F])
+        except SingularHessian as err:
+            raise prefixed(err, label + "vertical hessian ") from None
         pending, scale = running, 1.0
         while True:
             trial = _where_tree(pending, [top[i] + scale * step[i]
@@ -458,6 +439,8 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *,
     fiber rays.  The samples are drawn in blocks, then each condition is
     evaluated over all of them at once.
     """
+    if samples < 1:
+        raise ValueError("need samples >= 1")
     r, q = L.order, L.qdim
     report = Report(seed=int(seed))
     box = np.asarray(base_box, dtype=float)
@@ -476,41 +459,31 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *,
         env.update(zip(names, columns(np.concatenate([base, jets], axis=-1))))
         return env
 
-    min_eig = np.inf
-    min_value = np.inf
-    zero_dev = 0.0
-    ray_dev = 0.0
-    ray_failures = 0
-    if samples:
-        base, jets, direction = _admissible_draws(L, seed, box, samples,
-                                                  env_at)
-        batch = len(base) if base.ndim == 2 else None
-        zero = np.zeros_like(jets)
-        if projectable:
-            hess = top_hessian(L, base, jets.reshape(base.shape[:-1] + (r, q)))
-            min_eig = worst(min_eig, np.linalg.eigvalsh(hess).min(axis=-1),
-                            min)
-        else:
-            min_eig = -np.inf
-        min_value = worst(min_value, value_of(L.program.eval(
-            env_at(base, jets))), min)
-        if not L.slashed:
-            zero_dev = worst(zero_dev, np.abs(value_of(L.program.eval(
-                env_at(base, zero)))))
-        phi_value = value_of(phi.eval(env_at(base, zero))) \
-            if phi is not None else 1.0
+    base, jets, direction = _admissible_draws(L, seed, box, samples, env_at)
+    batch = len(base) if base.ndim == 2 else None
+    min_eig = -np.inf
+    if projectable:
+        hess = top_hessian(L, base, jets.reshape(base.shape[:-1] + (r, q)))
+        min_eig = worst(np.inf, np.linalg.eigvalsh(hess).min(axis=-1), min)
+    min_value = worst(np.inf, value_of(L.program.eval(env_at(base, jets))),
+                      min)
+    zero = np.zeros_like(jets)
+    zero_dev = 0.0 if L.slashed else worst(0.0, np.abs(value_of(
+        L.program.eval(env_at(base, zero)))))
+    phi_value = value_of(phi.eval(env_at(base, zero))) \
+        if phi is not None else 1.0
 
-        def along(t):
-            s = ray.seed(t, 0)
-            env = dict.fromkeys(leaf_vars, 0.0)
-            env.update(zip(names, [*columns(base),
-                                   *(s * d for d in columns(direction))]))
-            out = L.program.eval(env)
-            return out.value, out.coeffs[..., 1]
+    def along(t):
+        s = ray.seed(t, 0)
+        env = dict.fromkeys(leaf_vars, 0.0)
+        env.update(zip(names, [*columns(base),
+                               *(s * d for d in columns(direction))]))
+        out = L.program.eval(env)
+        return out.value, out.coeffs[..., 1]
 
-        levels = _ray_level(along, phi_value, batch)
-        ray_failures = levels.count(None)
-        ray_dev = worst(ray_dev, [dev for dev in levels if dev is not None])
+    levels = _ray_level(along, phi_value, batch)
+    ray_failures = levels.count(None)
+    ray_dev = worst(0.0, [dev for dev in levels if dev is not None])
 
     report.add("hessian_positive_definite", L.name or "L",
                float(min_eig), linalg.SINGULAR_TOLERANCE, direction=">")

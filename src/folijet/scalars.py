@@ -57,7 +57,7 @@ from .errors import DomainError, ShapeError
 
 __all__ = ["Space", "Series", "space", "second_order", "value_of",
            "exp", "log", "sin", "cos", "tan", "sqrt", "atan",
-           "power", "UNARY_FUNCTIONS", "raise_where", "batch_of",
+           "power", "UNARY_FUNCTIONS", "raise_where", "prefixed", "batch_of",
            "broadcast", "where", "columns", "stack_samples"]
 
 
@@ -88,6 +88,13 @@ def sample_error(error, detail, s):
     out = error(f"{detail} (sample {s})")
     out.detail, out.sample = detail, s
     return out
+
+
+def prefixed(err, prefix):
+    """`err` with `prefix` before its message, naming the same sample."""
+    if hasattr(err, "sample"):
+        return sample_error(type(err), prefix + err.detail, err.sample)
+    return type(err)(prefix + str(err))
 
 
 def _group_monomials(count, cap):

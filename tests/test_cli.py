@@ -455,13 +455,14 @@ def test_certify_shear2_order_4_within_ten_seconds(atlas_dir):
     assert elapsed <= 10.0
 
 
-def _q3_atlas(tmp_path, invariant=True):
+def _q3_atlas(tmp_path, invariant=True, scale=None):
     """A q = 3 atlas: chart B is chart A moved by the translation
     x -> x + 1, and g_B is METRIC_Q3 pushed forward (or, not invariant,
-    METRIC_Q3 itself)."""
+    METRIC_Q3 itself); with `scale`, both metrics times that constant."""
     from test_riemann import METRIC_Q3
 
-    entries = [[p.source for p in row] for row in METRIC_Q3.components]
+    entries = [[p.source if scale is None else f"{scale}*({p.source})"
+                for p in row] for row in METRIC_Q3.components]
     pushed = [[re.sub(r"x(\d)", r"(x\1 - 1)", e) for e in row]
               for row in entries]
     boxes = {"A": [[0.2, 1.2]] * 3, "B": [[1.2, 2.2]] * 3}
@@ -478,7 +479,8 @@ def _q3_atlas(tmp_path, invariant=True):
                     {"name": "g", "chart": "B",
                      "components": pushed if invariant else entries}],
     }
-    path = tmp_path / ("q3.json" if invariant else "q3_bad.json")
+    path = tmp_path / (("q3" if invariant else "q3_bad")
+                       + ("" if scale is None else f"_{scale}") + ".json")
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -495,6 +497,26 @@ def test_certify_q3_end_to_end(capsys, tmp_path):
     assert code == 1
     failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
     assert failed == {"holonomy"}
+
+
+def test_certify_q3_metric_at_a_small_scale(capsys, tmp_path):
+    # eigenvalues 1e-4 to 3.4e-4, condition <= 3.3: regular at any scale
+    path = _q3_atlas(tmp_path, scale=1e-4)
+    assert run(capsys, "validate", path)[0] == 0
+    for order in ("1", "2"):
+        code, out, err = run(capsys, "certify", path, "--metric", "g",
+                             "--order", order, "--samples", "5")
+        assert code == 0, err
+        assert all(c["pass"] for c in json.loads(out)["checks"])
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_certify_without_samples_exits_2(capsys, atlas_dir, samples):
+    code, out, err = run(capsys, "certify", str(atlas_dir / "cubic.json"),
+                         "--metric", "g", "--order", "1", "--samples",
+                         samples)
+    assert code == 2 and not out
+    assert err == "error: need samples >= 1\n"
 
 
 def test_certify_negative_control(capsys, atlas_dir):

@@ -91,6 +91,18 @@ def test_semispray_singular_hessian():
         semispray(L, jet_point([0.5], [[0.1], [0.2]]))
 
 
+def test_batched_spray_error_names_its_sample():
+    # the vertical hessian 2 x1 vanishes at sample 2 alone
+    L = lagrangian("x1*y1_1^2", 1, name="L")
+    base = np.array([[0.5], [1.0], [0.0], [2.0]])
+    with pytest.raises(SingularHessian) as err:
+        SemiSprayField(L).jacobian_at(base, np.full((4, 1, 1), 0.3))
+    assert err.value.sample == 2
+    assert err.value.detail == ("vertical hessian of 'L' is singular: "
+                                "condition estimate inf")
+    assert str(err.value) == err.value.detail + " (sample 2)"
+
+
 def test_slashed_lagrangian_excluded_point():
     L = lagrangian("y1_1^2", 1, slashed=True,
                     excluded=parse("y1_1^2 - 1/100"))

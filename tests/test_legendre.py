@@ -17,9 +17,9 @@ from folijet.errors import (
 )
 from folijet.expr import ExprProgram, coordinate_names, parse
 from folijet.jets import TransverseJetPoint
+from folijet.linalg import condition_number
 from folijet.legendre import (
     CotangentJetPoint,
-    _condition_number,
     _newton_top_row,
     _ray_level,
     hamiltonian_at,
@@ -154,8 +154,8 @@ def test_condition_number_matches_numpy(q):
         want = np.linalg.cond(h)
         if want > 1e4:  # both lose digits as the matrix nears singular
             continue
-        assert _condition_number(h.tolist()) == pytest.approx(want,
-                                                              rel=1e-12)
+        assert condition_number(h.tolist()) == pytest.approx(want,
+                                                             rel=1e-12)
 
 
 @pytest.mark.parametrize("hess", [
@@ -166,7 +166,7 @@ def test_condition_number_matches_numpy(q):
 ])
 def test_newton_rejects_singular_or_non_finite_hessian(hess):
     q = len(hess)
-    assert _condition_number(hess) == np.inf
+    assert condition_number(hess) == np.inf
 
     def quad_at(top, moving):
         return 0.0, list(top), hess
@@ -255,6 +255,25 @@ def test_batched_chain_and_inverse_name_the_singular_sample():
         hamiltonian_at(L, bases, np.zeros((4, 0, 1)), momenta)
     with pytest.raises(SingularHessian, match=r"\(sample 2\)$"):
         legendre_chain(L)(bases, momenta)
+
+
+def test_newton_singular_errors_keep_their_text():
+    # linalg.solve judges the hessian; Newton puts its stage in front
+    L = lagrangian("x1*y1_1^2 + y1_1^4", 1)
+    bases = np.array([[0.5], [1.0], [0.0], [2.0]])
+    momenta = np.array([[0.3], [4.0], [0.3], [1.0]])
+    want = "vertical hessian condition estimate inf"
+    for call, text, sample in [
+            (lambda: legendre_chain(L)(bases, momenta),
+             f"stage 1: {want} (sample 2)", 2),
+            (lambda: hamiltonian_at(L, bases, np.zeros((4, 0, 1)), momenta),
+             f"{want} (sample 2)", 2),
+            (lambda: legendre_chain(L)(bases[2], momenta[2]),
+             f"stage 1: {want}", None)]:
+        with pytest.raises(SingularHessian) as err:
+            call()
+        assert str(err.value) == text
+        assert getattr(err.value, "sample", None) == sample
 
 
 # ------------------------------------------------------ pseudo-hamiltonian

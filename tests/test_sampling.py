@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from folijet import cli, legendre, riemann
-from folijet.atlas import load_atlas_file, sample_overlap
+from folijet.atlas import load_atlas_file, sample_overlap, validate_foliated
 from folijet.dynamics import LagrangianField
 from folijet.expr import parse
 from folijet.jets import Stream, sample_stream
@@ -164,3 +164,23 @@ def test_sample_jets_keeps_its_values():
         got = sample_jets(np.random.default_rng(4), r, q, scale)
         want = jet_rows(np.random.default_rng(4), r, q, scale)
         assert got == tuple(map(tuple, np.array(want).tolist()))
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_every_sampled_check_needs_a_sample(cubic_atlas, samples):
+    # a check that drew nothing would pass without looking
+    family = cubic_atlas.metrics["g_bad"]
+    lifted = lift_metric(family, 1)
+    L = lift_lagrangian(family["A"], 1)
+    box = [[0.5, 2.0]]
+    checks = [
+        lambda: validate_foliated(cubic_atlas, samples),
+        lambda: riemann.holonomy_check(cubic_atlas, lifted, samples),
+        lambda: riemann.vertical_exactness_check(lifted, L, samples,
+                                                 base_box=box),
+        lambda: legendre.admissibility_check(
+            LagrangianField.from_program(parse("-y1_1^2"), order=1, qdim=1),
+            samples=samples, base_box=box)]
+    for check in checks:
+        with pytest.raises(ValueError, match=r"^need (samples|n) >= 1$"):
+            check()

@@ -329,8 +329,8 @@ def main(argv=None) -> int:
         # every kernel turns a non-finite value into a DomainError
         with np.errstate(all="ignore"):
             return args.run(args)
-    except (FolijetError, OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (FolijetError, MemoryError, OSError, ValueError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
 
 

@@ -436,8 +436,9 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *,
     (a) positive-definite vertical Hessian, (b) nonnegativity with zero on
     the zero section, (c) projectability (no leaf-coordinate dependence),
     (d) a prescribed basic level phi (default 1) attained along random
-    fiber rays.  The samples are drawn in blocks, then each condition is
-    evaluated over all of them at once.
+    fiber rays.  Each condition runs on all samples, drawn in blocks, at
+    once; (a) reports the least `linalg.definiteness` (1.0 for any positive
+    q = 1 Hessian) against 1 / CONDITION_LIMIT.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
@@ -461,10 +462,10 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *,
 
     base, jets, direction = _admissible_draws(L, seed, box, samples, env_at)
     batch = len(base) if base.ndim == 2 else None
-    min_eig = -np.inf
+    min_ratio = -np.inf
     if projectable:
         hess = top_hessian(L, base, jets.reshape(base.shape[:-1] + (r, q)))
-        min_eig = worst(np.inf, np.linalg.eigvalsh(hess).min(axis=-1), min)
+        min_ratio = worst(np.inf, linalg.definiteness(hess), min)
     min_value = worst(np.inf, value_of(L.program.eval(env_at(base, jets))),
                       min)
     zero = np.zeros_like(jets)
@@ -486,7 +487,7 @@ def admissibility_check(L, phi=None, samples=25, seed=0, *,
     ray_dev = worst(0.0, [dev for dev in levels if dev is not None])
 
     report.add("hessian_positive_definite", L.name or "L",
-               float(min_eig), linalg.SINGULAR_TOLERANCE, direction=">")
+               float(min_ratio), 1 / linalg.CONDITION_LIMIT, direction=">")
     report.add("nonnegative", L.name or "L", max(0.0, -float(min_value)),
                ZERO_SECTION_TOLERANCE)
     context = "skipped (slashed)" if L.slashed else (L.name or "L")

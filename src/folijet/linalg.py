@@ -8,10 +8,12 @@ step's degree-d coefficients read only those of X below d: once those are
 final, each further step recomputes them from the same floats by the same
 operations.  So after d steps degree <= d is final, extra steps repeat it
 bit for bit, and a space with a larger cap gives the same bits.  Entries
-may be batches (see `scalars`).  Every float matrix the package inverts
-is symmetric and regular by one rule, blind to its scale: a 2-norm
-condition estimate of at most CONDITION_LIMIT (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., 2002).
+may be batches (see `scalars`).  Two rules, both blind to scale, judge
+symmetric float matrices (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 2002): one `solve` inverts is regular when its 2-norm
+condition estimate is at most CONDITION_LIMIT, and a metric or vertical
+Hessian is positive definite when its least eigenvalue over its largest
+magnitude is above 1 / CONDITION_LIMIT.
 """
 
 from __future__ import annotations
@@ -21,37 +23,41 @@ from operator import add
 
 import numpy as np
 
-from .errors import ShapeError, SingularHessian
+from .errors import ShapeError, SingularHessian, SingularMetric
 from .scalars import Series, raise_where, value_of
 
 __all__ = ["solve"]
 
 CONDITION_LIMIT = 1e12
-# the least eigenvalue a positive-definite metric or Hessian may show
-SINGULAR_TOLERANCE = 1e-9
 
 
 def condition_number(h):
     """2-norm condition number of symmetric float matrices (..., q, q), inf
-    where one is singular or not finite: closed form for q = 1, eigvalsh
-    beyond."""
+    where one is singular or not finite (closed form for q = 1)."""
     h = np.asarray(h, dtype=float)
-    finite = np.isfinite(h).all(axis=(-2, -1))
+    eig = np.abs(h[..., 0] if h.shape[-1] == 1 else np.linalg.eigvalsh(
+        np.where(np.isfinite(h).all(axis=(-2, -1), keepdims=True), h, 0.0)))
     with np.errstate(all="ignore"):
-        if h.shape[-1] == 1:
-            big = small = np.abs(h[..., 0, 0])
-        else:
-            eig = np.abs(np.linalg.eigvalsh(
-                np.where(finite[..., None, None], h, 0.0)))
-            big, small = eig.max(axis=-1), eig.min(axis=-1)
-        return np.where(finite & (small > 0.0), big / small, np.inf)
+        cond = eig.max(axis=-1) / eig.min(axis=-1)
+    return np.where(cond == cond, cond, np.inf)  # NaN: zero or not finite
 
 
-def check_regular(a, error, message, *values):
-    """`raise_where` for the symmetric float matrices `a` (..., n, n) whose
-    condition estimate, the first value shown, is above CONDITION_LIMIT."""
-    cond = condition_number(a)
-    raise_where(cond > CONDITION_LIMIT, error, message, cond, *values)
+def definiteness(h):
+    """Least eigenvalue over largest magnitude of symmetric float matrices
+    (..., q, q), -inf where one is zero or not finite (1.0 if 1 x 1 > 0)."""
+    eig = np.linalg.eigvalsh(np.where(
+        np.isfinite(h).all(axis=(-2, -1), keepdims=True), h, 0.0))
+    with np.errstate(all="ignore"):
+        ratio = eig[..., 0] / np.abs(eig).max(axis=-1)
+    return np.where(ratio == ratio, ratio, -np.inf)  # NaN: zero or not finite
+
+
+def check_metric(g, name, points):
+    """Raise SingularMetric where the values `g` of metric `name` at `points`
+    are not positive definite, showing `definiteness`."""
+    ratio = definiteness(g)
+    raise_where(ratio <= 1 / CONDITION_LIMIT, SingularMetric, "metric {!r} "
+                "has eigenvalue ratio {:.3e} at {}", name, ratio, points)
 
 
 def _times(m, x):
@@ -73,7 +79,9 @@ def solve(a, b):
     values = np.broadcast_arrays(*[value_of(x) for row in a for x in row])
     # the values as (n, n), or as (B, n, n) for a batch
     a0 = np.array(values).T.reshape(values[0].shape + (n, n))
-    check_regular(a0, SingularHessian, "condition estimate {:.3e}")
+    cond = condition_number(a0)
+    raise_where(cond > CONDITION_LIMIT, SingularHessian,
+                "condition estimate {:.3e}", cond)
     inv = np.linalg.inv(a0).T.swapaxes(0, 1)  # inv[i, k]: a float or a batch
     a1 = [[x - value_of(x) for x in row] for row in a]
     X = _times(inv, b)

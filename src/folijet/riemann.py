@@ -24,12 +24,12 @@ from typing import Mapping
 import numpy as np
 
 from .dynamics import LagrangianField, top_hessian
-from .errors import DomainError, InvariantViolation, ShapeError, SingularMetric
+from .errors import DomainError, InvariantViolation, ShapeError
 from .expr import ExprProgram, Graph, coordinate_names, parse
 from .jets import (_check_in_overlap, _prolong, _prolong_jacobian,
                    _taylor_env, check_fit, point_arrays, sample_box,
                    sample_overlap, sample_points, sample_stream)
-from .linalg import SINGULAR_TOLERANCE, check_regular
+from .linalg import check_metric
 from .report import Report, worst
 from .scalars import columns, raise_where, stack_samples
 
@@ -103,10 +103,10 @@ class MetricField:
         return out
 
     def check_positive_definite(self, box):
-        """Raise SingularMetric unless g is positive definite at 25 points
-        of `box`, drawn from a stream fixed by the metric's name and chart,
-        and InvariantViolation unless each lower entry equals its mirror
-        image there."""
+        """Raise SingularMetric unless g is positive definite by
+        `linalg.check_metric` at 25 points of `box`, drawn from a stream
+        fixed by the metric's name and chart, and InvariantViolation unless
+        each lower entry equals its mirror image there."""
         if np.shape(box) != (self.qdim, 2):
             raise ShapeError("domain box must have one interval per coordinate")
         pts = sample_box(box, 25, 0, f"metric:{self.name}:{self.chart}")
@@ -120,10 +120,7 @@ class MetricField:
                             InvariantViolation,
                             "metric {!r} entry ({},{}) differs from entry "
                             "({},{}) at {}", self.name, i, j, j, i, pts)
-        eig = np.linalg.eigvalsh(g).min(axis=-1)
-        raise_where(eig <= SINGULAR_TOLERANCE, SingularMetric,
-                    "metric {!r} has eigenvalue {:.3e} at {}", self.name,
-                    eig, pts)
+        check_metric(g, self.name, pts)
 
 
 def _christoffel_series(g, base, jets=()):
@@ -149,8 +146,7 @@ def _christoffel_series(g, base, jets=()):
             c = g.components[i][j].eval(env).coeffs.reshape(lead + (n, q + 1))
             G[..., i, j] = G[..., j, i] = c[..., 0]
             dG[..., i, j] = dG[..., j, i] = c[..., 1:]
-    check_regular(G[..., 0, :, :], SingularMetric,
-                  "metric condition estimate {:.3e} at {}", base)
+    check_metric(G[..., 0, :, :], g.name, base)
     ginv = np.linalg.inv(G[..., 0, :, :])
     # first kind, at [k, d, b, c]: (d_b g_dc + d_c g_bd - d_d g_bc) / 2
     first = 0.5 * (dG.swapaxes(-3, -2) + dG.swapaxes(-3, -1) - dG)

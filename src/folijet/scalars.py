@@ -193,7 +193,7 @@ def _plain(x):
             or isinstance(x, numbers.Real))
 
 
-PRODUCT_CHUNK = 1 << 12
+PRODUCT_CHUNK = 1 << 15
 
 
 def _product(sp, a, bj):

@@ -8,17 +8,21 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folijet import cli
 from folijet.atlas import (COCYCLE_TOLERANCE, DET_TOLERANCE,
-                           ROUNDTRIP_TOLERANCE)
+                           ROUNDTRIP_TOLERANCE, load_atlas)
 from folijet.cli import (HAMILTONIAN_TOLERANCE, PROJECTOR_TOLERANCE,
                          build_parser, main)
 from folijet.expr import parse
-from folijet.riemann import EXACTNESS_TOLERANCE, HOLONOMY_TOLERANCE
-from oracles import recoordinatize
+from folijet.legendre import legendre_chain
+from folijet.riemann import (EXACTNESS_TOLERANCE, HOLONOMY_TOLERANCE,
+                             lift_lagrangian)
+from oracles import COORDINATE_MAPS, recoordinatize
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -510,6 +514,67 @@ def test_certify_q3_metric_at_a_small_scale(capsys, tmp_path):
         assert all(c["pass"] for c in json.loads(out)["checks"])
 
 
+def _with_metric(tmp_path, atlas_dir, name, tag, components):
+    """Atlas `name` with every metric entry rewritten by
+    components(row, column, text)."""
+    doc = json.loads((atlas_dir / f"{name}.json").read_text())
+    for metric in doc["metrics"]:
+        metric["components"] = [
+            [components(i, j, text) for j, text in enumerate(row)]
+            for i, row in enumerate(metric["components"])]
+    path = tmp_path / f"{name}_{tag}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, samples", [("shear2", "25"), ("cubic", "5")])
+def test_a_metric_at_a_tiny_scale_validates_and_certifies(
+        capsys, tmp_path, atlas_dir, name, samples):
+    # eigenvalues near 1e-10, condition as unscaled
+    path = _with_metric(tmp_path, atlas_dir, name, "tiny",
+                        lambda i, j, text: f"1e-10*({text})")
+    code, _, err = run(capsys, "validate", path)
+    assert code == 0, err
+    code, out, err = run(capsys, "certify", path, "--metric", "g",
+                         "--order", "1", "--samples", samples)
+    assert code == 0, err
+    assert all(c["pass"] for c in json.loads(out)["checks"])
+
+
+@pytest.mark.parametrize("entries, ratio", [
+    ([["1", "0"], ["0", "1e-13"]], "1.000e-13"),  # condition 1e13
+    ([["1", "2"], ["2", "1"]], "-3.333e-01"),  # indefinite
+], ids=["thin", "indefinite"])
+def test_a_thin_or_indefinite_metric_exits_2(capsys, tmp_path, atlas_dir,
+                                             entries, ratio):
+    path = _with_metric(tmp_path, atlas_dir, "shear2", ratio,
+                        lambda i, j, text: entries[i][j])
+    for argv in (["validate", path],
+                 ["certify", path, "--metric", "g", "--order", "1",
+                  "--samples", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert re.fullmatch(r"error: metric 'g' has eigenvalue ratio "
+                            + ratio + r" at \[.*\] \(sample 0\)\n", err)
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 20.8 GiB for an array with shape (5253, 5253, 101)",
+     "Unable to allocate 20.8 GiB for an array with shape (5253, 5253, 101)"),
+    ("", "MemoryError"),
+], ids=["numpy", "bare"])
+def test_certify_out_of_memory_exits_2(capsys, monkeypatch, atlas_dir,
+                                       message, shown):
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_projector_checks", exhausted)
+    code, out, err = run(capsys, "certify", str(atlas_dir / "cubic.json"),
+                         "--metric", "g", "--order", "2", "--samples", "1")
+    assert code == 2 and not out
+    assert err == f"error: {shown}\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_certify_without_samples_exits_2(capsys, atlas_dir, samples):
     code, out, err = run(capsys, "certify", str(atlas_dir / "cubic.json"),
@@ -972,3 +1037,49 @@ def test_certify_is_the_same_in_other_transverse_coordinates(
         want = certify(original, r)
         assert want[0] == (1 if "bad" in case else 0)
         assert certify(rewritten, r) == want
+
+
+# (atlas, coordinate maps, permutation, orders) of the pointwise relation
+# H_z(z, D phi^T p) = H_x(phi(z), p) for the chain hamiltonian of `g`
+HAMILTONIAN_CASES = {
+    "cubic_exp": ("cubic", ["exp"], [0], (1, 2, 3)),
+    "cubic_cube": ("cubic", ["cube"], [0], (1, 2, 3)),
+    "shear2_exp_affine_swapped": ("shear2", ["exp", "affine"], [1, 0],
+                                  (1, 2, 3)),
+    "q3_cube_exp_affine": ("q3", ["cube", "exp", "affine"], [1, 2, 0],
+                           (1, 2)),
+}
+
+
+def _at(text, z):
+    """A `COORDINATE_MAPS` text over its placeholder, at the floats z."""
+    value = eval(text.format("z").replace("^", "**"),
+                 {"exp": np.exp, "log": np.log, "z": z})
+    return np.broadcast_to(value, z.shape)
+
+
+@pytest.mark.parametrize("case", sorted(HAMILTONIAN_CASES))
+def test_chain_hamiltonian_is_the_same_in_other_transverse_coordinates(
+        tmp_path, atlas_dir, case):
+    name, maps, perm, orders = HAMILTONIAN_CASES[case]
+    original = pathlib.Path(_q3_atlas(tmp_path) if name == "q3"
+                            else atlas_dir / f"{name}.json")
+    doc = json.loads(original.read_text())
+    x_atlas = load_atlas(doc)
+    z_atlas = load_atlas(recoordinatize(doc, maps, perm))
+    rng = np.random.default_rng(sorted(HAMILTONIAN_CASES).index(case))
+    for chart, g_z in z_atlas.metrics["g"].items():
+        box = np.array(z_atlas.charts[chart].domain[z_atlas.p:])
+        z = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((4, len(box)))
+        p = rng.uniform(-1.0, 1.0, z.shape)
+        # x_i = phi_i(z_perm[i]), and (D phi^T p)_perm[i] = phi_i' p_i
+        x, p_z = np.empty_like(z), np.empty_like(p)
+        for i, m in enumerate(maps):
+            forward, _, derivative, _ = COORDINATE_MAPS[m]
+            x[:, i] = _at(forward, z[:, perm[i]])
+            p_z[:, perm[i]] = _at(derivative, z[:, perm[i]]) * p[:, i]
+        for r in orders:
+            want = legendre_chain(lift_lagrangian(x_atlas.metrics["g"][chart],
+                                                  r))(x, p)
+            got = legendre_chain(lift_lagrangian(g_z, r))(z, p_z)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).min(), r

@@ -469,6 +469,20 @@ def test_admissibility_negative_quadratic_fails():
     assert "nonnegative" in failing
 
 
+@pytest.mark.parametrize("text, ratio", [
+    ("y2_1^2 + y1_1^2", 1.0),  # any positive q = 1 Hessian reads 1.0
+    ("1e-10*(y2_1^2 + y1_1^2)", 1.0),
+    ("-(y2_1^2) - y1_1^2", -1.0),
+])
+def test_admissibility_hessian_check_reads_the_eigenvalue_ratio(text, ratio):
+    report = admissibility_check(lagrangian(text, 2), samples=5, seed=0,
+                                 base_box=[[0.0, 1.0]])
+    check, = (c for c in report.checks
+              if c.name == "hessian_positive_definite")
+    assert (check.metric, check.tolerance, check.direction, check.passed) \
+        == (ratio, 1e-12, ">", ratio > 0)
+
+
 def test_admissibility_leaf_dependence_fails():
     # constructed directly: from_program would reject the leaf variable
     L = LagrangianField(order=1, qdim=1, program=parse("y1_1^2 + u1^2"),

@@ -1,11 +1,18 @@
-"""The one regularity rule of `linalg`: a symmetric matrix is singular when
-its condition estimate is above CONDITION_LIMIT, whatever its scale."""
+"""The two rules of `linalg`, both blind to scale: a symmetric matrix is
+singular when its condition estimate is above CONDITION_LIMIT, and positive
+definite when its least eigenvalue over its largest magnitude is above
+1 / CONDITION_LIMIT."""
 
 import numpy as np
 import pytest
 
-from folijet.errors import SingularHessian
-from folijet.linalg import solve
+from folijet.atlas import load_atlas_file
+from folijet.errors import SingularHessian, SingularMetric
+from folijet.jets import sample_box
+from folijet.linalg import (CONDITION_LIMIT, check_metric, condition_number,
+                            definiteness, solve)
+
+from conftest import ATLAS_DIR
 
 SCALES = [1e-8, 1.0, 1e8]
 
@@ -36,3 +43,67 @@ def test_solve_is_blind_to_the_scale_of_a(q, c):
 def test_solve_rejects_a_rank_deficient_a_at_every_scale(q, c):
     with pytest.raises(SingularHessian, match="^condition estimate "):
         solve((c * _rank_deficient(q)).tolist(), [1.0] * q)
+
+
+def _metric_values(name):
+    """The values of atlas `name`'s metric g in its first chart at 25
+    points of that chart, and those points."""
+    atlas = load_atlas_file(ATLAS_DIR / f"{name}.json")
+    chart, g = next(iter(atlas.metrics["g"].items()))
+    pts = sample_box(atlas.charts[chart].domain[atlas.p:], 25, 0, "test")
+    return g.evaluate(pts), pts
+
+
+# a positive-definite 2 x 2 with condition 1e13, and an indefinite one
+THIN = np.diag([1.0, 1e-13])
+INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize("c", [1e-10, 1.0, 1e10])
+@pytest.mark.parametrize("case", ["shear2", "cubic", "thin", "indefinite"])
+def test_definiteness_is_blind_to_the_scale_of_a_metric(case, c):
+    if case in ("thin", "indefinite"):
+        g, pts = (THIN if case == "thin" else INDEFINITE), [0.5, 0.5]
+    else:
+        g, pts = _metric_values(case)
+    assert definiteness(c * g) == pytest.approx(definiteness(g), rel=1e-14,
+                                                abs=0.0)
+    if case in ("shear2", "cubic"):
+        check_metric(c * g, "g", pts)
+    else:
+        with pytest.raises(SingularMetric, match=r"^metric 'g' has eigenvalue"
+                           r" ratio -?[0-9.]+e-(13|01) at \[0.5, 0.5\]$"):
+            check_metric(c * g, "g", pts)
+
+
+def test_definiteness_reads_the_eigenvalue_ratio():
+    assert definiteness([[3.0]]) == 1.0 == definiteness(2.0 * np.eye(2))
+    assert definiteness([[-3.0]]) == -1.0
+    assert definiteness(INDEFINITE) == pytest.approx(-1.0 / 3.0, rel=1e-15)
+    assert definiteness(THIN) == pytest.approx(1e-13, rel=1e-15)
+    batch = np.stack([np.eye(2), INDEFINITE, THIN])
+    assert definiteness(batch).tolist() == [
+        1.0, definiteness(INDEFINITE), definiteness(THIN)]
+
+
+@pytest.mark.parametrize("h", [
+    [[0.0]], [[float("nan")]], [[float("inf")]], [[-float("inf")]],
+    [[0.0, 0.0], [0.0, 0.0]], [[1.0, float("inf")], [float("inf"), 1.0]],
+    [[1.0, 0.0], [0.0, float("nan")]],
+])
+def test_a_zero_or_non_finite_matrix_is_neither_regular_nor_definite(h):
+    assert definiteness(h) == -np.inf
+    assert condition_number(h) == np.inf
+    assert definiteness([h, np.eye(len(h)).tolist()]).tolist() == [-np.inf,
+                                                                   1.0]
+    with pytest.raises(SingularMetric, match=r"ratio -inf at 0 \(sample 0\)$"):
+        check_metric(np.array([h]), "g", np.array([0]))
+
+
+def test_the_definiteness_limit_is_the_condition_limit():
+    for cond in (1e11, 0.99e12):
+        check_metric(np.diag([1.0, 1.0 / cond]), "g", [0.0])
+    for cond in (1.01e12, 1e13):
+        with pytest.raises(SingularMetric):
+            check_metric(np.diag([1.0, 1.0 / cond]), "g", [0.0])
+    assert condition_number(np.diag([1.0, 1.0 / 0.99e12])) <= CONDITION_LIMIT

@@ -9,7 +9,7 @@ from folijet.atlas import load_atlas_file, sample_overlap
 from folijet.cli import main
 from folijet.dynamics import (SemiSprayField, projectors, semispray,
                               vertical_hessian)
-from folijet.errors import ShapeError
+from folijet.errors import ShapeError, SingularMetric
 from folijet.expr import coordinate_names, parse
 from folijet.jets import (TransverseJetPoint, prolong_jacobian,
                           prolong_transition, restrict_to_zero_section)
@@ -67,6 +67,16 @@ def sympy_christoffel(entries, q, base):
 def christoffel_at(g, base):
     """Coefficient 0 of `_christoffel_series`: the symbols at the base."""
     return riemann._christoffel_series(g, base)[1][0]
+
+
+def test_christoffel_series_rejects_an_indefinite_metric():
+    # regular (condition 3) but indefinite: the lift needs a definite g
+    g = MetricField.from_components([["1", "2"], ["2", "1"]], 2, name="g")
+    with pytest.raises(SingularMetric, match=r"^metric 'g' has eigenvalue "
+                       r"ratio -3.333e-01 at \[0.5, 0.5\]$"):
+        christoffel_at(g, [0.5, 0.5])
+    with pytest.raises(SingularMetric, match=r"at \[0.6, 0.7\] \(sample 0\)$"):
+        christoffel_at(g, [[0.6, 0.7], [0.5, 0.5]])
 
 
 def test_christoffel_examples(flat_metric, exp_metric):

@@ -19,7 +19,7 @@ from . import expr as exprmod
 from .dynamics import LagrangianField
 from .errors import InvariantViolation, SchemaError
 from .jets import sample_box, sample_overlap
-from .report import Report, worst
+from .report import Report, relative_gap, worst
 from .riemann import MetricField
 from .scalars import columns, space, stack_samples
 
@@ -315,17 +315,13 @@ def _apply(atlas, transition, points):
                      + transition.transverse_exprs], axis=-1)
 
 
-def _gaps(a, b):
-    """Largest entry gap between points, per sample; NaN where any gap
-    is."""
-    return np.abs(np.subtract(a, b)).max(axis=-1)
-
-
 def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
                       roundtrip_tol=ROUNDTRIP_TOLERANCE,
                       cocycle_tol=COCYCLE_TOLERANCE) -> Report:
     """Numerically check pseudogroup structure at sampled overlap points,
-    each check over all of its samples at once.
+    each check over all of its samples at once.  A round trip's gap is
+    relative to the overlap's widths, a cocycle's to those of the target
+    chart, so neither depends on a chart's units; `det_tol` is absolute.
 
     Failures are report entries, never exceptions.
     """
@@ -353,8 +349,8 @@ def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
         report.add("mixed_block_zero", t.name, mixed_max, 0.0)
         if inverse is not None:
             back = _apply(atlas, inverse, _apply(atlas, t, pts))
-            report.add("inverse_round_trip", t.name,
-                       worst(0.0, _gaps(back, pts)), roundtrip_tol)
+            report.add("inverse_round_trip", t.name, worst(0.0, relative_gap(
+                back, pts, size=np.ptp(t.overlap, axis=1))), roundtrip_tol)
 
     for triple in atlas.triples:
         t1 = atlas.transitions[triple.first]
@@ -364,7 +360,9 @@ def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
             triple.overlap, samples, seed,
             f"triple:{t1.name}|{t2.name}|{t3.name}"))
         via = _apply(atlas, t2, _apply(atlas, t1, pts))
+        widths = np.ptp(atlas.charts[t3.to_chart].domain, axis=1)
         report.add("cocycle", f"{t2.name} o {t1.name} == {t3.name}",
-                   worst(0.0, _gaps(via, _apply(atlas, t3, pts))), cocycle_tol)
+                   worst(0.0, relative_gap(via, _apply(atlas, t3, pts),
+                                           size=widths)), cocycle_tol)
 
     return report

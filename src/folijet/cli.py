@@ -36,7 +36,7 @@ from .errors import FolijetError
 from .jets import (TransverseJetPoint, prolong_transition,
                    restrict_to_zero_section, sample_points, sample_stream)
 from .legendre import admissibility_check, hamiltonian_at, legendre_chain
-from .report import Report, worst
+from .report import Report, relative_gap, worst
 from .riemann import (
     EXACTNESS_TOLERANCE,
     HOLONOMY_TOLERANCE,
@@ -284,7 +284,7 @@ def _hamiltonian_checks(report, atlas, family, order, samples, seed, tol):
                                    samples, 1, atlas.q, 2.0)
         lower, momentum = jets[..., :0, :], jets[..., 0, :]
         want = hamiltonian_at(L1, base, lower, momentum)
-        dev = worst(0.0, np.abs(chain(base, momentum) - want))
+        dev = worst(0.0, relative_gap(chain(base, momentum), want, axis=()))
         report.add("diagonal_hamiltonian", chart, dev, tol)
         report.extend(admissibility_check(L, samples=samples, seed=seed,
                                           base_box=domain))
@@ -303,9 +303,8 @@ def cmd_certify(args):
         base = np.mean(atlas.charts[chart].domain[atlas.p:], axis=1)
         got = restrict_to_zero_section(lifted.evaluate, args.order,
                                        (0.0,) * atlas.p, base, chart)
-        report.add("zero_section_restriction", chart,
-                   float(np.max(np.abs(got - fld.evaluate(base)))),
-                   args.tol_exactness)
+        report.add("zero_section_restriction", chart, float(relative_gap(
+            got, fld.evaluate(base), axis=(-2, -1))), args.tol_exactness)
     _projector_checks(report, atlas, family, args.order, args.samples,
                       args.seed, args.tol_projector)
     report.extend(holonomy_check(atlas, lifted, samples=args.samples,

@@ -159,8 +159,7 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
         value, grad, hess = out
         F = [grad[i] - target[i] for i in range(q)]
         size = _largest_coefficient(F, batch)
-        terms = _largest_coefficient([1.0, value, *grad, *sum(hess, [])],
-                                     batch)
+        terms = _largest_coefficient([value, *grad, *sum(hess, [])], batch)
         settled = np.isfinite(terms) & (size <= SETTLED_TOLERANCE * terms)
         norm = np.abs([value_of(f) for f in F]).max(axis=0)
         return top, out, F, norm, size, settled

@@ -4,7 +4,10 @@ A Report is a flat list of named checks, each carrying the measured
 deviation (or eigenvalue), its tolerance and a pass flag.  Serialization
 is deterministic so that equal-seed runs diff byte-for-byte, and is
 RFC 8259 JSON: a non-finite number is written as the string "NaN",
-"Infinity" or "-Infinity", which `float()` reads back.  Both are plain
+"Infinity" or "-Infinity", which `float()` reads back.  Quantities that
+carry a metric's scale or a chart's units are compared by `relative_gap`,
+so no verdict moves with either (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., 2002, ch. 1-2).  Both are plain
 classes compared by identity; a Check is treated as immutable, and a
 Report grows only through `add` and `extend`.
 """
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["Check", "Report", "worst"]
+__all__ = ["Check", "Report", "relative_gap", "worst"]
 
 
 def worst(start, values, pick=max):
@@ -27,6 +30,20 @@ def worst(start, values, pick=max):
     batch."""
     values = [start, *np.ravel(values).tolist()]
     return float("nan") if np.isnan(values).any() else pick(values)
+
+
+def relative_gap(a, b, axis=-1, size=None):
+    """Per sample, the largest |a - b| over `axis` relative to a size: by
+    default the largest |a| or |b| there, else each entry's own `size` (a
+    box's widths, say).  0 where the gap is 0, inf where only the size is,
+    NaN where any entry is NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    gap = np.abs(a - b)
+    if size is None:
+        gap, size, axis = gap.max(axis=axis), np.maximum(
+            np.abs(a).max(axis=axis), np.abs(b).max(axis=axis)), ()
+    with np.errstate(all="ignore"):
+        return np.where(gap == 0, 0.0, gap / size).max(axis=axis)
 
 
 def _number(value):

@@ -30,7 +30,7 @@ from .jets import (_check_in_overlap, _prolong, _prolong_jacobian,
                    _taylor_env, check_fit, point_arrays, sample_box,
                    sample_overlap, sample_points, sample_stream)
 from .linalg import check_metric
-from .report import Report, worst
+from .report import Report, relative_gap, worst
 from .scalars import columns, raise_where, stack_samples
 
 __all__ = [
@@ -355,9 +355,10 @@ def sample_jets(rng, r, q, scale=1.0):
 def holonomy_check(atlas, lifted, samples=25, seed=0, *,
                    tol=HOLONOMY_TOLERANCE) -> Report:
     """Transition-invariance of the lifted metric: DPhi^T G' DPhi == G,
-    over all of a transition's samples at once.  A transition from or to a
-    chart where the metric has no presentation fails, with the number of
-    such charts as its metric."""
+    over all of a transition's samples at once, each sample's largest entry
+    gap relative to the largest entry of either side (`relative_gap`).  A
+    transition from or to a chart where the metric has no presentation
+    fails, with the number of such charts as its metric."""
     report = Report(seed=int(seed))
     r, p = lifted.order, atlas.p
     q = lifted.qdim
@@ -377,15 +378,16 @@ def holonomy_check(atlas, lifted, samples=25, seed=0, *,
         dphi = _prolong_jacobian(t, base, jets)
         left = dphi.swapaxes(-2, -1) @ lifted.evaluate_at(
             t.to_chart, image_base, image_jets) @ dphi
-        dev = np.abs(left - lifted.evaluate_at(t.from_chart, base, jets))
-        report.add("holonomy", t.name, worst(0.0, dev.max(axis=(-2, -1))),
-                   tol)
+        dev = relative_gap(left, lifted.evaluate_at(t.from_chart, base, jets),
+                           axis=(-2, -1))
+        report.add("holonomy", t.name, worst(0.0, dev), tol)
     return report
 
 
 def vertical_exactness_check(lifted, L, samples=25, seed=0, *, base_box,
                              chart=None, tol=EXACTNESS_TOLERANCE) -> Report:
-    """Top vertical block of G against half the vertical Hessian of L."""
+    """Top vertical block of G against half the vertical Hessian of L, each
+    sample's largest entry gap relative to the largest entry of either."""
     if samples < 1:
         raise ValueError("need samples >= 1")
     report = Report(seed=int(seed))
@@ -399,6 +401,6 @@ def vertical_exactness_check(lifted, L, samples=25, seed=0, *, base_box,
                                samples, r, q)
     g_top = lifted.evaluate_at(chart, base, jets)[..., r * q:, r * q:]
     half_hess = 0.5 * top_hessian(L, base, jets)
-    report.add("vertical_exactness", L.name or "L",
-               worst(0.0, np.abs(g_top - half_hess).max(axis=(-2, -1))), tol)
+    report.add("vertical_exactness", L.name or "L", worst(
+        0.0, relative_gap(g_top, half_hess, axis=(-2, -1))), tol)
     return report

@@ -96,6 +96,40 @@ def test_validate_triple_cocycle(triple_atlas):
     assert len(cocycle) == 1 and cocycle[0].metric <= 1e-9
 
 
+def _two_charts(a_to_b, b_to_a, overlap_a, overlap_b, leaf_dim=0):
+    """Charts A and B of q = 1, each its overlap, and transitions between
+    them, mutually inverse (a leaf coordinate maps to itself)."""
+    return {
+        "leaf_dim": leaf_dim, "transverse_dim": 1,
+        "charts": [{"name": "A", "domain": overlap_a},
+                   {"name": "B", "domain": overlap_b}],
+        "transitions": [
+            {"name": f"{a}->{b}", "from": a, "to": b,
+             "leaf_exprs": ["u1"] * leaf_dim, "transverse_exprs": [expr],
+             "overlap": overlap, "inverse_of": f"{b}->{a}"}
+            for a, b, expr, overlap in (("A", "B", a_to_b, overlap_a),
+                                        ("B", "A", b_to_a, overlap_b))],
+    }
+
+
+def test_a_round_trip_is_judged_in_its_chart_s_units():
+    # chart B measures x in units of 1e-10, and B->A is off by 0.5: a round
+    # trip from B misses by 5e-11, half the width of B's overlap
+    atlas = load_atlas(_two_charts("1e-10*x1", "1e10*x1 + 0.5",
+                                   [[0.5, 1.5]], [[0.5e-10, 1.5e-10]]))
+    trips = {c.context: c for c in validate_foliated(atlas, samples=5).checks
+             if c.name == "inverse_round_trip"}
+    for name in ("A->B", "B->A"):
+        assert trips[name].metric == pytest.approx(0.5, rel=1e-5)
+        assert not trips[name].passed
+    # over overlaps of zero width, exact round trips read 0, not 0/0
+    atlas = load_atlas(_two_charts("2*x1", "0.5*x1", [[0.5, 0.5], [1.0, 1.0]],
+                                   [[0.5, 0.5], [2.0, 2.0]], leaf_dim=1))
+    report = validate_foliated(atlas, samples=5)
+    assert [c.metric for c in report.checks
+            if c.name == "inverse_round_trip"] == [0.0, 0.0]
+
+
 def test_validate_flags_near_singular_transition():
     doc = minimal_doc()
     doc["charts"][0]["domain"] = [[0.0, 1.0], [-1.0, 1.0]]

@@ -527,18 +527,43 @@ def _with_metric(tmp_path, atlas_dir, name, tag, components):
     return str(path)
 
 
-@pytest.mark.parametrize("name, samples", [("shear2", "25"), ("cubic", "5")])
+def _scaled(tmp_path, atlas_dir, name, scale, invariant=True):
+    """Atlas `name` (or the q = 3 atlas, or its control) with every metric
+    entry times `scale`."""
+    if name == "q3":
+        return _q3_atlas(tmp_path, invariant, scale=scale)
+    return _with_metric(tmp_path, atlas_dir, name, scale,
+                        lambda i, j, text: f"{scale}*({text})")
+
+
+@pytest.mark.parametrize("name, samples", [("shear2", "25"), ("cubic", "5"),
+                                           ("q3", "5")])
 def test_a_metric_at_a_tiny_scale_validates_and_certifies(
         capsys, tmp_path, atlas_dir, name, samples):
-    # eigenvalues near 1e-10, condition as unscaled
-    path = _with_metric(tmp_path, atlas_dir, name, "tiny",
-                        lambda i, j, text: f"1e-10*({text})")
-    code, _, err = run(capsys, "validate", path)
-    assert code == 0, err
-    code, out, err = run(capsys, "certify", path, "--metric", "g",
-                         "--order", "1", "--samples", samples)
-    assert code == 0, err
-    assert all(c["pass"] for c in json.loads(out)["checks"])
+    # g times 1e-10 (order 1) or 1e10 (orders 1 and 2), eigenvalues near
+    # that scale and condition as unscaled, validates and certifies
+    for scale in ("1e-10", "1e10"):
+        path = _scaled(tmp_path, atlas_dir, name, scale)
+        code, _, err = run(capsys, "validate", path)
+        assert code == 0, err
+        for order in ("1", "2") if scale == "1e10" else ("1",):
+            code, out, err = run(capsys, "certify", path, "--metric", "g",
+                                 "--order", order, "--samples", samples)
+            assert code == 0, err
+            assert all(c["pass"] for c in json.loads(out)["checks"])
+    if name == "shear2":
+        return  # it ships no control
+    # a metric that is not transition-invariant fails both holonomy checks,
+    # and nothing else, at every scale
+    for scale in ("1e-10", "1", "1e10"):
+        code, out, _ = run(capsys, "certify",
+                           _scaled(tmp_path, atlas_dir, name, scale, False),
+                           "--metric", "g_bad" if name == "cubic" else "g",
+                           "--order", "1", "--samples", "5")
+        assert code == 1
+        assert [(c["name"], c["context"]) for c in json.loads(out)["checks"]
+                if not c["pass"]] == [("holonomy", "A->B"),
+                                      ("holonomy", "B->A")]
 
 
 @pytest.mark.parametrize("entries, ratio", [

@@ -437,6 +437,11 @@ def test_batched_geometry_checks_match_point_by_point(
     def close(got, want):
         assert abs(got - want) <= tol, (got, want)
 
+    def relative(a, b):
+        """max |a - b| over max(|a|, |b|), as the report measures it"""
+        return float(np.max(np.abs(a - b))
+                     / max(np.max(np.abs(a)), np.max(np.abs(b))))
+
     for t in atlas.transitions.values():
         dev = 0.0
         for pt, jets in zip(sample_overlap(t, samples, seed),
@@ -446,8 +451,7 @@ def test_batched_geometry_checks_match_point_by_point(
             image = prolong_transition(atlas, t, point)
             dphi = prolong_jacobian(atlas, t, point)
             left = dphi.T @ lifted.evaluate(image) @ dphi
-            dev = max(dev, float(np.max(np.abs(left
-                                               - lifted.evaluate(point)))))
+            dev = max(dev, relative(left, lifted.evaluate(point)))
         close(report[("holonomy", t.name)][0], dev)
 
     exactness = report[("vertical_exactness", f"lift({metric},{r})")]
@@ -460,7 +464,7 @@ def test_batched_geometry_checks_match_point_by_point(
             point = jet_point(base, jets, chart)
             g_top = lifted.evaluate(point)[r * q:, r * q:]
             half = 0.5 * vertical_hessian(L, point)
-            dev = max(dev, float(np.max(np.abs(g_top - half))))
+            dev = max(dev, relative(g_top, half))
         close(exactness[k], dev)
 
         S = SemiSprayField.from_lagrangian(L)

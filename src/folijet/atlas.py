@@ -16,6 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from . import expr as exprmod
+from . import linalg
 from .dynamics import LagrangianField
 from .errors import InvariantViolation, SchemaError
 from .jets import sample_box, sample_overlap
@@ -34,7 +35,6 @@ __all__ = [
     "sample_overlap",
 ]
 
-DET_TOLERANCE = 1e-9
 ROUNDTRIP_TOLERANCE = 1e-9
 COCYCLE_TOLERANCE = 1e-8
 
@@ -315,13 +315,14 @@ def _apply(atlas, transition, points):
                      + transition.transverse_exprs], axis=-1)
 
 
-def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
+def validate_foliated(atlas, samples=50, seed=0, *,
                       roundtrip_tol=ROUNDTRIP_TOLERANCE,
                       cocycle_tol=COCYCLE_TOLERANCE) -> Report:
     """Numerically check pseudogroup structure at sampled overlap points,
     each check over all of its samples at once.  A round trip's gap is
     relative to the overlap's widths, a cocycle's to those of the target
-    chart, so neither depends on a chart's units; `det_tol` is absolute.
+    chart, and Jacobians are judged by `linalg.jacobian_condition`, so no
+    verdict depends on a chart's units.
 
     Failures are report entries, never exceptions.
     """
@@ -341,11 +342,11 @@ def validate_foliated(atlas, samples=50, seed=0, *, det_tol=DET_TOLERANCE,
                for i, (name, v) in enumerate(zip(names, columns(pts)))}
         grads = np.stack([e.eval(env).coeffs[..., 1:]
                           for e in t.transverse_exprs], axis=-2)
-        min_det = worst(np.inf, np.abs(np.linalg.det(grads[..., p:])), min)
         mixed_max = worst(0.0, np.abs(grads[..., :p]).max(axis=(-2, -1))) \
             if p else 0.0
-        report.add("transverse_jacobian_invertible", t.name, min_det, det_tol,
-                   direction=">")
+        cond = linalg.jacobian_condition(grads[..., p:])
+        report.add("transverse_jacobian_invertible", t.name, cond,
+                   linalg.CONDITION_LIMIT)
         report.add("mixed_block_zero", t.name, mixed_max, 0.0)
         if inverse is not None:
             back = _apply(atlas, inverse, _apply(atlas, t, pts))

@@ -29,23 +29,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .atlas import (COCYCLE_TOLERANCE, DET_TOLERANCE, ROUNDTRIP_TOLERANCE,
-                    load_atlas_file, validate_foliated)
+from .atlas import (COCYCLE_TOLERANCE, ROUNDTRIP_TOLERANCE, load_atlas_file,
+                    validate_foliated)
 from .dynamics import SemiSprayField, projector_pair, semispray
-from .errors import FolijetError
+from .errors import FolijetError, NoConvergence
 from .jets import (TransverseJetPoint, prolong_transition,
                    restrict_to_zero_section, sample_points, sample_stream)
 from .legendre import admissibility_check, hamiltonian_at, legendre_chain
 from .report import Report, relative_gap, worst
-from .riemann import (
-    EXACTNESS_TOLERANCE,
-    HOLONOMY_TOLERANCE,
-    holonomy_check,
-    lift_lagrangian,
-    lift_metric,
-    prolongation_coefficients,
-    vertical_exactness_check,
-)
+from .riemann import (EXACTNESS_TOLERANCE, HOLONOMY_TOLERANCE, holonomy_check,
+                      lift_lagrangian, lift_metric, prolongation_coefficients,
+                      vertical_exactness_check)
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -103,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name, default in defaults.items():
             p.add_argument(f"--tol-{name}", type=_finite, default=default)
 
-    atlas_tolerances = dict(det=DET_TOLERANCE, roundtrip=ROUNDTRIP_TOLERANCE,
+    atlas_tolerances = dict(roundtrip=ROUNDTRIP_TOLERANCE,
                             cocycle=COCYCLE_TOLERANCE)
     p = sub.add_parser("validate", help="check the pseudogroup structure")
     common(p)
@@ -192,7 +186,6 @@ def _family(atlas, kind, name):
 def cmd_validate(args):
     atlas = load_atlas_file(args.atlas)
     report = validate_foliated(atlas, samples=args.samples, seed=args.seed,
-                               det_tol=args.tol_det,
                                roundtrip_tol=args.tol_roundtrip,
                                cocycle_tol=args.tol_cocycle)
     _emit(report.to_json(), args.out)
@@ -278,13 +271,17 @@ def _hamiltonian_checks(report, atlas, family, order, samples, seed, tol):
         L = lift_lagrangian(fld, order)
         L1 = lift_lagrangian(fld, 1)
         chain = legendre_chain(L)
-        # each base draws its momentum as its one jet row, over no lower rows
+        # each base draws w as its one jet row, over no lower rows, for the
+        # momentum p = g w of g(y, y) at y = w / 2, the same at every scale
         domain = atlas.charts[chart].domain[atlas.p:]
         base, jets = sample_points(sample_stream(seed, chart, 13), domain,
                                    samples, 1, atlas.q, 2.0)
-        lower, momentum = jets[..., :0, :], jets[..., 0, :]
-        want = hamiltonian_at(L1, base, lower, momentum)
-        dev = worst(0.0, relative_gap(chain(base, momentum), want, axis=()))
+        p = np.sum(fld.evaluate(base) * jets[..., :1, :], axis=-1)
+        try:
+            want = hamiltonian_at(L1, base, jets[..., :0, :], p)
+            dev = worst(0.0, relative_gap(chain(base, p), want, axis=()))
+        except NoConvergence:
+            dev = np.inf
         report.add("diagonal_hamiltonian", chart, dev, tol)
         report.extend(admissibility_check(L, samples=samples, seed=seed,
                                           base_box=domain))
@@ -294,10 +291,9 @@ def cmd_certify(args):
     atlas = load_atlas_file(args.atlas)
     family = _family(atlas, "metric", args.metric)
     report = Report(seed=int(args.seed))
-    report.extend(validate_foliated(atlas, samples=args.samples,
-                                    seed=args.seed, det_tol=args.tol_det,
-                                    roundtrip_tol=args.tol_roundtrip,
-                                    cocycle_tol=args.tol_cocycle))
+    report.extend(validate_foliated(
+        atlas, samples=args.samples, seed=args.seed,
+        roundtrip_tol=args.tol_roundtrip, cocycle_tol=args.tol_cocycle))
     lifted = lift_metric(family, args.order)
     for chart, fld in family.items():
         base = np.mean(atlas.charts[chart].domain[atlas.p:], axis=1)

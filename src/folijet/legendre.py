@@ -23,12 +23,8 @@ import numpy as np
 
 from . import linalg
 from .dynamics import top_hessian, top_row_derivatives
-from .errors import (
-    InvariantViolation,
-    NoConvergence,
-    ShapeError,
-    SingularHessian,
-)
+from .errors import (InvariantViolation, NoConvergence, ShapeError,
+                     SingularHessian)
 from .expr import coordinate_names
 from .jets import (TransverseJetPoint, _check_rows, _finite_tuple,
                    check_fit, jet_columns, jet_env, sample_stream,
@@ -48,7 +44,7 @@ __all__ = [
     "admissibility_check",
 ]
 
-NEWTON_TOLERANCE = 1e-10
+NEWTON_TOLERANCE = 1e-12
 NEWTON_MAX_ITERATIONS = 50
 SETTLED_TOLERANCE = 1e-14
 RAY_TOLERANCE = 1e-8
@@ -139,9 +135,10 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
     settled, and stops, once every coefficient of the residual is at
     roundoff relative to those of the value, gradient and Hessian;
     otherwise it stops `polish` steps after its largest coefficient falls
-    to NEWTON_TOLERANCE.  Damping uses float values, and `linalg.solve`
-    raises SingularHessian where the Hessian is not regular.  Returns
-    (top_row, stage_value, stats).
+    to `tol`, NEWTON_TOLERANCE times the largest of the gradient and
+    target, a bound damping holds the residual's values to as well.
+    `linalg.solve` raises SingularHessian where the Hessian is not regular.
+    Returns (top_row, stage_value, stats).
 
     When the target is a batch, every call evaluates the whole batch, and
     `moving` flags the samples whose top row moved; a sample that has
@@ -154,7 +151,7 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
     batch = next((n for n in map(batch_of, target) if n), None)
 
     def state_at(top, moving):
-        """(top, out, F, norm, size, settled) at the top row `top`."""
+        """(top, out, F, norm, size, settled, tol) at the top row `top`."""
         out = quad_at(top, moving)
         value, grad, hess = out
         F = [grad[i] - target[i] for i in range(q)]
@@ -162,7 +159,8 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
         terms = _largest_coefficient([value, *grad, *sum(hess, [])], batch)
         settled = np.isfinite(terms) & (size <= SETTLED_TOLERANCE * terms)
         norm = np.abs([value_of(f) for f in F]).max(axis=0)
-        return top, out, F, norm, size, settled
+        tol = NEWTON_TOLERANCE * _largest_coefficient([*grad, *target], batch)
+        return top, out, F, norm, size, settled, tol
 
     # per-sample flags and counts are batches, or numpy scalars unbatched;
     # the samples still running have all taken `steps` steps, and those
@@ -172,7 +170,7 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
     running = ~state[5]
     iterations, extra, steps = 0, polish, 0
     while running.any():
-        small = running & (state[4] <= NEWTON_TOLERANCE)
+        small = running & (state[4] <= state[6])
         running = running & ~(small & (extra <= 0))
         extra = extra - (small & running)
         if not running.any():
@@ -195,7 +193,7 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
                                           for i in range(q)], top)
             trial_state = state_at(trial, pending)
             accept = pending & ((trial_state[3] < state[3])
-                                | (state[3] <= NEWTON_TOLERANCE)
+                                | (state[3] <= state[6])
                                 | (scale < 1e-8))
             state = _where_tree(accept, trial_state, state)
             pending = pending & ~accept

@@ -13,7 +13,8 @@ symmetric float matrices (Higham, *Accuracy and Stability of Numerical
 Algorithms*, 2nd ed., 2002): one `solve` inverts is regular when its 2-norm
 condition estimate is at most CONDITION_LIMIT, and a metric or vertical
 Hessian is positive definite when its least eigenvalue over its largest
-magnitude is above 1 / CONDITION_LIMIT.
+magnitude is above 1 / CONDITION_LIMIT.  `jacobian_condition` holds the
+Jacobians of a transition, not symmetric, to the first by singular values.
 """
 
 from __future__ import annotations
@@ -40,6 +41,17 @@ def condition_number(h):
     with np.errstate(all="ignore"):
         cond = eig.max(axis=-1) / eig.min(axis=-1)
     return np.where(cond == cond, cond, np.inf)  # NaN: zero or not finite
+
+
+def jacobian_condition(j):
+    """Largest 2-norm condition number, from singular values, of Jacobians
+    (..., q, q) of one map on a connected set: inf where one is singular or
+    not finite, or where two differ in the sign of det, as the map folds."""
+    j = np.where(np.isfinite(j).all(axis=(-2, -1), keepdims=True), j, 0.0)
+    s = np.linalg.svd(j, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = np.max(s[..., 0] / s[..., -1])
+    return np.inf if cond != cond or np.ptp(np.linalg.slogdet(j)[0]) else cond
 
 
 def definiteness(h):

@@ -63,7 +63,7 @@ class Check:
                  tolerance: float, passed: bool, direction: str = "<="):
         self.name, self.context = name, context
         self.metric, self.tolerance, self.passed = metric, tolerance, passed
-        # ">" for lower bounds (determinants, eigenvalues), "<=" for deviations
+        # ">" for lower bounds (eigenvalue ratios), "<=" for deviations
         self.direction = direction
 
 

@@ -555,9 +555,12 @@ def projector_draws(atlas, chart, samples, seed, r):
 
 
 def hamiltonian_draws(atlas, chart, samples, seed):
-    """Bases and momenta of the diagonal-hamiltonian check in a chart."""
-    return _chart_draws(atlas, chart, samples, seed, 13,
-                        lambda rng: rng.uniform(-2.0, 2.0, atlas.q))
+    """Bases and momenta of the diagonal-hamiltonian check in a chart: each
+    base draws w, and its momentum is g(base) w for the atlas's metric g."""
+    bases, w = _chart_draws(atlas, chart, samples, seed, 13,
+                            lambda rng: rng.uniform(-2.0, 2.0, atlas.q))
+    g = atlas.metrics["g"][chart].evaluate(bases)
+    return bases, np.sum(g * w[..., None, :], axis=-1)
 
 
 def holonomy_draws(transition, samples, seed, r, q):

@@ -138,9 +138,29 @@ def test_validate_flags_near_singular_transition():
     doc["transitions"][0]["overlap"] = [[0.0, 1.0], [-1.0, 1.0]]
     doc["transitions"][0]["overlap"] = [[0.0, 1.0], [-1e-6, 1e-6]]
     atlas = load_atlas(doc)
-    report = validate_foliated(atlas, samples=50, seed=0, det_tol=1e-5)
+    report = validate_foliated(atlas, samples=50, seed=0)
     failing = {c.name for c in report.checks if not c.passed}
     assert "transverse_jacobian_invertible" in failing
+
+
+def unit_atlas_doc():
+    """Two charts of q = 1, B measuring x in units of 1e-10, with the
+    metric g_A = 1 + x^2 and g_B its push-forward: a valid atlas and an
+    invariant metric."""
+    doc = _two_charts("1e-10*x1", "1e10*x1", [[0.5, 2.0]], [[0.5e-10, 2e-10]])
+    doc["metrics"] = [
+        {"name": "g", "chart": "A", "components": [["1 + x1^2"]]},
+        {"name": "g", "chart": "B",
+         "components": [["1e20*(1 + (1e10*x1)^2)"]]}]
+    return doc
+
+
+def test_a_transition_jacobian_is_judged_in_its_charts_units():
+    # |det| is 1e-10 one way and 1e10 the other, and each condition is 1
+    report = validate_foliated(load_atlas(unit_atlas_doc()), samples=25)
+    assert report.passed, report.to_json()
+    assert [c.metric for c in report.checks
+            if c.name == "transverse_jacobian_invertible"] == [1.0, 1.0]
 
 
 def test_worst_is_nan_when_any_value_is():

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 import os
@@ -14,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folijet import cli
-from folijet.atlas import (COCYCLE_TOLERANCE, DET_TOLERANCE,
-                           ROUNDTRIP_TOLERANCE, load_atlas)
+from folijet.atlas import COCYCLE_TOLERANCE, ROUNDTRIP_TOLERANCE, load_atlas
 from folijet.cli import (HAMILTONIAN_TOLERANCE, PROJECTOR_TOLERANCE,
                          build_parser, main)
 from folijet.expr import parse
@@ -203,26 +203,29 @@ def test_overflowing_metric_certify_exits_2(tmp_path, capsys, case):
 
 
 def test_validate_near_singular_fails(capsys, tmp_path):
-    doc = {
-        "leaf_dim": 0,
-        "transverse_dim": 1,
-        "charts": [
-            {"name": "A", "domain": [[-1.0, 1.0]]},
-            {"name": "B", "domain": [[-1.0, 1.0]]},
-        ],
-        "transitions": [{
-            "name": "A->B", "from": "A", "to": "B",
-            "leaf_exprs": [], "transverse_exprs": ["x1^2"],
-            "overlap": [[-1e-6, 1e-6]],
-        }],
-    }
-    path = tmp_path / "singular.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "validate", str(path), "--tol-det", "1e-5")
-    assert code == 1
-    report = json.loads(out)
-    failing = [c["name"] for c in report["checks"] if not c["pass"]]
-    assert "transverse_jacobian_invertible" in failing
+    # x1^2 folds at 0: its derivative changes sign on both overlaps, and
+    # on the wide one its least |det| is 0.06
+    for overlap in ([-1e-6, 1e-6], [-0.5, 0.5]):
+        doc = {
+            "leaf_dim": 0,
+            "transverse_dim": 1,
+            "charts": [
+                {"name": "A", "domain": [[-1.0, 1.0]]},
+                {"name": "B", "domain": [[-1.0, 1.0]]},
+            ],
+            "transitions": [{
+                "name": "A->B", "from": "A", "to": "B",
+                "leaf_exprs": [], "transverse_exprs": ["x1^2"],
+                "overlap": [overlap],
+            }],
+        }
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        failing = [(c["name"], c["metric"])
+                   for c in json.loads(out)["checks"] if not c["pass"]]
+        assert failing == [("transverse_jacobian_invertible", "Infinity")]
 
 
 def nan_round_trip_atlas(overflow=True):
@@ -540,13 +543,14 @@ def _scaled(tmp_path, atlas_dir, name, scale, invariant=True):
                                            ("q3", "5")])
 def test_a_metric_at_a_tiny_scale_validates_and_certifies(
         capsys, tmp_path, atlas_dir, name, samples):
-    # g times 1e-10 (order 1) or 1e10 (orders 1 and 2), eigenvalues near
-    # that scale and condition as unscaled, validates and certifies
+    # g times 1e-10 or 1e10 (orders 1 and 2, and 3 times 1e-10 but for
+    # q = 3), eigenvalues near that scale and condition as unscaled,
+    # validates and certifies
     for scale in ("1e-10", "1e10"):
         path = _scaled(tmp_path, atlas_dir, name, scale)
         code, _, err = run(capsys, "validate", path)
         assert code == 0, err
-        for order in ("1", "2") if scale == "1e10" else ("1",):
+        for order in "12" if scale == "1e10" or name == "q3" else "123":
             code, out, err = run(capsys, "certify", path, "--metric", "g",
                                  "--order", order, "--samples", samples)
             assert code == 0, err
@@ -554,16 +558,34 @@ def test_a_metric_at_a_tiny_scale_validates_and_certifies(
     if name == "shear2":
         return  # it ships no control
     # a metric that is not transition-invariant fails both holonomy checks,
-    # and nothing else, at every scale
-    for scale in ("1e-10", "1", "1e10"):
+    # and nothing else, at every scale and order
+    for scale, order in itertools.product(("1e-10", "1", "1e10"), "12"):
         code, out, _ = run(capsys, "certify",
                            _scaled(tmp_path, atlas_dir, name, scale, False),
                            "--metric", "g_bad" if name == "cubic" else "g",
-                           "--order", "1", "--samples", "5")
+                           "--order", order, "--samples", "5")
         assert code == 1
         assert [(c["name"], c["context"]) for c in json.loads(out)["checks"]
                 if not c["pass"]] == [("holonomy", "A->B"),
                                       ("holonomy", "B->A")]
+
+
+def test_a_chain_that_does_not_converge_fails_its_check(capsys, tmp_path):
+    # the unit atlas is valid and g invariant, but chart B draws its jets
+    # in [-1, 1], 1e10 times the chart's width: from order 2 its chain does
+    # not converge, and `diagonal_hamiltonian` fails by name (exit 1, not 2)
+    from test_atlas import unit_atlas_doc
+
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(unit_atlas_doc()))
+    assert run(capsys, "validate", str(path))[0] == 0
+    broken = [("diagonal_hamiltonian", "B", "Infinity")]
+    for order, failing in (("1", []), ("2", broken), ("3", broken)):
+        code, out, err = run(capsys, "certify", str(path), "--metric", "g",
+                             "--order", order, "--samples", "5")
+        assert (code, err) == (1 if failing else 0, "")
+        assert [(c["name"], c["context"], c["metric"])
+                for c in json.loads(out)["checks"] if not c["pass"]] == failing
 
 
 @pytest.mark.parametrize("entries, ratio", [
@@ -697,9 +719,9 @@ def test_seed_must_be_below_2_to_the_64(capsys, atlas_dir, monkeypatch,
 
 
 TOLERANCE_FLAGS = [("validate", flag) for flag in
-                   ("--tol-det", "--tol-roundtrip", "--tol-cocycle")] + [
+                   ("--tol-roundtrip", "--tol-cocycle")] + [
     ("certify", flag) for flag in
-    ("--tol-det", "--tol-roundtrip", "--tol-cocycle", "--tol-projector",
+    ("--tol-roundtrip", "--tol-cocycle", "--tol-projector",
      "--tol-holonomy", "--tol-exactness", "--tol-hamiltonian")]
 
 
@@ -708,8 +730,7 @@ def test_tolerance_defaults_are_the_library_constants(verb):
     argv = [verb, "a.json"] + (["--metric", "g", "--order", "1"]
                                if verb == "certify" else [])
     args = build_parser().parse_args(argv)
-    want = dict(det=DET_TOLERANCE, roundtrip=ROUNDTRIP_TOLERANCE,
-                cocycle=COCYCLE_TOLERANCE)
+    want = dict(roundtrip=ROUNDTRIP_TOLERANCE, cocycle=COCYCLE_TOLERANCE)
     if verb == "certify":
         want.update(projector=PROJECTOR_TOLERANCE,
                     holonomy=HOLONOMY_TOLERANCE,

@@ -10,7 +10,7 @@ from folijet.atlas import load_atlas_file
 from folijet.errors import SingularHessian, SingularMetric
 from folijet.jets import sample_box
 from folijet.linalg import (CONDITION_LIMIT, check_metric, condition_number,
-                            definiteness, solve)
+                            definiteness, jacobian_condition, solve)
 
 from conftest import ATLAS_DIR
 
@@ -94,10 +94,26 @@ def test_definiteness_reads_the_eigenvalue_ratio():
 def test_a_zero_or_non_finite_matrix_is_neither_regular_nor_definite(h):
     assert definiteness(h) == -np.inf
     assert condition_number(h) == np.inf
+    assert jacobian_condition(h) == np.inf
+    assert jacobian_condition([h, np.eye(len(h)).tolist()]) == np.inf
     assert definiteness([h, np.eye(len(h)).tolist()]).tolist() == [-np.inf,
                                                                    1.0]
     with pytest.raises(SingularMetric, match=r"ratio -inf at 0 \(sample 0\)$"):
         check_metric(np.array([h]), "g", np.array([0]))
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_jacobian_condition_is_blind_to_scale_and_reads_a_fold(c):
+    # two Jacobians, not symmetric, with det 2 and 1; negating one row of
+    # the second makes its det -1: one map cannot take both on a
+    # connected set without folding
+    j = np.array([[[2.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, 1.0]]])
+    assert jacobian_condition(c * j) == pytest.approx(
+        np.linalg.cond(j).max(), rel=1e-12, abs=0.0)
+    fold = j * np.array([[[1.0], [1.0]], [[-1.0], [1.0]]])
+    assert jacobian_condition(c * fold) == np.inf
+    assert jacobian_condition(c * fold[1]) == pytest.approx(
+        np.linalg.cond(fold[1]), rel=1e-12, abs=0.0)
 
 
 def test_the_definiteness_limit_is_the_condition_limit():

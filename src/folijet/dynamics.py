@@ -139,13 +139,17 @@ def _semispray_scalars(L, base, jets, lifted=False):
     Hessian rows) and the lower gradient.  With `lifted` the space is
     ((n, 2), (n, 1)): every coordinate is seeded in both groups, and the
     components come back as series over the second group's space ((n, 1),),
-    their first partials with respect to all fiber coordinates.  At a batch
-    of points, base (B, q) and jets (B, r, q), every component is a batch.
+    their first partials with respect to all fiber coordinates.  Only the
+    Hessian rows of the top row y^(r) are read, so either space is kept to
+    first order jointly in the lower coordinates x, y^(1..r-1) (`Space`'s
+    `linear`): their second-order terms are never computed, and every
+    entry read is summed as in the whole space.  At a batch of points,
+    base (B, q) and jets (B, r, q), every component is a batch.
     """
     L._check_smooth(base, jets)
     r, q = L.order, L.qdim
     n = (r + 1) * q
-    sp = space(((n, 2), (n, 1)) if lifted else ((n, 2),))
+    sp = space(((n, 2), (n, 1)) if lifted else ((n, 2),), tuple(range(r * q)))
     tangent = space(((n, 1),))
     out = L.program.eval(jet_env(
         base, jets,

@@ -13,7 +13,9 @@ package takes is a seed and a read of this one type:
 * ``((1, r), (n, 1))`` -- Taylor coefficients with their gradients, for the
   Jacobian of jet transport;
 * ``((n, 2), (n, 1))`` -- a gradient and Hessian that carry their own
-  gradient, for the spray Jacobian;
+  gradient, for the spray Jacobian, kept to first order jointly in the
+  lower fiber coordinates (`Space`'s `linear`), whose Hessian rows the
+  spray does not read;
 * ``((q, 2),) * r`` -- the Legendre chain, one group per stage.
 
 A product is one gather-multiply-``bincount`` over index tables cached per
@@ -107,14 +109,19 @@ def _group_monomials(count, cap):
 
 
 def _group_table(exponents, cap):
-    """(i, j, k) with monomial i times monomial j equal to monomial k."""
-    count = exponents.shape[1]
-    total = exponents[:, None, :] + exponents[None, :, :]
-    i, j = np.nonzero(total.sum(axis=-1) <= cap)
-    radix = (cap + 1) ** np.arange(count, dtype=np.int64)
-    keys = exponents @ radix
+    """(i, j, k) with monomial i times monomial j equal to monomial k.
+
+    The pairs are those whose degrees sum to at most cap.  A product of
+    such a pair has no exponent above cap, so keys in radix cap + 1 add
+    without carries: monomial k's key is the sum of i's and j's.  Nothing
+    of size pairs x variables is built.
+    """
+    degree = exponents.sum(axis=1)
+    i, j = np.nonzero(degree[:, None] <= cap - degree[None, :])
+    keys = exponents @ ((cap + 1) ** np.arange(exponents.shape[1],
+                                               dtype=np.int64))
     order = np.argsort(keys)
-    k = order[np.searchsorted(keys, total[i, j] @ radix, sorter=order)]
+    k = order[np.searchsorted(keys, keys[i] + keys[j], sorter=order)]
     return i, j, k
 
 
@@ -125,10 +132,18 @@ class Space:
     across the groups in order.  Monomial 0 is the constant, and the first
     group varies slowest, so a coefficient array reshapes to ``shape``,
     one axis per group.
+
+    The variables `linear` are kept to first order jointly: a monomial of
+    degree two or more in them is truncated like one past a cap.  Its
+    coefficient stays in the array, but no product entry lands on it, so
+    products leave it zero, and it feeds no other, since a kept monomial
+    has only kept divisors.  The table keeps its other entries in their
+    order, so every kept coefficient of a product is summed exactly as
+    without `linear`.
     """
 
-    def __init__(self, groups):
-        self.groups = groups
+    def __init__(self, groups, linear=()):
+        self.groups, self.linear = groups, linear
         exponents = np.zeros((1, 0), dtype=np.int64)
         i = j = k = np.zeros(1, dtype=np.int64)
         shape = []
@@ -141,6 +156,9 @@ class Space:
             exponents = np.hstack([np.repeat(exponents, s, axis=0),
                                    np.tile(group, (len(exponents), 1))])
             shape.append(s)
+        if linear:
+            keep = (exponents[:, list(linear)].sum(axis=1) <= 1)[k]
+            i, j, k = i[keep], j[keep], k[keep]
         self.table = (i, j, k)
         self._keys = k  # the product keys of the largest batch seen
         self.exponents = exponents
@@ -157,7 +175,22 @@ class Space:
             dtype=np.intp)
 
     def __repr__(self):
+        if self.linear:
+            return f"Space({self.groups!r}, linear={self.linear!r})"
         return f"Space({self.groups!r})"
+
+    def rest(self, group):
+        """The space of the other groups, with their `linear` variables
+        numbered anew."""
+        groups = self.groups[:group] + self.groups[group + 1:]
+        if not self.linear:
+            return space(groups)
+        start = sum(count for count, _ in self.groups[:group])
+        stop = start + self.groups[group][0]
+        linear = tuple(v if v < start else v - stop + start
+                       for v in self.linear if not start <= v < stop)
+        # one spelling per space: `space` caches on its arguments
+        return space(groups, linear) if linear else space(groups)
 
     def keys(self, batch):
         """The product table's k for a batch: sample s's keys offset by
@@ -183,9 +216,12 @@ class Space:
 
 
 @lru_cache(maxsize=64)
-def space(groups):
-    """The shared Space of a tuple of groups ``(count, cap)``."""
-    return Space(tuple((int(count), int(cap)) for count, cap in groups))
+def space(groups, linear=()):
+    """The shared Space of a tuple of groups ``(count, cap)``, kept to
+    first order jointly in the variables `linear`, a non-empty increasing
+    tuple when given."""
+    return Space(tuple((int(count), int(cap)) for count, cap in groups),
+                 tuple(map(int, linear)))
 
 
 def _plain(x):
@@ -290,7 +326,7 @@ class Series:
         """The coefficient of each monomial of ``group``, in its order, as a
         series over the space of the other groups."""
         sp = self.space
-        rest = space(sp.groups[:group] + sp.groups[group + 1:])
+        rest = sp.rest(group)
         lead = self.coeffs.shape[:-1]
         block = self.coeffs.reshape(lead + (math.prod(sp.shape[:group]),
                                             sp.shape[group], -1))
@@ -302,8 +338,10 @@ class Series:
     def within(self, sp, group):
         """This series, over `sp` without ``group``, as a series over `sp`
         of degree zero in ``group``: `split` inverted on its parts."""
-        if sp.groups[:group] + sp.groups[group + 1:] != self.space.groups:
-            raise ShapeError(f"{self.space.groups} not in {sp.groups}")
+        rest = sp.rest(group)
+        if rest is not self.space and (rest.groups, rest.linear) != (
+                self.space.groups, self.space.linear):
+            raise ShapeError(f"{self.space} not in {sp}")
         lead = self.coeffs.shape[:-1]
         pre = math.prod(sp.shape[:group])
         out = np.zeros(lead + (pre, sp.shape[group], self.space.size // pre))

@@ -12,7 +12,11 @@ references for the compiled expression tape: they walk the AST
 recursively, recomputing every repeated subtree, and `eval_ast` makes the
 same elemental calls as the tape.  `full_space_spray_jacobian` is the
 spray Jacobian as it was computed before `Series.split` returned parts
-over the space of the other groups: every part in the whole space.  The
+over the space of the other groups, and before the spray's space was
+kept to first order in the lower coordinates: every part in the whole
+space ((n, 2), (n, 1)).  `group_table_from_exponent_sums` is the product
+table of one variable group as it was built before it was keyed on
+degree sums: from the exponent sums of every pair of monomials.  The
 `*_draws` functions are the per-sample draw loops that the sampled checks
 replaced by block draws, one sample and one jet row at a time, over
 `SplitMix64`, the stream generator in plain int arithmetic, one draw at a
@@ -447,8 +451,9 @@ def full_space_split(y, group):
 
 
 def full_space_spray_jacobian(L, base, jets):
-    """`SemiSprayField.jacobian_at` with its algebra in ((n, 2), (n, 1)):
-    the Gamma terms and the solve on parts over the whole space."""
+    """`SemiSprayField.jacobian_at` with its algebra in the whole space
+    ((n, 2), (n, 1)), with no coordinate kept to first order: the Gamma
+    terms and the solve on parts over the whole space."""
     r, q = L.order, L.qdim
     n = (r + 1) * q
     sp = scalars.space(((n, 2), (n, 1)))
@@ -469,6 +474,19 @@ def full_space_spray_jacobian(L, base, jets):
     scale = 1.0 / (2.0 * (r + 1))
     return np.stack([(scale * s).coeffs[..., sp.variables[n:]] for s in sol],
                     axis=-2)
+
+
+def group_table_from_exponent_sums(exponents, cap):
+    """(i, j, k) with monomial i times monomial j equal to monomial k,
+    found from the exponent rows of every product of two monomials."""
+    count = exponents.shape[1]
+    total = exponents[:, None, :] + exponents[None, :, :]
+    i, j = np.nonzero(total.sum(axis=-1) <= cap)
+    radix = (cap + 1) ** np.arange(count, dtype=np.int64)
+    keys = exponents @ radix
+    order = np.argsort(keys)
+    k = order[np.searchsorted(keys, total[i, j] @ radix, sorter=order)]
+    return i, j, k
 
 
 # -- per-sample draws --------------------------------------------------------

@@ -493,7 +493,9 @@ def _q3_atlas(tmp_path, invariant=True, scale=None):
 
 
 def test_certify_q3_end_to_end(capsys, tmp_path):
-    # q = 3: the spray Jacobian's algebra runs in ((9, 1),) at r = 2
+    # q = 3: at r = 2 the spray evaluates L in ((9, 2), (9, 1)) kept to
+    # first order in its six lower coordinates, and its Gamma terms and
+    # solve run in ((9, 1),)
     for extra in (["--order", "2"], ["--order", "3", "--samples", "5"]):
         code, out, err = run(capsys, "certify", _q3_atlas(tmp_path),
                              "--metric", "g", *extra)

@@ -7,12 +7,14 @@ import sympy as sp
 from folijet import expr, riemann
 from folijet.atlas import load_atlas_file, sample_overlap
 from folijet.cli import main
-from folijet.dynamics import (SemiSprayField, projectors, semispray,
-                              vertical_hessian)
+from folijet.dynamics import (SemiSprayField, projector_pair, projectors,
+                              semispray, vertical_hessian)
 from folijet.errors import ShapeError, SingularMetric
-from folijet.expr import coordinate_names, parse
-from folijet.jets import (TransverseJetPoint, prolong_jacobian,
-                          prolong_transition, restrict_to_zero_section)
+from folijet.expr import ExprProgram, coordinate_names, parse
+from folijet.jets import (TransverseJetPoint, jet_env, prolong_jacobian,
+                          prolong_transition, restrict_to_zero_section,
+                          sample_points)
+from folijet.report import relative_gap
 from folijet.riemann import (
     MetricField,
     holonomy_check,
@@ -346,6 +348,75 @@ def test_lift_graph_stays_shared_at_order_5(monkeypatch):
         monkeypatch.setattr(cls, "__eq__", refuse)
     monkeypatch.setattr(expr, "_print", refuse)
     assert len(riemann._Lift(texts, 2).lagrangian(5).tape) <= 8000
+
+
+# ------------------------------------------------------------------ sprays
+
+CUBIC = load_atlas_file(ATLAS_DIR / "cubic.json")
+SHEAR2 = load_atlas_file(ATLAS_DIR / "shear2.json")
+SPRAY_CASES = [
+    *(pytest.param(atlas.metrics["g"][chart],
+                   atlas.charts[chart].domain[atlas.p:],
+                   id=f"{name}-{chart}")
+      for name, atlas in (("cubic", CUBIC), ("shear2", SHEAR2))
+      for chart in ("A", "B")),
+    pytest.param(METRIC_Q3, [[0.2, 1.2]] * 3, id="q3"),
+]
+
+
+def _graph_spray(g, r):
+    """The stage spray S^(r) that the lift builds on its graph, and its
+    Jacobian by `Graph.diff`, as programs over (x, y^(1..r))."""
+    lift = riemann._lift(g)
+    lift.lagrangian(r + 1)  # building stage r + 1 builds the spray of L^(r)
+    spray = lift.sprays[r - 1]
+    names = coordinate_names(g.qdim, r)
+    return ([ExprProgram(s) for s in spray],
+            [[ExprProgram(lift.graph.diff(s, name)) for name in names]
+             for s in spray])
+
+
+@pytest.mark.parametrize("batch", [None, 25])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("fld,box", SPRAY_CASES)
+def test_spray_matches_the_graph_built_stage_spray(fld, box, r, batch):
+    # the numeric spray and its Jacobian share no code below `expr` with
+    # the closed forms the lift recursion builds
+    q = fld.qdim
+    L = lift_lagrangian(fld, r)
+    base, jets = sample_points(np.random.default_rng(40 + r), box,
+                               batch or 1, r, q)
+    env = jet_env(base, jets)
+    lead = np.shape(base)[:-1]
+    spray, jacobian = _graph_spray(fld, r)
+    want = np.stack([np.broadcast_to(s.eval(env), lead) for s in spray], -1)
+    want_jac = np.stack([np.stack([np.broadcast_to(d.eval(env), lead)
+                                   for d in row], -1)
+                         for row in jacobian], -2)
+    points = [jet_point(b, j) for b, j in zip(base.reshape(-1, q),
+                                              jets.reshape(-1, r, q))]
+    got = np.stack([semispray(L, pt) for pt in points]).reshape(want.shape)
+    got_jac = SemiSprayField(L).jacobian_at(base, jets)
+    assert got_jac.shape == want_jac.shape == lead + (q, (r + 1) * q)
+    assert np.all(relative_gap(got, want) <= 1e-12)
+    assert np.all(relative_gap(got_jac, want_jac, axis=(-2, -1)) <= 1e-12)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("fld,box", SPRAY_CASES[2:])  # shear2 and q3
+def test_batched_spray_jacobian_and_projectors_match_each_sample(fld, box,
+                                                                 r):
+    # polynomial metrics: no elementary function whose batch may round
+    # apart from its float
+    S = SemiSprayField(lift_lagrangian(fld, r))
+    base, jets = sample_points(np.random.default_rng(60 + r), box, 25, r,
+                               fld.qdim)
+    jac = S.jacobian_at(base, jets)
+    h, v = projector_pair(S, base, jets)
+    for s in range(25):
+        assert np.array_equal(jac[s], S.jacobian_at(base[s], jets[s]))
+        h_s, v_s = projector_pair(S, base[s], jets[s])
+        assert np.array_equal(h[s], h_s) and np.array_equal(v[s], v_s)
 
 
 # ----------------------------------------------------------------- checks

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -16,6 +17,9 @@ from folijet.riemann import lift_lagrangian
 from folijet.scalars import (
     UNARY_FUNCTIONS,
     Series,
+    Space,
+    _group_monomials,
+    _group_table,
     broadcast,
     cos,
     exp,
@@ -34,6 +38,7 @@ from oracles import (
     convolve_series,
     full_space_split,
     full_space_spray_jacobian,
+    group_table_from_exponent_sums,
     sympy_series_coeffs,
 )
 
@@ -186,6 +191,54 @@ def test_product_table_matches_monomial_loop(groups):
     i, j, k = sp_.table
     assert set(zip(i.tolist(), j.tolist(), k.tolist())) == want
     assert len(i) == len(want)
+
+
+@pytest.mark.parametrize("cap", range(4))
+@pytest.mark.parametrize("count", range(1, 7))
+def test_group_table_is_the_exponent_sum_table(count, cap):
+    # the same entries in the same order, so every product sums alike
+    exponents = _group_monomials(count, cap)
+    got = _group_table(exponents, cap)
+    want = group_table_from_exponent_sums(exponents, cap)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_one_large_cap_3_group_builds_in_little_memory():
+    # pairs x variables exponent sums would take about 80 MB here
+    tracemalloc.start()
+    try:
+        sp_ = Space(((15, 3),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sp_.size, len(sp_.table[0])) == (816, 5456)
+    assert peak < 10e6
+
+
+LINEAR_SPACES = [(((3, 2), (3, 1)), (0, 1)),
+                 (((6, 2), (6, 1)), (0, 1, 2, 3)),
+                 (((2, 2), (1, 3), (2, 1)), (1, 2, 3))]
+
+
+@pytest.mark.parametrize("batch", [None, 9])
+@pytest.mark.parametrize("groups,linear", LINEAR_SPACES)
+def test_linear_space_computes_its_monomials_as_the_whole_space(
+        groups, linear, batch):
+    # kept monomials: bit for bit the whole space's coefficients, as only
+    # kept monomials divide them; dropped ones: zero after any product
+    whole, sp_ = space(groups), space(groups, linear)
+    kept = sp_.exponents[:, list(linear)].sum(axis=1) <= 1
+    assert 1 < kept.sum() < sp_.size
+    assert len(sp_.table[0]) < len(whole.table[0])
+    rng = np.random.default_rng(len(sp_.table[0]))
+    shape = (sp_.size,) if batch is None else (batch, sp_.size)
+    a, b = rng.uniform(0.5, 2.0, (2,) + shape)
+    for f in (lambda x, y: x * y, lambda x, y: exp(x) / y,
+              lambda x, y: log(x) * y ** 3 - sin(y)):
+        got = f(Series(sp_, a), Series(sp_, b)).coeffs
+        want = f(Series(whole, a), Series(whole, b)).coeffs
+        assert np.array_equal(got[..., kept], want[..., kept])
+        assert not got[..., ~kept].any()
 
 
 @pytest.mark.parametrize("name", sorted(FUNCTIONS) + [
@@ -438,6 +491,18 @@ def test_sub_space_product_is_the_degree_zero_slice(group, batch):
         zero, *others = full.split(group)
         assert np.array_equal((x * y).coeffs, zero.coeffs)
         assert not any(np.any(p.coeffs) for p in others)
+
+
+def test_split_of_a_linear_space_numbers_the_rest_anew():
+    sp_ = space(THREE_GROUPS, (1, 2, 3))  # x1 of group 0, group 1, z0
+    y = Series(sp_, np.random.default_rng(3).standard_normal(sp_.size))
+    assert y.split(0)[0].space is space(((1, 3), (2, 1)), (0, 1))
+    assert y.split(1)[0].space is space(((2, 2), (2, 1)), (1, 2))
+    assert y.split(2)[0].space is space(((2, 2), (1, 3)), (1, 2))
+    for group in range(3):
+        assert y.split(group)[0].within(sp_, group).space is sp_
+        with pytest.raises(ShapeError):
+            y.split(group)[0].within(space(THREE_GROUPS), group)
 
 
 def _shipped_metrics():

@@ -1,7 +1,7 @@
 """Dense linear solves whose entries are floats or series.
 
 With A = A0 + A1, A0 the entries' values and A1 free of constant terms,
-numpy's batched LU inverts A0, each sample's matrix on its own, and
+`inverse` inverts A0, each sample's matrix on its own, and
 X = A0^-1 (b - A1 X) is iterated from X = A0^-1 b (Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., ch. 13).  A1 raises degrees, so a
 step's degree-d coefficients read only those of X below d: once those are
@@ -15,6 +15,14 @@ condition estimate is at most CONDITION_LIMIT, and a metric or vertical
 Hessian is positive definite when its least eigenvalue over its largest
 magnitude is above 1 / CONDITION_LIMIT.  `jacobian_condition` holds the
 Jacobians of a transition, not symmetric, to the first by singular values.
+
+This module handles every dense matrix of the engine; `riemann` inverts
+the metric through `inverse` too.  From n = 2 on, LAPACK (through numpy's
+batched routines) factors, inverts and finds eigen- and singular values.
+A 1 x 1 matrix, all a codimension-one foliation has, is read in closed
+form: for one, LAPACK returns exactly a as eigenvalue, |a| as singular
+value, the sign of a as that of det and 1 / a as inverse, so the closed forms give the same bits
+without the calls or the workspace the first call maps.
 """
 
 from __future__ import annotations
@@ -46,22 +54,38 @@ def condition_number(h):
 def jacobian_condition(j):
     """Largest 2-norm condition number, from singular values, of Jacobians
     (..., q, q) of one map on a connected set: inf where one is singular or
-    not finite, or where two differ in the sign of det, as the map folds."""
+    not finite, or where two differ in the sign of det, as the map folds.
+    For q = 1 the singular value is |j| and the sign of det that of j."""
     j = np.where(np.isfinite(j).all(axis=(-2, -1), keepdims=True), j, 0.0)
-    s = np.linalg.svd(j, compute_uv=False)
+    if j.shape[-1] == 1:
+        s, sign = np.abs(j[..., 0]), np.sign(j[..., 0, 0])
+    else:
+        s, sign = np.linalg.svd(j, compute_uv=False), np.linalg.slogdet(j)[0]
     with np.errstate(all="ignore"):
         cond = np.max(s[..., 0] / s[..., -1])
-    return np.inf if cond != cond or np.ptp(np.linalg.slogdet(j)[0]) else cond
+    return np.inf if cond != cond or np.ptp(sign) else cond
 
 
 def definiteness(h):
     """Least eigenvalue over largest magnitude of symmetric float matrices
-    (..., q, q), -inf where one is zero or not finite (1.0 if 1 x 1 > 0)."""
-    eig = np.linalg.eigvalsh(np.where(
-        np.isfinite(h).all(axis=(-2, -1), keepdims=True), h, 0.0))
+    (..., q, q), -inf where one is zero or not finite.  For q = 1 the
+    eigenvalue is h itself, so the ratio is 1.0 where h > 0, -1.0 where
+    h < 0."""
+    h = np.asarray(h, dtype=float)
+    eig = h[..., 0] if h.shape[-1] == 1 else np.linalg.eigvalsh(
+        np.where(np.isfinite(h).all(axis=(-2, -1), keepdims=True), h, 0.0))
     with np.errstate(all="ignore"):
         ratio = eig[..., 0] / np.abs(eig).max(axis=-1)
     return np.where(ratio == ratio, ratio, -np.inf)  # NaN: zero or not finite
+
+
+def inverse(a):
+    """Inverses of regular float matrices (..., n, n): numpy's batched LU,
+    or 1 / a for n = 1.  Callers judge regularity first."""
+    if a.shape[-1] != 1:
+        return np.linalg.inv(a)
+    with np.errstate(divide="ignore", over="ignore"):  # as quiet as LAPACK
+        return 1.0 / a
 
 
 def check_metric(g, name, points):
@@ -94,7 +118,7 @@ def solve(a, b):
     cond = condition_number(a0)
     raise_where(cond > CONDITION_LIMIT, SingularHessian,
                 "condition estimate {:.3e}", cond)
-    inv = np.linalg.inv(a0).T.swapaxes(0, 1)  # inv[i, k]: a float or a batch
+    inv = inverse(a0).T.swapaxes(0, 1)  # inv[i, k]: a float or a batch
     a1 = [[x - value_of(x) for x in row] for row in a]
     X = _times(inv, b)
     for _ in range(max((x.space.degree for row in a for x in row

@@ -29,7 +29,7 @@ from .expr import ExprProgram, Graph, coordinate_names, parse
 from .jets import (_check_in_overlap, _prolong, _prolong_jacobian,
                    _taylor_env, check_fit, point_arrays, sample_box,
                    sample_overlap, sample_points, sample_stream)
-from .linalg import check_metric
+from .linalg import check_metric, inverse
 from .report import Report, relative_gap, worst
 from .scalars import columns, raise_where, stack_samples
 
@@ -147,7 +147,7 @@ def _christoffel_series(g, base, jets=()):
             G[..., i, j] = G[..., j, i] = c[..., 0]
             dG[..., i, j] = dG[..., j, i] = c[..., 1:]
     check_metric(G[..., 0, :, :], g.name, base)
-    ginv = np.linalg.inv(G[..., 0, :, :])
+    ginv = inverse(G[..., 0, :, :])
     # first kind, at [k, d, b, c]: (d_b g_dc + d_c g_bd - d_d g_bc) / 2
     first = 0.5 * (dG.swapaxes(-3, -2) + dG.swapaxes(-3, -1) - dG)
     first = first.reshape(lead + (n, q, q * q))

@@ -642,6 +642,27 @@ def test_certify_negative_control(capsys, atlas_dir):
     assert "holonomy" in failing
 
 
+def test_a_codimension_one_certify_calls_no_lapack(capsys, monkeypatch,
+                                                   atlas_dir):
+    # every matrix of a q = 1 atlas is 1 x 1, and `linalg` judges and
+    # inverts those in closed form, to the same bits
+    argvs = [["certify", str(atlas_dir / atlas), "--metric", metric,
+              "--order", order, "--samples", samples]
+             for atlas, metric, order, samples in [
+                 ("cubic.json", "g", "2", "25"),
+                 ("cubic.json", "g_bad", "2", "25"),
+                 ("plane.json", "wavy", "3", "9")]]
+    free = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in free] == [0, 1, 0]
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("a LAPACK routine was called")
+
+    for name in ("inv", "eigvalsh", "eigh", "svd", "slogdet", "det", "solve"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    assert [run(capsys, *argv) for argv in argvs] == free
+
+
 def test_certify_fails_a_metric_missing_from_a_chart(capsys, tmp_path,
                                                     atlas_dir):
     doc = json.loads((atlas_dir / "cubic.json").read_text())

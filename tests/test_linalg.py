@@ -10,11 +10,39 @@ from folijet.atlas import load_atlas_file
 from folijet.errors import SingularHessian, SingularMetric
 from folijet.jets import sample_box
 from folijet.linalg import (CONDITION_LIMIT, check_metric, condition_number,
-                            definiteness, jacobian_condition, solve)
+                            definiteness, inverse, jacobian_condition, solve)
 
 from conftest import ATLAS_DIR
 
 SCALES = [1e-8, 1.0, 1e8]
+
+# 1 x 1 matrices of both signs, at the ends of the float range, singular
+# and not finite: their closed forms must read what LAPACK reads
+LINE = np.array([2.0, -3.0, 1e300, -1e300, 1e-300, -1e-300, 0.0, np.inf,
+                 -np.inf, np.nan])[:, None, None]
+
+
+def _line(c):
+    with np.errstate(over="ignore"):
+        return c * LINE
+
+
+def _eigenvalue_ratio(h):
+    """`definiteness` from LAPACK's eigenvalues, for every size."""
+    eig = np.linalg.eigvalsh(np.where(
+        np.isfinite(h).all(axis=(-2, -1), keepdims=True), h, 0.0))
+    with np.errstate(all="ignore"):
+        ratio = eig[..., 0] / np.abs(eig).max(axis=-1)
+    return np.where(ratio == ratio, ratio, -np.inf)
+
+
+def _svd_condition(j):
+    """`jacobian_condition` from LAPACK's singular values and det signs."""
+    j = np.where(np.isfinite(j).all(axis=(-2, -1), keepdims=True), j, 0.0)
+    s = np.linalg.svd(j, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = np.max(s[..., 0] / s[..., -1])
+    return np.inf if cond != cond or np.ptp(np.linalg.slogdet(j)[0]) else cond
 
 
 def _spd(q, seed):
@@ -36,6 +64,11 @@ def test_solve_is_blind_to_the_scale_of_a(q, c):
         want = np.array(solve(a.tolist(), b)) / c
         got = np.array(solve((c * a).tolist(), b))
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert np.array_equal(inverse(c * a), np.linalg.inv(c * a))
+    # LAPACK refuses a singular matrix, which every caller rejects first
+    line = _line(c)
+    line = line[line[:, 0, 0] != 0.0]
+    assert np.array_equal(inverse(line), np.linalg.inv(line), equal_nan=True)
 
 
 @pytest.mark.parametrize("c", SCALES)
@@ -84,6 +117,9 @@ def test_definiteness_reads_the_eigenvalue_ratio():
     batch = np.stack([np.eye(2), INDEFINITE, THIN])
     assert definiteness(batch).tolist() == [
         1.0, definiteness(INDEFINITE), definiteness(THIN)]
+    for h in (batch, LINE):
+        assert np.array_equal(definiteness(h), _eigenvalue_ratio(h),
+                              equal_nan=True)
 
 
 @pytest.mark.parametrize("h", [
@@ -114,6 +150,10 @@ def test_jacobian_condition_is_blind_to_scale_and_reads_a_fold(c):
     assert jacobian_condition(c * fold) == np.inf
     assert jacobian_condition(c * fold[1]) == pytest.approx(
         np.linalg.cond(fold[1]), rel=1e-12, abs=0.0)
+    line = _line(c)
+    for j in (*line[:, None], line[:5:2], line[1:6:2], line[:2], line):
+        assert np.array_equal(jacobian_condition(j), _svd_condition(j))
+    assert jacobian_condition(line[:2]) == np.inf  # a sign change folds
 
 
 def test_the_definiteness_limit_is_the_condition_limit():

@@ -29,10 +29,13 @@ and a non-finite coefficient anywhere raises DomainError.
 Batches.  A series may carry a leading batch axis, ``coeffs`` of shape
 (B, size), and a batch of plain floats is a 1-D float ndarray; every
 operation acts on each sample as it would on that sample alone (vector
-forward mode, Griewank & Walther ch. 3).  The product of a batch is the
-same ``bincount`` over the table's keys offset by ``sample * size``, so it
-sums each output coefficient in the same order and is bit-identical to
-the product of each sample.  Elementary functions of a batch go through
+forward mode, Griewank & Walther ch. 3).  The product of a batch is
+entry-major: it gathers whole rows of ``coeffs.T``, one per table entry
+with every sample in it, and sums them in one ``bincount`` over the keys
+``k * B + s``.  Each output coefficient is summed in table order, as for
+one sample, so the product is bit-identical to the product of each
+sample, and its coefficients stay entry-major in memory, the transpose of
+a C-contiguous (size, B) array.  Elementary functions of a batch go through
 numpy ufuncs, which may differ from ``math`` in the last bit.  A domain
 check is one reduction per batch; only when it fails is the first failing
 sample looked for, and the DomainError names it.  Where samples part
@@ -160,7 +163,7 @@ class Space:
             keep = (exponents[:, list(linear)].sum(axis=1) <= 1)[k]
             i, j, k = i[keep], j[keep], k[keep]
         self.table = (i, j, k)
-        self._keys = k  # the product keys of the largest batch seen
+        self._product_keys = {}  # batch -> keys, at most KEY_CACHE of them
         self.exponents = exponents
         self.shape = tuple(shape)
         self.size = len(exponents)
@@ -192,14 +195,17 @@ class Space:
         # one spelling per space: `space` caches on its arguments
         return space(groups, linear) if linear else space(groups)
 
-    def keys(self, batch):
-        """The product table's k for a batch: sample s's keys offset by
-        s * size, so one bincount sums every sample's products."""
-        n = batch * len(self.table[2])
-        if len(self._keys) < n:
-            self._keys = (self.table[2]
-                          + self.size * np.arange(batch)[:, None]).ravel()
-        return self._keys[:n]
+    def product_keys(self, batch):
+        """The bincount keys of an entry-major product of `batch` samples:
+        ``k * batch + s`` for table entry k of sample s, row by row of the
+        table.  The last KEY_CACHE batch sizes keep theirs."""
+        keys = self._product_keys.get(batch)
+        if keys is None:
+            if len(self._product_keys) >= KEY_CACHE:
+                del self._product_keys[next(iter(self._product_keys))]
+            keys = self._product_keys[batch] = (
+                self.table[2][:, None] * batch + np.arange(batch)).ravel()
+        return keys
 
     def seed(self, value, *variables):
         """``value`` plus each listed variable; value is a float or series,
@@ -230,33 +236,36 @@ def _plain(x):
 
 
 PRODUCT_CHUNK = 1 << 15
+KEY_CACHE = 4
 
 
 def _product(sp, a, bj):
-    """The product kernel: the coefficients of a times b, sample by sample,
-    from a and b's coefficients gathered by the table's j.
+    """The product kernel: the coefficients of a times b, entry-major.
 
-    One gather-multiply-bincount over the space's table; a batch sums every
-    sample's products in one bincount over offset keys, in the same order
-    as a single sample, so each sample's product is bit-identical to its
-    own.
+    `a` holds a's coefficients one row per monomial, (size,) or (size, B),
+    and `bj` b's gathered by the table's j, (len(table),) or
+    (len(table), B); the result is (size,) or (size, B).  One
+    gather-multiply-bincount over the space's table: a batch gathers whole
+    rows ``a[i]`` and sums every sample's terms in one bincount over the
+    keys ``k * B + s``.  Each output coefficient is still summed in table
+    order, so each sample's product is bit-identical to its own.
     """
     i, _, k = sp.table
     if a.ndim == 1 == bj.ndim:
         return np.bincount(k, a[i] * bj, sp.size)
-    batch = len(a) if a.ndim == 2 else len(bj)
+    batch = (a if a.ndim == 2 else bj).shape[1]
     # at most PRODUCT_CHUNK terms at a time bound the temporaries and keys
     step = max(1, PRODUCT_CHUNK // len(k))
     if a.ndim == 2 == bj.ndim and batch <= step:
-        terms = a[:, i]
+        terms = a[i]
         terms *= bj
-        return np.bincount(sp.keys(batch), terms.ravel(),
-                           batch * sp.size).reshape(batch, sp.size)
-    a = np.broadcast_to(a, (batch, sp.size))
-    bj = np.broadcast_to(bj, (batch, len(k)))
-    out = np.empty((batch, sp.size))
+        return np.bincount(sp.product_keys(batch), terms.ravel(),
+                           batch * sp.size).reshape(sp.size, batch)
+    a = np.broadcast_to(a.reshape(sp.size, -1), (sp.size, batch))
+    bj = np.broadcast_to(bj.reshape(len(k), -1), (len(k), batch))
+    out = np.empty((sp.size, batch))
     for s in range(0, batch, step):
-        out[s:s + step] = _product(sp, a[s:s + step], bj[s:s + step])
+        out[:, s:s + step] = _product(sp, a[:, s:s + step], bj[:, s:s + step])
     return out
 
 
@@ -379,11 +388,9 @@ class Series:
     def __mul__(self, other):
         if type(other) is Series:
             sp = self.space
-            b, j = other._coerce(sp), sp.table[1]
-            # b[j] on one sample: numpy's `...` indexing is several times
-            # slower
-            return _series(sp, _product(sp, self.coeffs,
-                                        b[j] if b.ndim == 1 else b[:, j]))
+            b = other._coerce(sp).T
+            return _series(sp, _product(sp, self.coeffs.T,
+                                        b[sp.table[1]]).T)
         if not _plain(other):
             return NotImplemented
         return self._new(self.coeffs * (other[:, None] if type(other) is
@@ -491,16 +498,15 @@ class Series:
         elif not all(map(math.isfinite, f)):
             raise DomainError("non-finite derivative of an elementary function")
         sp = self.space
-        h = self.coeffs.copy()
-        h.T[0] = 0.0
-        j = sp.table[1]
-        hj = h[j] if h.ndim == 1 else h[:, j]
+        h = self.coeffs.T.copy()  # entry-major, as `_product` takes it
+        h[0] = 0.0
+        hj = h[sp.table[1]]
         out = np.zeros(h.shape)
-        out.T[0] = f[-1]
+        out[0] = f[-1]
         for fk in f[-2::-1]:
             out = _product(sp, out, hj)
-            out.T[0] += fk
-        return self._new(out)
+            out[0] += fk
+        return self._new(out.T)
 
 
 # Univariate Taylor coefficients f_0..f_D of the elementary functions at a0,

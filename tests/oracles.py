@@ -16,7 +16,11 @@ over the space of the other groups, and before the spray's space was
 kept to first order in the lower coordinates: every part in the whole
 space ((n, 2), (n, 1)).  `group_table_from_exponent_sums` is the product
 table of one variable group as it was built before it was keyed on
-degree sums: from the exponent sums of every pair of monomials.  The
+degree sums: from the exponent sums of every pair of monomials.
+`sample_major_product` and `sample_major_compose` are the product kernel
+and the Horner loop of `scalars` as they ran before products became
+entry-major: a batch gathered a[:, i] and b[:, j] and summed every
+sample's terms in one bincount over the keys k + size * sample.  The
 `*_draws` functions are the per-sample draw loops that the sampled checks
 replaced by block draws, one sample and one jet row at a time, over
 `SplitMix64`, the stream generator in plain int arithmetic, one draw at a
@@ -487,6 +491,43 @@ def group_table_from_exponent_sums(exponents, cap):
     order = np.argsort(keys)
     k = order[np.searchsorted(keys, total[i, j] @ radix, sorter=order)]
     return i, j, k
+
+
+# -- the sample-major product kernel ------------------------------------------
+
+
+def sample_major_product(sp, a, b, chunk=1 << 15):
+    """The coefficients of a times b over `sp`, either or both a batch of
+    shape (B, size), at most `chunk` table terms at a time."""
+    i, j, k = sp.table
+    if a.ndim == 1 == b.ndim:
+        return np.bincount(k, a[i] * b[j], sp.size)
+    batch = len(a) if a.ndim == 2 else len(b)
+    a = np.broadcast_to(a, (batch, sp.size))
+    b = np.broadcast_to(b, (batch, sp.size))
+    step = max(1, chunk // len(k))
+    out = np.empty((batch, sp.size))
+    for s in range(0, batch, step):
+        n = len(a[s:s + step])
+        keys = (k + sp.size * np.arange(n)[:, None]).ravel()
+        terms = a[s:s + step, i] * b[s:s + step, j]
+        out[s:s + step] = np.bincount(keys, terms.ravel(),
+                                      n * sp.size).reshape(n, sp.size)
+    return out
+
+
+def sample_major_compose(sp, coeffs, f):
+    """sum_k f[k] (c - c_0)^k by Horner, for the coefficients `coeffs` of
+    a series c over `sp` and the Taylor coefficients f of a univariate
+    function at c_0, with `sample_major_product`."""
+    h = np.array(coeffs, dtype=float)
+    h[..., 0] = 0.0
+    out = np.zeros(h.shape)
+    out[..., 0] = f[-1]
+    for fk in f[-2::-1]:
+        out = sample_major_product(sp, out, h)
+        out[..., 0] += fk
+    return out
 
 
 # -- per-sample draws --------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import itertools
 import json
@@ -780,6 +781,61 @@ def test_tolerance_must_be_finite(capsys, atlas_dir, verb, flag, value):
     assert [line for line in err.splitlines() if "error:" in line] == [
         f"folijet {verb}: error: argument {flag}: must be a finite number, "
         f"got {value!r}"]
+
+
+CUBIC = "atlases/cubic.json"  # from the repository root
+PARSER_CORPUS = [
+    ["--help"], ["--version"], [], ["bogus"], ["bogus", "--help"],
+    *([verb, "--help"] for verb in cli.VERBS),
+    # each verb with a required argument missing
+    ["validate"],
+    ["prolong", CUBIC, "--order", "1", "--jet", "x1=0"],
+    ["semispray", CUBIC, "--jet", "x1=0"],
+    ["lift", CUBIC, "--order", "1"],
+    ["certify", CUBIC, "--order", "1"],
+    ["certify", CUBIC, "--metric", "g", "--order", "1", "--bogus"],
+    ["certify", CUBIC, "--metric", "g", "--order", "1",
+     "--tol-holonomy", "nan"],
+    ["certify", "missing.json", "--metric", "g", "--order", "1"],
+    ["validate", CUBIC, "--samples", "3"],
+]
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of `main`, argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS,
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_one_verb_parser_prints_what_the_full_parser_prints(
+        capsys, monkeypatch, argv):
+    built = []
+    full = cli.build_parser
+
+    def spy(verb=None):
+        built.append(verb)
+        return full(verb)
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(cli, "build_parser", spy)
+    got = _outcome(capsys, argv)
+    assert built == [argv[0] if argv and argv[0] in cli.VERBS else None]
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
+    assert got == _outcome(capsys, argv)
+
+
+def test_build_parser_builds_every_verb_by_default():
+    sub, = (action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    assert tuple(sub.choices) == cli.VERBS
+    sub, = (action for action in build_parser("lift")._actions
+            if isinstance(action, argparse._SubParsersAction))
+    assert tuple(sub.choices) == ("lift",)
 
 
 def test_unknown_metric(capsys, atlas_dir):

@@ -15,11 +15,17 @@ from folijet.expr import FUNCTIONS, parse
 from folijet.jets import sample_points
 from folijet.riemann import lift_lagrangian
 from folijet.scalars import (
+    KEY_CACHE,
+    PRODUCT_CHUNK,
     UNARY_FUNCTIONS,
     Series,
     Space,
+    _exp_coefficients,
     _group_monomials,
     _group_table,
+    _log_coefficients,
+    _power_coefficients,
+    _sqrt_coefficients,
     broadcast,
     cos,
     exp,
@@ -39,6 +45,8 @@ from oracles import (
     full_space_split,
     full_space_spray_jacobian,
     group_table_from_exponent_sums,
+    sample_major_compose,
+    sample_major_product,
     sympy_series_coeffs,
 )
 
@@ -282,6 +290,53 @@ def test_batched_product_is_each_samples_product(groups):
         want = [(Series(sp_, x) * Series(sp_, y)).coeffs
                 for x, y in zip(a, b)]
         assert np.array_equal(got, want)
+
+
+KERNEL_SPACES = [space(groups) for groups in SPACES] + [
+    space(groups, linear) for groups, linear in LINEAR_SPACES]
+
+# each function of a batch with the Taylor coefficients it composes
+COMPOSED = {
+    "exp": (exp, _exp_coefficients),
+    "log": (log, _log_coefficients),
+    "sqrt": (sqrt, _sqrt_coefficients),
+    "^0.7": (lambda x: x ** 0.7, lambda a0, D: _power_coefficients(
+        a0, 0.7, np.power(a0, 0.7), D)),
+    "reciprocal": (lambda x: 1.0 / x, lambda a0, D: _power_coefficients(
+        a0, -1.0, 1.0 / a0, D)),
+}
+
+
+@pytest.mark.parametrize("sp_", KERNEL_SPACES, ids=repr)
+def test_entry_major_kernel_is_the_sample_major_kernel(sp_):
+    # bit for bit, on one chunk of the product, on the largest batch that
+    # fits one chunk and on one sample more
+    rng = np.random.default_rng(len(sp_.table[0]))
+    step = PRODUCT_CHUNK // len(sp_.table[0])
+    for batch in (1, 9, step, step + 1):
+        a, b = rng.uniform(0.5, 2.0, (2, batch, sp_.size))
+        for x, y in ((a, b), (b[0], a), (a, b[0])):
+            got = (Series(sp_, x) * Series(sp_, y)).coeffs
+            assert np.array_equal(got, sample_major_product(sp_, x, y))
+        for fn, coefficients in COMPOSED.values():
+            f = coefficients(a[:, 0], sp_.degree)
+            assert np.array_equal(fn(Series(sp_, a)).coeffs,
+                                  sample_major_compose(sp_, a, f))
+
+
+def test_product_keys_stay_bounded():
+    # every batch size keys its own products, and the redraws of excluded
+    # jets run on ever smaller sub-batches: only the latest KEY_CACHE sizes
+    # keep their keys, each at most one chunk of the product
+    sp_ = Space(((3, 2), (3, 1)))
+    rng = np.random.default_rng(0)
+    for batch in range(1, 61):
+        a = Series(sp_, rng.uniform(0.5, 2.0, (batch, sp_.size)))
+        a * a
+    assert list(sp_._product_keys) == list(range(61 - KEY_CACHE, 61))
+    assert KEY_CACHE <= 8
+    held = sum(keys.nbytes for keys in sp_._product_keys.values())
+    assert held <= KEY_CACHE * PRODUCT_CHUNK * 8
 
 
 def test_batch_errors_name_the_first_failing_sample():

@@ -86,9 +86,7 @@ def build_parser(verb=None) -> argparse.ArgumentParser:
     A one-verb parser parses a command line that starts with `verb` as the
     full parser does, with the same help, usage lines and errors: its usage
     still names every verb in `VERBS`.  `main` builds only the verb that
-    runs: building it and parsing a `certify` command line takes about
-    0.4 ms, against about 1.0 ms with all five verbs (best of 5 x 300 on
-    one Xeon core).
+    runs.
     """
     parser = argparse.ArgumentParser(
         prog="folijet",

@@ -33,17 +33,19 @@ forward mode, Griewank & Walther ch. 3).  The product of a batch is
 entry-major: it gathers whole rows of ``coeffs.T``, one per table entry
 with every sample in it, and sums them in one ``bincount`` over the keys
 ``k * B + s``.  Each output coefficient is summed in table order, as for
-one sample, so the product is bit-identical to the product of each
-sample, and its coefficients stay entry-major in memory, the transpose of
-a C-contiguous (size, B) array.  Elementary functions of a batch go through
-numpy ufuncs, which may differ from ``math`` in the last bit.  A domain
-check is one reduction per batch; only when it fails is the first failing
-sample looked for, and the DomainError names it.  Where samples part
-ways (a Newton solve, a search, per-sample exponents) every step still
-runs over the whole batch and `where` keeps each sample's own result;
-nothing runs on a sub-batch.  Unbatched values stay the batch-size-1 case,
-and `stack_samples` keeps one sample unbatched because that is faster: a
-warm one-sample ``certify`` of the generated shear2 atlas at order 2 took
+one sample, so the product is bit-identical to the product of each sample.
+The coefficients of a product or a composed function are the transpose of
+a C-contiguous (size, B) array.  Other operations do not keep that layout
+(a series built from an array is C-ordered, (B, size)), and the product
+reads any layout.  Elementary functions of a batch go through numpy
+ufuncs, which may differ from ``math`` in the last bit.  A domain check is
+one reduction per batch; only when it fails is the first failing sample
+looked for, and the DomainError names it.  Where samples part ways (a
+Newton solve, a search, per-sample exponents) every step still runs over
+the whole batch and `where` keeps each sample's own result; nothing runs
+on a sub-batch.  Unbatched values stay the batch-size-1 case, and
+`stack_samples` keeps one sample unbatched because that is faster: a warm
+one-sample ``certify`` of the generated shear2 atlas at order 2 took
 20-32 ms unbatched against 35-52 ms with the batch axis kept, for the same
 report (6 alternating process pairs on one core, median of 15 calls each).
 """
@@ -198,7 +200,9 @@ class Space:
     def product_keys(self, batch):
         """The bincount keys of an entry-major product of `batch` samples:
         ``k * batch + s`` for table entry k of sample s, row by row of the
-        table.  The last KEY_CACHE batch sizes keep theirs."""
+        table.  The last KEY_CACHE batch sizes keep theirs: a product of
+        more samples than a chunk holds runs full chunks and a remainder,
+        two sizes."""
         keys = self._product_keys.get(batch)
         if keys is None:
             if len(self._product_keys) >= KEY_CACHE:
@@ -236,7 +240,7 @@ def _plain(x):
 
 
 PRODUCT_CHUNK = 1 << 15
-KEY_CACHE = 4
+KEY_CACHE = 2
 
 
 def _product(sp, a, bj):

@@ -325,18 +325,23 @@ def test_entry_major_kernel_is_the_sample_major_kernel(sp_):
 
 
 def test_product_keys_stay_bounded():
-    # every batch size keys its own products, and the redraws of excluded
-    # jets run on ever smaller sub-batches: only the latest KEY_CACHE sizes
-    # keep their keys, each at most one chunk of the product
+    # a product of more samples than a chunk holds keys its full chunks and
+    # its remainder, so both stay; a process that runs many sample counts
+    # (as this suite does) keeps only the latest KEY_CACHE sizes' keys,
+    # each at most one chunk of the product
     sp_ = Space(((3, 2), (3, 1)))
     rng = np.random.default_rng(0)
     for batch in range(1, 61):
         a = Series(sp_, rng.uniform(0.5, 2.0, (batch, sp_.size)))
         a * a
     assert list(sp_._product_keys) == list(range(61 - KEY_CACHE, 61))
-    assert KEY_CACHE <= 8
+    assert KEY_CACHE <= 2
     held = sum(keys.nbytes for keys in sp_._product_keys.values())
     assert held <= KEY_CACHE * PRODUCT_CHUNK * 8
+    step = PRODUCT_CHUNK // len(sp_.table[0])
+    a = Series(sp_, rng.uniform(0.5, 2.0, (2 * step + 3, sp_.size)))
+    a * a
+    assert sorted(sp_._product_keys) == [3, step]
 
 
 def test_batch_errors_name_the_first_failing_sample():

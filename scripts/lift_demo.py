@@ -9,7 +9,7 @@ coefficients are computed numerically) at a sample point.
 
 import numpy as np
 
-from folijet.jets import TransverseJetPoint, restrict_to_zero_section
+from folijet.jets import TransverseJetPoint
 from folijet.riemann import (
     MetricField,
     lift_lagrangian,
@@ -40,7 +40,7 @@ def run():
     print("\nlifted metric at", point.to_dict())
     print(np.array_str(lifted.evaluate(point), precision=6,
                        suppress_small=True))
-    restricted = restrict_to_zero_section(lifted.evaluate, R, (), (0.7,))
+    restricted = lifted.evaluate_at("", (0.7,), np.zeros((R, 1)))[:1, :1]
     print("zero-section restriction:", restricted,
           "vs g(0.7) =", expg.evaluate((0.7,)))
 

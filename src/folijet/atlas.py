@@ -27,8 +27,6 @@ from .scalars import columns, space, stack_samples
 __all__ = [
     "Chart",
     "Transition",
-    "TripleOverlap",
-    "FoliatedAtlas",
     "load_atlas",
     "load_atlas_file",
     "validate_foliated",

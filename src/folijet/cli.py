@@ -33,8 +33,8 @@ from .atlas import (COCYCLE_TOLERANCE, ROUNDTRIP_TOLERANCE, load_atlas_file,
                     validate_foliated)
 from .dynamics import SemiSprayField, projector_pair, semispray
 from .errors import FolijetError, NoConvergence
-from .jets import (TransverseJetPoint, prolong_transition,
-                   restrict_to_zero_section, sample_points, sample_stream)
+from .jets import (TransverseJetPoint, prolong_transition, sample_points,
+                   sample_stream)
 from .legendre import admissibility_check, hamiltonian_at, legendre_chain
 from .report import Report, relative_gap, worst
 from .riemann import (EXACTNESS_TOLERANCE, HOLONOMY_TOLERANCE, holonomy_check,
@@ -324,8 +324,8 @@ def cmd_certify(args):
     lifted = lift_metric(family, args.order)
     for chart, fld in family.items():
         base = np.mean(atlas.charts[chart].domain[atlas.p:], axis=1)
-        got = restrict_to_zero_section(lifted.evaluate, args.order,
-                                       (0.0,) * atlas.p, base, chart)
+        got = lifted.evaluate_at(chart, base, np.zeros(
+            (args.order, atlas.q)))[:atlas.q, :atlas.q]
         report.add("zero_section_restriction", chart, float(relative_gap(
             got, fld.evaluate(base), axis=(-2, -1))), args.tol_exactness)
     _projector_checks(report, atlas, family, args.order, args.samples,

@@ -11,6 +11,11 @@ Conventions used throughout:
   with h the vertical Hessian; the associated fiber vector field is
   Gamma_S = (y^(1), 2 y^(2), ..., r y^(r), (r+1) S).
 
+Each quantity has one array kernel at base x (..., q) and jet rows
+(..., r, q); the spray and its Jacobian both come from `_semispray_series`.
+The point forms `vertical_hessian`, `semispray` and `projectors` run them
+on a `TransverseJetPoint`'s arrays.
+
 Lagrangian and spray fields are plain classes, compared by identity and
 treated as immutable.
 """
@@ -96,28 +101,21 @@ class LagrangianField:
                 )
         return cls(order, qdim, program, slashed, excluded, name)
 
-    def check_point(self, point):
-        check_fit(point, self)
-        self._check_smooth(point.base, point.jets)
-
-    def _check_smooth(self, base, jets):
-        """Points base (..., q), jets (..., r, q) must avoid the excluded
-        set."""
+    def _check_points(self, base, jets):
+        """Points base (..., q), jets (..., r, q) must fit the field
+        (`check_fit`) and avoid the excluded set."""
+        check_fit(self, base, jets)
         if self.excluded is not None:
             raise_where(value_of(self.excluded.eval(jet_env(base, jets)))
                         <= 0.0, ExcludedPoint,
                         "point excluded from the smooth locus of {!r}",
                         self.name)
 
-    def value(self, point) -> float:
-        self.check_point(point)
-        return float(self.program.eval(jet_env(point.base, point.jets)))
-
 
 def top_hessian(L, base, jets):
     """The vertical Hessian of L at base (q,) and jets (r, q), or at a batch
     of points as (B, q, q)."""
-    L._check_smooth(base, jets)
+    L._check_points(base, jets)
     x, *rows = jet_columns(base, jets)
     h = np.array(top_row_derivatives(L, x, rows[:-1], rows[-1])[2], float)
     return h if h.ndim == 2 else np.moveaxis(h, -1, 0)
@@ -126,36 +124,31 @@ def top_hessian(L, base, jets):
 def vertical_hessian(L, point) -> np.ndarray:
     """Second partials of L in its top-order jet variables, as a (q, q)
     matrix."""
-    check_fit(point, L)
-    _, base, jets = point_arrays(point)
-    return top_hessian(L, base, jets)
+    return top_hessian(L, *point_arrays(point)[1:])
 
 
-def _semispray_scalars(L, base, jets, lifted=False):
-    """Semi-spray components as floats, or as series when `lifted`.
+def _semispray_series(L, base, jets):
+    """Semi-spray components as series over ((n, 1),): their values and
+    first partials in all fiber coordinates.
 
-    One evaluation of L on series over all fiber coordinates in the space
-    ((n, 2),) gives the vertical Hessian (top block), the Gamma term (mixed
-    Hessian rows) and the lower gradient.  With `lifted` the space is
-    ((n, 2), (n, 1)): every coordinate is seeded in both groups, and the
-    components come back as series over the second group's space ((n, 1),),
-    their first partials with respect to all fiber coordinates.  Only the
-    Hessian rows of the top row y^(r) are read, so either space is kept to
-    first order jointly in the lower coordinates x, y^(1..r-1) (`Space`'s
-    `linear`): their second-order terms are never computed, and every
-    entry read is summed as in the whole space.  At a batch of points,
-    base (B, q) and jets (B, r, q), every component is a batch.
+    One evaluation of L on series over all fiber coordinates, each seeded
+    in both groups of the space ((n, 2), (n, 1)), gives the vertical
+    Hessian (top block), the Gamma term (mixed Hessian rows) and the lower
+    gradient, as series over the second group.  Only the Hessian
+    rows of the top row y^(r) are read, so the space is kept to first order
+    jointly in the lower coordinates x, y^(1..r-1) (`Space`'s `linear`):
+    their second-order terms are never computed, and every entry read is
+    summed as in the whole space.  At a batch of points, base (B, q) and
+    jets (B, r, q), every component is a batch.
     """
-    L._check_smooth(base, jets)
+    L._check_points(base, jets)
     r, q = L.order, L.qdim
     n = (r + 1) * q
-    sp = space(((n, 2), (n, 1)) if lifted else ((n, 2),), tuple(range(r * q)))
+    sp = space(((n, 2), (n, 1)), tuple(range(r * q)))
     tangent = space(((n, 1),))
-    out = L.program.eval(jet_env(
-        base, jets,
-        lambda i, v: sp.seed(v, i, n + i) if lifted else sp.seed(v, i)))
-    _, grad, hess = second_order(out.split(0) if lifted
-                                 else columns(out.coeffs), n)
+    out = L.program.eval(jet_env(base, jets,
+                                 lambda i, v: sp.seed(v, i, n + i)))
+    _, grad, hess = second_order(out.split(0), n)
 
     h = [row[r * q:] for row in hess[r * q:]]
     _, *rows = jet_columns(base, jets)
@@ -165,7 +158,7 @@ def _semispray_scalars(L, base, jets, lifted=False):
         for k in range(1, r + 1):
             yk = rows[k - 1]
             for i in range(q):
-                y_val = tangent.seed(yk[i], k * q + i) if lifted else yk[i]
+                y_val = tangent.seed(yk[i], k * q + i)
                 gamma_term = gamma_term + k * y_val * hess[r * q + v][(k - 1) * q + i]
         lower = grad[(r - 1) * q + v]
         rhs.append(gamma_term - lower)
@@ -180,9 +173,8 @@ def _semispray_scalars(L, base, jets, lifted=False):
 
 def semispray(L, point):
     """Semi-spray components S^u at a jet point (plain floats)."""
-    check_fit(point, L)
-    _, base, jets = point_arrays(point)
-    return np.array([value_of(s) for s in _semispray_scalars(L, base, jets)])
+    return np.array([s.value for s in
+                     _semispray_series(L, *point_arrays(point)[1:])])
 
 
 class SemiSprayField:
@@ -209,19 +201,13 @@ class SemiSprayField:
     def qdim(self):
         return self.lagrangian.qdim
 
-    def jacobian(self, point):
-        """d S^u / d(fiber coordinates) as a (q, (r+1)q) float matrix."""
-        check_fit(point, self)
-        _, base, jets = point_arrays(point)
-        return self.jacobian_at(base, jets)
-
     def jacobian_at(self, base, jets):
-        """The Jacobian at base (q,) and jets (r, q), or at a batch of
-        points as (B, q, (r+1)q)."""
+        """d S^u / d(fiber coordinates) at base (q,) and jets (r, q) as a
+        (q, (r+1)q) float matrix, or at a batch of points as
+        (B, q, (r+1)q)."""
         return np.stack([
             s.coeffs[..., 1:]
-            for s in _semispray_scalars(self.lagrangian, base, jets,
-                                        lifted=True)], axis=-2)
+            for s in _semispray_series(self.lagrangian, base, jets)], axis=-2)
 
 
 def _spray_jacobian(S, base, jets):
@@ -238,13 +224,14 @@ def _spray_jacobian(S, base, jets):
     return A
 
 
-def dual_coefficients(S, point) -> tuple:
-    """Dual connection coefficients M_(k) = -dS/dy^(r+1-k), as the tuple
-    (M_(1), ..., M_(r)) of (q, q) matrices."""
+def dual_coefficients(S, base, jets) -> tuple:
+    """Dual connection coefficients M_(k) = -dS/dy^(r+1-k) at base (q,) and
+    jets (r, q), as the tuple (M_(1), ..., M_(r)) of (q, q) matrices, or of
+    (B, q, q) at a batch of points."""
     r, q = S.order, S.qdim
-    grads = S.jacobian(point)
+    grads = S.jacobian_at(base, jets)
     # M_(k) differentiates against y^(j), j = r + 1 - k
-    return tuple(-grads[:, j * q:(j + 1) * q]
+    return tuple(-grads[..., j * q:(j + 1) * q]
                  for j in range(r, 0, -1))
 
 
@@ -255,9 +242,7 @@ def projectors(S, point):
     spray vector field: with A = d Gamma_S / d(coords) and constant J,
     L_S J = J A - A J, then h = (r I - L_S J)/(r+1), v = (I + L_S J)/(r+1).
     """
-    check_fit(point, S)
-    _, base, jets = point_arrays(point)
-    return projector_pair(S, base, jets)
+    return projector_pair(S, *point_arrays(point)[1:])
 
 
 def projector_pair(S, base, jets):

@@ -1,11 +1,13 @@
 """Higher order transverse jets: transport, inclusions and fiber structures.
 
-A jet point stores the transverse Taylor coefficients y^(1..r) of a curve
-class; transport across a foliated transition is therefore literal truncated
-Taylor composition.  The fiber coordinates are grouped as (x, y^(1), ...,
-y^(r)); the shift endomorphism J (`j_matrix`) maps each group to the next,
-and the projector pair in `dynamics` is built from it.  Jet points are
-plain classes, compared by identity and treated as immutable.
+Jet points are arrays: a base x (..., q) and jet rows y^(1..r) (..., r, q),
+the transverse Taylor coefficients of a curve class, so transport across a
+transition is truncated Taylor composition.  One kernel, `_prolong`, gives
+the image and the fiber Jacobian; `check_fit` holds points to the field
+they are fed.  The fiber coordinates are grouped as (x, y^(1), ..., y^(r));
+the shift J (`j_matrix`) maps each group to the next.  `TransverseJetPoint`
+adds a chart and leaf for the point forms, a plain class compared by
+identity and treated as immutable.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ from .scalars import Series, columns, raise_where, space, stack_samples
 
 __all__ = [
     "TransverseJetPoint",
-    "zero_section",
     "prolong_transition",
     "prolong_jacobian",
     "include_jet",
     "j_matrix",
-    "restrict_to_zero_section",
 ]
 
 
@@ -78,20 +78,18 @@ class TransverseJetPoint:
         }
 
 
-def check_fit(point, field):
-    """Raise ShapeError unless a jet point, or a cotangent one, has the
-    order and transverse dimension of the field it is fed to."""
-    if point.order != field.order or point.qdim != field.qdim:
+def check_fit(field, base, jets, rows=0):
+    """Raise ShapeError unless base (..., q) and jets (..., r - rows, q) are
+    points of the order r and transverse dimension q of `field`: their jet
+    rows, or, with rows = 1, the lower rows of cotangent points."""
+    base, jets = np.shape(base), np.shape(jets)
+    order = jets[-2] + rows if len(jets) > 1 else None
+    dims = sorted({*base[-1:], *jets[-1:]})
+    if order != field.order or dims != [field.qdim]:
         raise ShapeError(
-            f"point of order {point.order}, dimension {point.qdim} does not "
-            f"fit a field of order {field.order}, dimension {field.qdim}")
-
-
-def zero_section(r, leaf, base, chart=""):
-    """The zero jet over (leaf, base)."""
-    q = len(base)
-    return TransverseJetPoint(chart, r, tuple(leaf), tuple(base),
-                              tuple((0.0,) * q for _ in range(r)))
+            f"point of order {order}, dimension "
+            f"{', '.join(map(str, dims))} does not fit a field of order "
+            f"{field.order}, dimension {field.qdim}")
 
 
 def jet_columns(base, jets):
@@ -213,22 +211,20 @@ def jet_env(base, jets, seed=None):
     return dict(zip(coordinate_names(len(rows[0]), len(rows) - 1), values))
 
 
-def _taylor_env(base, jets, seeded=0):
+def _taylor_env(base, jets, seeded):
     """Environment carrying the jet curve x(t) as series in t.
 
-    x(t) = base + sum_k jets[k-1] t^k, over the space ((1, r),), for base
-    (..., q) and jets (..., r, q).  With `seeded` = s > 0 the coefficients
-    of t^0..t^(s-1) are also seeded, in a group (s q, 1): the coefficient
-    of t^b in coordinate i is variable b * q + i, so the variables follow
-    the fiber order (x, y^(1), ...).
+    x(t) = base + sum_k jets[k-1] t^k, for base (..., q) and jets
+    (..., r, q), over the space ((1, r), (s q, 1)), s = `seeded` > 0: the
+    coefficient of t^b in coordinate i, b < s, is also variable b * q + i,
+    so the variables follow the fiber order (x, y^(1), ...).
     """
     base = np.asarray(base, dtype=float)
     lead, q = base.shape[:-1], base.shape[-1]
     rows = np.concatenate(
         [base[..., None, :], np.reshape(jets, lead + (-1, q))], axis=-2)
     r = rows.shape[-2] - 1
-    groups = ((1, r), (seeded * q, 1)) if seeded else ((1, r),)
-    sp = space(groups)
+    sp = space(((1, r), (seeded * q, 1)))
     env = {}
     for i, name in enumerate(coordinate_names(q)):
         coeffs = np.zeros(lead + (r + 1, sp.size // (r + 1)))
@@ -239,32 +235,43 @@ def _taylor_env(base, jets, seeded=0):
     return env
 
 
-def _check_in_overlap(transition, chart, leaf, base):
-    """Points (leaf, base), or a batch of them, must lie in the overlap."""
-    if chart != transition.from_chart:
-        raise InvariantViolation(
-            f"point lives in chart {chart!r}, transition starts at "
-            f"{transition.from_chart!r}"
-        )
+def _prolong(atlas, transition, leaf, base, jets):
+    """Image leaf, base and jet rows of points leaf (..., p), base (..., q)
+    and jets (..., r, q) in the overlap, and the fiber Jacobian blocks
+    d y'^(g) / d y^(b), y^(0) = x, as (..., (r+1)q, (r+1)q): the image
+    curve's coefficients and their first partials, from one evaluation on
+    the seeded jet curve.  Blocks b > g vanish; diagonal blocks all equal
+    the base transverse Jacobian."""
     points = np.concatenate([leaf, base], axis=-1)
     box = np.asarray(transition.overlap, dtype=float).reshape(-1, 2)
     inside = ((box[:, 0] <= points) & (points <= box[:, 1])).all(axis=-1)
     raise_where(~inside, OutsideOverlap, "point {} outside overlap of {}",
                 points, transition.name)
-
-
-def _prolong(atlas, transition, leaf, base, jets):
-    """Leaf, base and jet rows carried across a transition; arrays (p,),
-    (q,), (r, q), or batches of them."""
-    lead = np.shape(base)[:-1]
-    env = _taylor_env(base, jets)
-    coeffs = np.stack([e.eval(env).coeffs for e in transition.transverse_exprs],
-                      axis=-1)
+    lead, q = np.shape(base)[:-1], np.shape(base)[-1]
+    r = np.shape(jets)[-2]
+    n = (r + 1) * q
+    env = _taylor_env(base, jets, r + 1)
+    rows = np.zeros(lead + (r + 1, q))
+    jac = np.zeros(lead + (n, n))
+    for i, e in enumerate(transition.transverse_exprs):
+        c = e.eval(env).coeffs.reshape(lead + (r + 1, n + 1))
+        rows[..., i] = c[..., 0]
+        jac[..., i::q, :] = c[..., 1:]
     flat_env = dict(zip(coordinate_names(atlas.q, p=atlas.p),
-                        columns(np.concatenate([leaf, base], axis=-1))))
+                        columns(points)))
     new_leaf = [e.eval(flat_env) for e in transition.leaf_exprs]
     new_leaf = np.stack(new_leaf, axis=-1) if new_leaf else np.zeros(lead + (0,))
-    return new_leaf, coeffs[..., 0, :], coeffs[..., 1:, :]
+    return new_leaf, rows[..., 0, :], rows[..., 1:, :], jac
+
+
+def _prolong_point(atlas, transition, point):
+    """`_prolong` at a jet point of the transition's source chart."""
+    if point.chart != transition.from_chart:
+        raise InvariantViolation(
+            f"point lives in chart {point.chart!r}, transition starts at "
+            f"{transition.from_chart!r}"
+        )
+    return _prolong(atlas, transition, *point_arrays(point))
 
 
 def prolong_transition(atlas, transition, point):
@@ -273,59 +280,35 @@ def prolong_transition(atlas, transition, point):
     The transverse transition maps are evaluated on the truncated Taylor
     curve through the point; the image coefficients are the new jets.
     """
-    leaf, base, jets = point_arrays(point)
-    _check_in_overlap(transition, point.chart, leaf, base)
-    leaf, base, jets = _prolong(atlas, transition, leaf, base, jets)
+    leaf, base, jets, _ = _prolong_point(atlas, transition, point)
     return TransverseJetPoint(transition.to_chart, point.order,
                               tuple(leaf.tolist()), tuple(base.tolist()),
                               tuple(map(tuple, jets.tolist())))
 
 
-def _prolong_jacobian(transition, base, jets):
-    """`prolong_jacobian` at base (q,) and jets (r, q), or at a batch."""
-    lead, q = np.shape(base)[:-1], np.shape(base)[-1]
-    r = np.shape(jets)[-2]
-    n = (r + 1) * q
-    env = _taylor_env(base, jets, seeded=r + 1)
-    out = np.zeros(lead + (n, n))
-    for i, e in enumerate(transition.transverse_exprs):
-        out[..., i::q, :] = e.eval(env).coeffs.reshape(
-            lead + (r + 1, n + 1))[..., 1:]
-    return out
-
-
 def prolong_jacobian(atlas, transition, point):
-    """Fiber Jacobian of the prolongation: blocks d y'^(g) / d y^(b).
-
-    Returned as a dense ((r+1)q, (r+1)q) float matrix with y^(0) = x.
-    Strictly upper blocks (b > g) vanish identically; diagonal blocks all
-    equal the base transverse Jacobian.
-    """
-    leaf, base, jets = point_arrays(point)
-    _check_in_overlap(transition, point.chart, leaf, base)
-    return _prolong_jacobian(transition, base, jets)
+    """The fiber Jacobian of `prolong_transition` (see `_prolong`)."""
+    return _prolong_point(atlas, transition, point)[3]
 
 
-def include_jet(r_low, r_high, point):
-    """Canonical inclusion of an order-r_low jet into order r_high.
+def include_jet(r_high, jets):
+    """Canonical inclusion of jet rows (..., r_low, q) into order r_high.
 
     The first r_high - r_low jet rows are zero; row d + j is the integer
     multiple (d+j)!/j! of y^(j), with d = r_high - r_low.  Exact integer
-    arithmetic, identity when the orders agree.
+    arithmetic, the identity when the orders agree.
     """
-    if not point.order == r_low <= r_high:
-        raise ShapeError(f"cannot include a jet of order {point.order} as "
-                         f"order {r_low} into order {r_high}")
-    if r_low == r_high:
-        return point
+    jets = np.asarray(jets, dtype=float)
+    r_low = jets.shape[-2] if jets.ndim > 1 else 0
+    if not 1 <= r_low <= r_high:
+        raise ShapeError(
+            f"cannot include a jet of order {r_low} into order {r_high}")
     d = r_high - r_low
-    q = point.qdim
-    jets = [(0.0,) * q for _ in range(d)]
-    for j in range(1, r_low + 1):
-        factor = math.factorial(d + j) // math.factorial(j)
-        jets.append(tuple(factor * v for v in point.jets[j - 1]))
-    return TransverseJetPoint(point.chart, r_high, point.leaf, point.base,
-                              tuple(jets))
+    out = np.zeros(jets.shape[:-2] + (r_high, jets.shape[-1]))
+    out[..., d:, :] = jets * np.array(
+        [math.factorial(d + j) // math.factorial(j)
+         for j in range(1, r_low + 1)], dtype=float)[:, None]
+    return out
 
 
 def j_matrix(r, q):
@@ -337,16 +320,3 @@ def j_matrix(r, q):
         for i in range(q):
             out[(k + 1) * q + i, k * q + i] = 1.0
     return out
-
-
-def restrict_to_zero_section(metric_eval, r, leaf, base, chart=""):
-    """The (X, X) block of a lifted fiber metric along the zero section."""
-    q = len(base)
-    point = zero_section(r, leaf, base, chart)
-    full = np.asarray(metric_eval(point), dtype=float)
-    if full.shape != ((r + 1) * q, (r + 1) * q):
-        raise ShapeError(
-            f"metric evaluator returned shape {full.shape}, expected "
-            f"{((r + 1) * q, (r + 1) * q)}"
-        )
-    return full[:q, :q]

@@ -10,8 +10,9 @@ first-order stage.
 Convention: the diagonal hamiltonian carries a 1/r normalization, so the
 flat lift gives H(x, p) = |p|^2 / 4 at every order.
 
-Cotangent jet points and hamiltonian values are plain classes, compared
-by identity and treated as immutable.
+`legendre_map` and `hamiltonian_at` take arrays (see `jets`).  Cotangent
+jet points and hamiltonian values are plain classes, compared by identity
+and treated as immutable.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .errors import (InvariantViolation, NoConvergence, ShapeError,
                      SingularHessian)
 from .expr import coordinate_names
 from .jets import (TransverseJetPoint, _check_rows, _finite_tuple,
-                   check_fit, jet_columns, jet_env, sample_stream,
-                   split_draws)
+                   check_fit, jet_columns, jet_env, point_arrays,
+                   sample_stream, split_draws)
 from .report import Report, worst
 from .scalars import (Series, batch_of, broadcast, columns, prefixed,
                       raise_where, second_order, space, stack_samples,
@@ -36,7 +37,6 @@ from .scalars import (Series, batch_of, broadcast, columns, prefixed,
 
 __all__ = [
     "CotangentJetPoint",
-    "HamiltonianValue",
     "legendre_map",
     "legendre_inverse",
     "pseudo_hamiltonian",
@@ -81,13 +81,13 @@ class HamiltonianValue:
         self.value = value
 
 
-def legendre_map(L, point) -> CotangentJetPoint:
-    """(x, y^(1..r)) -> (x, y^(1..r-1), dL/dy^(r))."""
-    L.check_point(point)
-    _, momentum, _ = top_row_derivatives(L, point.base, point.jets[:-1],
-                                         point.jets[-1])
-    return CotangentJetPoint(point.chart, L.order, point.leaf, point.base,
-                             point.jets[:-1], tuple(momentum))
+def legendre_map(L, base, jets):
+    """The momentum p = dL/dy^(r) that trades (x, y^(1..r)) for
+    (x, y^(1..r-1), p), at base (q,) and jets (r, q) as (q,), or at a batch
+    of points as (B, q)."""
+    L._check_points(base, jets)
+    x, *rows = jet_columns(base, jets)
+    return np.array(top_row_derivatives(L, x, rows[:-1], rows[-1])[1]).T
 
 
 def _second_order_in(out, group, q):
@@ -219,27 +219,25 @@ def _inverse_top(L, base, lower, momentum):
 
 def legendre_inverse(L, cpoint, *, return_stats=False):
     """Recover the jet point with momentum `cpoint.momentum` under L."""
-    check_fit(cpoint, L)
+    check_fit(L, *point_arrays(cpoint)[1:], rows=1)
     top, _, stats = _inverse_top(L, cpoint.base, cpoint.jets,
                                  cpoint.momentum)
     point = TransverseJetPoint(cpoint.chart, L.order, cpoint.leaf,
                                cpoint.base, cpoint.jets + (tuple(top),))
-    L.check_point(point)
-    if return_stats:
-        return point, stats
-    return point
+    L._check_points(point.base, point.jets)
+    return (point, stats) if return_stats else point
 
 
 def pseudo_hamiltonian(L, cpoint) -> HamiltonianValue:
     """H = L composed with the inverse Legendre map."""
-    check_fit(cpoint, L)
-    return HamiltonianValue(hamiltonian_at(L, cpoint.base, cpoint.jets,
+    return HamiltonianValue(hamiltonian_at(L, *point_arrays(cpoint)[1:],
                                            cpoint.momentum))
 
 
 def hamiltonian_at(L, base, jets, momentum, *, return_stats=False):
     """`pseudo_hamiltonian`'s value at base (q,), lower rows (r-1, q) and
     momentum (q,), or at a batch of them (B, ...) as a batch of values."""
+    check_fit(L, base, jets, rows=1)
     x, *rows = jet_columns(base, jets)
     top, _, stats = _inverse_top(L, x, rows, columns(momentum))
     top = np.array(top).T
@@ -247,7 +245,7 @@ def hamiltonian_at(L, base, jets, momentum, *, return_stats=False):
                 "non-finite entry in jets")
     full = np.concatenate([np.reshape(jets, top.shape[:-1] + (-1, L.qdim)),
                            top[..., None, :]], axis=-2)
-    L._check_smooth(base, full)
+    L._check_points(base, full)
     value = value_of(L.program.eval(jet_env(base, full)))
     raise_where(~np.isfinite(value), InvariantViolation,
                 "non-finite hamiltonian value")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 
-__all__ = ["Check", "Report", "relative_gap", "worst"]
+__all__ = ["Report", "relative_gap", "worst"]
 
 
 def worst(start, values, pick=max):

@@ -26,9 +26,8 @@ import numpy as np
 from .dynamics import LagrangianField, top_hessian
 from .errors import DomainError, InvariantViolation, ShapeError
 from .expr import ExprProgram, Graph, coordinate_names, parse
-from .jets import (_check_in_overlap, _prolong, _prolong_jacobian,
-                   _taylor_env, check_fit, point_arrays, sample_box,
-                   sample_overlap, sample_points, sample_stream)
+from .jets import (_prolong, _taylor_env, check_fit, point_arrays,
+                   sample_box, sample_overlap, sample_points, sample_stream)
 from .linalg import check_metric, inverse
 from .report import Report, relative_gap, worst
 from .scalars import columns, raise_where, stack_samples
@@ -314,13 +313,12 @@ class LiftedMetric:
         )
 
     def evaluate(self, point) -> np.ndarray:
-        check_fit(point, self)
-        _, base, jets = point_arrays(point)
-        return self.evaluate_at(point.chart, base, jets)
+        return self.evaluate_at(point.chart, *point_arrays(point)[1:])
 
     def evaluate_at(self, chart, base, jets):
         """G at base (q,) and jets (r, q) in `chart`, or at a batch of
         points, base (B, q) and jets (B, r, q), as (B, n, n)."""
+        check_fit(self, base, jets)
         r = self.order
         g = self.sources[self._key(chart)]
         gb, W = _transport_coefficients(g, base, np.asarray(jets, dtype=float))
@@ -373,9 +371,7 @@ def holonomy_check(atlas, lifted, samples=25, seed=0, *,
         rng = sample_stream(seed, t.name, 7)
         jets = stack_samples(rng.uniform(-1.0, 1.0, (samples, r, q)))
         leaf, base = pts[..., :p], pts[..., p:]
-        _check_in_overlap(t, t.from_chart, leaf, base)
-        _, image_base, image_jets = _prolong(atlas, t, leaf, base, jets)
-        dphi = _prolong_jacobian(t, base, jets)
+        _, image_base, image_jets, dphi = _prolong(atlas, t, leaf, base, jets)
         left = dphi.swapaxes(-2, -1) @ lifted.evaluate_at(
             t.to_chart, image_base, image_jets) @ dphi
         dev = relative_gap(left, lifted.evaluate_at(t.from_chart, base, jets),

@@ -1,7 +1,7 @@
 """Independent reference implementations used only by the tests.
 
-Everything here except `eval_ast` and `full_space_spray_jacobian`
-deliberately avoids the library's own series arithmetic: jet transport is
+Everything here except `eval_ast`, `full_space_spray_jacobian`,
+`float_semispray` and `unseeded_prolong` deliberately avoids the library's own series arithmetic: jet transport is
 recomputed with sympy power series,
 products with literal polynomial convolution, the Legendre chain with
 sympy derivatives (at r = 2) or high-precision mpmath differences of
@@ -17,6 +17,10 @@ kept to first order in the lower coordinates: every part in the whole
 space ((n, 2), (n, 1)).  `group_table_from_exponent_sums` is the product
 table of one variable group as it was built before it was keyed on
 degree sums: from the exponent sums of every pair of monomials.
+`float_semispray` and `unseeded_prolong` are the spray and transport
+kernels that the merged ones replaced: the spray's components computed on
+floats, without their Jacobian, and transport on the jet curve with no
+coefficient seeded, without its Jacobian.
 `sample_major_product` and `sample_major_compose` are the product kernel
 and the Horner loop of `scalars` as they ran before products became
 entry-major: a batch gathered a[:, i] and b[:, j] and summed every
@@ -491,6 +495,52 @@ def group_table_from_exponent_sums(exponents, cap):
     order = np.argsort(keys)
     k = order[np.searchsorted(keys, total[i, j] @ radix, sorter=order)]
     return i, j, k
+
+
+# -- the replaced float spray and unseeded transport kernels ------------------
+
+
+def float_semispray(L, base, jets):
+    """The semi-spray components (..., q) as the float-only kernel computed
+    them: L over ((n, 2),), kept to first order in the lower coordinates,
+    and the Gamma terms and the solve on floats."""
+    r, q = L.order, L.qdim
+    n = (r + 1) * q
+    sp = scalars.space(((n, 2),), tuple(range(r * q)))
+    out = L.program.eval(jet_env(base, jets, lambda i, v: sp.seed(v, i)))
+    _, grad, hess = scalars.second_order(scalars.columns(out.coeffs), n)
+    _, *rows = jet_columns(base, jets)
+    rhs = []
+    for v in range(q):
+        gamma_term = 0.0
+        for k in range(1, r + 1):
+            for i in range(q):
+                gamma_term = gamma_term + k * rows[k - 1][i] * \
+                    hess[r * q + v][(k - 1) * q + i]
+        rhs.append(gamma_term - grad[(r - 1) * q + v])
+    sol = linalg.solve([row[r * q:] for row in hess[r * q:]], rhs)
+    scale = 1.0 / (2.0 * (r + 1))
+    return np.stack([scale * s for s in sol], axis=-1)
+
+
+def unseeded_prolong(atlas, transition, leaf, base, jets):
+    """The image leaf, base and jet rows of points carried across a
+    transition, with the transverse maps evaluated on the jet curve over
+    the space ((1, r),), no coefficient seeded."""
+    base = np.asarray(base, dtype=float)
+    lead, q = base.shape[:-1], base.shape[-1]
+    rows = np.concatenate(
+        [base[..., None, :], np.reshape(jets, lead + (-1, q))], axis=-2)
+    sp = scalars.space(((1, rows.shape[-2] - 1),))
+    env = {name: scalars.Series(sp, rows[..., i])
+           for i, name in enumerate(coordinate_names(q))}
+    coeffs = np.stack([e.eval(env).coeffs
+                       for e in transition.transverse_exprs], axis=-1)
+    flat_env = dict(zip(coordinate_names(atlas.q, p=atlas.p), scalars.columns(
+        np.concatenate([leaf, base], axis=-1))))
+    new_leaf = [e.eval(flat_env) for e in transition.leaf_exprs]
+    new_leaf = np.stack(new_leaf, axis=-1) if new_leaf else np.zeros(lead + (0,))
+    return new_leaf, coeffs[..., 0, :], coeffs[..., 1:, :]
 
 
 # -- the sample-major product kernel ------------------------------------------

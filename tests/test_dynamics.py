@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from folijet.atlas import load_atlas_file
 from folijet.dynamics import (
     LagrangianField,
+    _semispray_series,
     SemiSprayField,
     dual_coefficients,
     projectors,
     semispray,
+    top_hessian,
     vertical_hessian,
 )
 from folijet.errors import (
@@ -16,9 +19,12 @@ from folijet.errors import (
     SingularHessian,
 )
 from folijet.expr import parse
-from folijet.jets import TransverseJetPoint
+from folijet.jets import TransverseJetPoint, jet_env, sample_points
 from folijet.linalg import CONDITION_LIMIT, definiteness
-from oracles import central_difference_vector
+from folijet.riemann import lift_lagrangian
+from conftest import ATLAS_DIR
+from oracles import central_difference_vector, float_semispray
+from test_cli import _q3_atlas
 
 
 def jet_point(base, jets, chart="A"):
@@ -85,6 +91,32 @@ def test_semispray_flat_second_order():
     assert s[0] == pytest.approx(-0.9 / 6.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("name", ["cubic", "plane", "shear2", "q3"])
+def test_spray_values_match_the_float_kernel(name, tmp_path):
+    # the lifted kernel's values are the float kernel's, bit for bit, for
+    # every metric lift and lagrangian of the atlas
+    atlas = load_atlas_file(_q3_atlas(tmp_path) if name == "q3"
+                            else ATLAS_DIR / f"{name}.json")
+    fields = [(atlas.charts[chart].domain[atlas.p:], lift_lagrangian(fld, r))
+              for family in atlas.metrics.values()
+              for chart, fld in family.items() for r in (1, 2, 3, 4)]
+    fields += [(atlas.charts[chart].domain[atlas.p:], L)
+               for family in atlas.lagrangians.values()
+               for chart, L in family.items()]
+    for box, L in fields:
+        r, q = L.order, L.qdim
+        for samples in (1, 9):
+            base, jets = sample_points(np.random.default_rng(r), box,
+                                       samples, r, q)
+            jets.reshape(-1, r, q)[0, 0] = 0.0  # an all-zero jet row
+            got = np.stack([s.value for s in _semispray_series(L, base, jets)],
+                           axis=-1)
+            want = float_semispray(L, base, jets)
+            assert got.shape == want.shape == base.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_semispray_singular_hessian():
     L = lagrangian("y2_1", 2)
     with pytest.raises(SingularHessian):
@@ -107,8 +139,8 @@ def test_slashed_lagrangian_excluded_point():
     L = lagrangian("y1_1^2", 1, slashed=True,
                     excluded=parse("y1_1^2 - 1/100"))
     with pytest.raises(ExcludedPoint):
-        L.value(jet_point([0.5], [[0.01]]))
-    assert L.value(jet_point([0.5], [[2.0]])) == pytest.approx(4.0)
+        top_hessian(L, [0.5], [[0.01]])
+    assert L.program.eval(jet_env([0.5], [[2.0]])) == pytest.approx(4.0)
 
 
 # --------------------------------------------------- connection coefficients
@@ -116,15 +148,14 @@ def test_slashed_lagrangian_excluded_point():
 
 def test_dual_coefficients_hand_value():
     S = SemiSprayField.from_lagrangian(lagrangian("exp(x1)*y1_1^2", 1))
-    pt = jet_point([0.2], [[0.8]])
-    coeffs = dual_coefficients(S, pt)
+    coeffs = dual_coefficients(S, [0.2], [[0.8]])
     assert len(coeffs) == 1
     assert coeffs[0][0, 0] == pytest.approx(-0.8 / 4.0, abs=1e-12)
 
 
 def test_dual_coefficients_zero_spray():
     S = SemiSprayField.from_lagrangian(lagrangian("y2_1^2", 2))
-    coeffs = dual_coefficients(S, jet_point([0.5], [[0.3], [0.1]]))
+    coeffs = dual_coefficients(S, [0.5], [[0.3], [0.1]])
     assert len(coeffs) == 2
     assert all(np.allclose(m, 0.0) for m in coeffs)
 
@@ -139,8 +170,7 @@ def test_dual_coefficients_match_finite_differences(text, r, q):
     rng = np.random.default_rng(7)
     base = rng.uniform(0.3, 1.0, q)
     jets = [rng.uniform(0.4, 1.2, q) for _ in range(r)]
-    pt = jet_point(base, jets)
-    coeffs = dual_coefficients(S, pt)
+    coeffs = dual_coefficients(S, base, jets)
 
     def spray_at(flat):
         p = TransverseJetPoint("A", r, (), tuple(flat[:q]),
@@ -190,4 +220,4 @@ def test_projector_laws(text, r, q):
 def test_spray_order_mismatch():
     S = SemiSprayField.from_lagrangian(lagrangian("y1_1^2", 1))
     with pytest.raises(ShapeError):
-        S.jacobian(jet_point([0.5], [[0.3], [0.1]]))
+        S.jacobian_at([0.5], [[0.3], [0.1]])

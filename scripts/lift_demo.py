@@ -24,7 +24,8 @@ def run():
     flat = MetricField.from_components([["1"]], 1, name="flat")
     point = TransverseJetPoint("", R, (), (0.7,),
                                tuple((0.3 * k,) for k in range(1, R + 1)))
-    G = lift_metric(flat, R)
+    # a one-chart family: the chart the sample point lives in
+    G = lift_metric({point.chart: flat}, R)
     print(f"flat lift, r={R}: max |G - I| =",
           np.max(np.abs(G.evaluate(point) - np.eye(R + 1))))
 
@@ -32,7 +33,7 @@ def run():
     L = lift_lagrangian(expg, R)
     print(f"\nexp(x1) lift lagrangian (r={R}):")
     print(" ", L.program.to_text())
-    lifted = lift_metric(expg, R)
+    lifted = lift_metric({point.chart: expg}, R)
     coefficients = prolongation_coefficients(expg, R)
     for k, mat in enumerate(coefficients, start=1):
         print(f"connection coefficient M_({k}):",
@@ -40,7 +41,8 @@ def run():
     print("\nlifted metric at", point.to_dict())
     print(np.array_str(lifted.evaluate(point), precision=6,
                        suppress_small=True))
-    restricted = lifted.evaluate_at("", (0.7,), np.zeros((R, 1)))[:1, :1]
+    restricted = lifted.evaluate_at(point.chart, (0.7,),
+                                    np.zeros((R, 1)))[:1, :1]
     print("zero-section restriction:", restricted,
           "vs g(0.7) =", expg.evaluate((0.7,)))
 

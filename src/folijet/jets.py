@@ -80,16 +80,20 @@ class TransverseJetPoint:
 
 def check_fit(field, base, jets, rows=0):
     """Raise ShapeError unless base (..., q) and jets (..., r - rows, q) are
-    points of the order r and transverse dimension q of `field`: their jet
-    rows, or, with rows = 1, the lower rows of cotangent points."""
+    points of the order r and transverse dimension q of `field`, with the
+    same batch axes: their jet rows, or, with rows = 1, the lower rows of
+    cotangent points."""
     base, jets = np.shape(base), np.shape(jets)
     order = jets[-2] + rows if len(jets) > 1 else None
-    dims = sorted({*base[-1:], *jets[-1:]})
+    dims = sorted({*(base[-1:] or (0,)), *jets[-1:]})  # a scalar base: 0
     if order != field.order or dims != [field.qdim]:
         raise ShapeError(
             f"point of order {order}, dimension "
             f"{', '.join(map(str, dims))} does not fit a field of order "
             f"{field.order}, dimension {field.qdim}")
+    if base[:-1] != jets[:-2]:
+        raise ShapeError(f"base of shape {base} and jets of shape {jets} "
+                         "differ in their batch axes")
 
 
 def jet_columns(base, jets):

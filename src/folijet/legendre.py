@@ -208,23 +208,33 @@ def _newton_top_row(quad_at, target, guess, q, *, stage=None, polish=0):
     return state[0], state[1][0], stats
 
 
-def _inverse_top(L, base, lower, momentum):
-    """The top row y^(r) with dL/dy^(r) = momentum, by Newton from zero,
-    with its stats; base, rows and momentum hold floats or batches of them."""
-    return _newton_top_row(
-        lambda top, moving: top_row_derivatives(L, base, lower, top),
-        list(momentum), [0.0] * L.qdim, L.qdim,
-    )
+def _inverse_rows(L, base, lower, momentum):
+    """The jets (..., r, q) that extend the lower rows (..., r - 1, q) at
+    base (..., q) by the top row y^(r) with dL/dy^(r) = momentum (..., q),
+    solved by Newton from zero, with its stats."""
+    check_fit(L, base, lower, rows=1)
+    if np.shape(momentum) != np.shape(base):
+        raise ShapeError(f"momentum of shape {np.shape(momentum)} does not "
+                         f"fit a base of shape {np.shape(base)}")
+    x, *rows = jet_columns(base, lower)
+    top, _, stats = _newton_top_row(
+        lambda top, moving: top_row_derivatives(L, x, rows, top),
+        columns(momentum), [0.0] * L.qdim, L.qdim)
+    top = np.array(top).T
+    raise_where(~np.isfinite(top).all(axis=-1), InvariantViolation,
+                "non-finite entry in jets")
+    jets = np.concatenate([np.reshape(lower, top.shape[:-1] + (-1, L.qdim)),
+                           top[..., None, :]], axis=-2)
+    L._check_points(base, jets)
+    return jets, stats
 
 
 def legendre_inverse(L, cpoint, *, return_stats=False):
     """Recover the jet point with momentum `cpoint.momentum` under L."""
-    check_fit(L, *point_arrays(cpoint)[1:], rows=1)
-    top, _, stats = _inverse_top(L, cpoint.base, cpoint.jets,
-                                 cpoint.momentum)
+    _, base, lower = point_arrays(cpoint)
+    jets, stats = _inverse_rows(L, base, lower, cpoint.momentum)
     point = TransverseJetPoint(cpoint.chart, L.order, cpoint.leaf,
-                               cpoint.base, cpoint.jets + (tuple(top),))
-    L._check_points(point.base, point.jets)
+                               cpoint.base, jets.tolist())
     return (point, stats) if return_stats else point
 
 
@@ -234,22 +244,14 @@ def pseudo_hamiltonian(L, cpoint) -> HamiltonianValue:
                                            cpoint.momentum))
 
 
-def hamiltonian_at(L, base, jets, momentum, *, return_stats=False):
+def hamiltonian_at(L, base, jets, momentum):
     """`pseudo_hamiltonian`'s value at base (q,), lower rows (r-1, q) and
     momentum (q,), or at a batch of them (B, ...) as a batch of values."""
-    check_fit(L, base, jets, rows=1)
-    x, *rows = jet_columns(base, jets)
-    top, _, stats = _inverse_top(L, x, rows, columns(momentum))
-    top = np.array(top).T
-    raise_where(~np.isfinite(top).all(axis=-1), InvariantViolation,
-                "non-finite entry in jets")
-    full = np.concatenate([np.reshape(jets, top.shape[:-1] + (-1, L.qdim)),
-                           top[..., None, :]], axis=-2)
-    L._check_points(base, full)
+    full, _ = _inverse_rows(L, base, jets, momentum)
     value = value_of(L.program.eval(jet_env(base, full)))
     raise_where(~np.isfinite(value), InvariantViolation,
                 "non-finite hamiltonian value")
-    return (value, stats) if return_stats else value
+    return value
 
 
 def _shifted(y, group, delta, q):

@@ -1,15 +1,17 @@
 """Machine-readable check reports.
 
-A Report is a flat list of named checks, each carrying the measured
-deviation (or eigenvalue), its tolerance and a pass flag.  Serialization
-is deterministic so that equal-seed runs diff byte-for-byte, and is
-RFC 8259 JSON: a non-finite number is written as the string "NaN",
-"Infinity" or "-Infinity", which `float()` reads back.  Quantities that
-carry a metric's scale or a chart's units are compared by `relative_gap`,
-so no verdict moves with either (Higham, *Accuracy and Stability of
-Numerical Algorithms*, 2nd ed., 2002, ch. 1-2).  Both are plain
-classes compared by identity; a Check is treated as immutable, and a
-Report grows only through `add` and `extend`.
+A Report is a flat list of named checks, each held as the row its JSON
+writes: name, context, the measured deviation (or eigenvalue) as
+`metric`, its `tolerance` (both floats), the `direction` of the
+comparison ("<=", or ">" for a lower bound) and the `pass` flag.
+Serialization is deterministic so that equal-seed runs diff
+byte-for-byte, and is RFC 8259 JSON: a non-finite number is written as
+the string "NaN", "Infinity" or "-Infinity", which `float()` reads
+back.  Quantities that carry a metric's scale or a chart's units are
+compared by `relative_gap`, so no verdict moves with either (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002,
+ch. 1-2).  A Report is a plain class compared by identity; it grows
+only through `add` and `extend`, and its rows are treated as immutable.
 """
 
 from __future__ import annotations
@@ -55,23 +57,11 @@ def _number(value):
     return "Infinity" if value > 0 else "-Infinity"
 
 
-class Check:
-    __slots__ = ("name", "context", "metric", "tolerance", "passed",
-                 "direction")
-
-    def __init__(self, name: str, context: str, metric: float,
-                 tolerance: float, passed: bool, direction: str = "<="):
-        self.name, self.context = name, context
-        self.metric, self.tolerance, self.passed = metric, tolerance, passed
-        # ">" for lower bounds (eigenvalue ratios), "<=" for deviations
-        self.direction = direction
-
-
 class Report:
-    __slots__ = ("seed", "tool_version", "checks")
+    __slots__ = ("seed", "checks")
 
     def __init__(self, seed: int = 0):
-        self.seed, self.tool_version, self.checks = seed, __version__, []
+        self.seed, self.checks = seed, []
 
     def add(self, name, context, metric, tolerance, direction="<="):
         if direction == "<=":
@@ -80,52 +70,28 @@ class Report:
             passed = metric > tolerance
         else:
             raise ValueError(f"unknown direction {direction!r}")
-        self.checks.append(
-            Check(name, context, float(metric), float(tolerance), bool(passed),
-                  direction)
-        )
-        return passed
+        self.checks.append({"name": name, "context": context,
+                            "metric": float(metric),
+                            "tolerance": float(tolerance),
+                            "direction": direction, "pass": bool(passed)})
 
     def extend(self, other: "Report"):
         self.checks.extend(other.checks)
         return self
 
     @property
-    def total(self):
-        return len(self.checks)
-
-    @property
-    def failed(self):
-        return sum(1 for c in self.checks if not c.passed)
-
-    @property
     def passed(self):
-        return self.failed == 0
-
-    def summary(self):
-        return {
-            "total": self.total,
-            "passed": self.total - self.failed,
-            "failed": self.failed,
-        }
+        return all(c["pass"] for c in self.checks)
 
     def to_dict(self):
-        return {
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "context": c.context,
-                    "metric": _number(c.metric),
-                    "tolerance": _number(c.tolerance),
-                    "direction": c.direction,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
-            "summary": self.summary(),
-        }
+        total = len(self.checks)
+        failed = sum(not c["pass"] for c in self.checks)
+        return {"tool_version": __version__, "seed": self.seed,
+                "checks": [{**c, "metric": _number(c["metric"]),
+                            "tolerance": _number(c["tolerance"])}
+                           for c in self.checks],
+                "summary": {"total": total, "passed": total - failed,
+                            "failed": failed}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True,

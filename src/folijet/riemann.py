@@ -6,7 +6,10 @@ prolongs to a nonlinear connection on the order-r jet fiber (its
 coefficients are the Taylor coefficients of parallel transport along the
 jet curve, computed numerically at each point); copying g onto each
 summand of the resulting horizontal/vertical splitting (summands declared
-orthogonal) yields a fiber metric G on the full jet fiber.  `holonomy_check` then verifies chart-invariance of G and
+orthogonal) yields a fiber metric G on the full jet fiber of each chart
+of a family {chart: MetricField}, g as that chart presents it.
+`holonomy_check` then verifies G's invariance under the prolonged
+transitions (the lifted foliation is riemannian) and
 `vertical_exactness_check` verifies G_top against the vertical Hessian.
 
 Convention: the top vertical block of G equals g, i.e. half the vertical
@@ -287,7 +290,8 @@ def _transport_coefficients(g, base, jets):
 
 
 class LiftedMetric:
-    """The fiber metric G on the order-r jet fiber, per source chart.
+    """The fiber metric G on the order-r jet fiber of each chart of the
+    family `sources`; it has no value in a chart the family lacks.
 
     The coframe rows delta y^(k) = sum_j M_(j) dy^(k-j) carry orthogonal
     copies of g; the connection coefficients M_(j) are computed at each
@@ -303,15 +307,6 @@ class LiftedMetric:
     def qdim(self):
         return next(iter(self.sources.values())).qdim
 
-    def _key(self, chart):
-        if chart in self.sources:
-            return chart
-        if len(self.sources) == 1:
-            return next(iter(self.sources))
-        raise InvariantViolation(
-            f"no metric presentation for chart {chart!r}"
-        )
-
     def evaluate(self, point) -> np.ndarray:
         return self.evaluate_at(point.chart, *point_arrays(point)[1:])
 
@@ -319,8 +314,10 @@ class LiftedMetric:
         """G at base (q,) and jets (r, q) in `chart`, or at a batch of
         points, base (B, q) and jets (B, r, q), as (B, n, n)."""
         check_fit(self, base, jets)
-        r = self.order
-        g = self.sources[self._key(chart)]
+        if chart not in self.sources:
+            raise InvariantViolation(
+                f"no metric presentation for chart {chart!r}")
+        r, g = self.order, self.sources[chart]
         gb, W = _transport_coefficients(g, base, np.asarray(jets, dtype=float))
         q = g.qdim
         lead = gb.shape[:-2]
@@ -334,15 +331,11 @@ class LiftedMetric:
         return (G + G.swapaxes(-2, -1)) / 2.0
 
 
-def lift_metric(g, r) -> LiftedMetric:
-    """Lift a metric (or a per-chart family) to the order-r jet fiber."""
+def lift_metric(family: Mapping[str, MetricField], r) -> LiftedMetric:
+    """Lift a chart family {chart: MetricField} to the order-r jet fiber."""
     if r < 1:
         raise ShapeError(f"need r >= 1, got {r}")
-    if isinstance(g, MetricField):
-        fields = {g.chart: g}
-    else:
-        fields = dict(g)
-    return LiftedMetric(r, fields)
+    return LiftedMetric(r, dict(family))
 
 
 def sample_jets(rng, r, q, scale=1.0):
@@ -381,9 +374,10 @@ def holonomy_check(atlas, lifted, samples=25, seed=0, *,
 
 
 def vertical_exactness_check(lifted, L, samples=25, seed=0, *, base_box,
-                             chart=None, tol=EXACTNESS_TOLERANCE) -> Report:
-    """Top vertical block of G against half the vertical Hessian of L, each
-    sample's largest entry gap relative to the largest entry of either."""
+                             chart, tol=EXACTNESS_TOLERANCE) -> Report:
+    """Top vertical block of G in `chart` against half the vertical Hessian
+    of L, each sample's largest entry gap relative to the largest entry of
+    either."""
     if samples < 1:
         raise ValueError("need samples >= 1")
     report = Report(seed=int(seed))
@@ -391,8 +385,6 @@ def vertical_exactness_check(lifted, L, samples=25, seed=0, *, base_box,
     q = lifted.qdim
     if L.order != r or L.qdim != q:
         raise ShapeError("lagrangian and lifted metric orders differ")
-    if chart is None:
-        chart = next(iter(lifted.sources))
     base, jets = sample_points(sample_stream(seed, "vexact", 3), base_box,
                                samples, r, q)
     g_top = lifted.evaluate_at(chart, base, jets)[..., r * q:, r * q:]

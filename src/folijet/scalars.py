@@ -185,17 +185,10 @@ class Space:
         return f"Space({self.groups!r})"
 
     def rest(self, group):
-        """The space of the other groups, with their `linear` variables
-        numbered anew."""
-        groups = self.groups[:group] + self.groups[group + 1:]
-        if not self.linear:
-            return space(groups)
-        start = sum(count for count, _ in self.groups[:group])
-        stop = start + self.groups[group][0]
-        linear = tuple(v if v < start else v - stop + start
-                       for v in self.linear if not start <= v < stop)
-        # one spelling per space: `space` caches on its arguments
-        return space(groups, linear) if linear else space(groups)
+        """The space of the other groups, without `linear`: its filter
+        drops table entries by their output monomial only, so each kept
+        coefficient sums the same entries in either space."""
+        return space(self.groups[:group] + self.groups[group + 1:])
 
     def product_keys(self, batch):
         """The bincount keys of an entry-major product of `batch` samples:

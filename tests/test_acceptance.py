@@ -294,7 +294,7 @@ def test_criterion_06_metric_lift():
                            - (y1 ** 2 + y2 ** 2 + (y3 + y1 / 6.0) ** 2)))
     min_eig = np.inf
     for r in (1, 2, 3):
-        lifted = lift_metric(WAVY, r)
+        lifted = lift_metric({"A": WAVY}, r)
         for _ in range(100):
             point = jet_point(rng.uniform(-2, 2, 1), sample_jets(rng, r, 1, 2.0))
             min_eig = min(min_eig,
@@ -310,7 +310,7 @@ def test_criterion_07_holonomy(cubic_atlas):
     for r in (1, 2, 3):
         lifted = lift_metric(cubic_atlas.metrics["g"], r)
         report = holonomy_check(cubic_atlas, lifted, samples=25, seed=0)
-        dev = max(dev, max(c.metric for c in report.checks))
+        dev = max(dev, max(c["metric"] for c in report.checks))
     lifted = lift_metric(cubic_atlas.metrics["g"], 2)
     rng = np.random.default_rng(29)
     dev_zero = 0.0
@@ -333,11 +333,11 @@ def test_criterion_07_holonomy(cubic_atlas):
 def test_criterion_08_exactness_admissibility_hamiltonian():
     dev_exact = 0.0
     for r in (1, 2, 3):
-        report = vertical_exactness_check(lift_metric(EXP, r),
+        report = vertical_exactness_check(lift_metric({"": EXP}, r),
                                           lift_lagrangian(EXP, r),
                                           samples=25, seed=0,
-                                          base_box=[[-0.5, 0.8]])
-        dev_exact = max(dev_exact, max(c.metric for c in report.checks))
+                                          base_box=[[-0.5, 0.8]], chart="")
+        dev_exact = max(dev_exact, max(c["metric"] for c in report.checks))
     good = admissibility_check(lift_lagrangian(EXP, 2), samples=15, seed=0,
                                base_box=[[-0.5, 0.8]])
     neg1 = admissibility_check(

@@ -84,7 +84,7 @@ def test_sample_overlap_deterministic(cubic_atlas):
 def test_validate_cubic_passes(cubic_atlas):
     report = validate_foliated(cubic_atlas, samples=25, seed=0)
     assert report.passed, report.to_json()
-    names = {c.name for c in report.checks}
+    names = {c["name"] for c in report.checks}
     assert names == {"transverse_jacobian_invertible", "mixed_block_zero",
                      "inverse_round_trip"}
 
@@ -92,8 +92,8 @@ def test_validate_cubic_passes(cubic_atlas):
 def test_validate_triple_cocycle(triple_atlas):
     report = validate_foliated(triple_atlas, samples=25, seed=0)
     assert report.passed, report.to_json()
-    cocycle = [c for c in report.checks if c.name == "cocycle"]
-    assert len(cocycle) == 1 and cocycle[0].metric <= 1e-9
+    cocycle = [c for c in report.checks if c["name"] == "cocycle"]
+    assert len(cocycle) == 1 and cocycle[0]["metric"] <= 1e-9
 
 
 def _two_charts(a_to_b, b_to_a, overlap_a, overlap_b, leaf_dim=0):
@@ -117,17 +117,18 @@ def test_a_round_trip_is_judged_in_its_chart_s_units():
     # trip from B misses by 5e-11, half the width of B's overlap
     atlas = load_atlas(_two_charts("1e-10*x1", "1e10*x1 + 0.5",
                                    [[0.5, 1.5]], [[0.5e-10, 1.5e-10]]))
-    trips = {c.context: c for c in validate_foliated(atlas, samples=5).checks
-             if c.name == "inverse_round_trip"}
+    trips = {c["context"]: c
+             for c in validate_foliated(atlas, samples=5).checks
+             if c["name"] == "inverse_round_trip"}
     for name in ("A->B", "B->A"):
-        assert trips[name].metric == pytest.approx(0.5, rel=1e-5)
-        assert not trips[name].passed
+        assert trips[name]["metric"] == pytest.approx(0.5, rel=1e-5)
+        assert not trips[name]["pass"]
     # over overlaps of zero width, exact round trips read 0, not 0/0
     atlas = load_atlas(_two_charts("2*x1", "0.5*x1", [[0.5, 0.5], [1.0, 1.0]],
                                    [[0.5, 0.5], [2.0, 2.0]], leaf_dim=1))
     report = validate_foliated(atlas, samples=5)
-    assert [c.metric for c in report.checks
-            if c.name == "inverse_round_trip"] == [0.0, 0.0]
+    assert [c["metric"] for c in report.checks
+            if c["name"] == "inverse_round_trip"] == [0.0, 0.0]
 
 
 def test_validate_flags_near_singular_transition():
@@ -139,7 +140,7 @@ def test_validate_flags_near_singular_transition():
     doc["transitions"][0]["overlap"] = [[0.0, 1.0], [-1e-6, 1e-6]]
     atlas = load_atlas(doc)
     report = validate_foliated(atlas, samples=50, seed=0)
-    failing = {c.name for c in report.checks if not c.passed}
+    failing = {c["name"] for c in report.checks if not c["pass"]}
     assert "transverse_jacobian_invertible" in failing
 
 
@@ -159,8 +160,8 @@ def test_a_transition_jacobian_is_judged_in_its_charts_units():
     # |det| is 1e-10 one way and 1e10 the other, and each condition is 1
     report = validate_foliated(load_atlas(unit_atlas_doc()), samples=25)
     assert report.passed, report.to_json()
-    assert [c.metric for c in report.checks
-            if c.name == "transverse_jacobian_invertible"] == [1.0, 1.0]
+    assert [c["metric"] for c in report.checks
+            if c["name"] == "transverse_jacobian_invertible"] == [1.0, 1.0]
 
 
 def test_worst_is_nan_when_any_value_is():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -252,8 +254,8 @@ def test_shape_validation():
 FIT_L = LagrangianField.from_program(parse("y1_1^2 + y2_1^2 + y2_2^2"),
                                      order=2, qdim=2)
 FIT_S = SemiSprayField.from_lagrangian(FIT_L)
-FIT_G = lift_metric(MetricField.from_components([["1", "0"], ["0", "1"]], 2),
-                    2)
+FIT_G = lift_metric(
+    {"": MetricField.from_components([["1", "0"], ["0", "1"]], 2)}, 2)
 JET_ENTRIES = {
     "vertical_hessian": lambda pt: vertical_hessian(FIT_L, pt),
     "semispray": lambda pt: semispray(FIT_L, pt),
@@ -302,10 +304,30 @@ def test_point_entries_raise_one_shape_error(entry):
             assert str(err.value) == (
                 f"point of order {order}, dimension {q} does not fit a "
                 "field of order 2, dimension 2")
+    if entry in ARRAY_ENTRIES:  # 3 base samples, the jets of 2
+        with pytest.raises(ShapeError) as err:
+            ARRAY_ENTRIES[entry](np.full((3, 2), 0.5), np.full((2, 2, 2), 0.1))
+        rows = 1 if entry == "hamiltonian_at" else 2
+        assert str(err.value) == (f"base of shape (3, 2) and jets of shape "
+                                  f"(2, {rows}, 2) differ in their batch axes")
+    if entry == "hamiltonian_at":  # a momentum of q + 1, then of q - 1
+        for lead, q in itertools.product(((), (3,)), (3, 1)):
+            with pytest.raises(ShapeError) as err:
+                hamiltonian_at(FIT_L, np.full(lead + (2,), 0.5),
+                               np.full(lead + (1, 2), 0.1),
+                               np.ones(lead + (q,)))
+            assert str(err.value) == (
+                f"momentum of shape {lead + (q,)} does not fit a base of "
+                f"shape {lead + (2,)}")
 
 
 def test_fit_names_both_dimensions_of_a_misshapen_point():
     with pytest.raises(ShapeError) as err:
         FIT_G.evaluate_at("", np.full(2, 0.5), np.zeros((2, 3)))
     assert str(err.value) == ("point of order 2, dimension 2, 3 does not "
+                              "fit a field of order 2, dimension 2")
+    # a scalar base has no transverse axis at all
+    with pytest.raises(ShapeError) as err:
+        FIT_G.evaluate_at("", 0.5, np.zeros((2, 2)))
+    assert str(err.value) == ("point of order 2, dimension 0, 2 does not "
                               "fit a field of order 2, dimension 2")

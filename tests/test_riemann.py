@@ -9,7 +9,7 @@ from folijet.atlas import load_atlas_file, sample_overlap
 from folijet.cli import main
 from folijet.dynamics import (SemiSprayField, projector_pair, projectors,
                               semispray, vertical_hessian)
-from folijet.errors import ShapeError, SingularMetric
+from folijet.errors import InvariantViolation, ShapeError, SingularMetric
 from folijet.expr import ExprProgram, coordinate_names, parse
 from folijet.jets import (TransverseJetPoint, jet_env, prolong_jacobian,
                           prolong_transition, sample_points)
@@ -174,7 +174,7 @@ def test_lift_rejects_bad_order(flat_metric):
     with pytest.raises(ShapeError):
         lift_lagrangian(flat_metric, 0)
     with pytest.raises(ShapeError):
-        lift_metric(flat_metric, 0)
+        lift_metric({"": flat_metric}, 0)
 
 
 # -------------------------------------------------------------- metric lift
@@ -182,7 +182,7 @@ def test_lift_rejects_bad_order(flat_metric):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_lift_metric_flat_is_identity(flat_metric, r):
-    lifted = lift_metric(flat_metric, r)
+    lifted = lift_metric({"": flat_metric}, r)
     rng = np.random.default_rng(2 + r)
     for _ in range(10):
         pt = jet_point(rng.uniform(-1, 1, 1),
@@ -192,7 +192,7 @@ def test_lift_metric_flat_is_identity(flat_metric, r):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_lift_metric_positive_definite_wavy(wavy_metric, r):
-    lifted = lift_metric(wavy_metric, r)
+    lifted = lift_metric({"": wavy_metric}, r)
     rng = np.random.default_rng(30 + r)
     for _ in range(100):
         pt = jet_point(rng.uniform(-2, 2, 1),
@@ -204,7 +204,7 @@ def test_lift_metric_positive_definite_wavy(wavy_metric, r):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_lift_metric_restricts_to_metric(exp_metric, r):
-    lifted = lift_metric(exp_metric, r)
+    lifted = lift_metric({"": exp_metric}, r)
     rng = np.random.default_rng(40 + r)
     for _ in range(10):
         base = rng.uniform(-0.5, 0.8, 1)
@@ -213,13 +213,24 @@ def test_lift_metric_restricts_to_metric(exp_metric, r):
 
 
 def test_lift_metric_top_block_is_metric(exp_metric):
-    lifted = lift_metric(exp_metric, 3)
+    lifted = lift_metric({"": exp_metric}, 3)
     rng = np.random.default_rng(55)
     for _ in range(10):
         base = rng.uniform(-0.5, 0.8, 1)
         pt = jet_point(base, sample_jets(rng, 3, 1))
         G = lifted.evaluate(pt)
         assert np.allclose(G[3:, 3:], exp_metric.evaluate(base), atol=1e-10)
+
+
+def test_lift_metric_has_no_value_in_a_chart_its_family_lacks(exp_metric):
+    lifted = lift_metric({"A": exp_metric}, 2)
+    base, jets = np.array([0.3]), np.full((2, 1), 0.1)
+    assert np.isfinite(lifted.evaluate_at("A", base, jets)).all()
+    with pytest.raises(InvariantViolation,
+                       match="no metric presentation for chart 'B'"):
+        lifted.evaluate_at("B", base, jets)
+    with pytest.raises(InvariantViolation, match="chart 'B'"):
+        lifted.evaluate(jet_point(base, jets, chart="B"))
 
 
 # metric entries and the box its base points are drawn from
@@ -243,7 +254,7 @@ def test_lift_metric_matches_closed_form_coefficients(name, r):
     q = len(entries)
     g = MetricField.from_components(entries, q, name=name)
     closed = sympy_prolongation_coefficients(g.components, r, q)
-    lifted = lift_metric(g, r)
+    lifted = lift_metric({"": g}, r)
     rng = np.random.default_rng(70 + r)
     for _ in range(10):
         pt = jet_point(rng.uniform(*box, q), sample_jets(rng, r, q))
@@ -255,7 +266,7 @@ def test_lift_metric_matches_closed_form_coefficients(name, r):
 
 
 def test_lift_metric_two_dimensional_positive_definite():
-    lifted = lift_metric(TWO_DIM, 2)
+    lifted = lift_metric({"": TWO_DIM}, 2)
     rng = np.random.default_rng(60)
     for _ in range(25):
         pt = jet_point(rng.uniform(0.2, 1.0, 2),
@@ -431,7 +442,7 @@ def test_holonomy_cubic_atlas(cubic_atlas, r):
     lifted = lift_metric(cubic_atlas.metrics["g"], r)
     report = holonomy_check(cubic_atlas, lifted, samples=25, seed=0)
     assert report.passed, report.to_json()
-    assert {c.context for c in report.checks} == {"A->B", "B->A"}
+    assert {c["context"] for c in report.checks} == {"A->B", "B->A"}
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -439,7 +450,7 @@ def test_holonomy_shear2_atlas(shear2_atlas, r):
     lifted = lift_metric(shear2_atlas.metrics["g"], r)
     report = holonomy_check(shear2_atlas, lifted, samples=25, seed=0)
     assert report.passed, report.to_json()
-    assert {c.context for c in report.checks} == {"A->B", "B->A"}
+    assert {c["context"] for c in report.checks} == {"A->B", "B->A"}
 
 
 def test_holonomy_negative_control(cubic_atlas):
@@ -450,30 +461,31 @@ def test_holonomy_negative_control(cubic_atlas):
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_vertical_exactness(exp_metric, r):
-    lifted = lift_metric(exp_metric, r)
+    lifted = lift_metric({"": exp_metric}, r)
     L = lift_lagrangian(exp_metric, r)
     report = vertical_exactness_check(lifted, L, samples=25, seed=0,
-                                      base_box=[[-0.5, 0.8]])
+                                      base_box=[[-0.5, 0.8]], chart="")
     assert report.passed, report.to_json()
 
 
 def test_vertical_exactness_negative_control(exp_metric):
     from folijet.dynamics import LagrangianField
 
-    lifted = lift_metric(exp_metric, 2)
+    lifted = lift_metric({"": exp_metric}, 2)
     L = lift_lagrangian(exp_metric, 2)
     tripled = LagrangianField.from_program(
         parse(f"3*({L.program.to_text()})"), order=2, qdim=1, name="3L")
     report = vertical_exactness_check(lifted, tripled, samples=25, seed=0,
-                                      base_box=[[-0.5, 0.8]])
+                                      base_box=[[-0.5, 0.8]], chart="")
     assert not report.passed
 
 
 def test_vertical_exactness_order_mismatch(exp_metric):
-    lifted = lift_metric(exp_metric, 2)
+    lifted = lift_metric({"": exp_metric}, 2)
     L = lift_lagrangian(exp_metric, 1)
     with pytest.raises(ShapeError):
-        vertical_exactness_check(lifted, L, base_box=[[-0.5, 0.8]])
+        vertical_exactness_check(lifted, L, base_box=[[-0.5, 0.8]],
+                                 chart="")
 
 
 # ------------------------------------------- the batched report, point by point

@@ -124,8 +124,8 @@ def test_vertical_exactness_draws_in_one_block(
     fld = shear2_atlas.metrics["g"]["A"]
     calls = spy(monkeypatch, riemann, "top_hessian")
     riemann.vertical_exactness_check(
-        lift_metric(fld, r), lift_lagrangian(fld, r), samples, seed,
-        base_box=BOX)
+        lift_metric({"A": fld}, r), lift_lagrangian(fld, r), samples, seed,
+        base_box=BOX, chart="A")
     ((_, base, jets), _), = calls
     want_base, want_jets = vertical_exactness_draws(BOX, samples, seed, r,
                                                     fld.qdim, jet_scale)
@@ -177,7 +177,7 @@ def test_every_sampled_check_needs_a_sample(cubic_atlas, samples):
         lambda: validate_foliated(cubic_atlas, samples),
         lambda: riemann.holonomy_check(cubic_atlas, lifted, samples),
         lambda: riemann.vertical_exactness_check(lifted, L, samples,
-                                                 base_box=box),
+                                                 base_box=box, chart="A"),
         lambda: legendre.admissibility_check(
             LagrangianField.from_program(parse("-y1_1^2"), order=1, qdim=1),
             samples=samples, base_box=box)]

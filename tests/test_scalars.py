@@ -553,16 +553,16 @@ def test_sub_space_product_is_the_degree_zero_slice(group, batch):
         assert not any(np.any(p.coeffs) for p in others)
 
 
-def test_split_of_a_linear_space_numbers_the_rest_anew():
+def test_split_of_a_linear_space_splits_its_coefficients():
+    # the parts keep no `linear`: the same coefficients over the whole space
     sp_ = space(THREE_GROUPS, (1, 2, 3))  # x1 of group 0, group 1, z0
-    y = Series(sp_, np.random.default_rng(3).standard_normal(sp_.size))
-    assert y.split(0)[0].space is space(((1, 3), (2, 1)), (0, 1))
-    assert y.split(1)[0].space is space(((2, 2), (2, 1)), (1, 2))
-    assert y.split(2)[0].space is space(((2, 2), (1, 3)), (1, 2))
+    coeffs = np.random.default_rng(3).standard_normal(sp_.size)
+    y, whole = Series(sp_, coeffs), Series(space(THREE_GROUPS), coeffs)
     for group in range(3):
+        for part, want in zip(y.split(group), whole.split(group)):
+            assert part.space is want.space
+            assert np.array_equal(part.coeffs, want.coeffs)
         assert y.split(group)[0].within(sp_, group).space is sp_
-        with pytest.raises(ShapeError):
-            y.split(group)[0].within(space(THREE_GROUPS), group)
 
 
 def _shipped_metrics():
